@@ -284,20 +284,17 @@ runTelemetryRep(WorkloadKind wk, double scale, std::uint64_t seed,
     return out;
 }
 
+/** Are two counter blocks identical? A mismatch is reported on
+ * stderr, counter by counter, under @p what. */
 bool
-metricsIdentical(const RunMetrics &x, const RunMetrics &y)
+countersIdentical(const char *what, const PodCounters &x,
+                  const PodCounters &y)
 {
-    return x.instructions == y.instructions &&
-           x.cycles == y.cycles &&
-           x.traceRecords == y.traceRecords &&
-           x.llcMisses == y.llcMisses &&
-           x.demandAccesses == y.demandAccesses &&
-           x.demandHits == y.demandHits &&
-           x.memLatencyCycles == y.memLatencyCycles &&
-           x.offchipBytes == y.offchipBytes &&
-           x.stackedBytes == y.stackedBytes &&
-           x.offchipActs == y.offchipActs &&
-           x.stackedActs == y.stackedActs;
+    const std::string diff =
+        fieldDiff(PodCounters::kCounters, x, y);
+    if (!diff.empty())
+        std::fprintf(stderr, "%s: %s\n", what, diff.c_str());
+    return diff.empty();
 }
 
 /** Do the probe-column deltas telescope to the aggregate? */
@@ -324,32 +321,11 @@ intervalsConserve(const TelemetryRep &rep)
 {
     if (rep.intervals.empty())
         return false;
-    IntervalSample sum;
-    for (const IntervalSample &s : rep.intervals) {
-        sum.records += s.records;
-        sum.instructions += s.instructions;
-        sum.cycles += s.cycles;
-        sum.llcMisses += s.llcMisses;
-        sum.demandAccesses += s.demandAccesses;
-        sum.demandHits += s.demandHits;
-        sum.memLatencyCycles += s.memLatencyCycles;
-        sum.offchipBytes += s.offchipBytes;
-        sum.stackedBytes += s.stackedBytes;
-        sum.offchipActs += s.offchipActs;
-        sum.stackedActs += s.stackedActs;
-    }
-    const RunMetrics &m = rep.metrics;
-    return sum.records == m.traceRecords &&
-           sum.instructions == m.instructions &&
-           sum.cycles == static_cast<std::uint64_t>(m.cycles) &&
-           sum.llcMisses == m.llcMisses &&
-           sum.demandAccesses == m.demandAccesses &&
-           sum.demandHits == m.demandHits &&
-           sum.memLatencyCycles == m.memLatencyCycles &&
-           sum.offchipBytes == m.offchipBytes &&
-           sum.stackedBytes == m.stackedBytes &&
-           sum.offchipActs == m.offchipActs &&
-           sum.stackedActs == m.stackedActs;
+    PodCounters sum;
+    for (const IntervalSample &s : rep.intervals)
+        addFields(PodCounters::kCounters, sum, s);
+    return countersIdentical("interval sum vs aggregate", sum,
+                             rep.metrics);
 }
 
 /** Exact-vs-sampled twins of one footprint point (runPoint). */
@@ -421,31 +397,14 @@ runSamplingBench(WorkloadKind wk, double scale,
         samplingExtra(out.sampled, "sampled_intervals"));
 
     const RunMetrics &m = out.exact.metrics;
-    const double exact_derived[4] = {
-        m.cycles ? static_cast<double>(m.instructions) / m.cycles
-                 : 0.0,
-        m.demandAccesses
-            ? static_cast<double>(m.demandAccesses -
-                                  m.demandHits) /
-                  m.demandAccesses
-            : 0.0,
-        m.demandAccesses
-            ? static_cast<double>(m.memLatencyCycles) /
-                  m.demandAccesses
-            : 0.0,
-        m.cycles ? static_cast<double>(m.offchipBytes) /
-                       (static_cast<double>(m.cycles) / 3.0)
-                 : 0.0};
-    const char *names[4] = {"ipc", "miss_ratio", "avg_latency",
-                            "offchip_gbps"};
-    for (int i = 0; i < 4; ++i) {
-        const std::string base = names[i];
+    for (const SampledRatio &ratio : kSampledRatios) {
+        const std::string base = ratio.name;
         const double mean = samplingExtra(
             out.sampled, (base + "_mean").c_str());
         const double ci = samplingExtra(
             out.sampled, (base + "_ci95").c_str());
         ++out.metricsChecked;
-        if (std::abs(exact_derived[i] - mean) <= ci + 1e-12)
+        if (std::abs(ratio.of(m) - mean) <= ci + 1e-12)
             ++out.metricsWithinCi;
     }
     return out;
@@ -454,18 +413,8 @@ runSamplingBench(WorkloadKind wk, double scale,
 bool
 measuredIdentical(const PhaseTimes &a, const PhaseTimes &b)
 {
-    const RunMetrics &x = a.metrics;
-    const RunMetrics &y = b.metrics;
-    return x.instructions == y.instructions &&
-           x.cycles == y.cycles &&
-           x.traceRecords == y.traceRecords &&
-           x.llcMisses == y.llcMisses &&
-           x.demandAccesses == y.demandAccesses &&
-           x.demandHits == y.demandHits &&
-           x.offchipBytes == y.offchipBytes &&
-           x.stackedBytes == y.stackedBytes &&
-           x.offchipActs == y.offchipActs &&
-           x.stackedActs == y.stackedActs &&
+    return countersIdentical("functional vs timed warmup",
+                             a.metrics, b.metrics) &&
            a.covered == b.covered && a.underpred == b.underpred &&
            a.overpred == b.overpred &&
            a.trigMisses == b.trigMisses;
@@ -681,12 +630,14 @@ main(int argc, char **argv)
             intro_min = intro.measureSeconds;
         telemetry_identical =
             telemetry_identical &&
-            metricsIdentical(off.metrics, on.metrics);
+            countersIdentical("telemetry off vs on", off.metrics,
+                              on.metrics);
         telemetry_conserves =
             telemetry_conserves && intervalsConserve(on);
         intro_identical =
             intro_identical &&
-            metricsIdentical(off.metrics, intro.metrics);
+            countersIdentical("introspection off vs on",
+                              off.metrics, intro.metrics);
         intro_conserves = intro_conserves &&
                           intervalsConserve(intro) &&
                           probesConserve(intro);

@@ -135,7 +135,7 @@ python3 scripts/check_telemetry.py \
 # attribution + design probes; the artifact flags add the probe
 # columns and the spatial heatmap. Heatmap cells must sum to the
 # report's aggregate counters, probe columns must telescope, and
-# every journal entry must round-trip the v4 format. CI's
+# every journal entry must carry the v5 format. CI's
 # telemetry-smoke job additionally byte-diffs --jobs 1 vs 2.
 rm -rf "$BUILD_DIR"/intro_journal
 "$BUILD_DIR"/sweep --quick --jobs "$JOBS" --filter introspection \

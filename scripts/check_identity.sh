@@ -1,0 +1,97 @@
+#!/usr/bin/env bash
+# Byte-identity check of the sweep artifacts against another
+# revision (default HEAD~1).
+#
+#   scripts/check_identity.sh [REV]
+#
+# Builds REV's sweep in a temporary git worktree and the working
+# tree's sweep in BUILD_DIR, then runs one --quick slice that
+# covers solo, two-tenant, sampled and introspection points with
+# every artifact flag on. It requires:
+#   - the merged report, --timeseries-out and --heatmap-out to be
+#     byte-identical between the two builds;
+#   - --jobs 1 to reproduce the --jobs 2 artifacts byte for byte;
+#   - a --resume from the --jobs 2 journal to execute nothing and
+#     reproduce the artifacts byte for byte.
+#
+# Environment: BUILD_DIR (working-tree build, default build) and
+# JOBS (build parallelism).
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+REV="${1:-HEAD~1}"
+BUILD_DIR="${BUILD_DIR:-build}"
+JOBS="${JOBS:-$(nproc)}"
+FILTER=fig06,colocation,introspection,sampling_validation
+TMP="$(mktemp -d)"
+WORKTREE="$TMP/ref"
+
+cleanup() {
+    git worktree remove --force "$WORKTREE" 2>/dev/null || true
+    rm -rf "$TMP"
+}
+trap cleanup EXIT
+
+build_sweep() { # SOURCE_DIR BUILD_DIR
+    if [ ! -f "$2/CMakeCache.txt" ]; then
+        cmake -B "$2" -S "$1" -DCMAKE_BUILD_TYPE=Release \
+            -DFPC_BUILD_TESTS=OFF -DFPC_BUILD_EXAMPLES=OFF >/dev/null
+    fi
+    cmake --build "$2" -j "$JOBS" --target sweep >/dev/null
+}
+
+run_slice() { # SWEEP OUT_DIR JOBS [extra sweep flags...]
+    local sweep="$1" out="$2" jobs="$3"
+    shift 3
+    mkdir -p "$out"
+    "$sweep" --quick --jobs "$jobs" --filter "$FILTER" --no-report \
+        --interval-records 20000 --design-probes \
+        --miss-attribution 64 \
+        --timeseries-out "$out/ts.json" \
+        --heatmap-out "$out/heat.json" \
+        --out "$out/report.json" "$@" >"$out/log.txt" 2>&1
+}
+
+failures=0
+expect_same() { # WHAT DIR_A DIR_B
+    local f
+    for f in report.json ts.json heat.json; do
+        if cmp -s "$2/$f" "$3/$f"; then
+            echo "ok   $1: $f"
+        else
+            echo "FAIL $1: $f differs ($2/$f vs $3/$f)"
+            failures=$((failures + 1))
+        fi
+    done
+}
+
+echo "building $REV in a temporary worktree" >&2
+git worktree add --detach "$WORKTREE" "$REV" >/dev/null
+build_sweep "$WORKTREE" "$WORKTREE/build"
+echo "building the working tree in $BUILD_DIR" >&2
+build_sweep . "$BUILD_DIR"
+
+echo "running slice $FILTER" >&2
+run_slice "$WORKTREE/build/sweep" "$TMP/ref-j2" 2
+run_slice "$BUILD_DIR/sweep" "$TMP/new-j2" 2 --journal "$TMP/journal"
+run_slice "$BUILD_DIR/sweep" "$TMP/new-j1" 1
+run_slice "$BUILD_DIR/sweep" "$TMP/new-resume" 2 \
+    --journal "$TMP/journal" --resume
+
+expect_same "$REV vs working tree" "$TMP/ref-j2" "$TMP/new-j2"
+expect_same "--jobs 1 vs --jobs 2" "$TMP/new-j1" "$TMP/new-j2"
+expect_same "--resume vs fresh" "$TMP/new-resume" "$TMP/new-j2"
+if grep -q " 0 executed" "$TMP/new-resume/log.txt"; then
+    echo "ok   --resume executed no point"
+else
+    echo "FAIL --resume re-executed points:"
+    grep "executed" "$TMP/new-resume/log.txt" || true
+    failures=$((failures + 1))
+fi
+
+if [ "$failures" -ne 0 ]; then
+    echo "check_identity: $failures check(s) failed" >&2
+    exit 1
+fi
+echo "check_identity: all artifacts byte-identical" >&2

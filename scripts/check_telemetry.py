@@ -29,8 +29,8 @@ Four independent checks, each optional:
     split conserves.
 
 --journal DIR
-    v4 journal integrity: every *.pt entry in the directory must
-    open with the "fpcjournal 4" magic, name its point key, and
+    v5 journal integrity: every *.pt entry in the directory must
+    open with the "fpcjournal 5" magic, name its point key, and
     terminate with the "end" sentinel — the structural contract
     `sweep --resume` relies on (the bit-exact round-trip itself is
     proven by tests/test_introspection.cc and CI's resume
@@ -267,7 +267,7 @@ def check_heatmap(heatmap_path, report_path):
 
 
 def check_journal(journal_dir):
-    magic = "fpcjournal 4"
+    magic = "fpcjournal 5"
     entries = 0
     violations = 0
     try:
@@ -294,7 +294,7 @@ def check_journal(journal_dir):
             print(f"{name}: missing end sentinel (truncated?)")
             violations += 1
         entries += 1
-    print(f"journal guard: {entries} v4 entrie(s) in "
+    print(f"journal guard: {entries} v5 entrie(s) in "
           f"{journal_dir}")
     if entries == 0:
         print("FAIL: no journal entries to check")
@@ -302,7 +302,7 @@ def check_journal(journal_dir):
     if violations:
         print(f"FAIL: {violations} journal violation(s)")
         return 1
-    print("OK: every journal entry is v4 and complete")
+    print("OK: every journal entry is v5 and complete")
     return 0
 
 

@@ -4,6 +4,7 @@
 
 #include <cctype>
 #include <cinttypes>
+#include <climits>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -22,10 +23,12 @@ namespace {
 
 // v2 added the telemetry intervals section; v3 the sampled-mode
 // timing fields; v4 the introspection probe columns (names,
-// aggregate values, per-interval deltas) and the spatial heatmap.
-// Older entries fail the magic check and the point simply re-runs
-// — safe by design.
-constexpr const char *kMagic = "fpcjournal 4";
+// aggregate values, per-interval deltas) and the spatial heatmap;
+// v5 writes every counter line in its table's order (see
+// common/counters.hh), which moved trace_records in the interval
+// line. Older entries fail the magic check and the point simply
+// re-runs — safe by design.
+constexpr const char *kMagic = "fpcjournal 5";
 constexpr const char *kSuffix = ".pt";
 
 /** FNV-1a (matches the sweep key hash). */
@@ -70,6 +73,39 @@ appendRaw(std::string &out, const std::string &s)
     out += s;
 }
 
+void
+appendValue(std::string &out, std::uint64_t v)
+{
+    appendFmt(out, " %" PRIu64, v);
+}
+
+void
+appendValue(std::string &out, double v)
+{
+    out += ' ';
+    appendDouble(out, v);
+}
+
+void
+appendValues(std::string &out, const std::vector<std::uint64_t> &v)
+{
+    for (std::uint64_t x : v)
+        appendValue(out, x);
+}
+
+/** One counter line: @p tag, then every field of @p fields in
+ * table order. */
+template <typename Fields, typename S>
+void
+appendFields(std::string &out, const char *tag,
+             const Fields &fields, const S &s)
+{
+    out += '\n';
+    out += tag;
+    for (const auto &f : fields)
+        appendValue(out, s.*f.member);
+}
+
 /** Forward-only cursor over the serialized text; every taker
  * returns false on truncation or malformed input. */
 struct Reader
@@ -93,6 +129,14 @@ struct Reader
         while (pos < text.size() &&
                (text[pos] == ' ' || text[pos] == '\n'))
             ++pos;
+    }
+
+    /** A section tag, after any separating whitespace. */
+    bool
+    tag(const char *s)
+    {
+        skipSpace();
+        return literal(s);
     }
 
     bool
@@ -120,6 +164,51 @@ struct Reader
         return true;
     }
 
+    bool value(std::uint64_t &out) { return u64(out); }
+    bool value(double &out) { return f64(out); }
+
+    /** A counter line written by appendFields. */
+    template <typename Fields, typename S>
+    bool
+    fields(const char *name, const Fields &fields, S &s)
+    {
+        if (!tag(name))
+            return false;
+        for (const auto &f : fields) {
+            if (!value(s.*f.member))
+                return false;
+        }
+        return true;
+    }
+
+    /**
+     * @p count elements taken one by one with @p take, growing
+     * @p v only as each one parses: a forged count costs at most
+     * what the text itself can back, never a count-sized
+     * allocation up front.
+     */
+    template <typename T, typename Take>
+    bool
+    list(std::uint64_t count, std::vector<T> &v, Take take)
+    {
+        v.clear();
+        for (std::uint64_t i = 0; i < count; ++i) {
+            T item{};
+            if (!take(item))
+                return false;
+            v.push_back(std::move(item));
+        }
+        return true;
+    }
+
+    /** @p count bare u64s (a vector column). */
+    bool
+    u64s(std::uint64_t count, std::vector<std::uint64_t> &v)
+    {
+        return list(count, v,
+                    [this](std::uint64_t &b) { return u64(b); });
+    }
+
     bool
     raw(std::string &out)
     {
@@ -129,7 +218,7 @@ struct Reader
         if (pos >= text.size() || text[pos] != ' ')
             return false;
         ++pos;
-        if (pos + n > text.size())
+        if (n > text.size() - pos)
             return false;
         out = text.substr(pos, n);
         pos += n;
@@ -189,50 +278,30 @@ SweepJournal::fileNameFor(const std::string &key)
     return name + hash + kSuffix;
 }
 
+namespace {
+
 std::string
-SweepJournal::serialize(const ExperimentPoint &point,
-                        const PointResult &r)
+serializeEntry(const std::string &key, double scale,
+               std::uint64_t base_seed, const PointResult &r)
 {
     const RunMetrics &m = r.metrics;
     std::string out;
     out += kMagic;
     out += "\nkey ";
-    out += point.key();
+    out += key;
     out += "\nopts ";
-    appendDouble(out, point.scale);
-    appendFmt(out, " %" PRIu64, point.baseSeed);
+    appendDouble(out, scale);
+    appendFmt(out, " %" PRIu64, base_seed);
     appendFmt(out, "\nstatus %u %u ", r.failed ? 1u : 0u,
               r.attempts);
     appendDouble(out, r.elapsedSeconds);
     out += "\nerror ";
     appendRaw(out, r.error);
-    appendFmt(out,
-              "\nmetrics %" PRIu64 " %" PRIu64 " %" PRIu64
-              " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
-              " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64,
-              m.instructions,
-              static_cast<std::uint64_t>(m.cycles),
-              m.traceRecords, m.llcMisses, m.demandAccesses,
-              m.demandHits, m.memLatencyCycles, m.offchipBytes,
-              m.stackedBytes, m.offchipActs, m.stackedActs);
-    out += "\nenergy ";
-    appendDouble(out, m.offchipActPreNj);
-    out += " ";
-    appendDouble(out, m.offchipBurstNj);
-    out += " ";
-    appendDouble(out, m.stackedActPreNj);
-    out += " ";
-    appendDouble(out, m.stackedBurstNj);
+    appendFields(out, "metrics", PodCounters::kCounters, m);
+    appendFields(out, "energy", RunMetrics::kEnergy, m);
     appendFmt(out, "\ntenants %zu", m.tenants.size());
-    for (const TenantMetrics &t : m.tenants) {
-        appendFmt(out,
-                  "\ntenant %" PRIu64 " %" PRIu64 " %" PRIu64
-                  " %" PRIu64 " %" PRIu64 " %" PRIu64
-                  " %" PRIu64,
-                  t.traceRecords, t.instructions, t.llcMisses,
-                  t.demandAccesses, t.demandHits,
-                  t.memLatencyCycles, t.offchipBytes);
-    }
+    for (const TenantMetrics &t : m.tenants)
+        appendFields(out, "tenant", TenantMetrics::kCounters, t);
     appendFmt(out,
               "\nfootprint %u %" PRIu64 " %" PRIu64 " %" PRIu64
               " %" PRIu64 " %" PRIu64 " %" PRIu64,
@@ -240,8 +309,7 @@ SweepJournal::serialize(const ExperimentPoint &point,
               r.overpred, r.trigMisses, r.singletonBypasses,
               r.densityPages);
     appendFmt(out, "\ndensity %zu", r.densityBuckets.size());
-    for (std::uint64_t b : r.densityBuckets)
-        appendFmt(out, " %" PRIu64, b);
+    appendValues(out, r.densityBuckets);
     appendFmt(out, "\nextras %zu", r.extra.size());
     for (const auto &[name, value] : r.extra) {
         out += "\nextra ";
@@ -266,29 +334,14 @@ SweepJournal::serialize(const ExperimentPoint &point,
     appendDouble(out, r.timing.sampleTimedSeconds);
     appendFmt(out, "\nintervals %zu", r.intervals.size());
     for (const IntervalSample &iv : r.intervals) {
-        appendFmt(out,
-                  "\ninterval %" PRIu64 " %" PRIu64 " %" PRIu64
-                  " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
-                  " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
-                  " %zu",
-                  iv.records, iv.instructions, iv.cycles,
-                  iv.llcMisses, iv.demandAccesses, iv.demandHits,
-                  iv.memLatencyCycles, iv.offchipBytes,
-                  iv.stackedBytes, iv.offchipActs,
-                  iv.stackedActs, iv.tenants.size());
+        appendFields(out, "interval", PodCounters::kCounters, iv);
+        appendFmt(out, " %zu", iv.tenants.size());
         for (const TenantMetrics &t : iv.tenants) {
-            appendFmt(out,
-                      "\nitenant %" PRIu64 " %" PRIu64 " %" PRIu64
-                      " %" PRIu64 " %" PRIu64 " %" PRIu64
-                      " %" PRIu64,
-                      t.traceRecords, t.instructions,
-                      t.llcMisses, t.demandAccesses,
-                      t.demandHits, t.memLatencyCycles,
-                      t.offchipBytes);
+            appendFields(out, "itenant", TenantMetrics::kCounters,
+                         t);
         }
         appendFmt(out, "\niprobe %zu", iv.probeValues.size());
-        for (std::uint64_t v : iv.probeValues)
-            appendFmt(out, " %" PRIu64, v);
+        appendValues(out, iv.probeValues);
     }
     // v4: introspection probe columns and the spatial heatmap, so
     // a resumed sweep reproduces the --timeseries-out and
@@ -299,8 +352,7 @@ SweepJournal::serialize(const ExperimentPoint &point,
         appendRaw(out, name);
     }
     appendFmt(out, "\nprobevals %zu", m.probeValues.size());
-    for (std::uint64_t v : m.probeValues)
-        appendFmt(out, " %" PRIu64, v);
+    appendValues(out, m.probeValues);
     const HeatmapData &hm = r.heatmap;
     appendFmt(out,
               "\nheatmap %u %" PRIu64 " %" PRIu64 " %zu",
@@ -310,8 +362,7 @@ SweepJournal::serialize(const ExperimentPoint &point,
                              const std::vector<std::uint64_t> &v) {
         out += "\n";
         out += tag;
-        for (std::uint64_t b : v)
-            appendFmt(out, " %" PRIu64, b);
+        appendValues(out, v);
     };
     bins("haccess", hm.setAccess);
     bins("hconflict", hm.setConflict);
@@ -326,6 +377,24 @@ SweepJournal::serialize(const ExperimentPoint &point,
     }
     out += "\nend\n";
     return out;
+}
+
+} // namespace
+
+std::string
+SweepJournal::serialize(const ExperimentPoint &point,
+                        const PointResult &result)
+{
+    return serializeEntry(point.key(), point.scale,
+                          point.baseSeed, result);
+}
+
+std::string
+SweepJournal::serialize(const std::string &key,
+                        const JournalEntry &entry)
+{
+    return serializeEntry(key, entry.scale, entry.baseSeed,
+                          entry.result);
 }
 
 bool
@@ -346,53 +415,34 @@ SweepJournal::parse(const std::string &text, std::string &key,
     if (!in.literal("opts ") || !in.f64(e.scale) ||
         !in.u64(e.baseSeed))
         return false;
-    in.skipSpace();
-    if (!in.literal("status ") || !in.u64(failed) ||
+    if (!in.tag("status ") || !in.u64(failed) ||
         !in.u64(attempts) || !in.f64(r.elapsedSeconds))
         return false;
-    if (failed > 1 || attempts == 0)
+    if (failed > 1 || attempts == 0 || attempts > UINT_MAX)
         return false;
     r.failed = failed != 0;
     r.attempts = static_cast<unsigned>(attempts);
-    in.skipSpace();
-    if (!in.literal("error ") || !in.raw(r.error))
+    if (!in.tag("error ") || !in.raw(r.error))
         return false;
 
-    std::uint64_t cycles = 0;
-    in.skipSpace();
-    if (!in.literal("metrics") || !in.u64(m.instructions) ||
-        !in.u64(cycles) || !in.u64(m.traceRecords) ||
-        !in.u64(m.llcMisses) || !in.u64(m.demandAccesses) ||
-        !in.u64(m.demandHits) || !in.u64(m.memLatencyCycles) ||
-        !in.u64(m.offchipBytes) || !in.u64(m.stackedBytes) ||
-        !in.u64(m.offchipActs) || !in.u64(m.stackedActs))
-        return false;
-    m.cycles = cycles;
-    in.skipSpace();
-    if (!in.literal("energy") || !in.f64(m.offchipActPreNj) ||
-        !in.f64(m.offchipBurstNj) || !in.f64(m.stackedActPreNj) ||
-        !in.f64(m.stackedBurstNj))
+    if (!in.fields("metrics", PodCounters::kCounters, m) ||
+        !in.fields("energy", RunMetrics::kEnergy, m))
         return false;
 
     std::uint64_t count = 0;
-    in.skipSpace();
-    if (!in.literal("tenants") || !in.u64(count) ||
+    if (!in.tag("tenants") || !in.u64(count) ||
         count > 4096)
         return false;
-    m.tenants.resize(count);
-    for (TenantMetrics &t : m.tenants) {
-        in.skipSpace();
-        if (!in.literal("tenant") || !in.u64(t.traceRecords) ||
-            !in.u64(t.instructions) || !in.u64(t.llcMisses) ||
-            !in.u64(t.demandAccesses) || !in.u64(t.demandHits) ||
-            !in.u64(t.memLatencyCycles) ||
-            !in.u64(t.offchipBytes))
-            return false;
-    }
+    const auto tenant = [&in](const char *tag) {
+        return [&in, tag](TenantMetrics &t) {
+            return in.fields(tag, TenantMetrics::kCounters, t);
+        };
+    };
+    if (!in.list(count, m.tenants, tenant("tenant")))
+        return false;
 
     std::uint64_t has_fp = 0;
-    in.skipSpace();
-    if (!in.literal("footprint") || !in.u64(has_fp) ||
+    if (!in.tag("footprint") || !in.u64(has_fp) ||
         has_fp > 1 || !in.u64(r.covered) ||
         !in.u64(r.underpred) || !in.u64(r.overpred) ||
         !in.u64(r.trigMisses) || !in.u64(r.singletonBypasses) ||
@@ -400,33 +450,23 @@ SweepJournal::parse(const std::string &text, std::string &key,
         return false;
     r.hasFootprint = has_fp != 0;
 
-    in.skipSpace();
-    if (!in.literal("density") || !in.u64(count) ||
-        count > 1u << 20)
+    if (!in.tag("density") || !in.u64(count) ||
+        count > 1u << 20 || !in.u64s(count, r.densityBuckets))
         return false;
-    r.densityBuckets.resize(count);
-    for (std::uint64_t &b : r.densityBuckets) {
-        if (!in.u64(b))
-            return false;
-    }
 
-    in.skipSpace();
-    if (!in.literal("extras") || !in.u64(count) ||
+    if (!in.tag("extras") || !in.u64(count) ||
         count > 1u << 20)
         return false;
-    r.extra.resize(count);
-    for (auto &[name, value] : r.extra) {
-        in.skipSpace();
-        if (!in.literal("extra ") || !in.f64(value))
-            return false;
-        in.skipSpace();
-        if (!in.raw(name))
-            return false;
-    }
+    const bool extras_ok = in.list(
+        count, r.extra, [&in](std::pair<std::string, double> &x) {
+            return in.tag("extra ") && in.f64(x.second) &&
+                   in.raw(x.first);
+        });
+    if (!extras_ok)
+        return false;
 
     std::uint64_t flags[5];
-    in.skipSpace();
-    if (!in.literal("timing ") ||
+    if (!in.tag("timing ") ||
         !in.f64(r.timing.traceSeconds) ||
         !in.f64(r.timing.warmupSeconds) ||
         !in.f64(r.timing.measureSeconds) || !in.u64(flags[0]) ||
@@ -441,130 +481,72 @@ SweepJournal::parse(const std::string &text, std::string &key,
     r.timing.builtWarmup = flags[3] != 0;
     r.timing.sampled = flags[4] != 0;
 
-    in.skipSpace();
-    if (!in.literal("intervals") || !in.u64(count) ||
+    if (!in.tag("intervals") || !in.u64(count) ||
         count > 1u << 24)
         return false;
-    r.intervals.resize(count);
-    for (IntervalSample &iv : r.intervals) {
-        std::uint64_t tenant_count = 0;
-        in.skipSpace();
-        if (!in.literal("interval") || !in.u64(iv.records) ||
-            !in.u64(iv.instructions) || !in.u64(iv.cycles) ||
-            !in.u64(iv.llcMisses) || !in.u64(iv.demandAccesses) ||
-            !in.u64(iv.demandHits) ||
-            !in.u64(iv.memLatencyCycles) ||
-            !in.u64(iv.offchipBytes) || !in.u64(iv.stackedBytes) ||
-            !in.u64(iv.offchipActs) || !in.u64(iv.stackedActs) ||
-            !in.u64(tenant_count) || tenant_count > 4096)
-            return false;
-        iv.tenants.resize(tenant_count);
-        for (TenantMetrics &t : iv.tenants) {
-            in.skipSpace();
-            if (!in.literal("itenant") ||
-                !in.u64(t.traceRecords) ||
-                !in.u64(t.instructions) || !in.u64(t.llcMisses) ||
-                !in.u64(t.demandAccesses) ||
-                !in.u64(t.demandHits) ||
-                !in.u64(t.memLatencyCycles) ||
-                !in.u64(t.offchipBytes))
+    const bool intervals_ok =
+        in.list(count, r.intervals, [&](IntervalSample &iv) {
+            std::uint64_t n = 0;
+            if (!in.fields("interval", PodCounters::kCounters,
+                           iv) ||
+                !in.u64(n) || n > 4096 ||
+                !in.list(n, iv.tenants, tenant("itenant")))
                 return false;
-        }
-        std::uint64_t probe_count = 0;
-        in.skipSpace();
-        if (!in.literal("iprobe") || !in.u64(probe_count) ||
-            probe_count > 1u << 16)
-            return false;
-        iv.probeValues.resize(probe_count);
-        for (std::uint64_t &v : iv.probeValues) {
-            if (!in.u64(v))
-                return false;
-        }
-    }
+            return in.tag("iprobe") && in.u64(n) &&
+                   n <= 1u << 16 && in.u64s(n, iv.probeValues);
+        });
+    if (!intervals_ok)
+        return false;
 
-    in.skipSpace();
-    if (!in.literal("probenames") || !in.u64(count) ||
+    if (!in.tag("probenames") || !in.u64(count) ||
         count > 1u << 16)
         return false;
-    r.probeNames.resize(count);
-    for (std::string &name : r.probeNames) {
-        in.skipSpace();
-        if (!in.literal("pname ") || !in.raw(name))
-            return false;
-    }
-    in.skipSpace();
-    if (!in.literal("probevals") || !in.u64(count) ||
-        count > 1u << 16)
+    const bool names_ok =
+        in.list(count, r.probeNames, [&in](std::string &name) {
+            return in.tag("pname ") && in.raw(name);
+        });
+    if (!names_ok)
         return false;
-    m.probeValues.resize(count);
-    for (std::uint64_t &v : m.probeValues) {
-        if (!in.u64(v))
-            return false;
-    }
+    if (!in.tag("probevals") || !in.u64(count) ||
+        count > 1u << 16 || !in.u64s(count, m.probeValues))
+        return false;
 
     HeatmapData &hm = r.heatmap;
     std::uint64_t hm_valid = 0, bin_count = 0;
-    in.skipSpace();
-    if (!in.literal("heatmap") || !in.u64(hm_valid) ||
+    if (!in.tag("heatmap") || !in.u64(hm_valid) ||
         hm_valid > 1 || !in.u64(hm.numSets) ||
         !in.u64(hm.setsPerBin) || !in.u64(bin_count) ||
         bin_count > 1u << 16)
         return false;
     hm.valid = hm_valid != 0;
-    const auto bins = [&in, bin_count](
-                          const char *tag,
-                          std::vector<std::uint64_t> &v) {
-        in.skipSpace();
-        if (!in.literal(tag))
-            return false;
-        v.resize(bin_count);
-        for (std::uint64_t &b : v) {
-            if (!in.u64(b))
-                return false;
-        }
-        return true;
+    const auto column = [&in](const char *tag, std::uint64_t n,
+                              std::vector<std::uint64_t> &v) {
+        return in.tag(tag) && in.u64s(n, v);
     };
-    if (!bins("haccess", hm.setAccess) ||
-        !bins("hconflict", hm.setConflict) ||
-        !bins("hoccupancy", hm.setOccupancy))
+    if (!column("haccess", bin_count, hm.setAccess) ||
+        !column("hconflict", bin_count, hm.setConflict) ||
+        !column("hoccupancy", bin_count, hm.setOccupancy))
         return false;
-    in.skipSpace();
-    if (!in.literal("hdrams") || !in.u64(count) || count > 64)
+    if (!in.tag("hdrams") || !in.u64(count) || count > 64)
         return false;
-    hm.drams.resize(count);
-    for (HeatmapData::DramGrid &g : hm.drams) {
-        std::uint64_t channels = 0, banks = 0;
-        in.skipSpace();
-        if (!in.literal("hdram") || !in.u64(channels) ||
-            !in.u64(banks) || channels > 4096 || banks > 4096)
-            return false;
-        g.channels = static_cast<unsigned>(channels);
-        g.banks = static_cast<unsigned>(banks);
-        in.skipSpace();
-        if (!in.raw(g.name))
-            return false;
-        const std::uint64_t cells = channels * banks;
-        const auto cellsOf = [&in, cells](
-                                 const char *tag,
-                                 std::vector<std::uint64_t> &v) {
-            in.skipSpace();
-            if (!in.literal(tag))
+    const bool drams_ok = in.list(
+        count, hm.drams, [&](HeatmapData::DramGrid &g) {
+            std::uint64_t channels = 0, banks = 0;
+            if (!in.tag("hdram") || !in.u64(channels) ||
+                !in.u64(banks) || channels > 4096 || banks > 4096)
                 return false;
-            v.resize(cells);
-            for (std::uint64_t &b : v) {
-                if (!in.u64(b))
-                    return false;
-            }
-            return true;
-        };
-        if (!cellsOf("hacts", g.activates) ||
-            !cellsOf("hreads", g.reads) ||
-            !cellsOf("hwrites", g.writes))
-            return false;
-    }
+            g.channels = static_cast<unsigned>(channels);
+            g.banks = static_cast<unsigned>(banks);
+            const std::uint64_t cells = channels * banks;
+            return in.raw(g.name) &&
+                   column("hacts", cells, g.activates) &&
+                   column("hreads", cells, g.reads) &&
+                   column("hwrites", cells, g.writes);
+        });
+    if (!drams_ok)
+        return false;
 
-    in.skipSpace();
-    if (!in.literal("end"))
+    if (!in.tag("end"))
         return false;
 
     entry = std::move(e);

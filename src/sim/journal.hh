@@ -80,6 +80,11 @@ class SweepJournal
     static std::string serialize(const ExperimentPoint &point,
                                  const PointResult &result);
 
+    /** Serialize a loaded entry under its @p key; parsing the
+     * output yields the same entry. */
+    static std::string serialize(const std::string &key,
+                                 const JournalEntry &entry);
+
     /**
      * Parse one serialized entry. Returns false (leaving @p key
      * and @p entry unspecified) on any truncation or corruption.

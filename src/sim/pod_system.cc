@@ -53,6 +53,18 @@ class ProbeValueCollector final : public StatVisitor
     std::vector<std::uint64_t> &out_;
 };
 
+/** The interval-stream view of a window: its counter block,
+ * tenant slices and probe deltas (energy does not telescope). */
+IntervalSample
+intervalOf(RunMetrics &&d)
+{
+    IntervalSample s;
+    static_cast<PodCounters &>(s) = d;
+    s.probeValues = std::move(d.probeValues);
+    s.tenants = std::move(d.tenants);
+    return s;
+}
+
 } // namespace
 
 PodSystem::PodSystem(const PodConfig &config, TraceSource &trace,
@@ -123,17 +135,52 @@ PodSystem::captureProbeValues() const
     return vals;
 }
 
-PodSystem::Snapshot
+RunMetrics
+RunMetrics::since(const RunMetrics &start) const
+{
+    RunMetrics d;
+    subtractFields(kCounters, d, *this, start);
+    subtractFields(kEnergy, d, *this, start);
+    d.tenants.resize(tenants.size());
+    for (std::size_t t = 0; t < tenants.size(); ++t) {
+        subtractFields(TenantMetrics::kCounters, d.tenants[t],
+                       tenants[t], start.tenants[t]);
+    }
+    d.probeValues.resize(probeValues.size());
+    for (std::size_t i = 0; i < probeValues.size(); ++i)
+        d.probeValues[i] = probeValues[i] - start.probeValues[i];
+    return d;
+}
+
+RunMetrics &
+RunMetrics::operator+=(const RunMetrics &o)
+{
+    addFields(kCounters, *this, o);
+    addFields(kEnergy, *this, o);
+    if (tenants.size() < o.tenants.size())
+        tenants.resize(o.tenants.size());
+    for (std::size_t t = 0; t < o.tenants.size(); ++t) {
+        addFields(TenantMetrics::kCounters, tenants[t],
+                  o.tenants[t]);
+    }
+    if (probeValues.size() < o.probeValues.size())
+        probeValues.resize(o.probeValues.size());
+    for (std::size_t i = 0; i < o.probeValues.size(); ++i)
+        probeValues[i] += o.probeValues[i];
+    return *this;
+}
+
+RunMetrics
 PodSystem::capture(Cycle now) const
 {
-    Snapshot s;
+    RunMetrics s;
     s.instructions = total_instructions_;
-    s.now = now;
-    s.records = total_records_;
+    s.cycles = now;
+    s.traceRecords = total_records_;
     s.llcMisses = hierarchy_.l2Misses();
     s.demandAccesses = memory_.demandAccesses();
     s.demandHits = memory_.demandHits();
-    s.memLatency = total_mem_latency_;
+    s.memLatencyCycles = total_mem_latency_;
     s.offchipBytes = offchip_.totalBytes();
     s.offchipActs = offchip_.totalActivates();
     s.offchipActPreNj = offchip_.totalActPreEnergyNj();
@@ -539,48 +586,15 @@ PodSystem::applyWarmup(const WarmupArtifact &artifact)
 }
 
 void
-PodSystem::recordInterval(Snapshot &prev, Cycle now)
+PodSystem::recordInterval(RunMetrics &prev, Cycle now)
 {
-    const Snapshot cur = capture(now);
-    IntervalSample s;
-    s.records = cur.records - prev.records;
-    s.instructions = cur.instructions - prev.instructions;
-    s.cycles = cur.now - prev.now;
-    s.llcMisses = cur.llcMisses - prev.llcMisses;
-    s.demandAccesses = cur.demandAccesses - prev.demandAccesses;
-    s.demandHits = cur.demandHits - prev.demandHits;
-    s.memLatencyCycles = cur.memLatency - prev.memLatency;
-    s.offchipBytes = cur.offchipBytes - prev.offchipBytes;
-    s.stackedBytes = cur.stackedBytes - prev.stackedBytes;
-    s.offchipActs = cur.offchipActs - prev.offchipActs;
-    s.stackedActs = cur.stackedActs - prev.stackedActs;
-    s.tenants.resize(cur.tenants.size());
-    for (std::size_t t = 0; t < cur.tenants.size(); ++t) {
-        TenantMetrics &tm = s.tenants[t];
-        const TenantMetrics &e = cur.tenants[t];
-        const TenantMetrics &p = prev.tenants[t];
-        tm.traceRecords = e.traceRecords - p.traceRecords;
-        tm.instructions = e.instructions - p.instructions;
-        tm.llcMisses = e.llcMisses - p.llcMisses;
-        tm.demandAccesses = e.demandAccesses - p.demandAccesses;
-        tm.demandHits = e.demandHits - p.demandHits;
-        tm.memLatencyCycles =
-            e.memLatencyCycles - p.memLatencyCycles;
-        tm.offchipBytes = e.offchipBytes - p.offchipBytes;
-    }
-    s.probeValues.resize(cur.probeValues.size());
-    for (std::size_t i = 0; i < cur.probeValues.size(); ++i)
-        s.probeValues[i] =
-            cur.probeValues[i] - prev.probeValues[i];
-    intervals_.push_back(std::move(s));
-    if (record_epoch_energy_) {
-        epoch_energy_.push_back(
-            {cur.offchipActPreNj - prev.offchipActPreNj,
-             cur.offchipBurstNj - prev.offchipBurstNj,
-             cur.stackedActPreNj - prev.stackedActPreNj,
-             cur.stackedBurstNj - prev.stackedBurstNj});
-    }
-    prev = cur;
+    RunMetrics cur = capture(now);
+    RunMetrics d = cur.since(prev);
+    if (record_epochs_)
+        epochs_.push_back(std::move(d));
+    else
+        intervals_.push_back(intervalOf(std::move(d)));
+    prev = std::move(cur);
 }
 
 Cycle
@@ -601,7 +615,7 @@ PodSystem::runMeasure(std::uint64_t measure_refs, bool measured,
         measured ? config_.telemetry.intervalRecords : 0;
     std::uint64_t next_boundary =
         interval ? total_records_ + interval : 0;
-    Snapshot prev;
+    RunMetrics prev;
     if (interval)
         prev = capture(start_now);
 
@@ -813,7 +827,7 @@ PodSystem::runMeasure(std::uint64_t measure_refs, bool measured,
     // finalize walks above can move probe counters without
     // records or cycles advancing, so they participate too.
     if (interval &&
-        (total_records_ != prev.records || now != prev.now ||
+        (total_records_ != prev.traceRecords || now != prev.cycles ||
          (intro && captureProbeValues() != prev.probeValues)))
         recordInterval(prev, now);
     return now;
@@ -844,45 +858,9 @@ PodSystem::run(std::uint64_t warmup_refs,
     if (measure_refs > 0)
         armIntrospection();
 
-    const Snapshot start = capture(0);
+    const RunMetrics start = capture(0);
     const Cycle end_now = runMeasure(measure_refs, true);
-    const Snapshot end = capture(end_now);
-
-    RunMetrics m;
-    m.instructions = end.instructions - start.instructions;
-    m.cycles = end.now - start.now;
-    m.traceRecords = end.records - start.records;
-    m.llcMisses = end.llcMisses - start.llcMisses;
-    m.demandAccesses = end.demandAccesses - start.demandAccesses;
-    m.demandHits = end.demandHits - start.demandHits;
-    m.memLatencyCycles = end.memLatency - start.memLatency;
-    m.offchipBytes = end.offchipBytes - start.offchipBytes;
-    m.stackedBytes = end.stackedBytes - start.stackedBytes;
-    m.offchipActs = end.offchipActs - start.offchipActs;
-    m.stackedActs = end.stackedActs - start.stackedActs;
-    m.offchipActPreNj = end.offchipActPreNj - start.offchipActPreNj;
-    m.offchipBurstNj = end.offchipBurstNj - start.offchipBurstNj;
-    m.stackedActPreNj = end.stackedActPreNj - start.stackedActPreNj;
-    m.stackedBurstNj = end.stackedBurstNj - start.stackedBurstNj;
-    m.tenants.resize(end.tenants.size());
-    for (std::size_t t = 0; t < end.tenants.size(); ++t) {
-        TenantMetrics &tm = m.tenants[t];
-        const TenantMetrics &e = end.tenants[t];
-        const TenantMetrics &s = start.tenants[t];
-        tm.traceRecords = e.traceRecords - s.traceRecords;
-        tm.instructions = e.instructions - s.instructions;
-        tm.llcMisses = e.llcMisses - s.llcMisses;
-        tm.demandAccesses = e.demandAccesses - s.demandAccesses;
-        tm.demandHits = e.demandHits - s.demandHits;
-        tm.memLatencyCycles =
-            e.memLatencyCycles - s.memLatencyCycles;
-        tm.offchipBytes = e.offchipBytes - s.offchipBytes;
-    }
-    m.probeValues.resize(end.probeValues.size());
-    for (std::size_t i = 0; i < end.probeValues.size(); ++i)
-        m.probeValues[i] =
-            end.probeValues[i] - start.probeValues[i];
-    return m;
+    return capture(end_now).since(start);
 }
 
 SampledRun
@@ -976,94 +954,33 @@ PodSystem::runSampled(std::uint64_t span_refs,
         out.ffSeconds += seconds(t0);
 
         t0 = std::chrono::steady_clock::now();
-        const std::size_t before = intervals_.size();
         const std::uint64_t saved_interval =
             config_.telemetry.intervalRecords;
         config_.telemetry.intervalRecords = sched.epoch;
-        epoch_energy_.clear();
-        record_epoch_energy_ = true;
+        epochs_.clear();
+        record_epochs_ = true;
         clock = runMeasure(sched.ramp + sched.measure, true,
                            clock, &carry);
-        record_epoch_energy_ = false;
+        record_epochs_ = false;
         config_.telemetry.intervalRecords = saved_interval;
         out.timedSeconds += seconds(t0);
 
-        FPC_ASSERT(intervals_.size() > before + ramp_epochs);
-        IntervalSample merged;
-        for (std::size_t e = before + ramp_epochs;
-             e < intervals_.size(); ++e) {
-            const IntervalSample &s = intervals_[e];
-            merged.records += s.records;
-            merged.instructions += s.instructions;
-            merged.cycles += s.cycles;
-            merged.llcMisses += s.llcMisses;
-            merged.demandAccesses += s.demandAccesses;
-            merged.demandHits += s.demandHits;
-            merged.memLatencyCycles += s.memLatencyCycles;
-            merged.offchipBytes += s.offchipBytes;
-            merged.stackedBytes += s.stackedBytes;
-            merged.offchipActs += s.offchipActs;
-            merged.stackedActs += s.stackedActs;
-            if (merged.tenants.size() < s.tenants.size())
-                merged.tenants.resize(s.tenants.size());
-            for (std::size_t t = 0; t < s.tenants.size(); ++t) {
-                TenantMetrics &d = merged.tenants[t];
-                const TenantMetrics &ts = s.tenants[t];
-                d.traceRecords += ts.traceRecords;
-                d.instructions += ts.instructions;
-                d.llcMisses += ts.llcMisses;
-                d.demandAccesses += ts.demandAccesses;
-                d.demandHits += ts.demandHits;
-                d.memLatencyCycles += ts.memLatencyCycles;
-                d.offchipBytes += ts.offchipBytes;
-            }
+        // The aggregate takes each measured epoch in turn (the
+        // energy doubles must sum in epoch order); the interval
+        // stream of a sampled window is one merged sample per
+        // period, not the raw scratch epochs.
+        FPC_ASSERT(epochs_.size() > ramp_epochs);
+        RunMetrics merged;
+        for (std::size_t e = ramp_epochs; e < epochs_.size(); ++e) {
+            out.metrics += epochs_[e];
+            merged += epochs_[e];
         }
-        for (std::size_t e = ramp_epochs;
-             e < epoch_energy_.size(); ++e) {
-            out.metrics.offchipActPreNj += epoch_energy_[e][0];
-            out.metrics.offchipBurstNj += epoch_energy_[e][1];
-            out.metrics.stackedActPreNj += epoch_energy_[e][2];
-            out.metrics.stackedBurstNj += epoch_energy_[e][3];
-        }
-        epoch_energy_.clear();
+        epochs_.clear();
 
-        // The interval stream of a sampled window is the merged
-        // per-interval samples, not the raw scratch epochs.
-        intervals_.resize(before);
-        intervals_.push_back(merged);
-
-        RunMetrics &agg = out.metrics;
-        agg.instructions += merged.instructions;
-        agg.cycles += merged.cycles;
-        agg.traceRecords += merged.records;
-        agg.llcMisses += merged.llcMisses;
-        agg.demandAccesses += merged.demandAccesses;
-        agg.demandHits += merged.demandHits;
-        agg.memLatencyCycles += merged.memLatencyCycles;
-        agg.offchipBytes += merged.offchipBytes;
-        agg.stackedBytes += merged.stackedBytes;
-        agg.offchipActs += merged.offchipActs;
-        agg.stackedActs += merged.stackedActs;
-        if (agg.tenants.size() < merged.tenants.size())
-            agg.tenants.resize(merged.tenants.size());
-        for (std::size_t t = 0; t < merged.tenants.size(); ++t) {
-            TenantMetrics &d = agg.tenants[t];
-            const TenantMetrics &ts = merged.tenants[t];
-            d.traceRecords += ts.traceRecords;
-            d.instructions += ts.instructions;
-            d.llcMisses += ts.llcMisses;
-            d.demandAccesses += ts.demandAccesses;
-            d.demandHits += ts.demandHits;
-            d.memLatencyCycles += ts.memLatencyCycles;
-            d.offchipBytes += ts.offchipBytes;
-        }
-
-        interval_ipc.push_back(
-            merged.cycles
-                ? static_cast<double>(merged.instructions) /
-                      merged.cycles
-                : 0.0);
-        out.samples.push_back(std::move(merged));
+        interval_ipc.push_back(merged.ipc());
+        IntervalSample sample = intervalOf(std::move(merged));
+        intervals_.push_back(sample);
+        out.samples.push_back(std::move(sample));
         ++out.intervalsRun;
 
         // Online auto-tune: stop once the per-interval IPC CI is

@@ -131,35 +131,28 @@ struct PodConfig
         CacheHierarchy::Config::scaleOutPod();
 };
 
-/** Metric deltas over the measurement window. */
-struct RunMetrics
+/**
+ * Metrics of one window: the pod counter block plus the energy
+ * accumulators (doubles, which do not telescope), the per-tenant
+ * slices and the probe values. run() returns the measurement
+ * window's deltas; PodSystem::capture() returns running totals in
+ * the same shape.
+ */
+struct RunMetrics : PodCounters
 {
-    std::uint64_t instructions = 0;
-    Cycle cycles = 0;
-    std::uint64_t traceRecords = 0;
-
-    std::uint64_t llcMisses = 0;
-    std::uint64_t demandAccesses = 0;
-    std::uint64_t demandHits = 0;
-
-    /**
-     * Summed memory-system latency of the measured window's
-     * demand accesses (issue at the memory system to critical
-     * block back at the L2), in cycles. Divided by
-     * demandAccesses this is the average DRAM-cache access
-     * latency the frontier experiment plots.
-     */
-    std::uint64_t memLatencyCycles = 0;
-
-    std::uint64_t offchipBytes = 0;
-    std::uint64_t stackedBytes = 0;
-    std::uint64_t offchipActs = 0;
-    std::uint64_t stackedActs = 0;
-
     double offchipActPreNj = 0.0;
     double offchipBurstNj = 0.0;
     double stackedActPreNj = 0.0;
     double stackedBurstNj = 0.0;
+
+    /** The energy accumulators, in journal order. */
+    static constexpr std::array<CounterField<RunMetrics, double>, 4>
+        kEnergy{{
+            {"offchip_act_pre_nj", &RunMetrics::offchipActPreNj},
+            {"offchip_burst_nj", &RunMetrics::offchipBurstNj},
+            {"stacked_act_pre_nj", &RunMetrics::stackedActPreNj},
+            {"stacked_burst_nj", &RunMetrics::stackedBurstNj},
+        }};
 
     /**
      * Per-tenant slices of this window (PodConfig::numTenants
@@ -176,44 +169,13 @@ struct RunMetrics
      */
     std::vector<std::uint64_t> probeValues;
 
-    /** Average memory-system latency per demand access. */
-    double
-    avgAccessLatencyCycles() const
-    {
-        return demandAccesses
-                   ? static_cast<double>(memLatencyCycles) /
-                         demandAccesses
-                   : 0.0;
-    }
+    /** This window minus @p start, field by field (both are
+     * capture()s of the same pod). */
+    RunMetrics since(const RunMetrics &start) const;
 
-    /** Aggregate instructions per cycle (the paper's metric). */
-    double
-    ipc() const
-    {
-        return cycles ? static_cast<double>(instructions) / cycles
-                      : 0.0;
-    }
-
-    /** Block-granularity DRAM cache miss ratio. */
-    double
-    missRatio() const
-    {
-        return demandAccesses
-                   ? static_cast<double>(demandAccesses -
-                                         demandHits) /
-                         demandAccesses
-                   : 0.0;
-    }
-
-    /** Average off-chip bandwidth in GB/s at 3GHz. */
-    double
-    offchipBandwidthGBps(double cpu_ghz = 3.0) const
-    {
-        if (cycles == 0)
-            return 0.0;
-        return static_cast<double>(offchipBytes) /
-               (static_cast<double>(cycles) / cpu_ghz);
-    }
+    /** Field-wise accumulation; the tenant and probe vectors grow
+     * to fit. */
+    RunMetrics &operator+=(const RunMetrics &o);
 
     /** Off-chip DRAM dynamic energy per instruction (nJ). */
     double
@@ -506,29 +468,12 @@ class PodSystem
     }
 
   private:
-    struct Snapshot
-    {
-        std::uint64_t instructions = 0;
-        Cycle now = 0;
-        std::uint64_t records = 0;
-        std::uint64_t llcMisses = 0;
-        std::uint64_t demandAccesses = 0;
-        std::uint64_t demandHits = 0;
-        std::uint64_t memLatency = 0;
-        std::uint64_t offchipBytes = 0;
-        std::uint64_t stackedBytes = 0;
-        std::uint64_t offchipActs = 0;
-        std::uint64_t stackedActs = 0;
-        double offchipActPreNj = 0.0;
-        double offchipBurstNj = 0.0;
-        double stackedActPreNj = 0.0;
-        double stackedBurstNj = 0.0;
-        std::vector<TenantMetrics> tenants;
-        /** Probe values (probeNames() order; empty = intro off). */
-        std::vector<std::uint64_t> probeValues;
-    };
-
-    Snapshot capture(Cycle now) const;
+    /**
+     * Running totals of every counter at cycle @p now, in the
+     * shape of a window's metrics: the delta of two captures is
+     * the window between them (RunMetrics::since).
+     */
+    RunMetrics capture(Cycle now) const;
 
     /** Arm introspection at the measurement boundary (idempotent):
      * attach to the memory system and build probe_names_. */
@@ -580,9 +525,10 @@ class PodSystem
 
     /**
      * Close the current interval at @p now: append the deltas
-     * since @p prev to intervals_ and advance prev.
+     * since @p prev to intervals_ (or, while record_epochs_ is up,
+     * to epochs_) and advance prev.
      */
-    void recordInterval(Snapshot &prev, Cycle now);
+    void recordInterval(RunMetrics &prev, Cycle now);
 
     PodConfig config_;
     TraceSource &trace_;
@@ -607,14 +553,13 @@ class PodSystem
     std::vector<IntervalSample> intervals_;
 
     /**
-     * Sampled-mode side channel: IntervalSample deliberately
-     * carries no energy doubles (they don't telescope), but the
-     * sampled aggregate must cover measured intervals only, so
-     * while this flag is up recordInterval also appends each
-     * epoch's four energy deltas here.
+     * Sampled-mode side channel: while this flag is up,
+     * recordInterval appends each epoch's full delta, energy
+     * included, to epochs_ instead of the interval stream, so
+     * runSampled can aggregate the measured epochs only.
      */
-    bool record_epoch_energy_ = false;
-    std::vector<std::array<double, 4>> epoch_energy_;
+    bool record_epochs_ = false;
+    std::vector<RunMetrics> epochs_;
 
     /** Allocated only when telemetry histograms are on. */
     std::unique_ptr<TelemetryProbe> probe_;

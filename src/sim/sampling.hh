@@ -20,8 +20,11 @@
 #ifndef FPC_SIM_SAMPLING_HH
 #define FPC_SIM_SAMPLING_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
+
+#include "common/counters.hh"
 
 namespace fpc {
 
@@ -144,6 +147,27 @@ double studentT95(unsigned df);
 
 /** Sample mean + t-based 95% CI half-width of @p values. */
 SampleStats computeSampleStats(const std::vector<double> &values);
+
+/**
+ * One derived ratio a sampled run estimates: its per-interval mean
+ * and 95% CI land in the "<name>_mean" / "<name>_ci95" extras, and
+ * `of` is the same PodCounters method the exact run reports.
+ */
+struct SampledRatio
+{
+    const char *name;
+    double (*of)(const PodCounters &);
+};
+
+inline constexpr std::array<SampledRatio, 4> kSampledRatios{{
+    {"ipc", [](const PodCounters &c) { return c.ipc(); }},
+    {"miss_ratio",
+     [](const PodCounters &c) { return c.missRatio(); }},
+    {"avg_latency",
+     [](const PodCounters &c) { return c.avgAccessLatencyCycles(); }},
+    {"offchip_gbps",
+     [](const PodCounters &c) { return c.offchipBandwidthGBps(); }},
+}};
 
 } // namespace fpc
 

@@ -478,46 +478,18 @@ appendSampledExtras(
     const SampledRun &sr,
     std::vector<std::pair<std::string, double>> &extra)
 {
-    std::vector<double> ipc, miss, lat, bw;
-    ipc.reserve(sr.samples.size());
-    miss.reserve(sr.samples.size());
-    lat.reserve(sr.samples.size());
-    bw.reserve(sr.samples.size());
-    for (const IntervalSample &s : sr.samples) {
-        ipc.push_back(
-            s.cycles ? static_cast<double>(s.instructions) /
-                           s.cycles
-                     : 0.0);
-        miss.push_back(
-            s.demandAccesses
-                ? static_cast<double>(s.demandAccesses -
-                                      s.demandHits) /
-                      s.demandAccesses
-                : 0.0);
-        lat.push_back(
-            s.demandAccesses
-                ? static_cast<double>(s.memLatencyCycles) /
-                      s.demandAccesses
-                : 0.0);
-        // Same 3GHz convention as RunMetrics.
-        bw.push_back(s.cycles
-                         ? static_cast<double>(s.offchipBytes) /
-                               (static_cast<double>(s.cycles) /
-                                3.0)
-                         : 0.0);
-    }
     extra.emplace_back("sampled_intervals",
                        static_cast<double>(sr.intervalsRun));
-    const auto put = [&extra](const char *name,
-                              const std::vector<double> &vals) {
+    std::vector<double> vals;
+    for (const SampledRatio &ratio : kSampledRatios) {
+        vals.clear();
+        for (const IntervalSample &s : sr.samples)
+            vals.push_back(ratio.of(s));
         const SampleStats st = computeSampleStats(vals);
-        extra.emplace_back(std::string(name) + "_mean", st.mean);
-        extra.emplace_back(std::string(name) + "_ci95", st.ci95);
-    };
-    put("ipc", ipc);
-    put("miss_ratio", miss);
-    put("avg_latency", lat);
-    put("offchip_gbps", bw);
+        const std::string name = ratio.name;
+        extra.emplace_back(name + "_mean", st.mean);
+        extra.emplace_back(name + "_ci95", st.ci95);
+    }
 }
 
 /** Aggregate probe delta by column name (false when absent). */
@@ -1313,30 +1285,21 @@ appendPoint(std::string &out, const ExperimentPoint &p,
               "\"seed\": %" PRIu64 ",\n",
               p.cfg.design.c_str(), p.cfg.capacityMb,
               p.cfg.pageBytes, p.traceSeed());
+    // Counters in table order; the line breaks before
+    // llc_misses and offchip_bytes keep the report's layout.
     appendFmt(out,
               "         \"metrics\": {\"ipc\": %.6f, "
-              "\"miss_ratio\": %.6f, \"instructions\": %" PRIu64
-              ", \"cycles\": %" PRIu64 ", \"trace_records\": "
-              "%" PRIu64 ",\n",
-              m.ipc(), m.missRatio(), m.instructions,
-              static_cast<std::uint64_t>(m.cycles),
-              m.traceRecords);
+              "\"miss_ratio\": %.6f",
+              m.ipc(), m.missRatio());
+    for (const auto &f : PodCounters::kCounters) {
+        const bool wrap = f.member == &PodCounters::llcMisses ||
+                          f.member == &PodCounters::offchipBytes;
+        appendFmt(out, "%s\"%s\": %" PRIu64,
+                  wrap ? ",\n                     " : ", ", f.name,
+                  m.*f.member);
+    }
     appendFmt(out,
-              "                     \"llc_misses\": %" PRIu64
-              ", \"demand_accesses\": %" PRIu64
-              ", \"demand_hits\": %" PRIu64
-              ", \"mem_latency_cycles\": %" PRIu64 ",\n",
-              m.llcMisses, m.demandAccesses, m.demandHits,
-              m.memLatencyCycles);
-    appendFmt(out,
-              "                     \"offchip_bytes\": %" PRIu64
-              ", \"stacked_bytes\": %" PRIu64
-              ", \"offchip_acts\": %" PRIu64
-              ", \"stacked_acts\": %" PRIu64 ",\n",
-              m.offchipBytes, m.stackedBytes, m.offchipActs,
-              m.stackedActs);
-    appendFmt(out,
-              "                     \"offchip_energy_nj\": %.3f, "
+              ",\n                     \"offchip_energy_nj\": %.3f, "
               "\"stacked_energy_nj\": %.3f}",
               m.offchipActPreNj + m.offchipBurstNj,
               m.stackedActPreNj + m.stackedBurstNj);
@@ -1349,23 +1312,22 @@ appendPoint(std::string &out, const ExperimentPoint &p,
         for (std::size_t t = 0; t < m.tenants.size(); ++t) {
             const TenantMetrics &tm = m.tenants[t];
             out += t ? ",\n           " : "\n           ";
-            appendFmt(out,
-                      "{\"tenant\": %zu, \"trace_records\": "
-                      "%" PRIu64 ", \"instructions\": %" PRIu64
-                      ", \"llc_misses\": %" PRIu64
-                      ", \"demand_accesses\": %" PRIu64
-                      ", \"demand_hits\": %" PRIu64 ",\n",
-                      t, tm.traceRecords, tm.instructions,
-                      tm.llcMisses, tm.demandAccesses,
-                      tm.demandHits);
-            appendFmt(out,
-                      "            \"hit_ratio\": %.6f, "
-                      "\"mem_latency_cycles\": %" PRIu64
-                      ", \"avg_latency_cycles\": %.6f, "
-                      "\"offchip_bytes\": %" PRIu64 "}",
-                      tm.hitRatio(), tm.memLatencyCycles,
-                      tm.avgAccessLatencyCycles(),
-                      tm.offchipBytes);
+            // Counters in table order, each derived ratio
+            // right after the counter it divides.
+            appendFmt(out, "{\"tenant\": %zu", t);
+            for (const auto &f : TenantMetrics::kCounters) {
+                appendFmt(out, ", \"%s\": %" PRIu64, f.name,
+                          tm.*f.member);
+                if (f.member == &TenantMetrics::demandHits)
+                    appendFmt(out,
+                              ",\n            \"hit_ratio\": %.6f",
+                              tm.hitRatio());
+                if (f.member == &TenantMetrics::memLatencyCycles)
+                    appendFmt(out,
+                              ", \"avg_latency_cycles\": %.6f",
+                              tm.avgAccessLatencyCycles());
+            }
+            out += "}";
         }
         out += "\n         ]";
     }

@@ -8,15 +8,17 @@ namespace fpc {
 
 namespace {
 
+/** One integer column: `"name": [v0, v1, ...]` over the epochs,
+ * at @p indent. */
 template <typename Get>
 void
-appendColumn(std::string &out, const char *name,
+appendColumn(std::string &out, const char *indent, const char *name,
              const std::vector<IntervalSample> &intervals,
              bool first, Get get)
 {
     if (!first)
         out += ",\n";
-    appendFmt(out, "        \"%s\": [", name);
+    appendFmt(out, "%s\"%s\": [", indent, name);
     for (std::size_t i = 0; i < intervals.size(); ++i) {
         if (i)
             out += ", ";
@@ -27,24 +29,8 @@ appendColumn(std::string &out, const char *name,
     out += ']';
 }
 
-template <typename Get>
-void
-appendTenantColumn(std::string &out, const char *name,
-                   const std::vector<IntervalSample> &intervals,
-                   std::size_t tenant, bool first, Get get)
-{
-    if (!first)
-        out += ",\n";
-    appendFmt(out, "          \"%s\": [", name);
-    for (std::size_t i = 0; i < intervals.size(); ++i) {
-        if (i)
-            out += ", ";
-        appendFmt(out, "%llu",
-                  static_cast<unsigned long long>(
-                      get(intervals[i].tenants[tenant])));
-    }
-    out += ']';
-}
+constexpr const char *kIndent = "        ";
+constexpr const char *kTenantIndent = "          ";
 
 } // namespace
 
@@ -81,57 +67,28 @@ renderTimeseriesJson(double scale, std::uint64_t seed,
                       p.intervals.size()));
         out += "      \"columns\": {\n";
 
+        // The trace-records column predates the counter table:
+        // it is named "records" and leads; the rest follow in
+        // table order.
         const auto &iv = p.intervals;
-        appendColumn(out, "records", iv, true,
+        appendColumn(out, kIndent, "records", iv, true,
                      [](const IntervalSample &s) {
-                         return s.records;
+                         return s.traceRecords;
                      });
-        appendColumn(out, "instructions", iv, false,
-                     [](const IntervalSample &s) {
-                         return s.instructions;
-                     });
-        appendColumn(out, "cycles", iv, false,
-                     [](const IntervalSample &s) {
-                         return s.cycles;
-                     });
-        appendColumn(out, "llc_misses", iv, false,
-                     [](const IntervalSample &s) {
-                         return s.llcMisses;
-                     });
-        appendColumn(out, "demand_accesses", iv, false,
-                     [](const IntervalSample &s) {
-                         return s.demandAccesses;
-                     });
-        appendColumn(out, "demand_hits", iv, false,
-                     [](const IntervalSample &s) {
-                         return s.demandHits;
-                     });
-        appendColumn(out, "mem_latency_cycles", iv, false,
-                     [](const IntervalSample &s) {
-                         return s.memLatencyCycles;
-                     });
-        appendColumn(out, "offchip_bytes", iv, false,
-                     [](const IntervalSample &s) {
-                         return s.offchipBytes;
-                     });
-        appendColumn(out, "stacked_bytes", iv, false,
-                     [](const IntervalSample &s) {
-                         return s.stackedBytes;
-                     });
-        appendColumn(out, "offchip_acts", iv, false,
-                     [](const IntervalSample &s) {
-                         return s.offchipActs;
-                     });
-        appendColumn(out, "stacked_acts", iv, false,
-                     [](const IntervalSample &s) {
-                         return s.stackedActs;
-                     });
+        for (const auto &f : PodCounters::kCounters) {
+            if (f.member == &PodCounters::traceRecords)
+                continue;
+            appendColumn(out, kIndent, f.name, iv, false,
+                         [&f](const IntervalSample &s) {
+                             return s.*f.member;
+                         });
+        }
         // Probe columns (introspection on): one per registered
         // counter, by name; absent intervals (none in practice —
         // the pod sizes every delta identically) read as 0.
         for (std::size_t c = 0; c < p.probeNames.size(); ++c) {
-            appendColumn(out, p.probeNames[c].c_str(), iv,
-                         false,
+            appendColumn(out, kIndent, p.probeNames[c].c_str(),
+                         iv, false,
                          [c](const IntervalSample &s) {
                              return c < s.probeValues.size()
                                         ? s.probeValues[c]
@@ -171,41 +128,15 @@ renderTimeseriesJson(double scale, std::uint64_t seed,
                           "        {\"tenant\": %llu, "
                           "\"columns\": {\n",
                           static_cast<unsigned long long>(t));
-                appendTenantColumn(
-                    out, "trace_records", iv, t, true,
-                    [](const TenantMetrics &m) {
-                        return m.traceRecords;
-                    });
-                appendTenantColumn(
-                    out, "instructions", iv, t, false,
-                    [](const TenantMetrics &m) {
-                        return m.instructions;
-                    });
-                appendTenantColumn(
-                    out, "llc_misses", iv, t, false,
-                    [](const TenantMetrics &m) {
-                        return m.llcMisses;
-                    });
-                appendTenantColumn(
-                    out, "demand_accesses", iv, t, false,
-                    [](const TenantMetrics &m) {
-                        return m.demandAccesses;
-                    });
-                appendTenantColumn(
-                    out, "demand_hits", iv, t, false,
-                    [](const TenantMetrics &m) {
-                        return m.demandHits;
-                    });
-                appendTenantColumn(
-                    out, "mem_latency_cycles", iv, t, false,
-                    [](const TenantMetrics &m) {
-                        return m.memLatencyCycles;
-                    });
-                appendTenantColumn(
-                    out, "offchip_bytes", iv, t, false,
-                    [](const TenantMetrics &m) {
-                        return m.offchipBytes;
-                    });
+                bool first = true;
+                for (const auto &f : TenantMetrics::kCounters) {
+                    appendColumn(out, kTenantIndent, f.name, iv,
+                                 first,
+                                 [&f, t](const IntervalSample &s) {
+                                     return s.tenants[t].*f.member;
+                                 });
+                    first = false;
+                }
                 out += "\n        }}";
             }
             out += "\n      ]";

@@ -1,7 +1,6 @@
 /**
  * @file
- * Multi-tenant colocation: the tenant address-space layout and the
- * per-tenant metric slice.
+ * Multi-tenant colocation: the tenant address-space layout.
  *
  * A pod that co-schedules N workloads gives each tenant a disjoint
  * physical address space: tenant t's trace addresses carry t in the
@@ -19,6 +18,9 @@
  *    off-chip DRAM attribute every byte moved to a tenant without
  *    threading ids through each design's eviction paths.
  *
+ * The per-tenant metric slice, TenantMetrics, lives with the pod
+ * counters in common/counters.hh.
+ *
  * The tenant id additionally rides MemRequest::tenantId through
  * the CacheHierarchy into every MemorySystem, so per-access
  * attribution (hits, latency) never re-derives it from the
@@ -30,6 +32,7 @@
 
 #include <cstdint>
 
+#include "common/counters.hh"
 #include "common/types.hh"
 
 namespace fpc {
@@ -66,48 +69,6 @@ tenantOfPageId(Addr page_id, unsigned page_shift)
     return static_cast<std::uint32_t>(
         page_id >> (kTenantAddrShift - page_shift));
 }
-
-/**
- * Per-tenant slice of one measured window: every field sums
- * bit-exactly over the tenants to the corresponding aggregate
- * RunMetrics field of the same run (tests/test_tenant.cc).
- * Cycles are not sliced — wall-clock is shared by construction.
- */
-struct TenantMetrics
-{
-    std::uint64_t traceRecords = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t llcMisses = 0;
-    std::uint64_t demandAccesses = 0;
-    std::uint64_t demandHits = 0;
-
-    /** Summed memory-system latency of this tenant's demand
-     * accesses over the measured window (cycles). */
-    std::uint64_t memLatencyCycles = 0;
-
-    /** Off-chip bytes moved on behalf of this tenant's addresses
-     * (demand fetches, fills, writebacks, dirty evictions). */
-    std::uint64_t offchipBytes = 0;
-
-    /** Block-granularity DRAM-cache hit ratio of this tenant. */
-    double
-    hitRatio() const
-    {
-        return demandAccesses ? static_cast<double>(demandHits) /
-                                    demandAccesses
-                              : 0.0;
-    }
-
-    /** Average memory-system latency per demand access. */
-    double
-    avgAccessLatencyCycles() const
-    {
-        return demandAccesses
-                   ? static_cast<double>(memLatencyCycles) /
-                         demandAccesses
-                   : 0.0;
-    }
-};
 
 } // namespace fpc
 

@@ -203,16 +203,8 @@ runDesign(const std::string &design, SimMode warmup_mode)
 void
 expectIdentical(const DesignState &a, const DesignState &b)
 {
-    EXPECT_EQ(a.metrics.instructions, b.metrics.instructions);
-    EXPECT_EQ(a.metrics.cycles, b.metrics.cycles);
-    EXPECT_EQ(a.metrics.llcMisses, b.metrics.llcMisses);
-    EXPECT_EQ(a.metrics.demandAccesses,
-              b.metrics.demandAccesses);
-    EXPECT_EQ(a.metrics.demandHits, b.metrics.demandHits);
-    EXPECT_EQ(a.metrics.memLatencyCycles,
-              b.metrics.memLatencyCycles);
-    EXPECT_EQ(a.metrics.offchipBytes, b.metrics.offchipBytes);
-    EXPECT_EQ(a.metrics.stackedBytes, b.metrics.stackedBytes);
+    EXPECT_EQ(
+        fieldDiff(PodCounters::kCounters, a.metrics, b.metrics), "");
     EXPECT_EQ(a.demandAccesses, b.demandAccesses);
     EXPECT_EQ(a.demandHits, b.demandHits);
     EXPECT_EQ(a.mapMispredicts, b.mapMispredicts);

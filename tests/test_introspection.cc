@@ -228,26 +228,9 @@ TEST(Introspection, OffLeavesResultEmptyAndOnLeavesMetricsAlone)
         ExperimentPoint on =
             introPoint(design, WorkloadKind::WebSearch, 0);
         const PointResult b = runPoint(on);
-        EXPECT_EQ(a.metrics.instructions, b.metrics.instructions)
-            << design;
-        EXPECT_EQ(a.metrics.cycles, b.metrics.cycles) << design;
-        EXPECT_EQ(a.metrics.llcMisses, b.metrics.llcMisses)
-            << design;
-        EXPECT_EQ(a.metrics.demandAccesses,
-                  b.metrics.demandAccesses)
-            << design;
-        EXPECT_EQ(a.metrics.demandHits, b.metrics.demandHits)
-            << design;
-        EXPECT_EQ(a.metrics.memLatencyCycles,
-                  b.metrics.memLatencyCycles)
-            << design;
-        EXPECT_EQ(a.metrics.offchipBytes, b.metrics.offchipBytes)
-            << design;
-        EXPECT_EQ(a.metrics.stackedBytes, b.metrics.stackedBytes)
-            << design;
-        EXPECT_EQ(a.metrics.offchipActs, b.metrics.offchipActs)
-            << design;
-        EXPECT_EQ(a.metrics.stackedActs, b.metrics.stackedActs)
+        EXPECT_EQ(fieldDiff(PodCounters::kCounters, a.metrics,
+                            b.metrics),
+                  "")
             << design;
         EXPECT_TRUE(hasExtra(b, "introspect_accuracy"))
             << design;
@@ -284,33 +267,13 @@ TEST(Introspection, SampledRunsDisableIntrospection)
     // period, and it conserves against the sampled aggregates
     // exactly like an exact run's stream.
     ASSERT_GE(r.intervals.size(), 2u);
-    IntervalSample sum;
+    PodCounters sum;
     for (const IntervalSample &s : r.intervals) {
         EXPECT_TRUE(s.probeValues.empty());
-        sum.records += s.records;
-        sum.instructions += s.instructions;
-        sum.cycles += s.cycles;
-        sum.llcMisses += s.llcMisses;
-        sum.demandAccesses += s.demandAccesses;
-        sum.demandHits += s.demandHits;
-        sum.memLatencyCycles += s.memLatencyCycles;
-        sum.offchipBytes += s.offchipBytes;
-        sum.stackedBytes += s.stackedBytes;
-        sum.offchipActs += s.offchipActs;
-        sum.stackedActs += s.stackedActs;
+        addFields(PodCounters::kCounters, sum, s);
     }
-    const RunMetrics &m = r.metrics;
-    EXPECT_EQ(sum.records, m.traceRecords);
-    EXPECT_EQ(sum.instructions, m.instructions);
-    EXPECT_EQ(sum.cycles, static_cast<std::uint64_t>(m.cycles));
-    EXPECT_EQ(sum.llcMisses, m.llcMisses);
-    EXPECT_EQ(sum.demandAccesses, m.demandAccesses);
-    EXPECT_EQ(sum.demandHits, m.demandHits);
-    EXPECT_EQ(sum.memLatencyCycles, m.memLatencyCycles);
-    EXPECT_EQ(sum.offchipBytes, m.offchipBytes);
-    EXPECT_EQ(sum.stackedBytes, m.stackedBytes);
-    EXPECT_EQ(sum.offchipActs, m.offchipActs);
-    EXPECT_EQ(sum.stackedActs, m.stackedActs);
+    EXPECT_EQ(fieldDiff(PodCounters::kCounters, sum, r.metrics),
+              "");
 }
 
 TEST(Journal, RoundTripsProbeColumnsAndHeatmap)

@@ -11,10 +11,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/fault.hh"
 #include "sim/journal.hh"
@@ -278,25 +280,38 @@ TEST_F(ResilienceTest, JournalEntryRoundTripsExactly)
     p.scale = 0.4;
     p.baseSeed = 1234567;
 
+    // Every counter of every section gets a distinct value, so a
+    // writer or parser that swaps two fields cannot round-trip.
+    std::uint64_t next = 100;
+    const auto fill = [&next](const auto &fields, auto &block) {
+        for (const auto &f : fields)
+            block.*f.member = next++;
+    };
+    const auto probes = [&next]() {
+        std::vector<std::uint64_t> v;
+        for (int i = 0; i < 3; ++i)
+            v.push_back(next++);
+        return v;
+    };
     PointResult r;
-    r.metrics.instructions = 111;
-    r.metrics.cycles = 222;
-    r.metrics.traceRecords = 333;
-    r.metrics.llcMisses = 4;
-    r.metrics.demandAccesses = 5;
-    r.metrics.demandHits = 6;
-    r.metrics.memLatencyCycles = 7;
-    r.metrics.offchipBytes = 8;
-    r.metrics.stackedBytes = 9;
-    r.metrics.offchipActs = 10;
-    r.metrics.stackedActs = 11;
+    fill(PodCounters::kCounters, r.metrics);
     r.metrics.offchipActPreNj = 0.1;
     r.metrics.offchipBurstNj = 1.0 / 3.0;
     r.metrics.stackedActPreNj = 2e-19;
     r.metrics.stackedBurstNj = 3.25;
     r.metrics.tenants.resize(2);
-    r.metrics.tenants[1].traceRecords = 17;
-    r.metrics.tenants[1].offchipBytes = 19;
+    for (TenantMetrics &t : r.metrics.tenants)
+        fill(TenantMetrics::kCounters, t);
+    r.metrics.probeValues = probes();
+    r.probeNames = {"intro.a", "fht.b", "name with space"};
+    r.intervals.resize(3);
+    for (IntervalSample &iv : r.intervals) {
+        fill(PodCounters::kCounters, iv);
+        iv.tenants.resize(2);
+        for (TenantMetrics &t : iv.tenants)
+            fill(TenantMetrics::kCounters, t);
+        iv.probeValues = probes();
+    }
     r.hasFootprint = true;
     r.covered = 21;
     r.underpred = 22;
@@ -322,15 +337,30 @@ TEST_F(ResilienceTest, JournalEntryRoundTripsExactly)
     EXPECT_EQ(e.baseSeed, 1234567u);
 
     const PointResult &q = e.result;
-    EXPECT_EQ(q.metrics.instructions, 111u);
-    EXPECT_EQ(static_cast<std::uint64_t>(q.metrics.cycles), 222u);
+    EXPECT_EQ(fieldDiff(PodCounters::kCounters, q.metrics, r.metrics),
+              "");
     // Hex-float serialization: doubles round-trip bit-exactly.
-    EXPECT_EQ(q.metrics.offchipBurstNj, 1.0 / 3.0);
-    EXPECT_EQ(q.metrics.stackedActPreNj, 2e-19);
-    ASSERT_EQ(q.metrics.tenants.size(), 2u);
-    EXPECT_EQ(q.metrics.tenants[1].traceRecords, 17u);
-    EXPECT_EQ(q.metrics.tenants[1].offchipBytes, 19u);
+    EXPECT_EQ(fieldDiff(RunMetrics::kEnergy, q.metrics, r.metrics),
+              "");
+    EXPECT_EQ(q.metrics.tenants, r.metrics.tenants);
+    EXPECT_EQ(q.metrics.probeValues, r.metrics.probeValues);
+    EXPECT_EQ(q.probeNames, r.probeNames);
+    ASSERT_EQ(q.intervals.size(), r.intervals.size());
+    for (std::size_t i = 0; i < r.intervals.size(); ++i) {
+        const IntervalSample &a = q.intervals[i];
+        const IntervalSample &b = r.intervals[i];
+        EXPECT_EQ(fieldDiff(PodCounters::kCounters, a, b), "")
+            << "interval " << i;
+        EXPECT_EQ(a.tenants, b.tenants) << "interval " << i;
+        EXPECT_EQ(a.probeValues, b.probeValues) << "interval " << i;
+    }
     EXPECT_TRUE(q.hasFootprint);
+    EXPECT_EQ(q.covered, 21u);
+    EXPECT_EQ(q.underpred, 22u);
+    EXPECT_EQ(q.overpred, 23u);
+    EXPECT_EQ(q.trigMisses, 24u);
+    EXPECT_EQ(q.singletonBypasses, 25u);
+    EXPECT_EQ(q.densityPages, 26u);
     EXPECT_EQ(q.densityBuckets,
               (std::vector<std::uint64_t>{1, 2, 3}));
     ASSERT_EQ(q.extra.size(), 1u);
@@ -342,6 +372,80 @@ TEST_F(ResilienceTest, JournalEntryRoundTripsExactly)
     EXPECT_TRUE(q.timing.replayedTrace);
     EXPECT_TRUE(q.failed);
     EXPECT_EQ(q.error, "multi\nline \"quoted\"");
+
+    // Re-serializing the parsed entry reproduces the text.
+    EXPECT_EQ(SweepJournal::serialize(key, e), text);
+}
+
+TEST_F(ResilienceTest, V4JournalEntryIsStaleAndReRuns)
+{
+    // A verbatim entry of the previous format. Its interval line
+    // leads with trace records, where v5 writes counters in table
+    // order (instructions, cycles, trace records, ...).
+    const std::string v4 = "fpcjournal 4\n"
+                           "key unit/a\n"
+                           "opts 0x1.47ae147ae147bp-7 42\n"
+                           "status 0 1 0x0p+0\n"
+                           "error 0 \n"
+                           "metrics 1000 500 40 0 0 0 0 0 0 0 0\n"
+                           "energy 0x0p+0 0x0p+0 0x0p+0 0x0p+0\n"
+                           "tenants 0\n"
+                           "footprint 0 0 0 0 0 0 0\n"
+                           "density 0\n"
+                           "extras 1\n"
+                           "extra 0x1.2p+3 5 value\n"
+                           "timing 0x0p+0 0x0p+0 0x0p+0 0 0 0 0 0 "
+                           "0x0p+0 0x0p+0\n"
+                           "intervals 1\n"
+                           "interval 40 1000 500 0 0 0 0 0 0 0 0 0\n"
+                           "iprobe 0\n"
+                           "probenames 0\n"
+                           "probevals 0\n"
+                           "heatmap 0 0 0 0\n"
+                           "haccess\n"
+                           "hconflict\n"
+                           "hoccupancy\n"
+                           "hdrams 0\n"
+                           "end\n";
+    std::string key;
+    JournalEntry e;
+    EXPECT_FALSE(SweepJournal::parse(v4, key, e));
+
+    // Read under the current magic it would parse, into the wrong
+    // fields: the version check is what keeps it out.
+    std::string relabeled = v4;
+    relabeled.replace(0, std::strlen("fpcjournal 4"), "fpcjournal 5");
+    ASSERT_TRUE(SweepJournal::parse(relabeled, key, e));
+    ASSERT_EQ(e.result.intervals.size(), 1u);
+    EXPECT_NE(e.result.intervals[0].traceRecords, 40u);
+
+    const std::string dir = scratchDir("v4");
+    SweepJournal journal(dir);
+    ASSERT_TRUE(journal.open());
+    std::vector<ExperimentPoint> points;
+    points.push_back(customPoint(
+        "a", [](const ExperimentPoint &) {
+            return resultWithExtra(1.0);
+        }));
+    ASSERT_EQ(points[0].key(), "unit/a");
+    std::FILE *f = std::fopen(
+        (dir + "/" + SweepJournal::fileNameFor(points[0].key()))
+            .c_str(),
+        "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(v4.c_str(), f);
+    std::fclose(f);
+
+    SweepRunner runner(1);
+    ResilienceOptions res;
+    res.journalDir = dir;
+    res.resume = true;
+    const SweepOutcome out = runner.runResilient(points, res);
+    EXPECT_EQ(out.journaled, 0u);
+    EXPECT_EQ(out.executed, 1u);
+    ASSERT_EQ(out.results[0].extra.size(), 1u);
+    EXPECT_DOUBLE_EQ(out.results[0].extra[0].second, 1.0);
+    std::filesystem::remove_all(dir);
 }
 
 TEST_F(ResilienceTest, JournalRejectsCorruptAndTruncated)

@@ -38,19 +38,9 @@ void
 expectMetricsIdentical(const PointResult &a, const PointResult &b,
                        const std::string &key)
 {
-    const RunMetrics &x = a.metrics;
-    const RunMetrics &y = b.metrics;
-    EXPECT_EQ(x.instructions, y.instructions) << key;
-    EXPECT_EQ(x.cycles, y.cycles) << key;
-    EXPECT_EQ(x.traceRecords, y.traceRecords) << key;
-    EXPECT_EQ(x.llcMisses, y.llcMisses) << key;
-    EXPECT_EQ(x.demandAccesses, y.demandAccesses) << key;
-    EXPECT_EQ(x.demandHits, y.demandHits) << key;
-    EXPECT_EQ(x.memLatencyCycles, y.memLatencyCycles) << key;
-    EXPECT_EQ(x.offchipBytes, y.offchipBytes) << key;
-    EXPECT_EQ(x.stackedBytes, y.stackedBytes) << key;
-    EXPECT_EQ(x.offchipActs, y.offchipActs) << key;
-    EXPECT_EQ(x.stackedActs, y.stackedActs) << key;
+    EXPECT_EQ(
+        fieldDiff(PodCounters::kCounters, a.metrics, b.metrics), "")
+        << key;
     EXPECT_EQ(a.covered, b.covered) << key;
     EXPECT_EQ(a.underpred, b.underpred) << key;
     EXPECT_EQ(a.overpred, b.overpred) << key;

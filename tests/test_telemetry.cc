@@ -47,63 +47,30 @@ telemetryPoint(const char *design, WorkloadKind wk,
     return p;
 }
 
-/** Sum every interval field and require bit-exact agreement with
- * the aggregate measured metrics. */
+/** Sum every interval counter and require bit-exact agreement
+ * with the aggregate measured metrics. */
 void
 expectIntervalsConserve(const PointResult &r,
                         const std::string &key)
 {
     ASSERT_FALSE(r.intervals.empty()) << key;
-    IntervalSample sum;
+    RunMetrics sum;
     sum.tenants.resize(r.metrics.tenants.size());
     for (const IntervalSample &s : r.intervals) {
-        sum.records += s.records;
-        sum.instructions += s.instructions;
-        sum.cycles += s.cycles;
-        sum.llcMisses += s.llcMisses;
-        sum.demandAccesses += s.demandAccesses;
-        sum.demandHits += s.demandHits;
-        sum.memLatencyCycles += s.memLatencyCycles;
-        sum.offchipBytes += s.offchipBytes;
-        sum.stackedBytes += s.stackedBytes;
-        sum.offchipActs += s.offchipActs;
-        sum.stackedActs += s.stackedActs;
+        addFields(PodCounters::kCounters, sum, s);
         ASSERT_EQ(s.tenants.size(), sum.tenants.size()) << key;
         for (std::size_t t = 0; t < s.tenants.size(); ++t) {
-            TenantMetrics &tm = sum.tenants[t];
-            tm.traceRecords += s.tenants[t].traceRecords;
-            tm.instructions += s.tenants[t].instructions;
-            tm.llcMisses += s.tenants[t].llcMisses;
-            tm.demandAccesses += s.tenants[t].demandAccesses;
-            tm.demandHits += s.tenants[t].demandHits;
-            tm.memLatencyCycles += s.tenants[t].memLatencyCycles;
-            tm.offchipBytes += s.tenants[t].offchipBytes;
+            addFields(TenantMetrics::kCounters, sum.tenants[t],
+                      s.tenants[t]);
         }
     }
     const RunMetrics &m = r.metrics;
-    EXPECT_EQ(sum.records, m.traceRecords) << key;
-    EXPECT_EQ(sum.instructions, m.instructions) << key;
-    EXPECT_EQ(sum.cycles, static_cast<std::uint64_t>(m.cycles))
-        << key;
-    EXPECT_EQ(sum.llcMisses, m.llcMisses) << key;
-    EXPECT_EQ(sum.demandAccesses, m.demandAccesses) << key;
-    EXPECT_EQ(sum.demandHits, m.demandHits) << key;
-    EXPECT_EQ(sum.memLatencyCycles, m.memLatencyCycles) << key;
-    EXPECT_EQ(sum.offchipBytes, m.offchipBytes) << key;
-    EXPECT_EQ(sum.stackedBytes, m.stackedBytes) << key;
-    EXPECT_EQ(sum.offchipActs, m.offchipActs) << key;
-    EXPECT_EQ(sum.stackedActs, m.stackedActs) << key;
+    EXPECT_EQ(fieldDiff(PodCounters::kCounters, sum, m), "") << key;
     for (std::size_t t = 0; t < m.tenants.size(); ++t) {
-        const TenantMetrics &tm = sum.tenants[t];
-        const TenantMetrics &mt = m.tenants[t];
-        EXPECT_EQ(tm.traceRecords, mt.traceRecords) << key;
-        EXPECT_EQ(tm.instructions, mt.instructions) << key;
-        EXPECT_EQ(tm.llcMisses, mt.llcMisses) << key;
-        EXPECT_EQ(tm.demandAccesses, mt.demandAccesses) << key;
-        EXPECT_EQ(tm.demandHits, mt.demandHits) << key;
-        EXPECT_EQ(tm.memLatencyCycles, mt.memLatencyCycles)
-            << key;
-        EXPECT_EQ(tm.offchipBytes, mt.offchipBytes) << key;
+        EXPECT_EQ(fieldDiff(TenantMetrics::kCounters,
+                            sum.tenants[t], m.tenants[t]),
+                  "")
+            << key << " tenant " << t;
     }
 }
 
@@ -157,18 +124,8 @@ TEST(Intervals, DeterministicAcrossJobCounts)
              ++e) {
             const IntervalSample &a = serial[i].intervals[e];
             const IntervalSample &b = sharded[i].intervals[e];
-            EXPECT_EQ(a.records, b.records) << key;
-            EXPECT_EQ(a.instructions, b.instructions) << key;
-            EXPECT_EQ(a.cycles, b.cycles) << key;
-            EXPECT_EQ(a.llcMisses, b.llcMisses) << key;
-            EXPECT_EQ(a.demandAccesses, b.demandAccesses) << key;
-            EXPECT_EQ(a.demandHits, b.demandHits) << key;
-            EXPECT_EQ(a.memLatencyCycles, b.memLatencyCycles)
-                << key;
-            EXPECT_EQ(a.offchipBytes, b.offchipBytes) << key;
-            EXPECT_EQ(a.stackedBytes, b.stackedBytes) << key;
-            EXPECT_EQ(a.offchipActs, b.offchipActs) << key;
-            EXPECT_EQ(a.stackedActs, b.stackedActs) << key;
+            EXPECT_EQ(fieldDiff(PodCounters::kCounters, a, b), "")
+                << key << " interval " << e;
         }
     }
 }
@@ -200,15 +157,8 @@ TEST(Intervals, TelemetryDoesNotPerturbMetricsOrReport)
         const RunMetrics &a = r_off[i].metrics;
         for (const RunMetrics *b :
              {&r_ts[i].metrics, &r_hist[i].metrics}) {
-            EXPECT_EQ(a.instructions, b->instructions);
-            EXPECT_EQ(a.cycles, b->cycles);
-            EXPECT_EQ(a.traceRecords, b->traceRecords);
-            EXPECT_EQ(a.llcMisses, b->llcMisses);
-            EXPECT_EQ(a.demandAccesses, b->demandAccesses);
-            EXPECT_EQ(a.demandHits, b->demandHits);
-            EXPECT_EQ(a.memLatencyCycles, b->memLatencyCycles);
-            EXPECT_EQ(a.offchipBytes, b->offchipBytes);
-            EXPECT_EQ(a.stackedBytes, b->stackedBytes);
+            EXPECT_EQ(fieldDiff(PodCounters::kCounters, a, *b), "")
+                << off[i].key();
         }
         EXPECT_TRUE(r_off[i].intervals.empty());
         EXPECT_FALSE(r_ts[i].intervals.empty());
@@ -246,11 +196,9 @@ TEST(Intervals, JournalRoundTripsIntervalStream)
     for (std::size_t i = 0; i < r.intervals.size(); ++i) {
         const IntervalSample &a = r.intervals[i];
         const IntervalSample &b = entry.result.intervals[i];
-        EXPECT_EQ(a.records, b.records);
-        EXPECT_EQ(a.cycles, b.cycles);
-        EXPECT_EQ(a.demandAccesses, b.demandAccesses);
-        EXPECT_EQ(a.offchipBytes, b.offchipBytes);
-        EXPECT_EQ(a.tenants.size(), b.tenants.size());
+        EXPECT_EQ(fieldDiff(PodCounters::kCounters, a, b), "")
+            << "interval " << i;
+        EXPECT_EQ(a.tenants, b.tenants);
     }
 
     // A truncated intervals section is corruption, not data.

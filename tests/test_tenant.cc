@@ -11,9 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <string>
 
 #include "experiments/experiments.hh"
 #include "sim/sweep.hh"
@@ -229,28 +231,39 @@ TEST(TenantMixSource, AcquireSpansMatchNextStream)
     }
 }
 
+/** Two runs agree on every pod and tenant counter. */
+void
+expectTenantsIdentical(const RunMetrics &a, const RunMetrics &b,
+                       const std::string &key)
+{
+    EXPECT_EQ(fieldDiff(PodCounters::kCounters, a, b), "") << key;
+    ASSERT_EQ(a.tenants.size(), b.tenants.size()) << key;
+    for (std::size_t t = 0; t < a.tenants.size(); ++t) {
+        EXPECT_EQ(fieldDiff(TenantMetrics::kCounters, a.tenants[t],
+                            b.tenants[t]),
+                  "")
+            << key << " tenant " << t;
+    }
+}
+
 /** Per-tenant slices must sum bit-exactly to the aggregate. */
 void
 expectConservation(const RunMetrics &m, std::size_t num_tenants)
 {
     ASSERT_EQ(m.tenants.size(), num_tenants);
     TenantMetrics sum;
-    for (const TenantMetrics &tm : m.tenants) {
-        sum.traceRecords += tm.traceRecords;
-        sum.instructions += tm.instructions;
-        sum.llcMisses += tm.llcMisses;
-        sum.demandAccesses += tm.demandAccesses;
-        sum.demandHits += tm.demandHits;
-        sum.memLatencyCycles += tm.memLatencyCycles;
-        sum.offchipBytes += tm.offchipBytes;
+    for (const TenantMetrics &tm : m.tenants)
+        addFields(TenantMetrics::kCounters, sum, tm);
+    // Every tenant counter slices the same-named pod counter.
+    for (const auto &tf : TenantMetrics::kCounters) {
+        const auto pf = std::find_if(
+            PodCounters::kCounters.begin(),
+            PodCounters::kCounters.end(), [&tf](const auto &f) {
+                return std::string(f.name) == tf.name;
+            });
+        ASSERT_NE(pf, PodCounters::kCounters.end()) << tf.name;
+        EXPECT_EQ(sum.*tf.member, m.*pf->member) << tf.name;
     }
-    EXPECT_EQ(sum.traceRecords, m.traceRecords);
-    EXPECT_EQ(sum.instructions, m.instructions);
-    EXPECT_EQ(sum.llcMisses, m.llcMisses);
-    EXPECT_EQ(sum.demandAccesses, m.demandAccesses);
-    EXPECT_EQ(sum.demandHits, m.demandHits);
-    EXPECT_EQ(sum.memLatencyCycles, m.memLatencyCycles);
-    EXPECT_EQ(sum.offchipBytes, m.offchipBytes);
 }
 
 TEST(TenantConservation, EveryDesignSumsToAggregate)
@@ -387,22 +400,7 @@ TEST(TenantTwoPhase, WarmupModesBitIdenticalUnderMix)
     };
     const RunMetrics a = run(SimMode::Functional);
     const RunMetrics b = run(SimMode::Timed);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.demandAccesses, b.demandAccesses);
-    EXPECT_EQ(a.demandHits, b.demandHits);
-    EXPECT_EQ(a.offchipBytes, b.offchipBytes);
-    ASSERT_EQ(a.tenants.size(), b.tenants.size());
-    for (std::size_t t = 0; t < a.tenants.size(); ++t) {
-        EXPECT_EQ(a.tenants[t].demandAccesses,
-                  b.tenants[t].demandAccesses);
-        EXPECT_EQ(a.tenants[t].demandHits,
-                  b.tenants[t].demandHits);
-        EXPECT_EQ(a.tenants[t].memLatencyCycles,
-                  b.tenants[t].memLatencyCycles);
-        EXPECT_EQ(a.tenants[t].offchipBytes,
-                  b.tenants[t].offchipBytes);
-    }
+    expectTenantsIdentical(a, b, "warmup modes");
 }
 
 /** Colocation subset: the first pair across two designs. */
@@ -424,28 +422,6 @@ colocationSubset()
     return points;
 }
 
-void
-expectTenantsIdentical(const RunMetrics &a, const RunMetrics &b,
-                       const std::string &key)
-{
-    ASSERT_EQ(a.tenants.size(), b.tenants.size()) << key;
-    EXPECT_EQ(a.demandAccesses, b.demandAccesses) << key;
-    EXPECT_EQ(a.cycles, b.cycles) << key;
-    for (std::size_t t = 0; t < a.tenants.size(); ++t) {
-        EXPECT_EQ(a.tenants[t].demandAccesses,
-                  b.tenants[t].demandAccesses)
-            << key;
-        EXPECT_EQ(a.tenants[t].demandHits,
-                  b.tenants[t].demandHits)
-            << key;
-        EXPECT_EQ(a.tenants[t].memLatencyCycles,
-                  b.tenants[t].memLatencyCycles)
-            << key;
-        EXPECT_EQ(a.tenants[t].offchipBytes,
-                  b.tenants[t].offchipBytes)
-            << key;
-    }
-}
 
 TEST(TenantSweep, JobsAndCacheModesBitIdentical)
 {

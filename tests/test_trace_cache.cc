@@ -455,17 +455,7 @@ TEST(WarmupArtifact, ApplyMatchesInBandWarmup)
     replay_trace.seekTo(warm);
     RunMetrics m2 = replayed.run(0, measure);
 
-    EXPECT_EQ(m1.instructions, m2.instructions);
-    EXPECT_EQ(m1.cycles, m2.cycles);
-    EXPECT_EQ(m1.traceRecords, m2.traceRecords);
-    EXPECT_EQ(m1.llcMisses, m2.llcMisses);
-    EXPECT_EQ(m1.demandAccesses, m2.demandAccesses);
-    EXPECT_EQ(m1.demandHits, m2.demandHits);
-    EXPECT_EQ(m1.memLatencyCycles, m2.memLatencyCycles);
-    EXPECT_EQ(m1.offchipBytes, m2.offchipBytes);
-    EXPECT_EQ(m1.stackedBytes, m2.stackedBytes);
-    EXPECT_EQ(m1.offchipActs, m2.offchipActs);
-    EXPECT_EQ(m1.stackedActs, m2.stackedActs);
+    EXPECT_EQ(fieldDiff(PodCounters::kCounters, m1, m2), "");
 }
 
 TEST(WarmupArtifact, SharedAcrossDesignsViaRunPoint)

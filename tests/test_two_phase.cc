@@ -74,16 +74,8 @@ expectIdentical(const PhaseResult &a, const PhaseResult &b)
 {
     // Measured-phase metrics: hit ratio, MPKI inputs, traffic and
     // timing must all match bit for bit.
-    EXPECT_EQ(a.metrics.instructions, b.metrics.instructions);
-    EXPECT_EQ(a.metrics.cycles, b.metrics.cycles);
-    EXPECT_EQ(a.metrics.traceRecords, b.metrics.traceRecords);
-    EXPECT_EQ(a.metrics.llcMisses, b.metrics.llcMisses);
-    EXPECT_EQ(a.metrics.demandAccesses, b.metrics.demandAccesses);
-    EXPECT_EQ(a.metrics.demandHits, b.metrics.demandHits);
-    EXPECT_EQ(a.metrics.offchipBytes, b.metrics.offchipBytes);
-    EXPECT_EQ(a.metrics.stackedBytes, b.metrics.stackedBytes);
-    EXPECT_EQ(a.metrics.offchipActs, b.metrics.offchipActs);
-    EXPECT_EQ(a.metrics.stackedActs, b.metrics.stackedActs);
+    EXPECT_EQ(
+        fieldDiff(PodCounters::kCounters, a.metrics, b.metrics), "");
     EXPECT_DOUBLE_EQ(a.metrics.missRatio(), b.metrics.missRatio());
     EXPECT_DOUBLE_EQ(a.metrics.ipc(), b.metrics.ipc());
 
