@@ -3,9 +3,9 @@
  * The paper's figure/table/ablation targets as experiment-registry
  * entries. Each register function declares one experiment — a
  * builder expanding it into ExperimentPoints and a reporter that
- * prints the paper-shaped table — into a registry; the per-figure
- * binaries, the unified `sweep` CLI and tests/test_sweep.cc all
- * drive them through the shared SweepRunner.
+ * prints the paper-shaped table — into a registry; the `sweep` CLI
+ * (`sweep --filter NAME` runs one of them) and the tests drive
+ * them through the shared SweepRunner.
  */
 
 #ifndef FPC_BENCH_EXPERIMENTS_HH
@@ -39,15 +39,6 @@ void registerIntrospection(ExperimentRegistry &reg);
 
 /** Register every paper experiment, in presentation order. */
 void registerAllExperiments(ExperimentRegistry &reg);
-
-/**
- * Shared CLI driver for the per-figure binaries: parse the common
- * flags (--quick, --scale, --seed, --workload, --jobs, --out),
- * expand the named experiment, run it through the SweepRunner,
- * print its report and optionally write the JSON.
- */
-int runExperimentCli(const char *experiment, int argc,
-                     char **argv);
 
 } // namespace fpcbench
 

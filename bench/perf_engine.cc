@@ -34,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -428,30 +429,35 @@ main(int argc, char **argv)
     std::string out_path = "BENCH_engine.json";
     double reference_seconds = 0.0;
     SweepOptions args;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (!std::strcmp(argv[i], "--reference-seconds") &&
-                   i + 1 < argc) {
-            reference_seconds = std::atof(argv[++i]);
-        } else if (!std::strcmp(argv[i], "--jobs")) {
-            // perf_engine measures one engine serially; a shard
-            // pool would perturb the very timings it reports.
-            std::fprintf(stderr,
-                         "perf_engine is single-threaded; "
-                         "--jobs is not supported\n");
-            return 2;
-        } else if (parseCommonFlag(args, argc, argv, i)) {
-            continue;
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--quick] [--scale F] "
-                         "[--seed N] [--workload NAME] "
-                         "[--out FILE] "
-                         "[--reference-seconds S]\n",
-                         argv[0]);
-            return 2;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
+                out_path = argv[++i];
+            } else if (!std::strcmp(argv[i], "--reference-seconds") &&
+                       i + 1 < argc) {
+                reference_seconds = std::atof(argv[++i]);
+            } else if (!std::strcmp(argv[i], "--jobs")) {
+                // perf_engine measures one engine serially; a shard
+                // pool would perturb the very timings it reports.
+                std::fprintf(stderr,
+                             "perf_engine is single-threaded; "
+                             "--jobs is not supported\n");
+                return 2;
+            } else if (parseCommonFlag(args, argc, argv, i)) {
+                continue;
+            } else {
+                std::fprintf(stderr,
+                             "usage: %s [--quick] [--scale F] "
+                             "[--seed N] [--workload NAME] "
+                             "[--out FILE] "
+                             "[--reference-seconds S]\n",
+                             argv[0]);
+                return 2;
+            }
         }
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
     }
     if (!checkWorkloadFilter(args))
         return 2;

@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -149,10 +150,14 @@ main(int argc, char **argv)
     bool report = true;
 
     for (int i = 1; i < argc; ++i) {
-        if (parseCommonFlag(opts, argc, argv, i)) {
-            continue;
-        } else if (!std::strcmp(argv[i], "--out") &&
-                   i + 1 < argc) {
+        try {
+            if (parseCommonFlag(opts, argc, argv, i))
+                continue;
+        } catch (const std::invalid_argument &e) {
+            std::fprintf(stderr, "%s\n", e.what());
+            return 2;
+        }
+        if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
             out_path = argv[++i];
         } else if (!std::strcmp(argv[i], "--filter") &&
                    i + 1 < argc) {

@@ -18,18 +18,6 @@ FaultInjector::instance()
 
 namespace {
 
-/** FNV-1a (the same stable hash the sweep keys use). */
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 /** Split @p s on @p sep (empty fields preserved). */
 std::vector<std::string>
 split(const std::string &s, char sep)

@@ -18,6 +18,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.hh"
@@ -42,6 +43,19 @@ mix64(std::uint64_t z)
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
+}
+
+/** FNV-1a over a byte string: the stable hash of point keys,
+ * trace identities and fault-plan gates. */
+constexpr std::uint64_t
+fnv1a(std::string_view s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
 }
 
 /**

@@ -4,18 +4,20 @@
 
 #include <cctype>
 #include <cinttypes>
-#include <climits>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
+#include <type_traits>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "common/fault.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 
 namespace fpc {
 
@@ -26,22 +28,11 @@ namespace {
 // aggregate values, per-interval deltas) and the spatial heatmap;
 // v5 writes every counter line in its table's order (see
 // common/counters.hh), which moved trace_records in the interval
-// line. Older entries fail the magic check and the point simply
+// line; v6 the telemetry and sampling settings the point ran
+// under. Older entries fail the magic check and the point simply
 // re-runs — safe by design.
-constexpr const char *kMagic = "fpcjournal 5";
+constexpr const char *kMagic = "fpcjournal 6";
 constexpr const char *kSuffix = ".pt";
-
-/** FNV-1a (matches the sweep key hash). */
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
 
 void
 appendFmt(std::string &out, const char *fmt, ...)
@@ -167,6 +158,20 @@ struct Reader
     bool value(std::uint64_t &out) { return u64(out); }
     bool value(double &out) { return f64(out); }
 
+    /** A u64 that must fit @p T (bool: 0 or 1). */
+    template <typename T>
+    bool
+    narrow(T &out)
+    {
+        std::uint64_t v = 0;
+        const std::uint64_t max =
+            std::is_same_v<T, bool> ? 1 : std::numeric_limits<T>::max();
+        if (!u64(v) || v > max)
+            return false;
+        out = static_cast<T>(v);
+        return true;
+    }
+
     /** A counter line written by appendFields. */
     template <typename Fields, typename S>
     bool
@@ -281,17 +286,28 @@ SweepJournal::fileNameFor(const std::string &key)
 namespace {
 
 std::string
-serializeEntry(const std::string &key, double scale,
-               std::uint64_t base_seed, const PointResult &r)
+serializeEntry(const std::string &key, const JournalOptions &o,
+               const PointResult &r)
 {
     const RunMetrics &m = r.metrics;
+    const TelemetryConfig &t = o.telemetry;
+    const SamplingConfig &sc = o.sampling;
     std::string out;
     out += kMagic;
     out += "\nkey ";
     out += key;
     out += "\nopts ";
-    appendDouble(out, scale);
-    appendFmt(out, " %" PRIu64, base_seed);
+    appendDouble(out, o.scale);
+    appendFmt(out, " %" PRIu64, o.baseSeed);
+    appendFmt(out, "\ntelemetry %" PRIu64 " %u %u %u %u %" PRIu64,
+              t.intervalRecords, t.histograms ? 1u : 0u,
+              t.missAttributionStride, t.designProbes ? 1u : 0u,
+              t.heatmaps ? 1u : 0u, t.shadowCapacityBytes);
+    appendFmt(out, "\nsampling %u %u %" PRIu64 " %" PRIu64 " ",
+              sc.enabled ? 1u : 0u, sc.intervals,
+              sc.intervalRecords, sc.rampRecords);
+    appendDouble(out, sc.targetCi);
+    appendFmt(out, " %u", sc.minIntervals);
     appendFmt(out, "\nstatus %u %u ", r.failed ? 1u : 0u,
               r.attempts);
     appendDouble(out, r.elapsedSeconds);
@@ -381,20 +397,26 @@ serializeEntry(const std::string &key, double scale,
 
 } // namespace
 
+JournalOptions
+JournalOptions::of(const ExperimentPoint &point)
+{
+    return {point.scale, point.baseSeed, point.cfg.pod.telemetry,
+            point.cfg.pod.sampling};
+}
+
 std::string
 SweepJournal::serialize(const ExperimentPoint &point,
                         const PointResult &result)
 {
-    return serializeEntry(point.key(), point.scale,
-                          point.baseSeed, result);
+    return serializeEntry(point.key(), JournalOptions::of(point),
+                          result);
 }
 
 std::string
 SweepJournal::serialize(const std::string &key,
                         const JournalEntry &entry)
 {
-    return serializeEntry(key, entry.scale, entry.baseSeed,
-                          entry.result);
+    return serializeEntry(key, entry, entry.result);
 }
 
 bool
@@ -411,17 +433,26 @@ SweepJournal::parse(const std::string &text, std::string &key,
     if (!in.line(key) || key.empty())
         return false;
 
-    std::uint64_t failed = 0, attempts = 0;
     if (!in.literal("opts ") || !in.f64(e.scale) ||
         !in.u64(e.baseSeed))
         return false;
-    if (!in.tag("status ") || !in.u64(failed) ||
-        !in.u64(attempts) || !in.f64(r.elapsedSeconds))
+    TelemetryConfig &t = e.telemetry;
+    if (!in.tag("telemetry") || !in.u64(t.intervalRecords) ||
+        !in.narrow(t.histograms) ||
+        !in.narrow(t.missAttributionStride) ||
+        !in.narrow(t.designProbes) || !in.narrow(t.heatmaps) ||
+        !in.u64(t.shadowCapacityBytes))
         return false;
-    if (failed > 1 || attempts == 0 || attempts > UINT_MAX)
+    SamplingConfig &sc = e.sampling;
+    if (!in.tag("sampling") || !in.narrow(sc.enabled) ||
+        !in.narrow(sc.intervals) || !in.u64(sc.intervalRecords) ||
+        !in.u64(sc.rampRecords) || !in.f64(sc.targetCi) ||
+        !in.narrow(sc.minIntervals))
         return false;
-    r.failed = failed != 0;
-    r.attempts = static_cast<unsigned>(attempts);
+    if (!in.tag("status ") || !in.narrow(r.failed) ||
+        !in.narrow(r.attempts) || r.attempts == 0 ||
+        !in.f64(r.elapsedSeconds))
+        return false;
     if (!in.tag("error ") || !in.raw(r.error))
         return false;
 
@@ -441,14 +472,12 @@ SweepJournal::parse(const std::string &text, std::string &key,
     if (!in.list(count, m.tenants, tenant("tenant")))
         return false;
 
-    std::uint64_t has_fp = 0;
-    if (!in.tag("footprint") || !in.u64(has_fp) ||
-        has_fp > 1 || !in.u64(r.covered) ||
+    if (!in.tag("footprint") || !in.narrow(r.hasFootprint) ||
+        !in.u64(r.covered) ||
         !in.u64(r.underpred) || !in.u64(r.overpred) ||
         !in.u64(r.trigMisses) || !in.u64(r.singletonBypasses) ||
         !in.u64(r.densityPages))
         return false;
-    r.hasFootprint = has_fp != 0;
 
     if (!in.tag("density") || !in.u64(count) ||
         count > 1u << 20 || !in.u64s(count, r.densityBuckets))
@@ -465,21 +494,16 @@ SweepJournal::parse(const std::string &text, std::string &key,
     if (!extras_ok)
         return false;
 
-    std::uint64_t flags[5];
-    if (!in.tag("timing ") ||
-        !in.f64(r.timing.traceSeconds) ||
-        !in.f64(r.timing.warmupSeconds) ||
-        !in.f64(r.timing.measureSeconds) || !in.u64(flags[0]) ||
-        !in.u64(flags[1]) || !in.u64(flags[2]) ||
-        !in.u64(flags[3]) || !in.u64(flags[4]) ||
-        !in.f64(r.timing.sampleFfSeconds) ||
-        !in.f64(r.timing.sampleTimedSeconds))
+    PointTiming &tm = r.timing;
+    if (!in.tag("timing ") || !in.f64(tm.traceSeconds) ||
+        !in.f64(tm.warmupSeconds) || !in.f64(tm.measureSeconds) ||
+        !in.narrow(tm.replayedTrace) ||
+        !in.narrow(tm.generatedTrace) ||
+        !in.narrow(tm.replayedWarmup) ||
+        !in.narrow(tm.builtWarmup) || !in.narrow(tm.sampled) ||
+        !in.f64(tm.sampleFfSeconds) ||
+        !in.f64(tm.sampleTimedSeconds))
         return false;
-    r.timing.replayedTrace = flags[0] != 0;
-    r.timing.generatedTrace = flags[1] != 0;
-    r.timing.replayedWarmup = flags[2] != 0;
-    r.timing.builtWarmup = flags[3] != 0;
-    r.timing.sampled = flags[4] != 0;
 
     if (!in.tag("intervals") || !in.u64(count) ||
         count > 1u << 24)
@@ -512,13 +536,11 @@ SweepJournal::parse(const std::string &text, std::string &key,
         return false;
 
     HeatmapData &hm = r.heatmap;
-    std::uint64_t hm_valid = 0, bin_count = 0;
-    if (!in.tag("heatmap") || !in.u64(hm_valid) ||
-        hm_valid > 1 || !in.u64(hm.numSets) ||
-        !in.u64(hm.setsPerBin) || !in.u64(bin_count) ||
-        bin_count > 1u << 16)
+    std::uint64_t bin_count = 0;
+    if (!in.tag("heatmap") || !in.narrow(hm.valid) ||
+        !in.u64(hm.numSets) || !in.u64(hm.setsPerBin) ||
+        !in.u64(bin_count) || bin_count > 1u << 16)
         return false;
-    hm.valid = hm_valid != 0;
     const auto column = [&in](const char *tag, std::uint64_t n,
                               std::vector<std::uint64_t> &v) {
         return in.tag(tag) && in.u64s(n, v);

@@ -14,9 +14,10 @@
  * results schedule-independent, so the merge is exact: doubles
  * round-trip through hex-float serialization).
  *
- * Entries record the scale and base seed they were produced
- * under; a journal reused across incompatible options is ignored
- * per-entry (the point simply re-runs). Truncated or corrupt
+ * Entries record the options they were produced under (scale,
+ * base seed, and the point's telemetry and sampling settings); an
+ * entry whose options differ from the resuming point's is stale
+ * and ignored (the point simply re-runs). Truncated or corrupt
  * files are skipped the same way — a damaged journal costs a
  * re-run, never a crash or a wrong merge.
  */
@@ -32,13 +33,30 @@
 
 namespace fpc {
 
-/** One loaded journal entry: the result plus the options it was
- * produced under (checked against the resuming run's point). */
-struct JournalEntry
+/**
+ * The options a journal entry was produced under. A resumed point
+ * takes its journaled result only when these equal the options it
+ * would run under now (its key names the rest of its
+ * configuration).
+ */
+struct JournalOptions
 {
-    PointResult result;
     double scale = 0.0;
     std::uint64_t baseSeed = 0;
+    TelemetryConfig telemetry;
+    SamplingConfig sampling;
+
+    /** The options @p point runs under. */
+    static JournalOptions of(const ExperimentPoint &point);
+
+    bool operator==(const JournalOptions &) const = default;
+};
+
+/** One loaded journal entry: the result plus the options it was
+ * produced under (checked against the resuming run's point). */
+struct JournalEntry : JournalOptions
+{
+    PointResult result;
 };
 
 /** Checkpoint journal over one directory (see file comment). */

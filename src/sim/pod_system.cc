@@ -65,6 +65,83 @@ intervalOf(RunMetrics &&d)
     return s;
 }
 
+/**
+ * The hierarchy-only half of runWarmup's functional path, over a
+ * MaterializedTrace: the same round-robin burst dispatch, with
+ * every post-L2 op appended in enqueue order — exactly the order
+ * the deferred FIFO hands them to the memory system (FIFOs
+ * preserve order, and in functional mode the cycle argument is
+ * always 0, so *when* an op drains is irrelevant).
+ *
+ * The whole cursor is `pulled`, the records dispatched counted
+ * from record 0: the core rotates once per burst, and every chunk
+ * but the last holds exactly kChunkRecords. So consecutive
+ * advance() calls continue as if they were one, and a pass can
+ * start mid-trace where an earlier one stopped.
+ */
+struct HierarchyPass
+{
+    const MaterializedTrace &trace;
+    CacheHierarchy hierarchy;
+    std::uint64_t pulled;
+
+    HierarchyPass(const MaterializedTrace &t,
+                  const CacheHierarchy::Config &cfg,
+                  std::uint64_t first)
+        : trace(t), hierarchy(cfg), pulled(first)
+    {
+    }
+
+    /** Dispatch the next @p count records, appending their ops
+     * to @p ops; returns the instructions they carried. */
+    std::uint64_t
+    advance(std::uint64_t count, PostL2Ops &ops)
+    {
+        constexpr unsigned kBurst = PodSystem::kDispatchBurst;
+        constexpr std::size_t kChunk =
+            MaterializedTrace::kChunkRecords;
+        const std::uint64_t stop = pulled + count;
+        std::uint64_t instructions = 0;
+        MemRequest req;
+        while (pulled < stop) {
+            const MaterializedTrace::ChunkView c = trace.chunk(
+                static_cast<std::size_t>(pulled / kChunk));
+            const std::size_t off =
+                static_cast<std::size_t>(pulled % kChunk);
+            const std::size_t end = off + static_cast<std::size_t>(
+                std::min<std::uint64_t>({c.records - off,
+                                         kBurst - pulled % kBurst,
+                                         stop - pulled}));
+            req.coreId = static_cast<std::uint16_t>(
+                (pulled / kBurst) % hierarchy.numCores());
+            for (std::size_t i = off; i < end; ++i) {
+                req.paddr = c.paddr[i];
+                req.pc = c.pc[i];
+                req.op = static_cast<MemOp>(c.op[i]);
+                instructions += c.gap[i] + 1;
+
+                HierarchyOutcome out = hierarchy.access(req);
+                if (!out.l1Hit && !out.l2Hit) {
+                    ops.paddr.push_back(req.paddr);
+                    ops.pc.push_back(req.pc);
+                    ops.coreId.push_back(req.coreId);
+                    ops.kind.push_back(req.op == MemOp::Write
+                                           ? PostL2Ops::kWrite
+                                           : PostL2Ops::kRead);
+                }
+                for (unsigned w = 0; w < out.numWritebacks; ++w) {
+                    ops.paddr.push_back(out.writebackAddr[w]);
+                    ops.pc.push_back(0);
+                    ops.coreId.push_back(req.coreId);
+                    ops.kind.push_back(PostL2Ops::kWriteback);
+                }
+            }
+            pulled += end - off;
+        }
+        return instructions;
+    }
+};
+
 } // namespace
 
 PodSystem::PodSystem(const PodConfig &config, TraceSource &trace,
@@ -383,66 +460,11 @@ PodSystem::buildWarmupArtifact(const MaterializedTrace &trace,
 {
     FPC_ASSERT(trace.size() >= warm_records);
     auto art = std::make_shared<WarmupArtifact>();
-    CacheHierarchy hierarchy(hier_cfg);
-    const unsigned cores = hier_cfg.numCores;
-
-    // Bit-compatible with runWarmup's functional path: the same
-    // round-robin burst dispatch, and ops appended in enqueue
-    // order — which is exactly the order the deferred FIFO hands
-    // them to the memory system (FIFOs preserve order, and in
-    // functional mode the cycle argument is always 0, so *when*
-    // an op drains is irrelevant).
-    unsigned core = 0;
-    std::uint64_t pulled = 0;
-    std::uint64_t instructions = 0;
-    std::size_t ci = 0;
-    std::size_t off = 0;
-    MemRequest req;
-    while (pulled < warm_records) {
-        const MaterializedTrace::ChunkView c = trace.chunk(ci);
-        const std::uint64_t burst_left =
-            kDispatchBurst - (pulled & (kDispatchBurst - 1));
-        const std::size_t take = static_cast<std::size_t>(
-            std::min<std::uint64_t>(
-                {static_cast<std::uint64_t>(c.records - off),
-                 burst_left, warm_records - pulled}));
-        for (std::size_t i = 0; i < take; ++i) {
-            req.paddr = c.paddr[off + i];
-            req.pc = c.pc[off + i];
-            req.op = static_cast<MemOp>(c.op[off + i]);
-            req.coreId = static_cast<std::uint16_t>(core);
-            instructions += c.gap[off + i] + 1;
-
-            HierarchyOutcome out = hierarchy.access(req);
-            if (!out.l1Hit && !out.l2Hit) {
-                art->paddr.push_back(req.paddr);
-                art->pc.push_back(req.pc);
-                art->coreId.push_back(req.coreId);
-                art->kind.push_back(req.op == MemOp::Write
-                                        ? WarmupArtifact::kWrite
-                                        : WarmupArtifact::kRead);
-            }
-            for (unsigned w = 0; w < out.numWritebacks; ++w) {
-                art->paddr.push_back(out.writebackAddr[w]);
-                art->pc.push_back(0);
-                art->coreId.push_back(req.coreId);
-                art->kind.push_back(WarmupArtifact::kWriteback);
-            }
-        }
-        pulled += take;
-        off += take;
-        if (off == c.records) {
-            off = 0;
-            ++ci;
-        }
-        if ((pulled & (kDispatchBurst - 1)) == 0)
-            core = (core + 1 == cores) ? 0 : core + 1;
-    }
-
-    hierarchy.saveState(art->hierarchy);
+    HierarchyPass pass(trace, hier_cfg, 0);
+    art->instructions = pass.advance(warm_records, *art);
+    pass.hierarchy.saveState(art->hierarchy);
     art->records = warm_records;
-    art->instructions = instructions;
-    art->hierarchyBytes = hierarchy.stateBytes();
+    art->hierarchyBytes = pass.hierarchy.stateBytes();
     return art;
 }
 
@@ -458,87 +480,54 @@ PodSystem::buildSampleSpanArtifact(
                warm_records + sched.spanRecords());
     auto art = std::make_shared<SampleSpanArtifact>();
     art->schedule = sched;
-    CacheHierarchy hierarchy(hier_cfg);
-    hierarchy.restoreState(warm_art.hierarchy);
-    const unsigned cores = hier_cfg.numCores;
-
-    // Continues buildWarmupArtifact's pass as if the two were one:
-    // `pulled` keeps counting from record 0 so the round-robin
-    // burst rotation carries across the seam, and the chunk cursor
-    // starts mid-arena (every chunk but the last holds exactly
-    // kChunkRecords, so the split is pure arithmetic).
-    std::uint64_t pulled = warm_records;
-    unsigned core = static_cast<unsigned>(
-        (pulled / kDispatchBurst) % cores);
-    std::size_t ci = static_cast<std::size_t>(
-        warm_records / MaterializedTrace::kChunkRecords);
-    std::size_t off = static_cast<std::size_t>(
-        warm_records % MaterializedTrace::kChunkRecords);
-    std::uint64_t instructions = 0;
-    MemRequest req;
-    const auto pass = [&](std::uint64_t count) {
-        const std::uint64_t stop = pulled + count;
-        while (pulled < stop) {
-            const MaterializedTrace::ChunkView c =
-                trace.chunk(ci);
-            const std::uint64_t burst_left =
-                kDispatchBurst - (pulled & (kDispatchBurst - 1));
-            const std::size_t take = static_cast<std::size_t>(
-                std::min<std::uint64_t>(
-                    {static_cast<std::uint64_t>(c.records - off),
-                     burst_left, stop - pulled}));
-            for (std::size_t i = 0; i < take; ++i) {
-                req.paddr = c.paddr[off + i];
-                req.pc = c.pc[off + i];
-                req.op = static_cast<MemOp>(c.op[off + i]);
-                req.coreId = static_cast<std::uint16_t>(core);
-                instructions += c.gap[off + i] + 1;
-
-                HierarchyOutcome out = hierarchy.access(req);
-                if (!out.l1Hit && !out.l2Hit) {
-                    art->paddr.push_back(req.paddr);
-                    art->pc.push_back(req.pc);
-                    art->coreId.push_back(req.coreId);
-                    art->kind.push_back(
-                        req.op == MemOp::Write
-                            ? WarmupArtifact::kWrite
-                            : WarmupArtifact::kRead);
-                }
-                for (unsigned w = 0; w < out.numWritebacks;
-                     ++w) {
-                    art->paddr.push_back(out.writebackAddr[w]);
-                    art->pc.push_back(0);
-                    art->coreId.push_back(req.coreId);
-                    art->kind.push_back(
-                        WarmupArtifact::kWriteback);
-                }
-            }
-            pulled += take;
-            off += take;
-            if (off == c.records) {
-                off = 0;
-                ++ci;
-            }
-            if ((pulled & (kDispatchBurst - 1)) == 0)
-                core = (core + 1 == cores) ? 0 : core + 1;
-        }
-    };
-
+    // Continues buildWarmupArtifact's pass as if the two were one.
+    HierarchyPass pass(trace, hier_cfg, warm_records);
+    pass.hierarchy.restoreState(warm_art.hierarchy);
     for (unsigned p = 0; p < sched.intervals; ++p) {
-        const std::uint64_t instr_before = instructions;
-        pass(sched.gap);
+        art->gapInstructions.push_back(
+            pass.advance(sched.gap, *art));
         art->opGapEnd.push_back(art->paddr.size());
-        art->gapInstructions.push_back(instructions -
-                                       instr_before);
         art->hierarchyAtTimedStart.emplace_back();
-        hierarchy.saveState(art->hierarchyAtTimedStart.back());
-        pass(sched.ramp + sched.measure);
+        pass.hierarchy.saveState(art->hierarchyAtTimedStart.back());
+        pass.advance(sched.ramp + sched.measure, *art);
         art->opPeriodEnd.push_back(art->paddr.size());
     }
     art->hierarchyBytes =
         static_cast<std::uint64_t>(sched.intervals) *
-        hierarchy.stateBytes();
+        pass.hierarchy.stateBytes();
     return art;
+}
+
+void
+PodSystem::replayOps(const PostL2Ops &ops, std::size_t begin,
+                     std::size_t end)
+{
+    memory_.setMode(SimMode::Functional);
+    MemRequest req;
+    for (std::size_t i = begin; i < end; ++i) {
+        if ((i & 0xfff) == 0)
+            throwIfCancelled(config_.cancel);
+        // Same effective two-stage tag/payload prefetch
+        // distances the deferred FIFO gives the in-band warmup
+        // loop (stage 1 a full queue ahead, stage 2 half plus
+        // the in-flight drain slot).
+        if (i + 8 < end)
+            memory_.prefetchFor(ops.paddr[i + 8]);
+        if (i + 5 < end)
+            memory_.prefetchFor2(ops.paddr[i + 5]);
+        const std::uint8_t kind = ops.kind[i];
+        if (kind == PostL2Ops::kWriteback) {
+            memory_.writeback(0, ops.paddr[i]);
+        } else {
+            req.paddr = ops.paddr[i];
+            req.pc = ops.pc[i];
+            req.op = kind == PostL2Ops::kWrite ? MemOp::Write
+                                               : MemOp::Read;
+            req.coreId = ops.coreId[i];
+            memory_.access(0, req);
+        }
+    }
+    memory_.setMode(SimMode::Timed);
 }
 
 void
@@ -547,39 +536,11 @@ PodSystem::applyWarmup(const WarmupArtifact &artifact)
     FPC_ASSERT(config_.warmupMode == SimMode::Functional &&
                !config_.allTimedWarmup);
     hierarchy_.restoreState(artifact.hierarchy);
-
-    memory_.setMode(SimMode::Functional);
-    const std::size_t n = artifact.paddr.size();
-    MemRequest req;
-    for (std::size_t i = 0; i < n; ++i) {
-        if ((i & 0xfff) == 0)
-            throwIfCancelled(config_.cancel);
-        // Same effective two-stage tag/payload prefetch
-        // distances the deferred FIFO gives the in-band warmup
-        // loop (stage 1 a full queue ahead, stage 2 half plus
-        // the in-flight drain slot).
-        if (i + 8 < n)
-            memory_.prefetchFor(artifact.paddr[i + 8]);
-        if (i + 5 < n)
-            memory_.prefetchFor2(artifact.paddr[i + 5]);
-        const std::uint8_t kind = artifact.kind[i];
-        if (kind == WarmupArtifact::kWriteback) {
-            memory_.writeback(0, artifact.paddr[i]);
-        } else {
-            req.paddr = artifact.paddr[i];
-            req.pc = artifact.pc[i];
-            req.op = kind == WarmupArtifact::kWrite
-                         ? MemOp::Write
-                         : MemOp::Read;
-            req.coreId = artifact.coreId[i];
-            memory_.access(0, req);
-        }
-    }
+    replayOps(artifact, 0, artifact.paddr.size());
     total_records_ += artifact.records;
     total_instructions_ += artifact.instructions;
 
     // Same phase boundary as runWarmup.
-    memory_.setMode(SimMode::Timed);
     if (stacked_)
         stacked_->resetTiming();
     offchip_.resetTiming();
@@ -900,37 +861,15 @@ PodSystem::runSampled(std::uint64_t span_refs,
     std::uint64_t op_start = 0;
     Cycle clock = 0;
     MeasureCarry carry;
-    MemRequest req;
     for (unsigned i = 0; i < sched.intervals; ++i) {
         auto t0 = std::chrono::steady_clock::now();
 
         // Gap: replay the artifact's post-L2 ops into this
-        // design's memory system (same functional-mode pattern as
-        // applyWarmup), fast-forward the trace cursor past the
-        // records they came from, and land on the artifact's
-        // hierarchy snapshot at the timed start.
+        // design's memory system, fast-forward the trace cursor
+        // past the records they came from, and land on the
+        // artifact's hierarchy snapshot at the timed start.
         const std::uint64_t op_end = span_art.opGapEnd[i];
-        memory_.setMode(SimMode::Functional);
-        for (std::uint64_t o = op_start; o < op_end; ++o) {
-            if ((o & 0xfff) == 0)
-                throwIfCancelled(config_.cancel);
-            if (o + 8 < op_end)
-                memory_.prefetchFor(span_art.paddr[o + 8]);
-            if (o + 5 < op_end)
-                memory_.prefetchFor2(span_art.paddr[o + 5]);
-            const std::uint8_t kind = span_art.kind[o];
-            if (kind == WarmupArtifact::kWriteback) {
-                memory_.writeback(0, span_art.paddr[o]);
-            } else {
-                req.paddr = span_art.paddr[o];
-                req.pc = span_art.pc[o];
-                req.op = kind == WarmupArtifact::kWrite
-                             ? MemOp::Write
-                             : MemOp::Read;
-                req.coreId = span_art.coreId[o];
-                memory_.access(0, req);
-            }
-        }
+        replayOps(span_art, op_start, op_end);
         if (sched.gap > 0)
             trace_.fastForward(sched.gap);
         total_records_ += sched.gap;
@@ -941,16 +880,15 @@ PodSystem::runSampled(std::uint64_t span_refs,
         out.skippedRecords += sched.gap;
         op_start = span_art.opPeriodEnd[i];
 
-        // Back to timed mode — but unlike the warmup boundary,
-        // no channel drain: a gap takes zero simulated time, so
-        // each period's timed stretch continues from the previous
-        // one's end cycle with the DRAM queue backlog and bank
-        // busy windows intact. Resetting here instead would make
+        // The replay ends in timed mode — but unlike the warmup
+        // boundary, no channel drain: a gap takes zero simulated
+        // time, so each period's timed stretch continues from the
+        // previous one's end cycle with the DRAM queue backlog and
+        // bank busy windows intact. Resetting here instead would make
         // every interval start from an unloaded memory system and
         // systematically underestimate queueing latency (the span
         // as a whole still starts from the clean post-warmup
         // boundary, exactly like an exact run's measure window).
-        memory_.setMode(SimMode::Timed);
         out.ffSeconds += seconds(t0);
 
         t0 = std::chrono::steady_clock::now();

@@ -230,47 +230,27 @@ struct SampledRun
 };
 
 /**
- * Design-independent image of one functional warmup window.
- *
- * Under SimMode::Functional the warmup loop's record-to-core
- * dispatch is timing-independent and the hierarchy has no feedback
- * from the memory system below, so over a given trace prefix the
- * hierarchy evolves identically for *every* design, and so does
- * the sequence of memory-system operations it emits (the deferred
- * FIFO preserves enqueue order, and every cycle argument is 0).
- * One pass over the trace therefore captures everything a design
- * needs to warm up: the hierarchy snapshot at the phase boundary
- * plus the columnar post-L2 operation stream, which each point
- * replays into its own memory system (PodSystem::applyWarmup) —
- * skipping trace decoding and hierarchy simulation entirely.
- *
- * Artifacts are keyed by trace identity, hierarchy configuration
- * and warm length, and shared through the TraceCache.
+ * A post-L2 op stream: the memory-system operations a
+ * hierarchy-only pass emits (PodSystem::buildWarmupArtifact and
+ * buildSampleSpanArtifact), as columns, in the order the memory
+ * system sees them. Both artifacts carry one.
  */
-struct WarmupArtifact : TraceCacheEntry
+struct PostL2Ops : TraceCacheEntry
 {
     /** Demand-access kinds of the op stream (kind column). */
     static constexpr std::uint8_t kRead = 0;
     static constexpr std::uint8_t kWrite = 1;
     static constexpr std::uint8_t kWriteback = 2;
 
-    CacheHierarchy::Snapshot hierarchy;
-
-    /** Memory-system operations, in the order memory sees them. */
     std::vector<Addr> paddr;
     std::vector<Pc> pc;
     std::vector<std::uint16_t> coreId;
     std::vector<std::uint8_t> kind;
 
-    /** Trace records the warm window consumed. */
-    std::uint64_t records = 0;
-
-    /** Instructions those records carried (sum of gap + 1). */
-    std::uint64_t instructions = 0;
-
     /** Hierarchy state bytes (filled by the builder). */
     std::uint64_t hierarchyBytes = 0;
 
+    /** Op columns plus hierarchy state. */
     std::uint64_t
     cacheBytes() const override
     {
@@ -283,6 +263,35 @@ struct WarmupArtifact : TraceCacheEntry
 };
 
 /**
+ * Design-independent image of one functional warmup window.
+ *
+ * Under SimMode::Functional the warmup loop's record-to-core
+ * dispatch is timing-independent and the hierarchy has no feedback
+ * from the memory system below, so over a given trace prefix the
+ * hierarchy evolves identically for *every* design, and so does
+ * the sequence of memory-system operations it emits (the deferred
+ * FIFO preserves enqueue order, and every cycle argument is 0).
+ * One pass over the trace therefore captures everything a design
+ * needs to warm up: the hierarchy snapshot at the phase boundary
+ * plus the post-L2 op stream, which each point replays into its
+ * own memory system (PodSystem::applyWarmup) — skipping trace
+ * decoding and hierarchy simulation entirely.
+ *
+ * Artifacts are keyed by trace identity, hierarchy configuration
+ * and warm length, and shared through the TraceCache.
+ */
+struct WarmupArtifact : PostL2Ops
+{
+    CacheHierarchy::Snapshot hierarchy;
+
+    /** Trace records the warm window consumed. */
+    std::uint64_t records = 0;
+
+    /** Instructions those records carried (sum of gap + 1). */
+    std::uint64_t instructions = 0;
+};
+
+/**
  * Design-independent image of one sampled measurement span
  * (PodSystem::runSampled).
  *
@@ -290,32 +299,26 @@ struct WarmupArtifact : TraceCacheEntry
  * covers the gaps between a sampled run's timed intervals: under
  * SimMode::Functional the hierarchy evolves identically for every
  * design, and so does the post-L2 op stream it emits. One pass
- * over the span (starting from the warm window's hierarchy state)
- * therefore captures, per period, everything a design needs to
- * stay stream-accurate while skipping the gap: the op stream to
+ * over the span (continuing the warm window's pass) therefore
+ * captures, per period, everything a design needs to stay
+ * stream-accurate while skipping the gap: the op stream to
  * replay into its own memory system, plus the hierarchy snapshot
  * at the period's timed start. Replay cost is O(post-L2 ops of
  * the gap) — typically far below one op per record — instead of
  * O(records) for either engine loop, which is where sampled
  * mode's speedup comes from.
  *
- * The op stream covers whole periods (the timed stretch of each
- * period is generated live by the measurement loop and is NOT
- * replayed); opGapEnd/opPeriodEnd cut it per period. Artifacts
- * are keyed by trace identity, hierarchy configuration, warm
- * length and schedule, and shared through the TraceCache.
+ * The op stream covers [warm, warm + spanRecords()) in whole
+ * periods (the timed stretch of each period is generated live by
+ * the measurement loop and is NOT replayed); opGapEnd/opPeriodEnd
+ * cut it per period. Artifacts are keyed by trace identity,
+ * hierarchy configuration, warm length and schedule, and shared
+ * through the TraceCache.
  */
-struct SampleSpanArtifact : TraceCacheEntry
+struct SampleSpanArtifact : PostL2Ops
 {
     /** The layout this artifact was cut for. */
     SampleSchedule schedule;
-
-    /** Post-L2 ops over [warm, warm + spanRecords()), in memory
-     * order (same columns and kinds as WarmupArtifact). */
-    std::vector<Addr> paddr;
-    std::vector<Pc> pc;
-    std::vector<std::uint16_t> coreId;
-    std::vector<std::uint8_t> kind;
 
     /** Per period: op index at the end of the gap / the period.
      * Period i replays ops [opPeriodEnd[i-1], opGapEnd[i]). */
@@ -328,17 +331,10 @@ struct SampleSpanArtifact : TraceCacheEntry
     /** Per period: hierarchy state at the timed start (gap end). */
     std::vector<CacheHierarchy::Snapshot> hierarchyAtTimedStart;
 
-    /** Total snapshot bytes (filled by the builder). */
-    std::uint64_t hierarchyBytes = 0;
-
     std::uint64_t
     cacheBytes() const override
     {
-        return hierarchyBytes +
-               paddr.size() *
-                   (sizeof(Addr) + sizeof(Pc) +
-                    sizeof(std::uint16_t) +
-                    sizeof(std::uint8_t)) +
+        return PostL2Ops::cacheBytes() +
                (opGapEnd.size() + opPeriodEnd.size() +
                 gapInstructions.size()) *
                    sizeof(std::uint64_t);
@@ -488,6 +484,15 @@ class PodSystem
      * restores SimMode::Timed before returning.
      */
     void runWarmup(std::uint64_t warmup_refs);
+
+    /**
+     * Replay ops [@p begin, @p end) of @p ops into the memory
+     * system in SimMode::Functional (the mode of the loop the
+     * replay stands in for), leaving it in SimMode::Timed. The
+     * one replay loop behind applyWarmup and runSampled's gaps.
+     */
+    void replayOps(const PostL2Ops &ops, std::size_t begin,
+                   std::size_t end);
 
     /**
      * Per-core engine state threaded across the timed stretches

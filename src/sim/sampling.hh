@@ -71,6 +71,8 @@ struct SamplingConfig
     {
         return rampRecords ? rampRecords : intervalRecords / 2;
     }
+
+    bool operator==(const SamplingConfig &) const = default;
 };
 
 /**

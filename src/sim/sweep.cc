@@ -5,21 +5,28 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cctype>
+#include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
+#include <map>
 #include <memory>
 #include <new>
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/fault.hh"
 #include "common/json.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "mem/materialized_trace.hh"
 #include "sim/journal.hh"
@@ -107,96 +114,120 @@ ResilienceOptions::fromSweepOptions(const SweepOptions &opts)
 bool
 parseCommonFlag(SweepOptions &opts, int argc, char **argv, int &i)
 {
-    if (!std::strcmp(argv[i], "--quick")) {
+    const char *flag = argv[i];
+    const auto is = [flag](const char *name) {
+        return !std::strcmp(flag, name);
+    };
+    const auto withValue = [&](const char *name) {
+        return i + 1 < argc && is(name);
+    };
+    const auto text = [&]() -> const char * { return argv[++i]; };
+    // Numeric values must be whole tokens in range; anything else
+    // is an error naming the flag.
+    const auto reject = [flag](const char *value,
+                               const std::string &expected) {
+        throw std::invalid_argument(std::string("invalid value '") +
+                                    value + "' for " + flag +
+                                    ": expected " + expected);
+    };
+    const auto integer = [&](std::uint64_t max) {
+        // strtoull skips blanks and accepts a sign (wrapping "-1"
+        // to 2^64 - 1); a count starts with a digit.
+        const char *value = text();
+        char *end = nullptr;
+        errno = 0;
+        const unsigned long long v = std::strtoull(value, &end, 10);
+        if (!std::isdigit(static_cast<unsigned char>(value[0])) ||
+            *end != '\0' || errno == ERANGE || v > max)
+            reject(value, "an integer in [0, " +
+                              std::to_string(max) + "]");
+        return v;
+    };
+    // An integer that must fit the option it lands in.
+    const auto count = [&](auto &out) {
+        using T = std::remove_reference_t<decltype(out)>;
+        out = static_cast<T>(
+            integer(std::numeric_limits<T>::max()));
+    };
+    // A finite number, > 0 when @p positive and >= 0 otherwise.
+    const auto real = [&](bool positive) {
+        const char *value = text();
+        char *end = nullptr;
+        const double v = std::strtod(value, &end);
+        if (std::isspace(static_cast<unsigned char>(value[0])) ||
+            end == value || *end != '\0' || !std::isfinite(v) ||
+            (positive ? !(v > 0) : v < 0))
+            reject(value, positive ? "a finite number > 0"
+                                   : "a finite number >= 0");
+        return v;
+    };
+
+    if (is("--quick")) {
         // A quarter of the 0.4 default, not 0.25 absolute.
         opts.scale = 0.1;
-    } else if (!std::strcmp(argv[i], "--scale") && i + 1 < argc) {
-        opts.scale = std::atof(argv[++i]);
-    } else if ((!std::strcmp(argv[i], "--seed") ||
-                !std::strcmp(argv[i], "--base-seed")) &&
-               i + 1 < argc) {
+    } else if (withValue("--scale")) {
+        opts.scale = real(true);
+    } else if (withValue("--seed") || withValue("--base-seed")) {
         // --base-seed is the explicit alias: it names what the
         // value is (the base of every trace-identity seed), so
         // interference runs can be replicated under different
         // seeds without recompiling. Trace identities include
         // the seed — changing it regenerates every trace.
-        opts.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--workload") &&
-               i + 1 < argc) {
-        opts.workloadFilter = argv[++i];
-    } else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-        opts.jobs = static_cast<unsigned>(
-            std::strtoul(argv[++i], nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--no-trace-cache")) {
+        count(opts.seed);
+    } else if (withValue("--workload")) {
+        opts.workloadFilter = text();
+    } else if (withValue("--jobs")) {
+        count(opts.jobs);
+    } else if (is("--no-trace-cache")) {
         opts.traceCache = false;
-    } else if (!std::strcmp(argv[i], "--trace-cache-mb") &&
-               i + 1 < argc) {
-        opts.traceCacheMb = std::strtoull(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--time")) {
+    } else if (withValue("--trace-cache-mb")) {
+        // Bounded so the MB-to-bytes shift cannot overflow.
+        opts.traceCacheMb =
+            integer(std::numeric_limits<std::uint64_t>::max() >> 20);
+    } else if (is("--time")) {
         opts.time = true;
-    } else if (!std::strcmp(argv[i], "--time-out") &&
-               i + 1 < argc) {
+    } else if (withValue("--time-out")) {
         opts.time = true;
-        opts.timeOut = argv[++i];
-    } else if (!std::strcmp(argv[i], "--journal") &&
-               i + 1 < argc) {
-        opts.journalDir = argv[++i];
-    } else if (!std::strcmp(argv[i], "--resume")) {
+        opts.timeOut = text();
+    } else if (withValue("--journal")) {
+        opts.journalDir = text();
+    } else if (is("--resume")) {
         opts.resume = true;
-    } else if (!std::strcmp(argv[i], "--retries") &&
-               i + 1 < argc) {
-        opts.retries = static_cast<unsigned>(
-            std::strtoul(argv[++i], nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--backoff-ms") &&
-               i + 1 < argc) {
-        opts.backoffMs = static_cast<unsigned>(
-            std::strtoul(argv[++i], nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--point-deadline-s") &&
-               i + 1 < argc) {
-        opts.pointDeadlineS = std::atof(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--fault-plan") &&
-               i + 1 < argc) {
-        opts.faultPlan = argv[++i];
-    } else if (!std::strcmp(argv[i], "--interval-records") &&
-               i + 1 < argc) {
-        opts.intervalRecords =
-            std::strtoull(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--histograms")) {
+    } else if (withValue("--retries")) {
+        count(opts.retries);
+    } else if (withValue("--backoff-ms")) {
+        count(opts.backoffMs);
+    } else if (withValue("--point-deadline-s")) {
+        opts.pointDeadlineS = real(false);
+    } else if (withValue("--fault-plan")) {
+        opts.faultPlan = text();
+    } else if (withValue("--interval-records")) {
+        count(opts.intervalRecords);
+    } else if (is("--histograms")) {
         opts.histograms = true;
-    } else if (!std::strcmp(argv[i], "--timeseries-out") &&
-               i + 1 < argc) {
-        opts.timeseriesOut = argv[++i];
-    } else if (!std::strcmp(argv[i], "--miss-attribution") &&
-               i + 1 < argc) {
-        opts.missAttribution = static_cast<unsigned>(
-            std::strtoul(argv[++i], nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--design-probes")) {
+    } else if (withValue("--timeseries-out")) {
+        opts.timeseriesOut = text();
+    } else if (withValue("--miss-attribution")) {
+        count(opts.missAttribution);
+    } else if (is("--design-probes")) {
         opts.designProbes = true;
-    } else if (!std::strcmp(argv[i], "--heatmap-out") &&
-               i + 1 < argc) {
-        opts.heatmapOut = argv[++i];
-    } else if (!std::strcmp(argv[i], "--trace-out") &&
-               i + 1 < argc) {
-        opts.traceOut = argv[++i];
-    } else if (!std::strcmp(argv[i], "--sample-mode")) {
+    } else if (withValue("--heatmap-out")) {
+        opts.heatmapOut = text();
+    } else if (withValue("--trace-out")) {
+        opts.traceOut = text();
+    } else if (is("--sample-mode")) {
         opts.sampleMode = true;
-    } else if (!std::strcmp(argv[i], "--sample-intervals") &&
-               i + 1 < argc) {
+    } else if (withValue("--sample-intervals")) {
         // The tuning flags imply the mode, like --time-out
         // implies --time.
         opts.sampleMode = true;
-        opts.sampleIntervals = static_cast<unsigned>(
-            std::strtoul(argv[++i], nullptr, 10));
-    } else if (!std::strcmp(argv[i],
-                            "--sample-interval-records") &&
-               i + 1 < argc) {
+        count(opts.sampleIntervals);
+    } else if (withValue("--sample-interval-records")) {
         opts.sampleMode = true;
-        opts.sampleIntervalRecords =
-            std::strtoull(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--sample-target-ci") &&
-               i + 1 < argc) {
+        count(opts.sampleIntervalRecords);
+    } else if (withValue("--sample-target-ci")) {
         opts.sampleMode = true;
-        opts.sampleTargetCi = std::atof(argv[++i]);
+        opts.sampleTargetCi = real(false);
     } else {
         return false;
     }
@@ -282,22 +313,6 @@ measureRecords(double scale)
 {
     return static_cast<std::uint64_t>(8.0e6 * scale);
 }
-
-namespace {
-
-/** FNV-1a over a string: the stable point-key hash. */
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-} // namespace
 
 std::string
 ExperimentPoint::key() const
@@ -842,30 +857,6 @@ SweepRunner::SweepRunner(unsigned jobs, TraceCacheConfig cache)
 {
 }
 
-std::vector<PointResult>
-SweepRunner::run(const std::vector<ExperimentPoint> &points) const
-{
-    // Legacy all-or-nothing semantics over the resilient core:
-    // no retries, no journal, no deadline; any failure rethrows
-    // after the whole batch has drained.
-    SweepOutcome out = runResilient(points, ResilienceOptions{});
-    if (out.failed) {
-        std::string first;
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            if (!out.results[i].failed)
-                continue;
-            first = "sweep point " + points[i].key() +
-                    " failed: " + out.results[i].error;
-            break;
-        }
-        if (out.failed > 1)
-            first += " (and " + std::to_string(out.failed - 1) +
-                     " more point(s))";
-        throw std::runtime_error(first);
-    }
-    return std::move(out.results);
-}
-
 namespace {
 
 /** Worker-side classification of a failed attempt. */
@@ -939,6 +930,7 @@ SweepRunner::runResilient(
         if (res.resume) {
             std::unordered_map<std::string, JournalEntry> loaded;
             journal->load(loaded);
+            std::size_t stale = 0;
             for (std::size_t i = 0; i < points.size(); ++i) {
                 const auto it = loaded.find(points[i].key());
                 if (it == loaded.end())
@@ -946,13 +938,18 @@ SweepRunner::runResilient(
                 const JournalEntry &e = it->second;
                 // An entry produced under different options is
                 // stale, not wrong: the point simply re-runs.
-                if (e.scale != points[i].scale ||
-                    e.baseSeed != points[i].baseSeed)
+                if (e != JournalOptions::of(points[i])) {
+                    ++stale;
                     continue;
+                }
                 out.results[i] = e.result;
                 fromJournal[i] = 1;
                 ++out.journaled;
             }
+            if (stale)
+                warn("journal: %zu point(s) were journaled under "
+                     "different options and will re-run",
+                     stale);
         }
     }
 
@@ -995,32 +992,24 @@ SweepRunner::runResilient(
             // custom runner re-acquiring per sub-run) must plan
             // all of them, or the eager release after its first
             // release would drop the slot while the point still
-            // holds — and will re-acquire — the entry.
-            std::vector<std::pair<std::string, std::uint64_t>>
-                needs;
-            needs.emplace_back("trace/" + p.traceKey(),
-                               p.standardRecords());
+            // holds — and will re-acquire — the entry. Each key
+            // is planned once, at its largest window.
+            std::map<std::string,
+                     std::pair<std::uint64_t, std::uint64_t>>
+                needs; // key -> {max units, acquires}
+            const auto need = [&needs](const std::string &key,
+                                       std::uint64_t units) {
+                auto &[max_units, acquires] = needs[key];
+                max_units = std::max(max_units, units);
+                ++acquires;
+            };
+            need("trace/" + p.traceKey(), p.standardRecords());
             // Identities a custom run function acquires beyond
             // its own (a colocation mix's other tenants).
-            for (const auto &need : p.extraTraceNeeds)
-                needs.push_back(need);
-            for (std::size_t a = 0; a < needs.size(); ++a) {
-                std::uint64_t units = needs[a].second;
-                std::uint64_t acquires = 1;
-                bool counted = false;
-                for (std::size_t b = 0; b < needs.size(); ++b) {
-                    if (b == a || needs[b].first != needs[a].first)
-                        continue;
-                    if (b < a) {
-                        counted = true; // already planned with a
-                        break;
-                    }
-                    units = std::max(units, needs[b].second);
-                    ++acquires;
-                }
-                if (!counted)
-                    cache->plan(needs[a].first, units, acquires);
-            }
+            for (const auto &[key, units] : p.extraTraceNeeds)
+                need(key, units);
+            for (const auto &[key, plan] : needs)
+                cache->plan(key, plan.first, plan.second);
             const std::uint64_t warm = p.warmupWindow();
             if (!p.inBandWarmup &&
                 warmupArtifactEligible(p, warm)) {

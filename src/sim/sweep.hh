@@ -218,8 +218,8 @@ struct SweepOptions
 
 /**
  * Fault-tolerance knobs of one SweepRunner::runResilient() call.
- * The defaults reproduce the legacy all-or-nothing run(): no
- * retries, no journal, no deadline.
+ * The defaults run every point once: no retries, no journal, no
+ * deadline.
  */
 struct ResilienceOptions
 {
@@ -264,8 +264,13 @@ unsigned resolveJobs(unsigned jobs);
 
 /**
  * Parse the common sweep flag at argv[i] (--quick, --scale,
- * --seed, --workload, --jobs), advancing i past any value.
+ * --seed, --workload, --jobs, ...), advancing i past any value.
  * Returns false when argv[i] is not a common flag.
+ * @throws std::invalid_argument naming the flag when its value
+ *         is not wholly a number of the option's type and range
+ *         (--scale finite and > 0; integers fit their field;
+ *         --trace-cache-mb small enough to convert to bytes;
+ *         --point-deadline-s and --sample-target-ci >= 0).
  */
 bool parseCommonFlag(SweepOptions &opts, int argc, char **argv,
                      int &i);
@@ -599,10 +604,10 @@ struct SweepOutcome
  * never share a slot, so collection is lock-free; work
  * distribution is a single atomic counter.
  *
- * runResilient() adds the fault-tolerance layer: per-point
- * checkpoint journaling with resume, bounded retry with
- * exponential backoff for transient failures, a deadline
- * watchdog with cooperative cancellation, and graceful
+ * runResilient() is the one entry point, with the fault-tolerance
+ * layer built in: per-point checkpoint journaling with resume,
+ * bounded retry with exponential backoff for transient failures,
+ * a deadline watchdog with cooperative cancellation, and graceful
  * degradation — a failed point becomes a structured failure
  * record instead of poisoning the batch.
  */
@@ -618,14 +623,6 @@ class SweepRunner
                          TraceCacheConfig cache = {});
 
     /**
-     * Run all points; result i corresponds to points[i].
-     * All-or-nothing: any point failure rethrows (after every
-     * point has been attempted) naming the first failed key.
-     */
-    std::vector<PointResult>
-    run(const std::vector<ExperimentPoint> &points) const;
-
-    /**
      * Run all points under @p res. Never throws for point
      * failures: failed points come back as structured failure
      * records (PointResult::failed) while every completed
@@ -639,8 +636,8 @@ class SweepRunner
 
     unsigned jobs() const { return jobs_; }
 
-    /** Cache counters of the most recent run() (empty when the
-     * cache was disabled). */
+    /** Cache counters of the most recent runResilient() (empty
+     * when the cache was disabled). */
     const TraceCacheStats &lastCacheStats() const
     {
         return cacheStats_;

@@ -88,6 +88,8 @@ struct TelemetryConfig
         return intervalRecords != 0 || histograms ||
                introspectionOn();
     }
+
+    bool operator==(const TelemetryConfig &) const = default;
 };
 
 /**

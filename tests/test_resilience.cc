@@ -22,6 +22,8 @@
 #include "sim/journal.hh"
 #include "sim/sweep.hh"
 
+#include "run_points.hh"
+
 using namespace fpc;
 
 namespace {
@@ -254,31 +256,15 @@ TEST_F(ResilienceTest, PermanentErrorNeverRetries)
     EXPECT_EQ(out.results[0].attempts, 1u);
 }
 
-TEST_F(ResilienceTest, LegacyRunStillThrowsWithKey)
-{
-    std::vector<ExperimentPoint> points;
-    points.push_back(
-        customPoint("explodes", [](const ExperimentPoint &)
-                        -> PointResult {
-            throw std::runtime_error("boom");
-        }));
-    SweepRunner runner(1);
-    try {
-        runner.run(points);
-        FAIL() << "expected throw";
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("unit/explodes"),
-                  std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("boom"),
-                  std::string::npos);
-    }
-}
-
 TEST_F(ResilienceTest, JournalEntryRoundTripsExactly)
 {
     ExperimentPoint p = customPoint("round/trip=1", nullptr);
     p.scale = 0.4;
     p.baseSeed = 1234567;
+    // Every option field off its default, so a dropped or swapped
+    // field cannot round-trip either.
+    p.cfg.pod.telemetry = {11, true, 64, true, true, 1u << 28};
+    p.cfg.pod.sampling = {true, 7, 3000, 900, 0.025, 3};
 
     // Every counter of every section gets a distinct value, so a
     // writer or parser that swaps two fields cannot round-trip.
@@ -335,6 +321,8 @@ TEST_F(ResilienceTest, JournalEntryRoundTripsExactly)
     EXPECT_EQ(key, p.key());
     EXPECT_EQ(e.scale, 0.4);
     EXPECT_EQ(e.baseSeed, 1234567u);
+    EXPECT_TRUE(e.telemetry == p.cfg.pod.telemetry);
+    EXPECT_TRUE(e.sampling == p.cfg.pod.sampling);
 
     const PointResult &q = e.result;
     EXPECT_EQ(fieldDiff(PodCounters::kCounters, q.metrics, r.metrics),
@@ -377,12 +365,11 @@ TEST_F(ResilienceTest, JournalEntryRoundTripsExactly)
     EXPECT_EQ(SweepJournal::serialize(key, e), text);
 }
 
-TEST_F(ResilienceTest, V4JournalEntryIsStaleAndReRuns)
+TEST_F(ResilienceTest, V5JournalEntryIsStaleAndReRuns)
 {
-    // A verbatim entry of the previous format. Its interval line
-    // leads with trace records, where v5 writes counters in table
-    // order (instructions, cycles, trace records, ...).
-    const std::string v4 = "fpcjournal 4\n"
+    // A verbatim entry of the previous format, which recorded no
+    // telemetry or sampling settings.
+    const std::string v5 = "fpcjournal 5\n"
                            "key unit/a\n"
                            "opts 0x1.47ae147ae147bp-7 42\n"
                            "status 0 1 0x0p+0\n"
@@ -397,7 +384,7 @@ TEST_F(ResilienceTest, V4JournalEntryIsStaleAndReRuns)
                            "timing 0x0p+0 0x0p+0 0x0p+0 0 0 0 0 0 "
                            "0x0p+0 0x0p+0\n"
                            "intervals 1\n"
-                           "interval 40 1000 500 0 0 0 0 0 0 0 0 0\n"
+                           "interval 1000 500 40 0 0 0 0 0 0 0 0 0\n"
                            "iprobe 0\n"
                            "probenames 0\n"
                            "probevals 0\n"
@@ -409,17 +396,15 @@ TEST_F(ResilienceTest, V4JournalEntryIsStaleAndReRuns)
                            "end\n";
     std::string key;
     JournalEntry e;
-    EXPECT_FALSE(SweepJournal::parse(v4, key, e));
+    EXPECT_FALSE(SweepJournal::parse(v5, key, e));
 
-    // Read under the current magic it would parse, into the wrong
-    // fields: the version check is what keeps it out.
-    std::string relabeled = v4;
-    relabeled.replace(0, std::strlen("fpcjournal 4"), "fpcjournal 5");
-    ASSERT_TRUE(SweepJournal::parse(relabeled, key, e));
-    ASSERT_EQ(e.result.intervals.size(), 1u);
-    EXPECT_NE(e.result.intervals[0].traceRecords, 40u);
+    // Under the current magic it lacks the settings lines, so it
+    // cannot pass for an entry made under default options either.
+    std::string relabeled = v5;
+    relabeled.replace(0, std::strlen("fpcjournal 5"), "fpcjournal 6");
+    EXPECT_FALSE(SweepJournal::parse(relabeled, key, e));
 
-    const std::string dir = scratchDir("v4");
+    const std::string dir = scratchDir("v5");
     SweepJournal journal(dir);
     ASSERT_TRUE(journal.open());
     std::vector<ExperimentPoint> points;
@@ -433,7 +418,7 @@ TEST_F(ResilienceTest, V4JournalEntryIsStaleAndReRuns)
             .c_str(),
         "w");
     ASSERT_NE(f, nullptr);
-    std::fputs(v4.c_str(), f);
+    std::fputs(v5.c_str(), f);
     std::fclose(f);
 
     SweepRunner runner(1);
@@ -530,6 +515,51 @@ TEST_F(ResilienceTest, JournalIgnoresEntriesFromOtherOptions)
     std::filesystem::remove_all(dir);
 }
 
+TEST_F(ResilienceTest, ResumeUnderOtherTelemetryOrSamplingReRuns)
+{
+    // Options A (exact, no telemetry) journal every point; a
+    // resume under options B must re-execute every point and
+    // reproduce a fresh B run, while a resume under A still
+    // executes nothing.
+    const std::vector<ExperimentPoint> a = tinyRealPoints();
+    std::vector<ExperimentPoint> sampled = a, histograms = a;
+    for (ExperimentPoint &p : sampled)
+        p.cfg.pod.sampling.enabled = true;
+    for (ExperimentPoint &p : histograms)
+        p.cfg.pod.telemetry.histograms = true;
+
+    const std::string dir_a = scratchDir("opts-a");
+    SweepRunner runner(1);
+    ResilienceOptions res;
+    res.journalDir = dir_a;
+    const std::string golden_a =
+        renderOne(a, runner.runResilient(a, res).results);
+
+    for (const std::vector<ExperimentPoint> *b :
+         {&sampled, &histograms}) {
+        const std::string fresh =
+            renderOne(*b, runPoints(runner, *b));
+        EXPECT_NE(fresh, golden_a);
+        const std::string dir_b = scratchDir("opts-b");
+        std::filesystem::copy(dir_a, dir_b);
+        ResilienceOptions res_b;
+        res_b.journalDir = dir_b;
+        res_b.resume = true;
+        const SweepOutcome resumed = runner.runResilient(*b, res_b);
+        EXPECT_EQ(resumed.journaled, 0u);
+        EXPECT_EQ(resumed.executed, b->size());
+        EXPECT_EQ(renderOne(*b, resumed.results), fresh);
+        std::filesystem::remove_all(dir_b);
+    }
+
+    res.resume = true;
+    const SweepOutcome again = runner.runResilient(a, res);
+    EXPECT_EQ(again.executed, 0u);
+    EXPECT_EQ(again.journaled, a.size());
+    EXPECT_EQ(renderOne(a, again.results), golden_a);
+    std::filesystem::remove_all(dir_a);
+}
+
 TEST_F(ResilienceTest, ResumeMergesByteIdentically)
 {
     // Real simulation points: run the batch journaled, then
@@ -543,7 +573,7 @@ TEST_F(ResilienceTest, ResumeMergesByteIdentically)
 
     SweepRunner runner(1);
     const std::vector<PointResult> uninterrupted =
-        runner.run(points);
+        runPoints(runner, points);
     const std::string golden = renderOne(points, uninterrupted);
 
     ResilienceOptions res;
@@ -578,7 +608,7 @@ TEST_F(ResilienceTest, CrashAfterNPointsThenResumeByteIdentical)
 
     SweepRunner runner(1);
     const std::string golden =
-        renderOne(points, runner.run(points));
+        renderOne(points, runPoints(runner, points));
 
     // The injected crash takes the whole process down after the
     // first point completes (and is journaled): crash rules fire
@@ -661,7 +691,7 @@ TEST_F(ResilienceTest, FaultHooksReachTraceBuildAndRetry)
     const std::vector<ExperimentPoint> points = tinyRealPoints();
     SweepRunner clean(1);
     const std::string golden =
-        renderOne(points, clean.run(points));
+        renderOne(points, runPoints(clean, points));
 
     ASSERT_TRUE(FaultInjector::instance().configure(
         "trace-build@WebSearch:transient:1"));

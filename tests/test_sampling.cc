@@ -4,8 +4,10 @@
  * on streams of known variance, exact-vs-sampled agreement within
  * the reported CI, bit-identical sampled metrics across shard
  * counts, journal round-trips of sampled results, report/timing
- * byte-schema stability when sampling is off, and the TraceCache
- * multi-acquire plan contract the span artifact relies on.
+ * byte-schema stability when sampling is off, the seam where the
+ * span artifact's pass continues the warm artifact's, and the
+ * TraceCache multi-acquire plan contract the span artifact relies
+ * on.
  */
 
 #include <gtest/gtest.h>
@@ -13,14 +15,20 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "mem/materialized_trace.hh"
 #include "mem/trace_cache.hh"
 #include "sim/journal.hh"
+#include "sim/pod_system.hh"
 #include "sim/sampling.hh"
 #include "sim/sweep.hh"
+#include "workload/generator.hh"
+
+#include "run_points.hh"
 
 namespace fpc {
 namespace {
@@ -127,7 +135,8 @@ TEST(Sampling, ExactWithinSampledCiAndFasterSchema)
     std::vector<ExperimentPoint> points = {basePoint(false),
                                            basePoint(true)};
     SweepRunner runner(1);
-    std::vector<PointResult> results = runner.run(points);
+    std::vector<PointResult> results =
+        runPoints(runner, points);
     const PointResult &exact = results[0];
     const PointResult &sampled = results[1];
 
@@ -177,8 +186,10 @@ TEST(Sampling, BitIdenticalAcrossShardCounts)
         p.label = standardLabel(p.workload, p.cfg) + "/sampled";
         points.push_back(p);
     }
-    std::vector<PointResult> one = SweepRunner(1).run(points);
-    std::vector<PointResult> four = SweepRunner(4).run(points);
+    std::vector<PointResult> one =
+        runPoints(SweepRunner(1), points);
+    std::vector<PointResult> four =
+        runPoints(SweepRunner(4), points);
     ASSERT_EQ(one.size(), four.size());
     for (std::size_t i = 0; i < one.size(); ++i) {
         EXPECT_EQ(one[i].metrics.instructions,
@@ -248,7 +259,7 @@ TEST(Sampling, ExactReportCarriesNoSamplingArtifacts)
     run.name = "unit";
     run.title = "unit";
     run.points = {basePoint(false)};
-    run.results = SweepRunner(1).run(run.points);
+    run.results = runPoints(SweepRunner(1), run.points);
 
     SweepOptions options;
     const std::string report =
@@ -265,7 +276,7 @@ TEST(Sampling, ExactReportCarriesNoSamplingArtifacts)
     srun.name = "unit";
     srun.title = "unit";
     srun.points = {basePoint(true)};
-    srun.results = SweepRunner(1).run(srun.points);
+    srun.results = runPoints(SweepRunner(1), srun.points);
     EXPECT_NE(renderSweepJson(options, {srun})
                   .find("sampled_intervals"),
               std::string::npos);
@@ -273,6 +284,62 @@ TEST(Sampling, ExactReportCarriesNoSamplingArtifacts)
                                TraceCacheStats{})
                   .find("sample_ff_s"),
               std::string::npos);
+}
+
+TEST(SampleSpanArtifact, ContinuesTheWarmPassAcrossTheSeam)
+{
+    // The span pass continues the warm pass as if the two were
+    // one: a single pass over warm + gap records must emit the
+    // warm window's ops followed by the first gap's, and end on
+    // the first timed-start hierarchy snapshot. The warm length
+    // sits mid-burst and mid-chunk, so the carried burst rotation
+    // and chunk cursor both matter.
+    const std::uint64_t warm = 50'123;
+    SamplingConfig sc;
+    sc.enabled = true;
+    sc.intervals = 3;
+    sc.intervalRecords = 2000;
+    const SampleSchedule sched = computeSampleSchedule(sc, 21'000);
+    ASSERT_EQ(sched.intervals, 3u);
+    ASSERT_GT(sched.gap, 0u);
+
+    auto arena = std::make_shared<MaterializedTrace>();
+    materializeTrace(makeWorkload(WorkloadKind::WebSearch, 2048, 11),
+                     warm + sched.spanRecords(), *arena);
+    const CacheHierarchy::Config hier = PodConfig{}.hierarchy;
+    const auto warm_art =
+        PodSystem::buildWarmupArtifact(*arena, hier, warm);
+    const auto span = PodSystem::buildSampleSpanArtifact(
+        *arena, hier, *warm_art, warm, sched);
+    const auto whole = PodSystem::buildWarmupArtifact(
+        *arena, hier, warm + sched.gap);
+
+    const std::size_t gap_ops = span->opGapEnd[0];
+    ASSERT_GT(gap_ops, 0u);
+    const auto joined = [gap_ops](auto warm_col,
+                                  const auto &span_col) {
+        warm_col.insert(warm_col.end(), span_col.begin(),
+                        span_col.begin() + gap_ops);
+        return warm_col;
+    };
+    EXPECT_EQ(whole->paddr, joined(warm_art->paddr, span->paddr));
+    EXPECT_EQ(whole->pc, joined(warm_art->pc, span->pc));
+    EXPECT_EQ(whole->coreId, joined(warm_art->coreId, span->coreId));
+    EXPECT_EQ(whole->kind, joined(warm_art->kind, span->kind));
+    EXPECT_EQ(whole->instructions,
+              warm_art->instructions + span->gapInstructions[0]);
+
+    const CacheHierarchy::Snapshot &a = whole->hierarchy;
+    const CacheHierarchy::Snapshot &b =
+        span->hierarchyAtTimedStart[0];
+    EXPECT_EQ(a.l2.keys, b.l2.keys);
+    EXPECT_EQ(a.l2.hits, b.l2.hits);
+    EXPECT_EQ(a.l2.misses, b.l2.misses);
+    EXPECT_EQ(a.l1Hits, b.l1Hits);
+    EXPECT_EQ(a.l1Misses, b.l1Misses);
+    EXPECT_EQ(a.l2Hits, b.l2Hits);
+    EXPECT_EQ(a.l2Misses, b.l2Misses);
+    EXPECT_EQ(a.llcWritebacks, b.llcWritebacks);
 }
 
 TEST(TraceCachePlan, MultiAcquirePlansKeepTheEntryResident)

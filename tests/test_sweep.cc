@@ -3,17 +3,23 @@
  * Sweep subsystem tests: grid expansion, per-point seed
  * determinism (stable under registry reordering, independent of
  * shard count), bit-identical metrics between --jobs 1 and
- * --jobs 8, and merged-report completeness.
+ * --jobs 8, merged-report completeness, and strict validation of
+ * the common flags' numeric values.
  */
 
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
+#include <utility>
 
 #include "experiments/experiments.hh"
 #include "sim/registry.hh"
 #include "sim/sweep.hh"
+
+#include "run_points.hh"
 
 namespace fpc {
 namespace {
@@ -154,9 +160,9 @@ TEST(SweepRunner, JobsOneAndJobsEightBitIdentical)
 {
     const std::vector<ExperimentPoint> points = smallBatch();
     const std::vector<PointResult> serial =
-        SweepRunner(1).run(points);
+        runPoints(SweepRunner(1), points);
     const std::vector<PointResult> sharded =
-        SweepRunner(8).run(points);
+        runPoints(SweepRunner(8), points);
     ASSERT_EQ(serial.size(), points.size());
     ASSERT_EQ(sharded.size(), points.size());
     for (std::size_t i = 0; i < points.size(); ++i)
@@ -185,8 +191,9 @@ TEST(SweepRunner, CacheOnAndOffBitIdentical)
     off.enabled = false;
     SweepRunner cached(2);
     SweepRunner uncached(2, off);
-    const std::vector<PointResult> a = cached.run(points);
-    const std::vector<PointResult> b = uncached.run(points);
+    const std::vector<PointResult> a = runPoints(cached, points);
+    const std::vector<PointResult> b =
+        runPoints(uncached, points);
     for (std::size_t i = 0; i < points.size(); ++i)
         expectMetricsIdentical(a[i], b[i], points[i].key());
 
@@ -237,9 +244,10 @@ TEST(SweepRunner, FrontierJsonIdenticalAcrossCacheModes)
     TraceCacheConfig off;
     off.enabled = false;
     ExperimentRun cached = run;
-    cached.results = SweepRunner(4).run(run.points);
+    cached.results = runPoints(SweepRunner(4), run.points);
     ExperimentRun uncached = run;
-    uncached.results = SweepRunner(4, off).run(run.points);
+    uncached.results =
+        runPoints(SweepRunner(4, off), run.points);
 
     opts.traceCache = true;
     const std::string json_on =
@@ -260,8 +268,9 @@ TEST(SweepRunner, TinyBudgetEvictsButStaysCorrect)
     tiny.budgetBytes = 1;
     SweepRunner constrained(2, tiny);
     SweepRunner roomy(2);
-    const std::vector<PointResult> a = constrained.run(points);
-    const std::vector<PointResult> b = roomy.run(points);
+    const std::vector<PointResult> a =
+        runPoints(constrained, points);
+    const std::vector<PointResult> b = runPoints(roomy, points);
     for (std::size_t i = 0; i < points.size(); ++i)
         expectMetricsIdentical(a[i], b[i], points[i].key());
 }
@@ -307,9 +316,9 @@ TEST(SweepRunner, ResultsIndependentOfBatchOrder)
     std::vector<ExperimentPoint> reversed(points.rbegin(),
                                           points.rend());
     const std::vector<PointResult> a =
-        SweepRunner(2).run(points);
+        runPoints(SweepRunner(2), points);
     const std::vector<PointResult> b =
-        SweepRunner(2).run(reversed);
+        runPoints(SweepRunner(2), reversed);
     for (std::size_t i = 0; i < points.size(); ++i)
         expectMetricsIdentical(a[i],
                                b[points.size() - 1 - i],
@@ -318,9 +327,10 @@ TEST(SweepRunner, ResultsIndependentOfBatchOrder)
 
 TEST(SweepRunner, PointFailurePropagatesWithKey)
 {
-    // A throwing point must surface as a catchable error naming
-    // the point — never std::terminate from a worker thread —
-    // and must not suppress the other points' execution.
+    // A throwing point must come back as a failure record —
+    // never std::terminate from a worker thread — without
+    // suppressing the other points, and runPoints must report it
+    // by key and error.
     std::vector<ExperimentPoint> points;
     ExperimentPoint bad;
     bad.experiment = "unit";
@@ -329,22 +339,103 @@ TEST(SweepRunner, PointFailurePropagatesWithKey)
         throw std::runtime_error("boom");
     };
     points.push_back(bad);
-    try {
-        SweepRunner(4).run(points);
-        FAIL() << "expected a runtime_error";
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("unit/explodes"),
-                  std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("boom"),
-                  std::string::npos);
+    ExperimentPoint fine = bad;
+    fine.label = "fine";
+    fine.custom = [](const ExperimentPoint &) {
+        return PointResult{};
+    };
+    points.push_back(fine);
+
+    const SweepOutcome out =
+        SweepRunner(4).runResilient(points, ResilienceOptions{});
+    EXPECT_EQ(out.failed, 1u);
+    EXPECT_TRUE(out.results[0].failed);
+    EXPECT_EQ(out.results[0].error, "boom");
+    EXPECT_FALSE(out.results[1].failed);
+    EXPECT_NONFATAL_FAILURE(runPoints(SweepRunner(4), points),
+                            "unit/explodes failed: boom");
+}
+
+/** parseCommonFlag over one "--flag value" pair. */
+SweepOptions
+parseOne(const char *flag, const char *value)
+{
+    const char *argv[] = {"sweep", flag, value};
+    SweepOptions opts;
+    int i = 1;
+    EXPECT_TRUE(
+        parseCommonFlag(opts, 3, const_cast<char **>(argv), i));
+    EXPECT_EQ(i, 2);
+    return opts;
+}
+
+TEST(CommonFlags, RejectsMalformedAndOutOfRangeValues)
+{
+    const std::pair<const char *, const char *> bad[] = {
+        {"--scale", "abc"},
+        {"--scale", "-1"},
+        {"--scale", "0"},
+        {"--scale", "0.5x"},
+        {"--scale", "inf"},
+        {"--scale", "nan"},
+        {"--scale", ""},
+        {"--jobs", "x"},
+        {"--jobs", "-1"},
+        {"--jobs", "4294967296"},
+        {"--jobs", " 4"},
+        {"--seed", "-3"},
+        {"--seed", "18446744073709551616"},
+        {"--base-seed", "1e3"},
+        {"--trace-cache-mb", "17592186044416"}, // 2^44: << 20 wraps
+        {"--retries", "+1"},
+        {"--backoff-ms", "10ms"},
+        {"--point-deadline-s", "-0.5"},
+        {"--interval-records", "0x10"},
+        {"--miss-attribution", "4294967296"},
+        {"--sample-intervals", "ten"},
+        {"--sample-interval-records", "-4000"},
+        {"--sample-target-ci", "-0.1"},
+        {"--sample-target-ci", "inf"},
+    };
+    for (const auto &[flag, value] : bad) {
+        try {
+            parseOne(flag, value);
+            ADD_FAILURE() << flag << " '" << value << "' accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(flag),
+                      std::string::npos)
+                << e.what();
+        }
     }
+}
+
+TEST(CommonFlags, AcceptsWholeInRangeValues)
+{
+    EXPECT_EQ(parseOne("--scale", "0.25").scale, 0.25);
+    EXPECT_EQ(parseOne("--scale", "1e-3").scale, 1e-3);
+    EXPECT_EQ(parseOne("--jobs", "0").jobs, 0u);
+    EXPECT_EQ(parseOne("--jobs", "4294967295").jobs, 4294967295u);
+    EXPECT_EQ(parseOne("--seed", "18446744073709551615").seed,
+              18446744073709551615ull);
+    EXPECT_EQ(parseOne("--trace-cache-mb", "17592186044415")
+                  .traceCacheConfig()
+                  .budgetBytes,
+              17592186044415ull << 20);
+    EXPECT_EQ(parseOne("--point-deadline-s", "0").pointDeadlineS,
+              0.0);
+    const SweepOptions ci = parseOne("--sample-target-ci", "0.02");
+    EXPECT_TRUE(ci.sampleMode);
+    EXPECT_EQ(ci.sampleTargetCi, 0.02);
+    EXPECT_EQ(parseOne("--sample-interval-records", "4000")
+                  .sampleIntervalRecords,
+              4000u);
 }
 
 TEST(SweepRunner, RejectsDuplicateKeys)
 {
     std::vector<ExperimentPoint> points = smallBatch();
     points.push_back(points.front());
-    EXPECT_THROW(SweepRunner(1).run(points),
+    EXPECT_THROW(runPoints(SweepRunner(1), points),
                  std::runtime_error);
 }
 

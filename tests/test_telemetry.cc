@@ -23,6 +23,8 @@
 #include "telemetry/trace_events.hh"
 #include "tenant/colocation.hh"
 
+#include "run_points.hh"
+
 namespace fpc {
 namespace {
 
@@ -111,9 +113,9 @@ TEST(Intervals, DeterministicAcrossJobCounts)
             telemetryPoint("block", wk, 10000, false));
     }
     const std::vector<PointResult> serial =
-        SweepRunner(1).run(points);
+        runPoints(SweepRunner(1), points);
     const std::vector<PointResult> sharded =
-        SweepRunner(8).run(points);
+        runPoints(SweepRunner(8), points);
     ASSERT_EQ(serial.size(), sharded.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
         const std::string key = points[i].key();
@@ -148,10 +150,11 @@ TEST(Intervals, TelemetryDoesNotPerturbMetricsOrReport)
             design, WorkloadKind::WebSearch, 15000, true));
     }
     const std::vector<PointResult> r_off =
-        SweepRunner(2).run(off);
-    const std::vector<PointResult> r_ts = SweepRunner(2).run(ts);
+        runPoints(SweepRunner(2), off);
+    const std::vector<PointResult> r_ts =
+        runPoints(SweepRunner(2), ts);
     const std::vector<PointResult> r_hist =
-        SweepRunner(2).run(hist);
+        runPoints(SweepRunner(2), hist);
 
     for (std::size_t i = 0; i < off.size(); ++i) {
         const RunMetrics &a = r_off[i].metrics;

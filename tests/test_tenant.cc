@@ -24,6 +24,8 @@
 #include "tenant/partition.hh"
 #include "workload/generator.hh"
 
+#include "run_points.hh"
+
 namespace fpc {
 namespace {
 
@@ -430,11 +432,11 @@ TEST(TenantSweep, JobsAndCacheModesBitIdentical)
     TraceCacheConfig off;
     off.enabled = false;
     const std::vector<PointResult> serial =
-        SweepRunner(1).run(points);
+        runPoints(SweepRunner(1), points);
     const std::vector<PointResult> sharded =
-        SweepRunner(8).run(points);
+        runPoints(SweepRunner(8), points);
     const std::vector<PointResult> uncached =
-        SweepRunner(4, off).run(points);
+        runPoints(SweepRunner(4, off), points);
     for (std::size_t i = 0; i < points.size(); ++i) {
         expectTenantsIdentical(serial[i].metrics,
                                sharded[i].metrics,
