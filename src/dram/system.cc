@@ -81,10 +81,9 @@ DramSystem::enableTenantAccounting(unsigned num_tenants)
 }
 
 DramAccessResult
-DramSystem::access(Cycle when, Addr addr, bool is_write,
-                   unsigned num_blocks)
+DramSystem::timedAccess(Cycle when, Addr addr, bool is_write,
+                        unsigned num_blocks)
 {
-    FPC_ASSERT(num_blocks > 0);
     addr = blockAlign(addr);
 
     if (!tenant_bytes_.empty()) {
@@ -125,12 +124,9 @@ DramSystem::access(Cycle when, Addr addr, bool is_write,
 }
 
 DramAccessResult
-DramSystem::compoundAccess(Cycle when, Addr addr, bool is_write)
+DramSystem::timedCompoundAccess(Cycle when, Addr addr,
+                                bool is_write)
 {
-    // Compound accesses exist only on stacked DRAM, whose frame
-    // addresses carry no ownership — tenant accounting must not
-    // be enabled here (see enableTenantAccounting).
-    FPC_ASSERT(tenant_bytes_.empty());
     DramChannel &ch = *channels_[channelOf(addr)];
     return ch.compoundAccess(when, localAddr(addr), is_write);
 }

@@ -12,13 +12,35 @@
 #ifndef FPC_DRAM_SYSTEM_HH
 #define FPC_DRAM_SYSTEM_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "dram/channel.hh"
 
 namespace fpc {
+
+/**
+ * Simulation fidelity of the DRAM model (two-phase engine).
+ *
+ * The pod runs warmup in Functional mode and switches to Timed at
+ * the measurement boundary. In Functional mode DramSystem skips
+ * its channel timing and energy model entirely, so a memory system
+ * drives the same calls in both modes and updates every structure
+ * of its own — tags, per-block bitmaps, FHT training, MissMap,
+ * singleton table, replacement state and event counters —
+ * identically. That holds because no structure's update depends on
+ * the cycle a DRAM access returns.
+ */
+enum class SimMode : std::uint8_t
+{
+    /** Full DRAM timing and energy modeling. */
+    Timed,
+    /** Every access returns at its issue cycle; no DRAM state. */
+    Functional,
+};
 
 /** Channels + interleaving + aggregate statistics. */
 class DramSystem
@@ -43,21 +65,45 @@ class DramSystem
     explicit DramSystem(const Config &config);
 
     /**
+     * Select the mode of subsequent accesses. In Functional mode
+     * access() and compoundAccess() return {when, when, false}
+     * and touch no channel, bank, row, energy, byte, tenant or
+     * bank-counter state.
+     */
+    void setMode(SimMode mode) { mode_ = mode; }
+
+    /**
      * Access @p num_blocks consecutive blocks starting at @p addr.
      *
      * Bursts are split at interleave boundaries and routed to the
      * owning channels; the result aggregates the earliest critical
      * block time and the latest completion.
      */
-    DramAccessResult access(Cycle when, Addr addr, bool is_write,
-                            unsigned num_blocks = 1);
+    DramAccessResult
+    access(Cycle when, Addr addr, bool is_write,
+           unsigned num_blocks = 1)
+    {
+        FPC_ASSERT(num_blocks > 0);
+        if (mode_ == SimMode::Functional)
+            return {when, when, false};
+        return timedAccess(when, addr, is_write, num_blocks);
+    }
 
     /**
      * Compound (tags-in-DRAM) access for the block-based design;
      * the whole set lives in one row on one channel.
      */
-    DramAccessResult compoundAccess(Cycle when, Addr addr,
-                                    bool is_write);
+    DramAccessResult
+    compoundAccess(Cycle when, Addr addr, bool is_write)
+    {
+        // Compound accesses exist only on stacked DRAM, whose
+        // frame addresses carry no ownership — tenant accounting
+        // must not be enabled here (see enableTenantAccounting).
+        FPC_ASSERT(tenant_bytes_.empty());
+        if (mode_ == SimMode::Functional)
+            return {when, when, false};
+        return timedCompoundAccess(when, addr, is_write);
+    }
 
     /**
      * Clear every channel's timing/reservation state, keeping the
@@ -141,6 +187,11 @@ class DramSystem
     const Config &config() const { return config_; }
 
   private:
+    DramAccessResult timedAccess(Cycle when, Addr addr,
+                                 bool is_write, unsigned num_blocks);
+    DramAccessResult timedCompoundAccess(Cycle when, Addr addr,
+                                         bool is_write);
+
     /** Channel owning @p addr. */
     unsigned channelOf(Addr addr) const;
 
@@ -161,6 +212,7 @@ class DramSystem
     std::vector<std::unique_ptr<DramChannel>> channels_;
     /** Per-tenant byte attribution (empty = accounting off). */
     std::vector<std::uint64_t> tenant_bytes_;
+    SimMode mode_ = SimMode::Timed;
 };
 
 } // namespace fpc

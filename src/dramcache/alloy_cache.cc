@@ -68,13 +68,10 @@ AlloyCache::fill(Cycle when, Addr block_addr, bool dirty)
             // The victim leaves through the same TAD stream: read
             // it from the row, write it off chip.
             dirty_evictions_.inc();
-            if (timed()) {
-                DramAccessResult rd =
-                    stacked_.access(when, tadAddr(set), false, 1);
-                offchip_.access(rd.done,
-                                tad.blockId * kBlockBytes, true,
-                                1);
-            }
+            DramAccessResult rd =
+                stacked_.access(when, tadAddr(set), false, 1);
+            offchip_.access(rd.done, tad.blockId * kBlockBytes,
+                            true, 1);
         }
     }
     quota_.charge(tenantOfAddr(block_addr));
@@ -83,8 +80,7 @@ AlloyCache::fill(Cycle when, Addr block_addr, bool dirty)
     tad.dirty = dirty;
     // One TAD write installs tag and data together — no separate
     // tag-update access, the point of alloying.
-    if (timed())
-        stacked_.access(when, tadAddr(set), true, 1);
+    stacked_.access(when, tadAddr(set), true, 1);
     return true;
 }
 
@@ -118,21 +114,14 @@ AlloyCache::access(Cycle now, const MemRequest &req)
             // The parallel off-chip fetch was issued and its data
             // discarded: wasted off-chip bandwidth.
             wasted_offchip_.inc();
-            if (timed())
-                offchip_.access(t, block_addr, false, 1);
+            offchip_.access(t, block_addr, false, 1);
         }
-        if (!timed())
-            return {t, true};
         DramAccessResult res =
             stacked_.access(t, tadAddr(set), false, 1);
         return {res.firstBlockReady, true};
     }
 
     misses_.inc();
-    if (!timed()) {
-        fill(t, block_addr, false);
-        return {t, false};
-    }
     Cycle done;
     if (predict_hit) {
         // Serial path: the TAD probe must come back empty before
@@ -163,17 +152,16 @@ AlloyCache::writeback(Cycle now, Addr block_addr)
     if (tad.valid && tad.blockId == blockNumber(block_addr)) {
         wb_hits_.inc();
         tad.dirty = true;
-        if (timed())
-            stacked_.access(now, tadAddr(set), true, 1);
+        stacked_.access(now, tadAddr(set), true, 1);
         return;
     }
     wb_misses_.inc();
     if (config_.allocateOnWriteback) {
         // Full-line write: install without an off-chip fetch. A
         // quota-bypassed install sends the write off chip instead.
-        if (!fill(now, block_addr, true) && timed())
+        if (!fill(now, block_addr, true))
             offchip_.access(now, block_addr, true, 1);
-    } else if (timed()) {
+    } else {
         offchip_.access(now, block_addr, true, 1);
     }
 }

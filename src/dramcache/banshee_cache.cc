@@ -90,9 +90,7 @@ BansheeCache::flushTagBuffer(Cycle when)
         tb_flushed_.inc();
         e.dirty = false;
         // One batched tag write per mapping.
-        if (timed())
-            stacked_.access(when, tagRowAddr(setOf(e.pageId)),
-                            true, 1);
+        stacked_.access(when, tagRowAddr(setOf(e.pageId)), true, 1);
     }
     tb_dirty_ = 0;
 }
@@ -118,9 +116,7 @@ BansheeCache::installTagBuf(Cycle when, Addr page_id, bool dirty)
         // before its buffer slot is reused.
         --tb_dirty_;
         tb_flushed_.inc();
-        if (timed())
-            stacked_.access(when, tagRowAddr(setOf(e.pageId)),
-                            true, 1);
+        stacked_.access(when, tagRowAddr(setOf(e.pageId)), true, 1);
     }
     e.pageId = page_id;
     e.valid = true;
@@ -149,13 +145,11 @@ BansheeCache::resolveMapping(Cycle now, Addr page_id)
     // Buffer miss: the mapping comes from the in-DRAM tags,
     // serialized before any data access.
     tb_misses_.inc();
-    Cycle ready = now + config_.tagBufferLatencyCycles;
-    if (timed()) {
-        ready = stacked_
-                    .access(ready, tagRowAddr(setOf(page_id)),
-                            false, 1)
-                    .firstBlockReady;
-    }
+    const Cycle ready =
+        stacked_
+            .access(now + config_.tagBufferLatencyCycles,
+                    tagRowAddr(setOf(page_id)), false, 1)
+            .firstBlockReady;
     installTagBuf(now, page_id, false);
     return ready;
 }
@@ -205,13 +199,10 @@ BansheeCache::installPage(Cycle when, Addr page_id,
         const unsigned dirty = w.dirty.count();
         if (dirty > 0) {
             dirty_blocks_evicted_.inc(dirty);
-            if (timed()) {
-                DramAccessResult rd = stacked_.access(
-                    when, frameAddr(set, way), false, dirty);
-                offchip_.access(rd.done,
-                                w.pageId << page_shift_, true,
-                                dirty);
-            }
+            DramAccessResult rd = stacked_.access(
+                when, frameAddr(set, way), false, dirty);
+            offchip_.access(rd.done, w.pageId << page_shift_, true,
+                            dirty);
         }
         markMappingDirty(when, w.pageId);
     }
@@ -222,13 +213,10 @@ BansheeCache::installPage(Cycle when, Addr page_id,
     fills_.inc();
     offchip_fill_blocks_.inc(blocks_per_page_);
     fill_blocks_written_.inc(blocks_per_page_);
-    if (timed()) {
-        DramAccessResult rd =
-            offchip_.access(when, page_id << page_shift_, false,
-                            blocks_per_page_);
-        stacked_.access(rd.done, frameAddr(set, way), true,
-                        blocks_per_page_);
-    }
+    DramAccessResult rd = offchip_.access(
+        when, page_id << page_shift_, false, blocks_per_page_);
+    stacked_.access(rd.done, frameAddr(set, way), true,
+                    blocks_per_page_);
     w.pageId = page_id;
     w.freq = freq;
     w.valid = true;
@@ -312,8 +300,6 @@ BansheeCache::access(Cycle now, const MemRequest &req)
             if (cand_[set].valid)
                 cand_[set].freq /= 2;
         }
-        if (!timed())
-            return {tag_ready, true};
         DramAccessResult res = stacked_.access(
             tag_ready,
             frameAddr(set, w) +
@@ -327,13 +313,9 @@ BansheeCache::access(Cycle now, const MemRequest &req)
     // memory — no fill on the critical path, and usually no fill
     // at all (bandwidth-aware replacement).
     misses_.inc();
-    Cycle done = tag_ready;
-    if (timed()) {
-        done = offchip_
-                   .access(tag_ready, blockAlign(req.paddr),
-                           false, 1)
-                   .firstBlockReady;
-    }
+    const Cycle done =
+        offchip_.access(tag_ready, blockAlign(req.paddr), false, 1)
+            .firstBlockReady;
     if (sample)
         considerFill(tag_ready, page_id, set);
     else
@@ -352,22 +334,17 @@ BansheeCache::writeback(Cycle now, Addr block_addr)
         Way &way = ways_[set * config_.assoc + w];
         wb_hits_.inc();
         way.dirty.set(offsetOf(block_addr));
-        if (timed()) {
-            stacked_.access(
-                tag_ready,
-                frameAddr(set, w) +
-                    static_cast<Addr>(offsetOf(block_addr)) *
-                        kBlockBytes,
-                true, 1);
-        }
+        stacked_.access(tag_ready,
+                        frameAddr(set, w) +
+                            static_cast<Addr>(offsetOf(block_addr)) *
+                                kBlockBytes,
+                        true, 1);
         return;
     }
     // No write-allocate: absent pages take the writeback off
     // chip, keeping fills under replacement control.
     wb_misses_.inc();
-    if (timed())
-        offchip_.access(tag_ready, blockAlign(block_addr), true,
-                        1);
+    offchip_.access(tag_ready, blockAlign(block_addr), true, 1);
 }
 
 void

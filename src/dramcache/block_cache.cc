@@ -69,18 +69,14 @@ BlockCache::evictWay(Cycle when, std::uint64_t set, Way &way)
     quota_.release(tenantOfAddr(block_addr));
     if (way.dirty) {
         dirty_evictions_.inc();
-        if (timed()) {
-            // Read the victim from the cache row, write it off
-            // chip.
-            const std::size_t way_idx = static_cast<std::size_t>(
-                &way - &ways_[set * config_.dataBlocksPerRow]);
-            DramAccessResult rd = stacked_.access(
-                when,
-                rowAddr(set) +
-                    static_cast<Addr>(way_idx) * kBlockBytes,
-                false, 1);
-            offchip_.access(rd.done, block_addr, true, 1);
-        }
+        // Read the victim from the cache row, write it off chip.
+        const std::size_t way_idx = static_cast<std::size_t>(
+            &way - &ways_[set * config_.dataBlocksPerRow]);
+        DramAccessResult rd = stacked_.access(
+            when,
+            rowAddr(set) + static_cast<Addr>(way_idx) * kBlockBytes,
+            false, 1);
+        offchip_.access(rd.done, block_addr, true, 1);
     }
     way.valid = false;
     way.dirty = false;
@@ -114,14 +110,11 @@ BlockCache::flushSegment(Cycle when, const MissMap::Victim &victim)
             quota_.release(tenantOfAddr(block_addr));
             if (way.dirty) {
                 dirty_evictions_.inc();
-                if (timed()) {
-                    DramAccessResult rd = stacked_.access(
-                        when,
-                        rowAddr(set) +
-                            static_cast<Addr>(w) * kBlockBytes,
-                        false, 1);
-                    offchip_.access(rd.done, block_addr, true, 1);
-                }
+                DramAccessResult rd = stacked_.access(
+                    when,
+                    rowAddr(set) + static_cast<Addr>(w) * kBlockBytes,
+                    false, 1);
+                offchip_.access(rd.done, block_addr, true, 1);
             }
             way.valid = false;
             way.dirty = false;
@@ -176,19 +169,15 @@ BlockCache::fillBlock(Cycle when, Addr block_addr, bool dirty)
 
     // Data write into the row plus the off-critical-path tag
     // update write (one extra burst of bandwidth and energy).
-    if (timed()) {
-        stacked_.access(
-            when,
-            rowAddr(set) +
-                static_cast<Addr>(victim_way) * kBlockBytes,
-            true, 1);
-        stacked_.access(
-            when,
-            rowAddr(set) +
-                static_cast<Addr>(config_.dataBlocksPerRow) *
-                    kBlockBytes,
-            true, 1);
-    }
+    stacked_.access(
+        when,
+        rowAddr(set) + static_cast<Addr>(victim_way) * kBlockBytes,
+        true, 1);
+    stacked_.access(
+        when,
+        rowAddr(set) +
+            static_cast<Addr>(config_.dataBlocksPerRow) * kBlockBytes,
+        true, 1);
 
     MissMap::Victim mm_victim;
     missmap_.setBit(block_addr, mm_victim);
@@ -210,8 +199,6 @@ BlockCache::access(Cycle now, const MemRequest &req)
         Way *way = findWay(block_addr, true);
         FPC_ASSERT(way != nullptr);
         hits_.inc();
-        if (!timed())
-            return {t, true};
         DramAccessResult res = stacked_.compoundAccess(
             t, rowAddr(setOf(block_addr)), false);
         return {res.firstBlockReady, true};
@@ -219,10 +206,6 @@ BlockCache::access(Cycle now, const MemRequest &req)
 
     // Miss: served from off-chip memory, then filled.
     misses_.inc();
-    if (!timed()) {
-        fillBlock(t, block_addr, false);
-        return {t, false};
-    }
     DramAccessResult off = offchip_.access(t, block_addr, false, 1);
     fillBlock(off.firstBlockReady, block_addr, false);
     return {off.firstBlockReady, false};
@@ -239,18 +222,16 @@ BlockCache::writeback(Cycle now, Addr block_addr)
         FPC_ASSERT(way != nullptr);
         wb_hits_.inc();
         way->dirty = true;
-        if (timed())
-            stacked_.compoundAccess(t, rowAddr(setOf(block_addr)),
-                                    true);
+        stacked_.compoundAccess(t, rowAddr(setOf(block_addr)), true);
         return;
     }
     wb_misses_.inc();
     if (config_.allocateOnWriteback) {
         // Full-line write: install without an off-chip fetch. A
         // quota-bypassed install sends the write off chip instead.
-        if (!fillBlock(t, block_addr, true) && timed())
+        if (!fillBlock(t, block_addr, true))
             offchip_.access(t, block_addr, true, 1);
-    } else if (timed()) {
+    } else {
         offchip_.access(t, block_addr, true, 1);
     }
 }

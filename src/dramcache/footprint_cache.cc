@@ -106,17 +106,15 @@ FootprintCache::evictPage(const PageTagArray::Victim &victim,
     const BlockBitmap dirty = victim.blocks.dirtyDataMap();
     if (!dirty.empty()) {
         dirty_evictions_.inc();
-        if (timed()) {
-            const unsigned n = dirty.count();
-            const Addr frame_addr = tags_.frameAddr(victim.frame) +
-                static_cast<Addr>(dirty.lowestSet()) * kBlockBytes;
-            const Addr mem_addr =
-                (victim.pageId << page_shift_) +
-                static_cast<Addr>(dirty.lowestSet()) * kBlockBytes;
-            DramAccessResult rd =
-                stacked_.access(when, frame_addr, false, n);
-            offchip_.access(rd.done, mem_addr, true, n);
-        }
+        const unsigned n = dirty.count();
+        const Addr frame_addr = tags_.frameAddr(victim.frame) +
+            static_cast<Addr>(dirty.lowestSet()) * kBlockBytes;
+        const Addr mem_addr =
+            (victim.pageId << page_shift_) +
+            static_cast<Addr>(dirty.lowestSet()) * kBlockBytes;
+        DramAccessResult rd =
+            stacked_.access(when, frame_addr, false, n);
+        offchip_.access(rd.done, mem_addr, true, n);
     }
 }
 
@@ -154,15 +152,12 @@ FootprintCache::allocateAndFill(Cycle when, const MemRequest &req,
 
     // Critical block first: the demanded block is fetched and
     // forwarded to the L2 as soon as it arrives.
-    DramAccessResult demand{when, when, false};
-    if (timed()) {
-        demand =
-            offchip_.access(when, blockAlign(req.paddr), false, 1);
-        stacked_.access(demand.firstBlockReady,
-                        frame_base +
-                            static_cast<Addr>(offset) * kBlockBytes,
-                        true, 1);
-    }
+    const DramAccessResult demand =
+        offchip_.access(when, blockAlign(req.paddr), false, 1);
+    stacked_.access(demand.firstBlockReady,
+                    frame_base +
+                        static_cast<Addr>(offset) * kBlockBytes,
+                    true, 1);
     entry->blocks.fillDemanded(offset);
     blocks_fetched_.inc();
     if (intro_)
@@ -174,16 +169,14 @@ FootprintCache::allocateAndFill(Cycle when, const MemRequest &req,
     if (!rest.empty()) {
         const unsigned n = rest.count();
         const unsigned lo = rest.lowestSet();
-        if (timed()) {
-            DramAccessResult fill = offchip_.access(
-                demand.done,
-                page_base + static_cast<Addr>(lo) * kBlockBytes,
-                false, n);
-            stacked_.access(fill.firstBlockReady,
-                            frame_base +
-                                static_cast<Addr>(lo) * kBlockBytes,
-                            true, n);
-        }
+        DramAccessResult fill = offchip_.access(
+            demand.done,
+            page_base + static_cast<Addr>(lo) * kBlockBytes, false,
+            n);
+        stacked_.access(fill.firstBlockReady,
+                        frame_base +
+                            static_cast<Addr>(lo) * kBlockBytes,
+                        true, n);
         for (unsigned b = 0; b < tags_.blocksPerPage(); ++b) {
             if (rest.test(b))
                 entry->blocks.fillPredicted(b);
@@ -210,8 +203,6 @@ FootprintCache::access(Cycle now, const MemRequest &req)
             // Block hit: serve from the stacked DRAM.
             block_hits_.inc();
             entry->blocks.markDemanded(offset);
-            if (!timed())
-                return {t, true};
             const Addr frame_addr =
                 tags_.frameAddr(tags_.frameIndex(entry)) +
                 static_cast<Addr>(offset) * kBlockBytes;
@@ -226,20 +217,15 @@ FootprintCache::access(Cycle now, const MemRequest &req)
             intro_->noteUnderfetchMiss();
             intro_->noteFetchedBlocks(1);
         }
-        Cycle done = t;
-        if (timed()) {
-            DramAccessResult off =
-                offchip_.access(t, blockAlign(req.paddr), false, 1);
-            stacked_.access(
-                off.firstBlockReady,
-                tags_.frameAddr(tags_.frameIndex(entry)) +
-                    static_cast<Addr>(offset) * kBlockBytes,
-                true, 1);
-            done = off.firstBlockReady;
-        }
+        DramAccessResult off =
+            offchip_.access(t, blockAlign(req.paddr), false, 1);
+        stacked_.access(off.firstBlockReady,
+                        tags_.frameAddr(tags_.frameIndex(entry)) +
+                            static_cast<Addr>(offset) * kBlockBytes,
+                        true, 1);
         entry->blocks.fillDemanded(offset);
         blocks_fetched_.inc();
-        return {done, false};
+        return {off.firstBlockReady, false};
     }
 
     // Triggering miss (§4.2).
@@ -255,8 +241,6 @@ FootprintCache::access(Cycle now, const MemRequest &req)
     if (quota_.enabled() && !quotaAllows(req)) {
         quota_bypass_.inc();
         blocks_fetched_.inc();
-        if (!timed())
-            return {t, false};
         DramAccessResult off =
             offchip_.access(t, blockAlign(req.paddr), false, 1);
         return {off.firstBlockReady, false};
@@ -290,8 +274,6 @@ FootprintCache::access(Cycle now, const MemRequest &req)
             singleton_bypass_.inc();
             st_.insert(page_id, req.pc, offset);
             blocks_fetched_.inc();
-            if (!timed())
-                return {t, false};
             DramAccessResult off = offchip_.access(
                 t, blockAlign(req.paddr), false, 1);
             return {off.firstBlockReady, false};
@@ -310,12 +292,10 @@ FootprintCache::writeback(Cycle now, Addr block_addr)
 
     if (PageTagEntry *entry = tags_.lookup(page_id)) {
         wb_hits_.inc();
-        if (timed()) {
-            const Addr frame_addr =
-                tags_.frameAddr(tags_.frameIndex(entry)) +
-                static_cast<Addr>(offset) * kBlockBytes;
-            stacked_.access(now, frame_addr, true, 1);
-        }
+        const Addr frame_addr =
+            tags_.frameAddr(tags_.frameIndex(entry)) +
+            static_cast<Addr>(offset) * kBlockBytes;
+        stacked_.access(now, frame_addr, true, 1);
         if (!entry->blocks.present(offset)) {
             // Full-line write installs the block without a fetch.
             entry->blocks.fillDemanded(offset);
@@ -327,8 +307,7 @@ FootprintCache::writeback(Cycle now, Addr block_addr)
     // cache does not allocate on writebacks (§7: evictions from
     // the higher-level cache are not tracked).
     wb_misses_.inc();
-    if (timed())
-        offchip_.access(now, blockAlign(block_addr), true, 1);
+    offchip_.access(now, blockAlign(block_addr), true, 1);
 }
 
 void

@@ -20,25 +20,6 @@ namespace fpc {
 class CacheIntrospection;
 class StatGroup;
 
-/**
- * Simulation fidelity of the memory system (two-phase engine).
- *
- * Functional mode updates every architectural structure exactly as
- * Timed mode does — tags, per-block bitmaps, FHT training, MissMap,
- * singleton table, replacement state and event counters — but skips
- * the DRAM bank-timing and energy model calls, which dominate the
- * per-record cost and produce numbers a warmup phase never reports.
- * State evolution is identical in both modes because no structure's
- * update depends on the cycle argument.
- */
-enum class SimMode : std::uint8_t
-{
-    /** Full DRAM timing and energy modeling. */
-    Timed,
-    /** State-only updates; DramSystem::access is never called. */
-    Functional,
-};
-
 /** Completion of one LLC-miss access to the memory system. */
 struct MemSystemResult
 {
@@ -60,14 +41,6 @@ class MemorySystem
 {
   public:
     virtual ~MemorySystem() = default;
-
-    /**
-     * Select the simulation mode for subsequent accesses. The pod
-     * engine runs warmup in Functional mode and switches to Timed
-     * at the measurement boundary.
-     */
-    void setMode(SimMode mode) { mode_ = mode; }
-    SimMode mode() const { return mode_; }
 
     /**
      * Hint that @p paddr is about to be accessed: implementations
@@ -148,13 +121,6 @@ class MemorySystem
             return 0.0;
         return static_cast<double>(total - demandHits()) / total;
     }
-
-  protected:
-    /** True when the DRAM timing/energy model must be exercised. */
-    bool timed() const { return mode_ == SimMode::Timed; }
-
-  private:
-    SimMode mode_ = SimMode::Timed;
 };
 
 } // namespace fpc

@@ -34,8 +34,6 @@ class NoCacheMemory : public MemorySystem
     access(Cycle now, const MemRequest &req) override
     {
         accesses_.inc();
-        if (!timed())
-            return {now, false};
         DramAccessResult r =
             offchip_.access(now, blockAlign(req.paddr), false, 1);
         return {r.firstBlockReady, false};
@@ -44,8 +42,6 @@ class NoCacheMemory : public MemorySystem
     void
     writeback(Cycle now, Addr block_addr) override
     {
-        if (!timed())
-            return;
         offchip_.access(now, blockAlign(block_addr), true, 1);
     }
 
@@ -82,8 +78,6 @@ class IdealCache : public MemorySystem
     access(Cycle now, const MemRequest &req) override
     {
         accesses_.inc();
-        if (!timed())
-            return {now, true};
         DramAccessResult r = stacked_.access(
             now, blockAlign(req.paddr) & mask_, false, 1);
         return {r.firstBlockReady, true};
@@ -92,8 +86,6 @@ class IdealCache : public MemorySystem
     void
     writeback(Cycle now, Addr block_addr) override
     {
-        if (!timed())
-            return;
         stacked_.access(now, blockAlign(block_addr) & mask_, true,
                         1);
     }

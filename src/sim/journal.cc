@@ -3,8 +3,8 @@
 #include "sim/journal.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include "common/fault.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -33,17 +34,6 @@ namespace {
 // re-runs — safe by design.
 constexpr const char *kMagic = "fpcjournal 6";
 constexpr const char *kSuffix = ".pt";
-
-void
-appendFmt(std::string &out, const char *fmt, ...)
-{
-    char buf[512];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    out += buf;
-}
 
 /**
  * Doubles are serialized as hex floats ("%a"): exact round trip,
@@ -138,9 +128,10 @@ struct Reader
                 static_cast<unsigned char>(text[pos])))
             return false;
         char *end = nullptr;
+        errno = 0;
         out = std::strtoull(text.c_str() + pos, &end, 10);
         pos = end - text.c_str();
-        return true;
+        return errno != ERANGE;
     }
 
     bool

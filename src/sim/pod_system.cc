@@ -281,7 +281,7 @@ PodSystem::capture(Cycle now) const
 void
 PodSystem::runWarmup(std::uint64_t warmup_refs)
 {
-    memory_.setMode(config_.warmupMode);
+    setDramMode(config_.warmupMode);
     const bool timed = config_.warmupMode == SimMode::Timed;
     const unsigned cores = config_.numCores;
     const Cycle l1l2 =
@@ -447,7 +447,7 @@ PodSystem::runWarmup(std::uint64_t warmup_refs)
     // Phase boundary: the measurement loop restarts time at zero
     // from a drained memory system, so the measured window is
     // independent of how warmup was simulated.
-    memory_.setMode(SimMode::Timed);
+    setDramMode(SimMode::Timed);
     if (stacked_)
         stacked_->resetTiming();
     offchip_.resetTiming();
@@ -502,7 +502,7 @@ void
 PodSystem::replayOps(const PostL2Ops &ops, std::size_t begin,
                      std::size_t end)
 {
-    memory_.setMode(SimMode::Functional);
+    setDramMode(SimMode::Functional);
     MemRequest req;
     for (std::size_t i = begin; i < end; ++i) {
         if ((i & 0xfff) == 0)
@@ -527,7 +527,15 @@ PodSystem::replayOps(const PostL2Ops &ops, std::size_t begin,
             memory_.access(0, req);
         }
     }
-    memory_.setMode(SimMode::Timed);
+    setDramMode(SimMode::Timed);
+}
+
+void
+PodSystem::setDramMode(SimMode mode)
+{
+    if (stacked_)
+        stacked_->setMode(mode);
+    offchip_.setMode(mode);
 }
 
 void

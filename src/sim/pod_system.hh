@@ -10,13 +10,16 @@
  * and no OoO/MLP bookkeeping — its only job is to warm every
  * architectural structure (hierarchy, DRAM-cache tags, FHT,
  * MissMap, singleton table). Under SimMode::Functional (the
- * default) the memory system also skips all DRAM bank-timing and
- * energy model calls; under SimMode::Timed it exercises them,
- * which serves as the all-timed cost baseline (bench/perf_engine).
- * Because record-to-core dispatch is timing-independent and no
- * structure's state update reads the cycle argument, both warmup
- * modes leave bit-identical state at the phase boundary, where the
- * DRAM channels are drained (resetTiming) and time rebases to 0.
+ * default) the pod puts its stacked and off-chip DramSystems in
+ * Functional mode for the warmup, so every DRAM access returns at
+ * its issue cycle without bank-timing or energy modeling, while
+ * the memory system runs its one access path unchanged; under
+ * SimMode::Timed the DRAM model runs in full, which serves as the
+ * all-timed cost baseline (bench/perf_engine). Because
+ * record-to-core dispatch is timing-independent and no structure's
+ * state update reads the cycle argument, both warmup modes leave
+ * bit-identical state at the phase boundary, where the DRAM
+ * channels are drained (resetTiming) and time rebases to 0.
  *
  * The measurement phase is the full timing loop: cores are
  * trace-driven agents dispatched in global time order. Loads block
@@ -415,11 +418,11 @@ class PodSystem
     /**
      * Warm this pod from @p artifact instead of running the trace:
      * restore the hierarchy snapshot and replay the op stream into
-     * the memory system (SimMode::Functional, like the loop it
-     * replaces), leaving state bit-identical to a full warmup over
-     * the same records. Only valid for the default functional
-     * warmup configuration; the caller advances the trace source
-     * past the warm window itself.
+     * the memory system (DRAM in SimMode::Functional, like the
+     * loop it replaces), leaving state bit-identical to a full
+     * warmup over the same records. Only valid for the default
+     * functional warmup configuration; the caller advances the
+     * trace source past the warm window itself.
      */
     void applyWarmup(const WarmupArtifact &artifact);
 
@@ -481,18 +484,22 @@ class PodSystem
     /**
      * Lightweight warmup loop: round-robin dispatch, no event
      * queue, no load-miss blocking. Drains the DRAM channels and
-     * restores SimMode::Timed before returning.
+     * restores SimMode::Timed on them before returning.
      */
     void runWarmup(std::uint64_t warmup_refs);
 
     /**
      * Replay ops [@p begin, @p end) of @p ops into the memory
-     * system in SimMode::Functional (the mode of the loop the
-     * replay stands in for), leaving it in SimMode::Timed. The
-     * one replay loop behind applyWarmup and runSampled's gaps.
+     * system with the DRAM in SimMode::Functional (the mode of the
+     * loop the replay stands in for), leaving it in
+     * SimMode::Timed. The one replay loop behind applyWarmup and
+     * runSampled's gaps.
      */
     void replayOps(const PostL2Ops &ops, std::size_t begin,
                    std::size_t end);
+
+    /** Put the stacked and off-chip DRAM in @p mode. */
+    void setDramMode(SimMode mode);
 
     /**
      * Per-core engine state threaded across the timed stretches

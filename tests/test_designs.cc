@@ -241,24 +241,6 @@ TEST(TwoPhaseDesigns, BansheeWarmupModesBitIdentical)
     EXPECT_GT(func.tbHits, 0u);
 }
 
-TEST(TwoPhaseDesigns, FunctionalWarmupSkipsDramModel)
-{
-    for (const char *design : {"alloy", "banshee"}) {
-        WorkloadSpec spec =
-            makeWorkload(WorkloadKind::WebSearch);
-        SyntheticTraceSource trace(spec);
-        Experiment::Config cfg;
-        cfg.design = design;
-        cfg.capacityMb = 16;
-        cfg.pod.warmupMode = SimMode::Functional;
-        Experiment exp(cfg, trace);
-        exp.run(150'000, 0); // warmup only
-        EXPECT_EQ(exp.stacked()->totalBytes(), 0u) << design;
-        EXPECT_EQ(exp.offchip().totalBytes(), 0u) << design;
-        EXPECT_GT(exp.memory().demandAccesses(), 0u) << design;
-    }
-}
-
 TEST(Designs, BansheeFillsLessThanPageBased)
 {
     // The design's reason to exist: far fewer blocks moved into

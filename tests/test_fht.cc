@@ -121,8 +121,9 @@ TEST(Fht, StaleGenerationDropsFeedback)
     // Either the entry survived (unlikely with 2000 keys over 64
     // entries) or the update was detected stale.
     auto again = fht.peek(0x1000, 0);
-    if (!again.hit)
+    if (!again.hit) {
         EXPECT_EQ(fht.staleUpdates(), stale_before + 1);
+    }
 }
 
 TEST(Fht, InvalidRefIgnored)

@@ -130,6 +130,8 @@ TEST(JournalParse, ForgedCountsRejectedWithoutLargeAllocation)
         // attempt count that would truncate to a valid one.
         {"\nerror 0 ", "\nerror 18446744073709551615 "},
         {"\nstatus 0 1 ", "\nstatus 0 4294967297 "},
+        // A counter past 2^64 - 1 that strtoull would saturate.
+        {"\nmetrics 1000 ", "\nmetrics 99999999999999999999999 "},
     };
     for (const auto &[from, to] : forgeries) {
         std::string forged = good;

@@ -200,8 +200,9 @@ TEST_P(DramPolicySweep, ConservationAndMonotonicity)
     }
     EXPECT_EQ(ch.blocksRead() + ch.blocksWritten(), blocks);
     EXPECT_EQ(ch.bytesTransferred(), blocks * kBlockBytes);
-    if (GetParam() == PagePolicy::Closed)
+    if (GetParam() == PagePolicy::Closed) {
         EXPECT_EQ(ch.rowHits(), 0u);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, DramPolicySweep,
@@ -231,8 +232,9 @@ TEST_P(FhtSizeSweep, LargerTablesRetainMoreKeys)
     // Retention is bounded by capacity and grows with it; hash
     // collisions allow a small shortfall even above capacity.
     EXPECT_LE(retained, cfg.entries);
-    if (cfg.entries >= keys)
+    if (cfg.entries >= keys) {
         EXPECT_GE(retained, keys * 8 / 10);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FhtSizeSweep,

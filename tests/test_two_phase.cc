@@ -3,15 +3,18 @@
  * Tests for the two-phase simulation engine: functional warmup
  * must leave exactly the same architectural state as timed warmup,
  * so every measured-phase metric and every state-derived counter
- * is bit-identical across the two warmup modes; and functional
- * warmup must never touch the DRAM timing/energy model.
+ * is bit-identical across the two warmup modes, for every
+ * registered design; and functional warmup must never touch the
+ * DRAM timing/energy model, whose Functional mode is the one place
+ * that skips work.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "dramcache/simple_memories.hh"
+#include "dram/system.hh"
+#include "dramcache/design_registry.hh"
 #include "sim/experiment.hh"
 #include "workload/generator.hh"
 
@@ -112,34 +115,41 @@ TEST(TwoPhase, FootprintWarmupModesBitIdentical)
 
 TEST(TwoPhase, EveryDesignWarmupModesBitIdentical)
 {
-    for (const char *d : {"baseline", "block",
-                         "page", "ideal"}) {
+    for (const std::string &d : DesignRegistry::instance().names()) {
+        SCOPED_TRACE(d);
         PhaseResult func = runWith(d, SimMode::Functional, 16,
                                    150'000, 100'000);
         PhaseResult timed = runWith(d, SimMode::Timed, 16,
                                     150'000, 100'000);
         expectIdentical(func, timed);
-        EXPECT_EQ(func.metrics.traceRecords, 100'000u)
-            << d;
+        EXPECT_EQ(func.metrics.traceRecords, 100'000u);
     }
 }
 
 TEST(TwoPhase, FunctionalWarmupSkipsDramModel)
 {
-    WorkloadSpec spec = makeWorkload(WorkloadKind::WebSearch);
-    SyntheticTraceSource trace(spec);
-    Experiment::Config cfg;
-    cfg.design = "footprint";
-    cfg.capacityMb = 16;
-    cfg.pod.warmupMode = SimMode::Functional;
-    Experiment exp(cfg, trace);
-    exp.run(200'000, 0); // warmup only
-    EXPECT_EQ(exp.stacked()->totalBytes(), 0u);
-    EXPECT_EQ(exp.offchip().totalBytes(), 0u);
-    EXPECT_EQ(exp.stacked()->totalActivates(), 0u);
-    // ... while the cache state is genuinely warm.
-    EXPECT_GT(exp.memory().demandAccesses(), 0u);
-    EXPECT_GT(exp.footprintCache()->blocksFetched(), 0u);
+    for (const std::string &d : DesignRegistry::instance().names()) {
+        SCOPED_TRACE(d);
+        WorkloadSpec spec = makeWorkload(WorkloadKind::WebSearch);
+        SyntheticTraceSource trace(spec);
+        Experiment::Config cfg;
+        cfg.design = d;
+        cfg.capacityMb = 16;
+        cfg.pod.warmupMode = SimMode::Functional;
+        Experiment exp(cfg, trace);
+        exp.run(150'000, 0); // warmup only
+        if (DramSystem *stacked = exp.stacked()) {
+            EXPECT_EQ(stacked->totalBytes(), 0u);
+            EXPECT_EQ(stacked->totalActivates(), 0u);
+        }
+        EXPECT_EQ(exp.offchip().totalBytes(), 0u);
+        EXPECT_EQ(exp.offchip().totalActivates(), 0u);
+        // ... while the design's state is genuinely warm.
+        EXPECT_GT(exp.memory().demandAccesses(), 0u);
+        if (FootprintCache *fc = exp.footprintCache()) {
+            EXPECT_GT(fc->blocksFetched(), 0u);
+        }
+    }
 }
 
 TEST(TwoPhase, TimedWarmupDoesTouchDramModel)
@@ -184,19 +194,68 @@ TEST(TwoPhase, LegacyAllTimedWarmupStillWorks)
     EXPECT_GT(m.demandAccesses, 0u);
 }
 
-TEST(TwoPhase, FunctionalModeAccessorRoundTrips)
+void
+expectSameResult(const DramAccessResult &a,
+                 const DramAccessResult &b)
+{
+    EXPECT_EQ(a.firstBlockReady, b.firstBlockReady);
+    EXPECT_EQ(a.done, b.done);
+    EXPECT_EQ(a.rowHit, b.rowHit);
+}
+
+TEST(TwoPhase, DramFunctionalModeTouchesNoState)
 {
     DramSystem off(DramSystem::Config::offchipPod());
-    NoCacheMemory mem(off);
-    EXPECT_EQ(mem.mode(), SimMode::Timed);
-    mem.setMode(SimMode::Functional);
-    EXPECT_EQ(mem.mode(), SimMode::Functional);
-    MemRequest req;
-    req.paddr = 0x1000;
-    MemSystemResult r = mem.access(7, req);
-    EXPECT_EQ(r.doneAt, 7u); // no modeled latency
-    EXPECT_EQ(off.totalBytes(), 0u);
-    EXPECT_EQ(mem.demandAccesses(), 1u); // state still counted
+    DramSystem stk(DramSystem::Config::stackedPod());
+    off.enableTenantAccounting(2);
+    off.enableBankCounters();
+    stk.enableBankCounters();
+    off.setMode(SimMode::Functional);
+    stk.setMode(SimMode::Functional);
+
+    // Every access returns at its issue cycle...
+    expectSameResult(off.access(7, 0x1000, false, 4),
+                     {7, 7, false});
+    expectSameResult(off.access(9, 0x1000, true), {9, 9, false});
+    expectSameResult(stk.access(11, 0x2000, false, 32),
+                     {11, 11, false});
+    expectSameResult(stk.compoundAccess(13, 0x4000, true),
+                     {13, 13, false});
+
+    // ... and leaves no trace in the model.
+    for (const DramSystem *sys : {&off, &stk}) {
+        EXPECT_EQ(sys->totalBytes(), 0u);
+        EXPECT_EQ(sys->totalActivates(), 0u);
+        EXPECT_EQ(sys->totalRowHits(), 0u);
+        EXPECT_EQ(sys->totalBlocksRead(), 0u);
+        EXPECT_EQ(sys->totalBlocksWritten(), 0u);
+        EXPECT_EQ(sys->totalActPreEnergyNj(), 0.0);
+        EXPECT_EQ(sys->totalBurstEnergyNj(), 0.0);
+        EXPECT_EQ(sys->busyBanks(0), 0u);
+        for (unsigned c = 0; c < sys->numChannels(); ++c) {
+            for (unsigned b = 0; b < sys->numBanks(); ++b) {
+                EXPECT_EQ(sys->channel(c).bankActivates(b), 0u);
+                EXPECT_EQ(sys->channel(c).bankBlocksRead(b), 0u);
+                EXPECT_EQ(sys->channel(c).bankBlocksWritten(b),
+                          0u);
+            }
+        }
+    }
+    EXPECT_EQ(off.tenantBytes(0), 0u);
+    EXPECT_EQ(off.tenantBytes(1), 0u);
+
+    // A following timed access sees a fresh system: no row was
+    // opened and no bank or bus was reserved.
+    off.setMode(SimMode::Timed);
+    stk.setMode(SimMode::Timed);
+    DramSystem fresh_off(DramSystem::Config::offchipPod());
+    DramSystem fresh_stk(DramSystem::Config::stackedPod());
+    expectSameResult(off.access(7, 0x1000, false, 4),
+                     fresh_off.access(7, 0x1000, false, 4));
+    expectSameResult(stk.compoundAccess(13, 0x4000, false),
+                     fresh_stk.compoundAccess(13, 0x4000, false));
+    EXPECT_EQ(off.totalBytes(), fresh_off.totalBytes());
+    EXPECT_EQ(off.tenantBytes(0), 4 * kBlockBytes);
 }
 
 TEST(TwoPhase, DramResetTimingKeepsStatistics)
