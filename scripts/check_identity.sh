@@ -12,7 +12,11 @@
 #     byte-identical between the two builds;
 #   - --jobs 1 to reproduce the --jobs 2 artifacts byte for byte;
 #   - a --resume from the --jobs 2 journal to execute nothing and
-#     reproduce the artifacts byte for byte.
+#     reproduce the artifacts byte for byte;
+#   - a --resume from REV's journal to execute nothing and
+#     reproduce REV's artifacts byte for byte (skipped, with the
+#     reason printed, only when REV's journal magic line differs
+#     from the working tree's).
 #
 # Environment: BUILD_DIR (working-tree build, default build) and
 # JOBS (build parallelism).
@@ -53,6 +57,14 @@ run_slice() { # SWEEP OUT_DIR JOBS [extra sweep flags...]
         --out "$out/report.json" "$@" >"$out/log.txt" 2>&1
 }
 
+journal_magic() { # JOURNAL_DIR: first line of its first entry
+    local f
+    for f in "$1"/*.pt; do
+        [ -f "$f" ] && head -n 1 "$f"
+        return 0
+    done
+}
+
 failures=0
 expect_same() { # WHAT DIR_A DIR_B
     local f
@@ -65,6 +77,15 @@ expect_same() { # WHAT DIR_A DIR_B
         fi
     done
 }
+expect_no_execution() { # WHAT OUT_DIR
+    if grep -q " 0 executed" "$2/log.txt"; then
+        echo "ok   $1 executed no point"
+    else
+        echo "FAIL $1 re-executed points:"
+        grep "executed" "$2/log.txt" || true
+        failures=$((failures + 1))
+    fi
+}
 
 echo "building $REV in a temporary worktree" >&2
 git worktree add --detach "$WORKTREE" "$REV" >/dev/null
@@ -73,7 +94,8 @@ echo "building the working tree in $BUILD_DIR" >&2
 build_sweep . "$BUILD_DIR"
 
 echo "running slice $FILTER" >&2
-run_slice "$WORKTREE/build/sweep" "$TMP/ref-j2" 2
+run_slice "$WORKTREE/build/sweep" "$TMP/ref-j2" 2 \
+    --journal "$TMP/ref-journal"
 run_slice "$BUILD_DIR/sweep" "$TMP/new-j2" 2 --journal "$TMP/journal"
 run_slice "$BUILD_DIR/sweep" "$TMP/new-j1" 1
 run_slice "$BUILD_DIR/sweep" "$TMP/new-resume" 2 \
@@ -82,12 +104,20 @@ run_slice "$BUILD_DIR/sweep" "$TMP/new-resume" 2 \
 expect_same "$REV vs working tree" "$TMP/ref-j2" "$TMP/new-j2"
 expect_same "--jobs 1 vs --jobs 2" "$TMP/new-j1" "$TMP/new-j2"
 expect_same "--resume vs fresh" "$TMP/new-resume" "$TMP/new-j2"
-if grep -q " 0 executed" "$TMP/new-resume/log.txt"; then
-    echo "ok   --resume executed no point"
+expect_no_execution "--resume" "$TMP/new-resume"
+
+ref_magic="$(journal_magic "$TMP/ref-journal")"
+new_magic="$(journal_magic "$TMP/journal")"
+if [ "$ref_magic" = "$new_magic" ]; then
+    run_slice "$BUILD_DIR/sweep" "$TMP/cross-resume" 2 \
+        --journal "$TMP/ref-journal" --resume
+    expect_same "--resume from $REV's journal vs $REV" \
+        "$TMP/cross-resume" "$TMP/ref-j2"
+    expect_no_execution "--resume from $REV's journal" \
+        "$TMP/cross-resume"
 else
-    echo "FAIL --resume re-executed points:"
-    grep "executed" "$TMP/new-resume/log.txt" || true
-    failures=$((failures + 1))
+    echo "skip --resume from $REV's journal: its magic" \
+        "'$ref_magic' differs from the working tree's '$new_magic'"
 fi
 
 if [ "$failures" -ne 0 ]; then

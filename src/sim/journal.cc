@@ -5,6 +5,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,61 +32,81 @@ namespace {
 // common/counters.hh), which moved trace_records in the interval
 // line; v6 the telemetry and sampling settings the point ran
 // under. Older entries fail the magic check and the point simply
-// re-runs — safe by design.
+// re-runs — safe by design. The format itself is walkEntry()
+// below: adding a field means editing the walk, bumping kMagic
+// and adding a line here.
 constexpr const char *kMagic = "fpcjournal 6";
 constexpr const char *kSuffix = ".pt";
 
 /**
- * Doubles are serialized as hex floats ("%a"): exact round trip,
- * so a resumed report renders byte-identically to the original.
+ * Appends each field walkEntry() visits. Every tag starts a new
+ * line and every value is preceded by one space; doubles are hex
+ * floats ("%a": exact round trip, so a resumed report renders
+ * byte-identically) and strings are length-prefixed ("len bytes":
+ * they survive newlines and any bytes an exception message can
+ * carry). The writer emits what it is given; only the reader
+ * judges limits.
  */
-void
-appendDouble(std::string &out, double v)
+struct Writer
 {
-    appendFmt(out, "%a", v);
-}
+    std::string out;
 
-/** Length-prefixed raw string: survives newlines and any bytes
- * an exception message can carry. */
-void
-appendRaw(std::string &out, const std::string &s)
-{
-    appendFmt(out, "%zu ", s.size());
-    out += s;
-}
+    bool
+    literal(const char *s)
+    {
+        out += s;
+        return true;
+    }
 
-void
-appendValue(std::string &out, std::uint64_t v)
-{
-    appendFmt(out, " %" PRIu64, v);
-}
+    bool
+    tag(const char *s)
+    {
+        out += '\n';
+        out += s;
+        return true;
+    }
 
-void
-appendValue(std::string &out, double v)
-{
-    out += ' ';
-    appendDouble(out, v);
-}
+    template <typename T>
+    bool
+    value(const T &v)
+    {
+        if constexpr (std::is_floating_point_v<T>)
+            appendFmt(out, " %a", v);
+        else
+            appendFmt(out, " %" PRIu64,
+                      static_cast<std::uint64_t>(v));
+        return true;
+    }
 
-void
-appendValues(std::string &out, const std::vector<std::uint64_t> &v)
-{
-    for (std::uint64_t x : v)
-        appendValue(out, x);
-}
+    bool
+    raw(const std::string &s)
+    {
+        appendFmt(out, " %zu ", s.size());
+        out += s;
+        return true;
+    }
 
-/** One counter line: @p tag, then every field of @p fields in
- * table order. */
-template <typename Fields, typename S>
-void
-appendFields(std::string &out, const char *tag,
-             const Fields &fields, const S &s)
-{
-    out += '\n';
-    out += tag;
-    for (const auto &f : fields)
-        appendValue(out, s.*f.member);
-}
+    /** The rest of the line (the key). */
+    bool
+    line(const std::string &s)
+    {
+        out += ' ';
+        out += s;
+        return true;
+    }
+
+    bool valid(bool) { return true; }
+
+    /** Every element of @p v (the count was written before it). */
+    template <typename V, typename Take>
+    bool
+    each(std::uint64_t, const V &v, Take take)
+    {
+        for (const auto &item : v)
+            take(item);
+        return true;
+    }
+};
 
 /** Forward-only cursor over the serialized text; every taker
  * returns false on truncation or malformed input. */
@@ -134,75 +155,40 @@ struct Reader
         return errno != ERANGE;
     }
 
+    /** A finite double: the writer never emits inf, nan or an
+     * out-of-range literal, and a resumed report could not
+     * render one as JSON. */
     bool
     f64(double &out)
     {
         skipSpace();
         char *end = nullptr;
+        errno = 0;
         out = std::strtod(text.c_str() + pos, &end);
         if (end == text.c_str() + pos)
             return false;
         pos = end - text.c_str();
-        return true;
+        return errno != ERANGE && std::isfinite(out);
     }
 
-    bool value(std::uint64_t &out) { return u64(out); }
-    bool value(double &out) { return f64(out); }
-
-    /** A u64 that must fit @p T (bool: 0 or 1). */
+    /** A double, or a u64 that must fit @p T (bool: 0 or 1). */
     template <typename T>
     bool
-    narrow(T &out)
+    value(T &out)
     {
-        std::uint64_t v = 0;
-        const std::uint64_t max =
-            std::is_same_v<T, bool> ? 1 : std::numeric_limits<T>::max();
-        if (!u64(v) || v > max)
-            return false;
-        out = static_cast<T>(v);
-        return true;
-    }
-
-    /** A counter line written by appendFields. */
-    template <typename Fields, typename S>
-    bool
-    fields(const char *name, const Fields &fields, S &s)
-    {
-        if (!tag(name))
-            return false;
-        for (const auto &f : fields) {
-            if (!value(s.*f.member))
+        if constexpr (std::is_floating_point_v<T>) {
+            return f64(out);
+        } else {
+            std::uint64_t v = 0;
+            const std::uint64_t max =
+                std::is_same_v<T, bool>
+                    ? 1
+                    : std::numeric_limits<T>::max();
+            if (!u64(v) || v > max)
                 return false;
+            out = static_cast<T>(v);
+            return true;
         }
-        return true;
-    }
-
-    /**
-     * @p count elements taken one by one with @p take, growing
-     * @p v only as each one parses: a forged count costs at most
-     * what the text itself can back, never a count-sized
-     * allocation up front.
-     */
-    template <typename T, typename Take>
-    bool
-    list(std::uint64_t count, std::vector<T> &v, Take take)
-    {
-        v.clear();
-        for (std::uint64_t i = 0; i < count; ++i) {
-            T item{};
-            if (!take(item))
-                return false;
-            v.push_back(std::move(item));
-        }
-        return true;
-    }
-
-    /** @p count bare u64s (a vector column). */
-    bool
-    u64s(std::uint64_t count, std::vector<std::uint64_t> &v)
-    {
-        return list(count, v,
-                    [this](std::uint64_t &b) { return u64(b); });
     }
 
     bool
@@ -221,18 +207,202 @@ struct Reader
         return true;
     }
 
-    /** Rest of the current line (for the key). */
+    /** The rest of the line (the key, never empty). */
     bool
     line(std::string &out)
     {
+        if (!literal(" "))
+            return false;
         const std::size_t nl = text.find('\n', pos);
         if (nl == std::string::npos)
             return false;
         out = text.substr(pos, nl - pos);
         pos = nl + 1;
+        return !out.empty();
+    }
+
+    bool valid(bool ok) { return ok; }
+
+    /**
+     * @p count elements taken one by one with @p take, growing
+     * @p v only as each one parses: a forged count costs at most
+     * what the text itself can back, never a count-sized
+     * allocation up front.
+     */
+    template <typename V, typename Take>
+    bool
+    each(std::uint64_t count, V &v, Take take)
+    {
+        v.clear();
+        for (std::uint64_t i = 0; i < count; ++i) {
+            typename V::value_type item{};
+            if (!take(item))
+                return false;
+            v.push_back(std::move(item));
+        }
         return true;
     }
 };
+
+/** A count of at most @p limit, then that many elements of @p v
+ * taken with @p take. */
+template <typename IO, typename V, typename Take>
+bool
+list(IO &io, V &v, std::uint64_t limit, Take take)
+{
+    std::uint64_t n = v.size();
+    return io.value(n) && io.valid(n <= limit) &&
+           io.each(n, v, take);
+}
+
+/** A counted list of bare values. */
+template <typename IO, typename V>
+bool
+values(IO &io, V &v, std::uint64_t limit)
+{
+    return list(io, v, limit,
+                [&io](auto &x) { return io.value(x); });
+}
+
+/** @p tag, then @p n bare values counted by an earlier field. */
+template <typename IO, typename V>
+bool
+column(IO &io, const char *tag, std::uint64_t n, V &v)
+{
+    return io.tag(tag) &&
+           io.each(n, v, [&io](auto &x) { return io.value(x); });
+}
+
+/** One counter line: @p tag, then every field of @p fields in
+ * table order. */
+template <typename IO, typename Fields, typename S>
+bool
+counters(IO &io, const char *tag, const Fields &fields, S &s)
+{
+    if (!io.tag(tag))
+        return false;
+    for (const auto &f : fields) {
+        if (!io.value(s.*f.member))
+            return false;
+    }
+    return true;
+}
+
+/**
+ * The journal format, declared once: every field of one entry in
+ * file order, with each list's count limit beside it. Writer
+ * serializes through it and Reader parses and range-checks
+ * through it, so the two directions cannot drift apart.
+ */
+template <typename IO, typename Key, typename O, typename R>
+bool
+walkEntry(IO &io, Key &key, O &o, R &r)
+{
+    auto &t = o.telemetry;
+    auto &sc = o.sampling;
+    auto &m = r.metrics;
+    auto &tm = r.timing;
+    auto &hm = r.heatmap;
+    const auto tenant = [&io](const char *tag) {
+        return [&io, tag](auto &slice) {
+            return counters(io, tag, TenantMetrics::kCounters,
+                            slice);
+        };
+    };
+    const auto grid = [&io](auto &g) {
+        if (!io.tag("hdram") || !io.value(g.channels) ||
+            !io.value(g.banks) ||
+            !io.valid(g.channels <= 4096 && g.banks <= 4096) ||
+            !io.raw(g.name))
+            return false;
+        const std::uint64_t cells =
+            std::uint64_t{g.channels} * g.banks;
+        return column(io, "hacts", cells, g.activates) &&
+               column(io, "hreads", cells, g.reads) &&
+               column(io, "hwrites", cells, g.writes);
+    };
+    std::uint64_t bins = hm.setAccess.size();
+
+    return io.literal(kMagic) && io.tag("key") && io.line(key) &&
+           io.tag("opts") && io.value(o.scale) &&
+           io.value(o.baseSeed) &&
+           io.tag("telemetry") && io.value(t.intervalRecords) &&
+           io.value(t.histograms) &&
+           io.value(t.missAttributionStride) &&
+           io.value(t.designProbes) && io.value(t.heatmaps) &&
+           io.value(t.shadowCapacityBytes) &&
+           io.tag("sampling") && io.value(sc.enabled) &&
+           io.value(sc.intervals) && io.value(sc.intervalRecords) &&
+           io.value(sc.rampRecords) && io.value(sc.targetCi) &&
+           io.value(sc.minIntervals) &&
+           io.tag("status") && io.value(r.failed) &&
+           io.value(r.attempts) && io.valid(r.attempts != 0) &&
+           io.value(r.elapsedSeconds) &&
+           io.tag("error") && io.raw(r.error) &&
+           counters(io, "metrics", PodCounters::kCounters, m) &&
+           counters(io, "energy", RunMetrics::kEnergy, m) &&
+           io.tag("tenants") &&
+           list(io, m.tenants, 4096, tenant("tenant")) &&
+           io.tag("footprint") && io.value(r.hasFootprint) &&
+           io.value(r.covered) && io.value(r.underpred) &&
+           io.value(r.overpred) && io.value(r.trigMisses) &&
+           io.value(r.singletonBypasses) &&
+           io.value(r.densityPages) &&
+           io.tag("density") &&
+           values(io, r.densityBuckets, 1u << 20) &&
+           io.tag("extras") &&
+           list(io, r.extra, 1u << 20,
+                [&io](auto &x) {
+                    return io.tag("extra") && io.value(x.second) &&
+                           io.raw(x.first);
+                }) &&
+           io.tag("timing") && io.value(tm.traceSeconds) &&
+           io.value(tm.warmupSeconds) &&
+           io.value(tm.measureSeconds) &&
+           io.value(tm.replayedTrace) &&
+           io.value(tm.generatedTrace) &&
+           io.value(tm.replayedWarmup) &&
+           io.value(tm.builtWarmup) && io.value(tm.sampled) &&
+           io.value(tm.sampleFfSeconds) &&
+           io.value(tm.sampleTimedSeconds) &&
+           io.tag("intervals") &&
+           list(io, r.intervals, 1u << 24,
+                [&](auto &iv) {
+                    return counters(io, "interval",
+                                    PodCounters::kCounters, iv) &&
+                           list(io, iv.tenants, 4096,
+                                tenant("itenant")) &&
+                           io.tag("iprobe") &&
+                           values(io, iv.probeValues, 1u << 16);
+                }) &&
+           // Introspection probe columns and the spatial heatmap,
+           // so a resumed sweep reproduces the --timeseries-out
+           // and --heatmap-out artifacts without re-running.
+           io.tag("probenames") &&
+           list(io, r.probeNames, 1u << 16,
+                [&io](auto &name) {
+                    return io.tag("pname") && io.raw(name);
+                }) &&
+           io.tag("probevals") &&
+           values(io, m.probeValues, 1u << 16) &&
+           io.tag("heatmap") && io.value(hm.valid) &&
+           io.value(hm.numSets) && io.value(hm.setsPerBin) &&
+           io.value(bins) && io.valid(bins <= 1u << 16) &&
+           column(io, "haccess", bins, hm.setAccess) &&
+           column(io, "hconflict", bins, hm.setConflict) &&
+           column(io, "hoccupancy", bins, hm.setOccupancy) &&
+           io.tag("hdrams") && list(io, hm.drams, 64, grid) &&
+           io.tag("end") && io.literal("\n");
+}
+
+std::string
+serializeEntry(const std::string &key, const JournalOptions &o,
+               const PointResult &r)
+{
+    Writer w;
+    walkEntry(w, key, o, r);
+    return std::move(w.out);
+}
 
 } // namespace
 
@@ -274,120 +444,6 @@ SweepJournal::fileNameFor(const std::string &key)
     return name + hash + kSuffix;
 }
 
-namespace {
-
-std::string
-serializeEntry(const std::string &key, const JournalOptions &o,
-               const PointResult &r)
-{
-    const RunMetrics &m = r.metrics;
-    const TelemetryConfig &t = o.telemetry;
-    const SamplingConfig &sc = o.sampling;
-    std::string out;
-    out += kMagic;
-    out += "\nkey ";
-    out += key;
-    out += "\nopts ";
-    appendDouble(out, o.scale);
-    appendFmt(out, " %" PRIu64, o.baseSeed);
-    appendFmt(out, "\ntelemetry %" PRIu64 " %u %u %u %u %" PRIu64,
-              t.intervalRecords, t.histograms ? 1u : 0u,
-              t.missAttributionStride, t.designProbes ? 1u : 0u,
-              t.heatmaps ? 1u : 0u, t.shadowCapacityBytes);
-    appendFmt(out, "\nsampling %u %u %" PRIu64 " %" PRIu64 " ",
-              sc.enabled ? 1u : 0u, sc.intervals,
-              sc.intervalRecords, sc.rampRecords);
-    appendDouble(out, sc.targetCi);
-    appendFmt(out, " %u", sc.minIntervals);
-    appendFmt(out, "\nstatus %u %u ", r.failed ? 1u : 0u,
-              r.attempts);
-    appendDouble(out, r.elapsedSeconds);
-    out += "\nerror ";
-    appendRaw(out, r.error);
-    appendFields(out, "metrics", PodCounters::kCounters, m);
-    appendFields(out, "energy", RunMetrics::kEnergy, m);
-    appendFmt(out, "\ntenants %zu", m.tenants.size());
-    for (const TenantMetrics &t : m.tenants)
-        appendFields(out, "tenant", TenantMetrics::kCounters, t);
-    appendFmt(out,
-              "\nfootprint %u %" PRIu64 " %" PRIu64 " %" PRIu64
-              " %" PRIu64 " %" PRIu64 " %" PRIu64,
-              r.hasFootprint ? 1u : 0u, r.covered, r.underpred,
-              r.overpred, r.trigMisses, r.singletonBypasses,
-              r.densityPages);
-    appendFmt(out, "\ndensity %zu", r.densityBuckets.size());
-    appendValues(out, r.densityBuckets);
-    appendFmt(out, "\nextras %zu", r.extra.size());
-    for (const auto &[name, value] : r.extra) {
-        out += "\nextra ";
-        appendDouble(out, value);
-        out += " ";
-        appendRaw(out, name);
-    }
-    out += "\ntiming ";
-    appendDouble(out, r.timing.traceSeconds);
-    out += " ";
-    appendDouble(out, r.timing.warmupSeconds);
-    out += " ";
-    appendDouble(out, r.timing.measureSeconds);
-    appendFmt(out, " %u %u %u %u %u ",
-              r.timing.replayedTrace ? 1u : 0u,
-              r.timing.generatedTrace ? 1u : 0u,
-              r.timing.replayedWarmup ? 1u : 0u,
-              r.timing.builtWarmup ? 1u : 0u,
-              r.timing.sampled ? 1u : 0u);
-    appendDouble(out, r.timing.sampleFfSeconds);
-    out += " ";
-    appendDouble(out, r.timing.sampleTimedSeconds);
-    appendFmt(out, "\nintervals %zu", r.intervals.size());
-    for (const IntervalSample &iv : r.intervals) {
-        appendFields(out, "interval", PodCounters::kCounters, iv);
-        appendFmt(out, " %zu", iv.tenants.size());
-        for (const TenantMetrics &t : iv.tenants) {
-            appendFields(out, "itenant", TenantMetrics::kCounters,
-                         t);
-        }
-        appendFmt(out, "\niprobe %zu", iv.probeValues.size());
-        appendValues(out, iv.probeValues);
-    }
-    // v4: introspection probe columns and the spatial heatmap, so
-    // a resumed sweep reproduces the --timeseries-out and
-    // --heatmap-out artifacts without re-running the point.
-    appendFmt(out, "\nprobenames %zu", r.probeNames.size());
-    for (const std::string &name : r.probeNames) {
-        out += "\npname ";
-        appendRaw(out, name);
-    }
-    appendFmt(out, "\nprobevals %zu", m.probeValues.size());
-    appendValues(out, m.probeValues);
-    const HeatmapData &hm = r.heatmap;
-    appendFmt(out,
-              "\nheatmap %u %" PRIu64 " %" PRIu64 " %zu",
-              hm.valid ? 1u : 0u, hm.numSets, hm.setsPerBin,
-              hm.setAccess.size());
-    const auto bins = [&out](const char *tag,
-                             const std::vector<std::uint64_t> &v) {
-        out += "\n";
-        out += tag;
-        appendValues(out, v);
-    };
-    bins("haccess", hm.setAccess);
-    bins("hconflict", hm.setConflict);
-    bins("hoccupancy", hm.setOccupancy);
-    appendFmt(out, "\nhdrams %zu", hm.drams.size());
-    for (const HeatmapData::DramGrid &g : hm.drams) {
-        appendFmt(out, "\nhdram %u %u ", g.channels, g.banks);
-        appendRaw(out, g.name);
-        bins("hacts", g.activates);
-        bins("hreads", g.reads);
-        bins("hwrites", g.writes);
-    }
-    out += "\nend\n";
-    return out;
-}
-
-} // namespace
-
 JournalOptions
 JournalOptions::of(const ExperimentPoint &point)
 {
@@ -416,152 +472,8 @@ SweepJournal::parse(const std::string &text, std::string &key,
 {
     Reader in{text};
     JournalEntry e;
-    PointResult &r = e.result;
-    RunMetrics &m = r.metrics;
-
-    if (!in.literal(kMagic) || !in.literal("\nkey "))
+    if (!walkEntry(in, key, e, e.result))
         return false;
-    if (!in.line(key) || key.empty())
-        return false;
-
-    if (!in.literal("opts ") || !in.f64(e.scale) ||
-        !in.u64(e.baseSeed))
-        return false;
-    TelemetryConfig &t = e.telemetry;
-    if (!in.tag("telemetry") || !in.u64(t.intervalRecords) ||
-        !in.narrow(t.histograms) ||
-        !in.narrow(t.missAttributionStride) ||
-        !in.narrow(t.designProbes) || !in.narrow(t.heatmaps) ||
-        !in.u64(t.shadowCapacityBytes))
-        return false;
-    SamplingConfig &sc = e.sampling;
-    if (!in.tag("sampling") || !in.narrow(sc.enabled) ||
-        !in.narrow(sc.intervals) || !in.u64(sc.intervalRecords) ||
-        !in.u64(sc.rampRecords) || !in.f64(sc.targetCi) ||
-        !in.narrow(sc.minIntervals))
-        return false;
-    if (!in.tag("status ") || !in.narrow(r.failed) ||
-        !in.narrow(r.attempts) || r.attempts == 0 ||
-        !in.f64(r.elapsedSeconds))
-        return false;
-    if (!in.tag("error ") || !in.raw(r.error))
-        return false;
-
-    if (!in.fields("metrics", PodCounters::kCounters, m) ||
-        !in.fields("energy", RunMetrics::kEnergy, m))
-        return false;
-
-    std::uint64_t count = 0;
-    if (!in.tag("tenants") || !in.u64(count) ||
-        count > 4096)
-        return false;
-    const auto tenant = [&in](const char *tag) {
-        return [&in, tag](TenantMetrics &t) {
-            return in.fields(tag, TenantMetrics::kCounters, t);
-        };
-    };
-    if (!in.list(count, m.tenants, tenant("tenant")))
-        return false;
-
-    if (!in.tag("footprint") || !in.narrow(r.hasFootprint) ||
-        !in.u64(r.covered) ||
-        !in.u64(r.underpred) || !in.u64(r.overpred) ||
-        !in.u64(r.trigMisses) || !in.u64(r.singletonBypasses) ||
-        !in.u64(r.densityPages))
-        return false;
-
-    if (!in.tag("density") || !in.u64(count) ||
-        count > 1u << 20 || !in.u64s(count, r.densityBuckets))
-        return false;
-
-    if (!in.tag("extras") || !in.u64(count) ||
-        count > 1u << 20)
-        return false;
-    const bool extras_ok = in.list(
-        count, r.extra, [&in](std::pair<std::string, double> &x) {
-            return in.tag("extra ") && in.f64(x.second) &&
-                   in.raw(x.first);
-        });
-    if (!extras_ok)
-        return false;
-
-    PointTiming &tm = r.timing;
-    if (!in.tag("timing ") || !in.f64(tm.traceSeconds) ||
-        !in.f64(tm.warmupSeconds) || !in.f64(tm.measureSeconds) ||
-        !in.narrow(tm.replayedTrace) ||
-        !in.narrow(tm.generatedTrace) ||
-        !in.narrow(tm.replayedWarmup) ||
-        !in.narrow(tm.builtWarmup) || !in.narrow(tm.sampled) ||
-        !in.f64(tm.sampleFfSeconds) ||
-        !in.f64(tm.sampleTimedSeconds))
-        return false;
-
-    if (!in.tag("intervals") || !in.u64(count) ||
-        count > 1u << 24)
-        return false;
-    const bool intervals_ok =
-        in.list(count, r.intervals, [&](IntervalSample &iv) {
-            std::uint64_t n = 0;
-            if (!in.fields("interval", PodCounters::kCounters,
-                           iv) ||
-                !in.u64(n) || n > 4096 ||
-                !in.list(n, iv.tenants, tenant("itenant")))
-                return false;
-            return in.tag("iprobe") && in.u64(n) &&
-                   n <= 1u << 16 && in.u64s(n, iv.probeValues);
-        });
-    if (!intervals_ok)
-        return false;
-
-    if (!in.tag("probenames") || !in.u64(count) ||
-        count > 1u << 16)
-        return false;
-    const bool names_ok =
-        in.list(count, r.probeNames, [&in](std::string &name) {
-            return in.tag("pname ") && in.raw(name);
-        });
-    if (!names_ok)
-        return false;
-    if (!in.tag("probevals") || !in.u64(count) ||
-        count > 1u << 16 || !in.u64s(count, m.probeValues))
-        return false;
-
-    HeatmapData &hm = r.heatmap;
-    std::uint64_t bin_count = 0;
-    if (!in.tag("heatmap") || !in.narrow(hm.valid) ||
-        !in.u64(hm.numSets) || !in.u64(hm.setsPerBin) ||
-        !in.u64(bin_count) || bin_count > 1u << 16)
-        return false;
-    const auto column = [&in](const char *tag, std::uint64_t n,
-                              std::vector<std::uint64_t> &v) {
-        return in.tag(tag) && in.u64s(n, v);
-    };
-    if (!column("haccess", bin_count, hm.setAccess) ||
-        !column("hconflict", bin_count, hm.setConflict) ||
-        !column("hoccupancy", bin_count, hm.setOccupancy))
-        return false;
-    if (!in.tag("hdrams") || !in.u64(count) || count > 64)
-        return false;
-    const bool drams_ok = in.list(
-        count, hm.drams, [&](HeatmapData::DramGrid &g) {
-            std::uint64_t channels = 0, banks = 0;
-            if (!in.tag("hdram") || !in.u64(channels) ||
-                !in.u64(banks) || channels > 4096 || banks > 4096)
-                return false;
-            g.channels = static_cast<unsigned>(channels);
-            g.banks = static_cast<unsigned>(banks);
-            const std::uint64_t cells = channels * banks;
-            return in.raw(g.name) &&
-                   column("hacts", cells, g.activates) &&
-                   column("hreads", cells, g.reads) &&
-                   column("hwrites", cells, g.writes);
-        });
-    if (!drams_ok)
-        return false;
-
-    if (!in.tag("end"))
-        return false;
-
     entry = std::move(e);
     return true;
 }

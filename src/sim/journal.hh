@@ -20,6 +20,11 @@
  * and ignored (the point simply re-runs). Truncated or corrupt
  * files are skipped the same way — a damaged journal costs a
  * re-run, never a crash or a wrong merge.
+ *
+ * The on-disk format is one field walk in journal.cc that both
+ * serialize() and parse() call, so the two cannot drift. Adding
+ * a field means editing the walk, bumping the magic line and
+ * adding a format-history line there.
  */
 
 #ifndef FPC_SIM_JOURNAL_HH

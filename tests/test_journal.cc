@@ -4,7 +4,9 @@
  * counts must be rejected without count-sized allocations, and a
  * seeded byte-mutation run over a full entry must never crash —
  * every mutant is either rejected or parses to an entry that
- * re-serializes and re-parses to itself.
+ * re-serializes and re-parses to itself. Doubles the writer
+ * never emits (non-finite or out of range) are rejected, and a
+ * golden v6 entry pins the on-disk bytes across builds.
  */
 
 #include <gtest/gtest.h>
@@ -132,6 +134,16 @@ TEST(JournalParse, ForgedCountsRejectedWithoutLargeAllocation)
         {"\nstatus 0 1 ", "\nstatus 0 4294967297 "},
         // A counter past 2^64 - 1 that strtoull would saturate.
         {"\nmetrics 1000 ", "\nmetrics 99999999999999999999999 "},
+        // Doubles the writer never emits (non-finite or out of
+        // range): a resumed report would render them as invalid
+        // JSON.
+        {"\nextras 0", "\nextras 1\nextra inf 1 x"},
+        {"\nextras 0", "\nextras 1\nextra -inf 1 x"},
+        {"\nextras 0", "\nextras 1\nextra nan 1 x"},
+        {"\nextras 0", "\nextras 1\nextra 1e999 1 x"},
+        {"\nstatus 0 1 0x0p+0", "\nstatus 0 1 inf"},
+        {"\nstatus 0 1 0x0p+0", "\nstatus 0 1 0x1p+1024"},
+        {"\nopts 0x1.999999999999ap-4", "\nopts nan"},
     };
     for (const auto &[from, to] : forgeries) {
         std::string forged = good;
@@ -190,7 +202,12 @@ fullEntry()
     r.covered = 5;
     r.overpred = 6;
     r.densityBuckets = {1, 2, 3, 4};
-    r.extra = {{"lat_p50", 12.5}, {"odd name\n", -0.0}};
+    // The smallest subnormal and the largest-magnitude finite
+    // double: extremes the writer emits and the reader accepts.
+    r.extra = {{"lat_p50", 12.5},
+               {"odd name\n", -0.0},
+               {"tiny", 0x1p-1074},
+               {"huge", -0x1.fffffffffffffp+1023}};
     r.timing.traceSeconds = 0.25;
     r.timing.sampled = true;
     r.attempts = 2;
@@ -225,6 +242,85 @@ TEST(JournalParse, FullEntryReserializesIdentically)
     ASSERT_TRUE(SweepJournal::parse(text, key, e));
     EXPECT_EQ(key, "fig06/x/footprint");
     EXPECT_EQ(SweepJournal::serialize(key, e), text);
+}
+
+/**
+ * One v6 entry exactly as an earlier build wrote it, with every
+ * section non-empty: two tenants, extras, an error string with a
+ * newline, intervals with tenant slices and probe values, probe
+ * names and a heatmap with one DRAM grid. The round-trip tests
+ * compare a build only with itself; this text pins the on-disk
+ * bytes across builds. A change that breaks it is a format
+ * change: bump the journal magic and write a new golden entry.
+ */
+const char *const kGoldenV6 =
+    "fpcjournal 6\n"
+    "key golden/WebSearch/footprint\n"
+    "opts 0x1.999999999999ap-4 42\n"
+    "telemetry 20000 1 64 1 1 1048576\n"
+    "sampling 1 10 4000 1000 0x1.999999999999ap-5 4\n"
+    "status 1 2 0x1.8p+0\n"
+    "error 26 boom: \"quoted\"\n"
+    "second line\n"
+    "metrics 1 2 3 4 5 6 7 8 9 10 11\n"
+    "energy 0x1p-2 0x1.5555555555555p-2 0x1.4p+0 0x1.cp+0\n"
+    "tenants 2\n"
+    "tenant 12 13 14 15 16 17 18\n"
+    "tenant 19 20 21 22 23 24 25\n"
+    "footprint 1 5 6 7 8 9 10\n"
+    "density 3 1 2 3\n"
+    "extras 2\n"
+    "extra 0x1.9p+3 7 lat_p50\n"
+    "extra -0x0p+0 8 odd name\n"
+    "timing 0x1p-2 0x1p-1 0x1.8p-1 1 0 0 1 1 0x1p-3 0x1.4p-1\n"
+    "intervals 2\n"
+    "interval 26 27 28 29 30 31 32 33 34 35 36 2\n"
+    "itenant 37 38 39 40 41 42 43\n"
+    "itenant 44 45 46 47 48 49 50\n"
+    "iprobe 2 51 52\n"
+    "interval 53 54 55 56 57 58 59 60 61 62 63 2\n"
+    "itenant 64 65 66 67 68 69 70\n"
+    "itenant 71 72 73 74 75 76 77\n"
+    "iprobe 2 78 79\n"
+    "probenames 2\n"
+    "pname 12 intro.demand\n"
+    "pname 8 fht.hits\n"
+    "probevals 2 11 22\n"
+    "heatmap 1 4096 2048 2\n"
+    "haccess 1 2\n"
+    "hconflict 3 4\n"
+    "hoccupancy 5 6\n"
+    "hdrams 1\n"
+    "hdram 1 2 7 stacked\n"
+    "hacts 7 8\n"
+    "hreads 9 10\n"
+    "hwrites 11 12\n"
+    "end\n";
+
+TEST(JournalParse, GoldenV6EntryReserializesByteForByte)
+{
+    std::string key;
+    JournalEntry e;
+    ASSERT_TRUE(SweepJournal::parse(kGoldenV6, key, e));
+    EXPECT_EQ(key, "golden/WebSearch/footprint");
+    const PointResult &r = e.result;
+    EXPECT_EQ(e.sampling.targetCi, 0.05);
+    EXPECT_EQ(r.error, "boom: \"quoted\"\nsecond line");
+    EXPECT_EQ(r.metrics.offchipBurstNj, 1.0 / 3.0);
+    ASSERT_EQ(r.metrics.tenants.size(), 2u);
+    ASSERT_EQ(r.intervals.size(), 2u);
+    ASSERT_EQ(r.intervals[1].tenants.size(), 2u);
+    EXPECT_EQ(r.intervals[1].probeValues,
+              (std::vector<std::uint64_t>{78, 79}));
+    ASSERT_EQ(r.extra.size(), 2u);
+    EXPECT_EQ(r.extra[1].first, "odd name");
+    EXPECT_EQ(r.probeNames,
+              (std::vector<std::string>{"intro.demand",
+                                        "fht.hits"}));
+    ASSERT_EQ(r.heatmap.drams.size(), 1u);
+    EXPECT_EQ(r.heatmap.drams[0].writes,
+              (std::vector<std::uint64_t>{11, 12}));
+    EXPECT_EQ(SweepJournal::serialize(key, e), kGoldenV6);
 }
 
 TEST(JournalParse, SeededMutantsRejectedOrStable)
