@@ -49,13 +49,6 @@ const WorkloadKind kSolos[] = {WorkloadKind::WebSearch,
 /** Policies of the isolation slice (first pair only). */
 const char *kPolicySlice[] = {"setpart", "quota"};
 
-bool
-selected(const SweepOptions &opts, WorkloadKind wk)
-{
-    return opts.workloadFilter.empty() ||
-           opts.workloadFilter == workloadName(wk);
-}
-
 } // namespace
 
 void
@@ -78,14 +71,14 @@ registerColocation(ExperimentRegistry &reg)
         for (const char *d : kColocationDesigns) {
             // Solo baselines: one tenant on half the pod.
             for (WorkloadKind wk : kSolos) {
-                if (!selected(opts, wk))
+                if (!opts.selects(wk))
                     continue;
                 add({{wk, 8, 0.0}}, d, "shared");
             }
             // Pairwise interference, fully shared cache.
             for (std::size_t pr = 0; pr < kNumPairs; ++pr) {
-                if (!selected(opts, kPairs[pr][0]) ||
-                    !selected(opts, kPairs[pr][1]))
+                if (!opts.selects(kPairs[pr][0]) ||
+                    !opts.selects(kPairs[pr][1]))
                     continue;
                 add({{kPairs[pr][0], 8, 0.0},
                      {kPairs[pr][1], 8, 0.0}},
@@ -93,8 +86,8 @@ registerColocation(ExperimentRegistry &reg)
             }
             // Isolation slice: first pair under each policy.
             for (const char *policy : kPolicySlice) {
-                if (!selected(opts, kPairs[0][0]) ||
-                    !selected(opts, kPairs[0][1]))
+                if (!opts.selects(kPairs[0][0]) ||
+                    !opts.selects(kPairs[0][1]))
                     continue;
                 add({{kPairs[0][0], 8, 0.0},
                      {kPairs[0][1], 8, 0.0}},

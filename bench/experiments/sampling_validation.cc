@@ -76,8 +76,7 @@ registerSamplingValidation(ExperimentRegistry &reg)
                 ExperimentPoint sampled = exact;
                 sampled.label =
                     standardLabel(wk, sampled.cfg) + "/sampled";
-                sampled.cfg.pod.sampling =
-                    opts.samplingConfig();
+                sampled.cfg.pod.sampling = opts.sampling;
                 sampled.cfg.pod.sampling.enabled = true;
 
                 points.push_back(std::move(exact));

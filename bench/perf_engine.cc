@@ -21,8 +21,9 @@
  * (records/sec per phase per design), committed as the perf
  * trajectory across PRs.
  *
- * Flags: the common set (--quick, --scale, --seed, --workload)
- * plus --out FILE for the JSON path and --reference-seconds S, an
+ * Flags: the window subset of the common set (--quick, --scale,
+ * --seed/--base-seed, --workload; every other common flag exits
+ * 2) plus --out FILE for the JSON path and --reference-seconds S, an
  * externally measured wall-clock for the same footprint run on an
  * all-timed reference engine (scripts/bench_seed_baseline.sh
  * measures the pre-two-phase seed revision); when given, the
@@ -421,6 +422,18 @@ measuredIdentical(const PhaseTimes &a, const PhaseTimes &b)
            a.trigMisses == b.trigMisses;
 }
 
+/** The common flags perf_engine honours: the run window. */
+bool
+isWindowFlag(const char *flag)
+{
+    for (const char *window :
+         {"--quick", "--scale", "--seed", "--base-seed", "--workload"}) {
+        if (!std::strcmp(flag, window))
+            return true;
+    }
+    return false;
+}
+
 } // namespace
 
 int
@@ -436,15 +449,22 @@ main(int argc, char **argv)
             } else if (!std::strcmp(argv[i], "--reference-seconds") &&
                        i + 1 < argc) {
                 reference_seconds = std::atof(argv[++i]);
-            } else if (!std::strcmp(argv[i], "--jobs")) {
-                // perf_engine measures one engine serially; a shard
-                // pool would perturb the very timings it reports.
-                std::fprintf(stderr,
-                             "perf_engine is single-threaded; "
-                             "--jobs is not supported\n");
-                return 2;
-            } else if (parseCommonFlag(args, argc, argv, i)) {
-                continue;
+            } else if (const char *flag = argv[i];
+                       parseCommonFlag(args, argc, argv, i)) {
+                // perf_engine times one engine serially over a
+                // window: a shard pool would perturb the very
+                // timings it reports, and it writes no sweep
+                // artifact, journal or sampled result. Any other
+                // common flag would be silently ignored.
+                if (!isWindowFlag(flag)) {
+                    std::fprintf(stderr,
+                                 "perf_engine takes only the window "
+                                 "flags (--quick, --scale, --seed, "
+                                 "--workload); %s is not "
+                                 "supported\n",
+                                 flag);
+                    return 2;
+                }
             } else {
                 std::fprintf(stderr,
                              "usage: %s [--quick] [--scale F] "

@@ -25,8 +25,6 @@
 #include <string>
 #include <vector>
 
-#include <algorithm>
-
 #include "common/fault.hh"
 #include "experiments/experiments.hh"
 #include "telemetry/heatmap.hh"
@@ -173,7 +171,7 @@ main(int argc, char **argv)
     }
     if (!checkWorkloadFilter(opts))
         return 2;
-    if (opts.resume && opts.journalDir.empty()) {
+    if (opts.resilience.resume && opts.resilience.journalDir.empty()) {
         std::fprintf(stderr, "--resume requires --journal DIR\n");
         return 2;
     }
@@ -201,18 +199,8 @@ main(int argc, char **argv)
     }
 
     // Expand every selected experiment, then shard the
-    // concatenation as one batch. Telemetry options apply
-    // uniformly to every point: interval streaming and histograms
-    // ride in each point's PodConfig. Sampling likewise, except
-    // for points that pin their own sampling config (the paired
-    // exact/sampled validation twins), points whose warmup
-    // scheme runSampled cannot alternate with (timed warmup has
-    // no functional fast-forward phase to interleave), and
-    // multi-tenant points (the span artifact carries no
-    // per-tenant attribution).
-    const std::uint64_t interval_records =
-        opts.effectiveIntervalRecords();
-    const fpc::SamplingConfig sampling = opts.samplingConfig();
+    // concatenation as one batch; each point carries the sweep's
+    // telemetry and sampling settings in its PodConfig.
     std::vector<ExperimentRun> runs;
     std::vector<ExperimentPoint> batch;
     for (const ExperimentDef &def : reg.all()) {
@@ -223,26 +211,7 @@ main(int argc, char **argv)
         run.title = def.title;
         run.points = def.build(opts);
         for (ExperimentPoint &p : run.points) {
-            p.cfg.pod.telemetry.intervalRecords =
-                interval_records;
-            p.cfg.pod.telemetry.histograms = opts.histograms;
-            // Introspection flags merge non-clobberingly: the
-            // introspection experiment pins its own per-point
-            // values and the CLI flags only ever widen them.
-            p.cfg.pod.telemetry.missAttributionStride = std::max(
-                p.cfg.pod.telemetry.missAttributionStride,
-                opts.missAttribution);
-            p.cfg.pod.telemetry.designProbes |=
-                opts.designProbes;
-            p.cfg.pod.telemetry.heatmaps |=
-                !opts.heatmapOut.empty();
-            if (sampling.enabled && !p.pinSampling &&
-                !p.cfg.pod.allTimedWarmup &&
-                p.cfg.pod.numTenants == 0 &&
-                p.cfg.pod.warmupMode ==
-                    fpc::SimMode::Functional) {
-                p.cfg.pod.sampling = sampling;
-            }
+            applySweepOptions(p, opts);
             batch.push_back(p);
         }
         runs.push_back(std::move(run));
@@ -254,10 +223,11 @@ main(int argc, char **argv)
         return 1;
     }
 
-    SweepRunner runner(opts.jobs, opts.traceCacheConfig());
+    SweepRunner runner(opts.jobs, opts.cache);
     const std::string cache_desc =
-        opts.traceCache ? std::to_string(opts.traceCacheMb) + "MB"
-                        : "off";
+        opts.cache.enabled
+            ? std::to_string(opts.cache.budgetBytes >> 20) + "MB"
+            : "off";
     std::printf("sweep: %zu experiment(s), %zu point(s), "
                 "%u job(s), scale %.2f, seed %llu, "
                 "trace cache %s\n",
@@ -269,14 +239,12 @@ main(int argc, char **argv)
     std::unique_ptr<fpc::SpanTracer> tracer;
     if (!opts.traceOut.empty())
         tracer = std::make_unique<fpc::SpanTracer>();
+    opts.resilience.tracer = tracer.get();
 
     const auto t0 = std::chrono::steady_clock::now();
     SweepOutcome outcome;
     try {
-        ResilienceOptions res =
-            ResilienceOptions::fromSweepOptions(opts);
-        res.tracer = tracer.get();
-        outcome = runner.runResilient(batch, res);
+        outcome = runner.runResilient(batch, opts.resilience);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "ERROR: %s\n", e.what());
         return 1;
@@ -370,7 +338,8 @@ main(int argc, char **argv)
             }
         }
         const std::string ts_json = fpc::renderTimeseriesJson(
-            opts.scale, opts.seed, interval_records, series);
+            opts.scale, opts.seed, opts.effectiveIntervalRecords(),
+            series);
         if (!writeTextFile(opts.timeseriesOut, ts_json))
             return 1;
         std::printf("wrote %s (%zu point series)\n",

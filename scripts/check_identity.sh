@@ -7,9 +7,14 @@
 # Builds REV's sweep in a temporary git worktree and the working
 # tree's sweep in BUILD_DIR, then runs one --quick slice that
 # covers solo, two-tenant, sampled and introspection points with
-# every artifact flag on. It requires:
+# every artifact flag on, plus two fig06 flag-group slices. It
+# requires:
 #   - the merged report, --timeseries-out and --heatmap-out to be
 #     byte-identical between the two builds;
+#   - the merged reports of two fig06 slices to be byte-identical
+#     between the two builds: one with the sampling, histogram
+#     and trace-cache-off flags, one with the trace-cache budget
+#     and retry/deadline flags;
 #   - --jobs 1 to reproduce the --jobs 2 artifacts byte for byte;
 #   - a --resume from the --jobs 2 journal to execute nothing and
 #     reproduce the artifacts byte for byte;
@@ -57,6 +62,21 @@ run_slice() { # SWEEP OUT_DIR JOBS [extra sweep flags...]
         --out "$out/report.json" "$@" >"$out/log.txt" 2>&1
 }
 
+# The flag groups the artifact slice leaves at their defaults.
+SAMPLING_FLAGS=(--sample-mode --sample-intervals 6
+    --sample-interval-records 2000 --sample-target-ci 0.05
+    --histograms --no-trace-cache)
+RUNNER_FLAGS=(--trace-cache-mb 64 --retries 0 --backoff-ms 1
+    --point-deadline-s 600)
+
+run_fig06() { # SWEEP OUT_DIR [extra sweep flags...]: report only
+    local sweep="$1" out="$2"
+    shift 2
+    mkdir -p "$out"
+    "$sweep" --quick --jobs 2 --filter fig06 --no-report \
+        --out "$out/report.json" "$@" >"$out/log.txt" 2>&1
+}
+
 journal_magic() { # JOURNAL_DIR: first line of its first entry
     local f
     for f in "$1"/*.pt; do
@@ -66,13 +86,15 @@ journal_magic() { # JOURNAL_DIR: first line of its first entry
 }
 
 failures=0
-expect_same() { # WHAT DIR_A DIR_B
-    local f
-    for f in report.json ts.json heat.json; do
-        if cmp -s "$2/$f" "$3/$f"; then
-            echo "ok   $1: $f"
+expect_same() { # WHAT DIR_A DIR_B [FILE...] (default: all three)
+    local what="$1" a="$2" b="$3" f
+    shift 3
+    [ "$#" -gt 0 ] || set -- report.json ts.json heat.json
+    for f in "$@"; do
+        if cmp -s "$a/$f" "$b/$f"; then
+            echo "ok   $what: $f"
         else
-            echo "FAIL $1: $f differs ($2/$f vs $3/$f)"
+            echo "FAIL $what: $f differs ($a/$f vs $b/$f)"
             failures=$((failures + 1))
         fi
     done
@@ -102,6 +124,16 @@ run_slice "$BUILD_DIR/sweep" "$TMP/new-resume" 2 \
     --journal "$TMP/journal" --resume
 
 expect_same "$REV vs working tree" "$TMP/ref-j2" "$TMP/new-j2"
+
+echo "running fig06 flag-group slices" >&2
+run_fig06 "$WORKTREE/build/sweep" "$TMP/ref-sampling" "${SAMPLING_FLAGS[@]}"
+run_fig06 "$BUILD_DIR/sweep" "$TMP/new-sampling" "${SAMPLING_FLAGS[@]}"
+run_fig06 "$WORKTREE/build/sweep" "$TMP/ref-runner" "${RUNNER_FLAGS[@]}"
+run_fig06 "$BUILD_DIR/sweep" "$TMP/new-runner" "${RUNNER_FLAGS[@]}"
+expect_same "$REV vs working tree, sampling flags" \
+    "$TMP/ref-sampling" "$TMP/new-sampling" report.json
+expect_same "$REV vs working tree, runner flags" \
+    "$TMP/ref-runner" "$TMP/new-runner" report.json
 expect_same "--jobs 1 vs --jobs 2" "$TMP/new-j1" "$TMP/new-j2"
 expect_same "--resume vs fresh" "$TMP/new-resume" "$TMP/new-j2"
 expect_no_execution "--resume" "$TMP/new-resume"

@@ -38,15 +38,19 @@ namespace fpc {
 const std::vector<std::uint64_t> kPaperCapacities = {64, 128, 256,
                                                      512};
 
+bool
+SweepOptions::selects(WorkloadKind wk) const
+{
+    return workloadFilter.empty() || workloadFilter == workloadName(wk);
+}
+
 std::vector<WorkloadKind>
 SweepOptions::workloads() const
 {
     std::vector<WorkloadKind> out;
     for (WorkloadKind wk : kAllWorkloads) {
-        if (workloadFilter.empty() ||
-            workloadFilter == workloadName(wk)) {
+        if (selects(wk))
             out.push_back(wk);
-        }
     }
     return out;
 }
@@ -65,50 +69,16 @@ SweepOptions::effectiveJobs() const
     return resolveJobs(jobs);
 }
 
-TraceCacheConfig
-SweepOptions::traceCacheConfig() const
-{
-    TraceCacheConfig cfg;
-    cfg.enabled = traceCache;
-    cfg.budgetBytes = traceCacheMb << 20;
-    return cfg;
-}
-
 std::uint64_t
 SweepOptions::effectiveIntervalRecords() const
 {
-    if (intervalRecords)
-        return intervalRecords;
+    if (telemetry.intervalRecords)
+        return telemetry.intervalRecords;
     if (timeseriesOut.empty())
         return 0;
     // --timeseries-out without an explicit epoch length: ~32
     // epochs over the measured window.
     return std::max<std::uint64_t>(1, measureRecords(scale) / 32);
-}
-
-SamplingConfig
-SweepOptions::samplingConfig() const
-{
-    SamplingConfig sc;
-    sc.enabled = sampleMode;
-    if (sampleIntervals)
-        sc.intervals = sampleIntervals;
-    if (sampleIntervalRecords)
-        sc.intervalRecords = sampleIntervalRecords;
-    sc.targetCi = sampleTargetCi;
-    return sc;
-}
-
-ResilienceOptions
-ResilienceOptions::fromSweepOptions(const SweepOptions &opts)
-{
-    ResilienceOptions res;
-    res.retries = opts.retries;
-    res.backoffMs = opts.backoffMs;
-    res.pointDeadlineS = opts.pointDeadlineS;
-    res.journalDir = opts.journalDir;
-    res.resume = opts.resume;
-    return res;
 }
 
 bool
@@ -149,6 +119,12 @@ parseCommonFlag(SweepOptions &opts, int argc, char **argv, int &i)
         out = static_cast<T>(
             integer(std::numeric_limits<T>::max()));
     };
+    // The same, except that 0 selects the field's default.
+    const auto countOr = [&](auto &out, auto fallback) {
+        count(out);
+        if (!out)
+            out = fallback;
+    };
     // A finite number, > 0 when @p positive and >= 0 otherwise.
     const auto real = [&](bool positive) {
         const char *value = text();
@@ -179,55 +155,57 @@ parseCommonFlag(SweepOptions &opts, int argc, char **argv, int &i)
     } else if (withValue("--jobs")) {
         count(opts.jobs);
     } else if (is("--no-trace-cache")) {
-        opts.traceCache = false;
+        opts.cache.enabled = false;
     } else if (withValue("--trace-cache-mb")) {
         // Bounded so the MB-to-bytes shift cannot overflow.
-        opts.traceCacheMb =
-            integer(std::numeric_limits<std::uint64_t>::max() >> 20);
+        opts.cache.budgetBytes =
+            integer(std::numeric_limits<std::uint64_t>::max() >> 20)
+            << 20;
     } else if (is("--time")) {
         opts.time = true;
     } else if (withValue("--time-out")) {
         opts.time = true;
         opts.timeOut = text();
     } else if (withValue("--journal")) {
-        opts.journalDir = text();
+        opts.resilience.journalDir = text();
     } else if (is("--resume")) {
-        opts.resume = true;
+        opts.resilience.resume = true;
     } else if (withValue("--retries")) {
-        count(opts.retries);
+        count(opts.resilience.retries);
     } else if (withValue("--backoff-ms")) {
-        count(opts.backoffMs);
+        count(opts.resilience.backoffMs);
     } else if (withValue("--point-deadline-s")) {
-        opts.pointDeadlineS = real(false);
+        opts.resilience.pointDeadlineS = real(false);
     } else if (withValue("--fault-plan")) {
         opts.faultPlan = text();
     } else if (withValue("--interval-records")) {
-        count(opts.intervalRecords);
+        count(opts.telemetry.intervalRecords);
     } else if (is("--histograms")) {
-        opts.histograms = true;
+        opts.telemetry.histograms = true;
     } else if (withValue("--timeseries-out")) {
         opts.timeseriesOut = text();
     } else if (withValue("--miss-attribution")) {
-        count(opts.missAttribution);
+        count(opts.telemetry.missAttributionStride);
     } else if (is("--design-probes")) {
-        opts.designProbes = true;
+        opts.telemetry.designProbes = true;
     } else if (withValue("--heatmap-out")) {
         opts.heatmapOut = text();
     } else if (withValue("--trace-out")) {
         opts.traceOut = text();
     } else if (is("--sample-mode")) {
-        opts.sampleMode = true;
+        opts.sampling.enabled = true;
     } else if (withValue("--sample-intervals")) {
         // The tuning flags imply the mode, like --time-out
         // implies --time.
-        opts.sampleMode = true;
-        count(opts.sampleIntervals);
+        opts.sampling.enabled = true;
+        countOr(opts.sampling.intervals, SamplingConfig{}.intervals);
     } else if (withValue("--sample-interval-records")) {
-        opts.sampleMode = true;
-        count(opts.sampleIntervalRecords);
+        opts.sampling.enabled = true;
+        countOr(opts.sampling.intervalRecords,
+                SamplingConfig{}.intervalRecords);
     } else if (withValue("--sample-target-ci")) {
-        opts.sampleMode = true;
-        opts.sampleTargetCi = real(false);
+        opts.sampling.enabled = true;
+        opts.sampling.targetCi = real(false);
     } else {
         return false;
     }
@@ -821,6 +799,26 @@ runPoint(const ExperimentPoint &point)
         }
     }
     return out;
+}
+
+void
+applySweepOptions(ExperimentPoint &point, const SweepOptions &opts)
+{
+    TelemetryConfig &t = point.cfg.pod.telemetry;
+    t.intervalRecords = opts.effectiveIntervalRecords();
+    t.histograms = opts.telemetry.histograms;
+    // The introspection experiment pins its own per-point values;
+    // the sweep's settings only ever widen them.
+    t.missAttributionStride = std::max(
+        t.missAttributionStride, opts.telemetry.missAttributionStride);
+    t.designProbes |= opts.telemetry.designProbes;
+    t.heatmaps |= opts.telemetry.heatmaps || !opts.heatmapOut.empty();
+
+    const PodConfig &pod = point.cfg.pod;
+    if (opts.sampling.enabled && !point.pinSampling &&
+        pod.numTenants == 0 && !pod.allTimedWarmup &&
+        pod.warmupMode == SimMode::Functional)
+        point.cfg.pod.sampling = opts.sampling;
 }
 
 std::vector<ExperimentPoint>
@@ -1483,7 +1481,7 @@ renderTimingJson(const SweepOptions &options,
     appendFmt(out, "  \"seed\": %" PRIu64 ",\n", options.seed);
     appendFmt(out, "  \"jobs\": %u,\n", options.effectiveJobs());
     appendFmt(out, "  \"trace_cache\": %s,\n",
-              options.traceCache ? "true" : "false");
+              options.cache.enabled ? "true" : "false");
     appendFmt(out,
               "  \"cache\": {\"hits\": %" PRIu64
               ", \"misses\": %" PRIu64

@@ -60,162 +60,6 @@ struct TraceCacheConfig
     std::uint64_t budgetBytes = std::uint64_t{1024} << 20;
 };
 
-/** Options shared by every sweep entry point (CLI and library). */
-struct SweepOptions
-{
-    /**
-     * Run-window scale. 1.0 reproduces the paper's shapes most
-     * faithfully (full FHT training at 512MB); the default is
-     * sized so the whole suite finishes in tens of minutes on two
-     * cores. --quick selects 0.1 (a quarter of the default).
-     */
-    double scale = 0.4;
-
-    /** Base workload seed; mixed into every point's trace seed. */
-    std::uint64_t seed = 42;
-
-    /** Restrict to one workload by name (empty = all six). */
-    std::string workloadFilter;
-
-    /** Worker threads (0 = hardware concurrency). */
-    unsigned jobs = 0;
-
-    /** Share traces/warmups across points (--no-trace-cache). */
-    bool traceCache = true;
-
-    /** Trace-cache byte budget in MB (--trace-cache-mb). */
-    std::uint64_t traceCacheMb = 1024;
-
-    /** Per-point wall-clock breakdown reporting (--time). */
-    bool time = false;
-
-    /**
-     * Write the --time breakdown to this file as JSON instead of
-     * embedding it in the merged report (--time-out). Keeping the
-     * merged JSON timing-free preserves its byte-identity across
-     * cache on/off and job counts.
-     */
-    std::string timeOut;
-
-    /** Checkpoint journal directory (--journal; empty = off). */
-    std::string journalDir;
-
-    /** Skip and merge journaled points (--resume). */
-    bool resume = false;
-
-    /** Extra attempts for transiently-failing points
-     * (--retries). */
-    unsigned retries = 2;
-
-    /** Base retry backoff in ms, doubled per attempt
-     * (--backoff-ms). */
-    unsigned backoffMs = 250;
-
-    /** Per-point wall-clock deadline in seconds
-     * (--point-deadline-s; 0 = none). */
-    double pointDeadlineS = 0.0;
-
-    /** Fault-injection plan (--fault-plan; empty = off). */
-    std::string faultPlan;
-
-    /**
-     * Interval-streaming epoch length in trace records
-     * (--interval-records; 0 = off unless --timeseries-out
-     * supplies a default via effectiveIntervalRecords()).
-     */
-    std::uint64_t intervalRecords = 0;
-
-    /**
-     * Hot-path latency/occupancy/MLP histograms (--histograms).
-     * Adds percentile extras to each point in the merged report —
-     * the one telemetry flag that intentionally changes report
-     * bytes.
-     */
-    bool histograms = false;
-
-    /**
-     * Write the per-point interval time series to this file
-     * (--timeseries-out). A standalone artifact: the merged
-     * report never references it.
-     */
-    std::string timeseriesOut;
-
-    /**
-     * Write a Chrome trace-event (Perfetto-loadable) span
-     * timeline of the sweep's execution to this file
-     * (--trace-out). Standalone, wall-clock, nondeterministic by
-     * nature — never part of the merged report.
-     */
-    std::string traceOut;
-
-    /**
-     * Sampled execution (--sample-mode): measure each point over
-     * short timed intervals separated by functional fast-forward
-     * instead of timing the full window, and report per-metric
-     * mean + 95% CI extras. Off by default — the exact report
-     * stays byte-identical. Points that pin their own sampling
-     * configuration (ExperimentPoint::pinSampling) are exempt.
-     */
-    bool sampleMode = false;
-
-    /**
-     * Miss-attribution set-sampling stride K (--miss-attribution;
-     * 0 = off). Classifies stacked-DRAM misses as compulsory /
-     * capacity / conflict over a 1-in-K sample of sets and adds
-     * attr_* extras to each point. Like --histograms, this
-     * intentionally changes report bytes; sampled points are
-     * exempt (introspection is exact-mode only).
-     */
-    unsigned missAttribution = 0;
-
-    /**
-     * Stream per-design structure counters (--design-probes):
-     * every StatGroup counter the design registers becomes a
-     * probe column in the --timeseries-out artifact plus
-     * fill-accuracy extras in the report.
-     */
-    bool designProbes = false;
-
-    /**
-     * Write per-set / per-bank spatial heatmaps to this file
-     * (--heatmap-out). A standalone artifact like
-     * --timeseries-out: the merged report never references it.
-     */
-    std::string heatmapOut;
-
-    /** Measurement intervals per point (--sample-intervals;
-     * 0 = SamplingConfig default). */
-    unsigned sampleIntervals = 0;
-
-    /** Timed records per measured interval
-     * (--sample-interval-records; 0 = SamplingConfig default). */
-    std::uint64_t sampleIntervalRecords = 0;
-
-    /** Auto-tune target relative CI half-width of IPC
-     * (--sample-target-ci; 0 = run all intervals). */
-    double sampleTargetCi = 0.0;
-
-    /** The sampling configuration these options select. */
-    SamplingConfig samplingConfig() const;
-
-    /** Workloads selected by the filter (default: all six). */
-    std::vector<WorkloadKind> workloads() const;
-
-    /** Effective worker count (resolves 0 to the hardware). */
-    unsigned effectiveJobs() const;
-
-    /** The trace-cache configuration these options select. */
-    TraceCacheConfig traceCacheConfig() const;
-
-    /**
-     * The interval length interval streaming should use: the
-     * explicit --interval-records value, or, when only
-     * --timeseries-out was given, a default that splits the
-     * measured window into ~32 epochs.
-     */
-    std::uint64_t effectiveIntervalRecords() const;
-};
-
 /**
  * Fault-tolerance knobs of one SweepRunner::runResilient() call.
  * The defaults run every point once: no retries, no journal, no
@@ -239,8 +83,11 @@ struct ResilienceOptions
      */
     double pointDeadlineS = 0.0;
 
-    /** Checkpoint journal directory (empty = no journal). */
-    std::string journalDir;
+    /** Checkpoint journal directory (empty = no journal). The
+     * explicit {} keeps designated initializers that omit it,
+     * like SweepOptions::resilience, free of
+     * -Wmissing-field-initializers. */
+    std::string journalDir{};
 
     /** Serve journaled keys from the journal instead of
      * re-running them (requires journalDir). */
@@ -253,10 +100,129 @@ struct ResilienceOptions
      * it to each point for phase-level spans.
      */
     SpanTracer *tracer = nullptr;
+};
 
-    /** The resilience settings these sweep options select. */
-    static ResilienceOptions fromSweepOptions(
-        const SweepOptions &opts);
+/**
+ * Options shared by every sweep entry point (CLI and library).
+ *
+ * parseCommonFlag() writes each common flag into one field.
+ * Settings that belong to a subsystem live in that subsystem's
+ * own struct — `cache` (TraceCacheConfig), `resilience`
+ * (ResilienceOptions), `telemetry` (TelemetryConfig) and
+ * `sampling` (SamplingConfig) — which the runner and the points
+ * use as is. The remaining fields belong to no subsystem: scale,
+ * seed, workload filter, jobs, --time/--time-out, the fault plan
+ * and the artifact paths. applySweepOptions() carries the
+ * telemetry and sampling settings onto each point.
+ */
+struct SweepOptions
+{
+    /**
+     * Run-window scale. 1.0 reproduces the paper's shapes most
+     * faithfully (full FHT training at 512MB); the default is
+     * sized so the whole suite finishes in tens of minutes on two
+     * cores. --quick selects 0.1 (a quarter of the default).
+     */
+    double scale = 0.4;
+
+    /** Base workload seed; mixed into every point's trace seed. */
+    std::uint64_t seed = 42;
+
+    /** Restrict to one workload by name (empty = all six). */
+    std::string workloadFilter;
+
+    /** Worker threads (0 = hardware concurrency). */
+    unsigned jobs = 0;
+
+    /** Trace/warmup sharing across points: --no-trace-cache
+     * clears `enabled`, --trace-cache-mb N sets `budgetBytes` to
+     * N MB. */
+    TraceCacheConfig cache;
+
+    /** Per-point wall-clock breakdown reporting (--time). */
+    bool time = false;
+
+    /**
+     * Write the --time breakdown to this file as JSON instead of
+     * embedding it in the merged report (--time-out; implies
+     * --time). Keeping the merged JSON timing-free preserves its
+     * byte-identity across cache on/off and job counts.
+     */
+    std::string timeOut;
+
+    /** Retry, deadline and journal settings: --retries,
+     * --backoff-ms, --point-deadline-s, --journal and --resume.
+     * The CLI retries a transient failure twice by default. */
+    ResilienceOptions resilience{.retries = 2};
+
+    /** Fault-injection plan (--fault-plan; empty = off). */
+    std::string faultPlan;
+
+    /**
+     * Telemetry every point records: --interval-records sets
+     * `intervalRecords` (0 = off unless --timeseries-out supplies
+     * a default via effectiveIntervalRecords()), --histograms
+     * `histograms`, --miss-attribution K `missAttributionStride`
+     * and --design-probes `designProbes`. Histograms and miss
+     * attribution add extras to each point in the merged report
+     * — the telemetry flags that intentionally change report
+     * bytes; sampled points are exempt from introspection.
+     */
+    TelemetryConfig telemetry;
+
+    /**
+     * Write the per-point interval time series to this file
+     * (--timeseries-out). A standalone artifact: the merged
+     * report never references it.
+     */
+    std::string timeseriesOut;
+
+    /**
+     * Write a Chrome trace-event (Perfetto-loadable) span
+     * timeline of the sweep's execution to this file
+     * (--trace-out). Standalone, wall-clock, nondeterministic by
+     * nature — never part of the merged report.
+     */
+    std::string traceOut;
+
+    /**
+     * Write per-set / per-bank spatial heatmaps to this file
+     * (--heatmap-out; arms TelemetryConfig::heatmaps on every
+     * point). A standalone artifact like --timeseries-out: the
+     * merged report never references it.
+     */
+    std::string heatmapOut;
+
+    /**
+     * Sampled execution: --sample-mode sets `enabled`; the
+     * tuning flags --sample-intervals, --sample-interval-records
+     * (each 0 = the default) and --sample-target-ci set
+     * their field and imply the mode. Off by default — the exact
+     * report stays byte-identical. Points that pin their own
+     * sampling configuration (ExperimentPoint::pinSampling) are
+     * exempt.
+     */
+    SamplingConfig sampling;
+
+    /** True when the workload filter selects @p wk. */
+    bool selects(WorkloadKind wk) const;
+
+    /** Workloads selected by the filter (default: all six). */
+    std::vector<WorkloadKind> workloads() const;
+
+    /** Effective worker count (resolves 0 to the hardware). */
+    unsigned effectiveJobs() const;
+
+    /** The trace-cache configuration (`cache`). */
+    const TraceCacheConfig &traceCacheConfig() const { return cache; }
+
+    /**
+     * The interval length interval streaming should use: the
+     * explicit --interval-records value, or, when only
+     * --timeseries-out was given, a default that splits the
+     * measured window into ~32 epochs.
+     */
+    std::uint64_t effectiveIntervalRecords() const;
 };
 
 /** Resolve a --jobs value: 0 means hardware concurrency. */
@@ -559,6 +525,20 @@ std::string standardLabel(WorkloadKind wk,
  * warmup, measured window, footprint detail snapshot.
  */
 PointResult runPoint(const ExperimentPoint &point);
+
+/**
+ * Apply a sweep's telemetry and sampling settings to one of its
+ * points. The interval length is effectiveIntervalRecords() and
+ * histograms follow the sweep; the introspection settings only
+ * widen what the point pinned (the larger miss-attribution
+ * stride, design probes OR-ed, heatmaps on with --heatmap-out).
+ * Sampling replaces the point's configuration unless the point
+ * pins its own (pinSampling), has tenants (the span artifact
+ * carries no per-tenant attribution) or warms timed (no
+ * functional fast-forward phase to interleave with).
+ */
+void applySweepOptions(ExperimentPoint &point,
+                       const SweepOptions &opts);
 
 /**
  * A rectangular slice of the evaluation grid. expand() emits the

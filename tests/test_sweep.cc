@@ -3,15 +3,19 @@
  * Sweep subsystem tests: grid expansion, per-point seed
  * determinism (stable under registry reordering, independent of
  * shard count), bit-identical metrics between --jobs 1 and
- * --jobs 8, merged-report completeness, and strict validation of
- * the common flags' numeric values.
+ * --jobs 8, merged-report completeness, strict validation of the
+ * common flags' numeric values, the one field each common flag
+ * lands in, and how a sweep's options apply to its points.
  */
 
 #include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iomanip>
 #include <map>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -213,9 +217,9 @@ TEST(SweepRunner, CacheOnAndOffBitIdentical)
     opts.scale = 0.02;
     ExperimentRun ra{"unit", "t", points, a};
     ExperimentRun rb{"unit", "t", points, b};
-    opts.traceCache = true;
+    opts.cache.enabled = true;
     const std::string json_a = renderSweepJson(opts, {ra});
-    opts.traceCache = false;
+    opts.cache.enabled = false;
     const std::string json_b = renderSweepJson(opts, {rb});
     EXPECT_EQ(json_a, json_b);
     EXPECT_EQ(json_a.find("timing"), std::string::npos);
@@ -249,10 +253,10 @@ TEST(SweepRunner, FrontierJsonIdenticalAcrossCacheModes)
     uncached.results =
         runPoints(SweepRunner(4, off), run.points);
 
-    opts.traceCache = true;
+    opts.cache.enabled = true;
     const std::string json_on =
         renderSweepJson(opts, {cached});
-    opts.traceCache = false;
+    opts.cache.enabled = false;
     const std::string json_off =
         renderSweepJson(opts, {uncached});
     EXPECT_EQ(json_on, json_off);
@@ -418,17 +422,278 @@ TEST(CommonFlags, AcceptsWholeInRangeValues)
     EXPECT_EQ(parseOne("--seed", "18446744073709551615").seed,
               18446744073709551615ull);
     EXPECT_EQ(parseOne("--trace-cache-mb", "17592186044415")
-                  .traceCacheConfig()
-                  .budgetBytes,
+                  .cache.budgetBytes,
               17592186044415ull << 20);
-    EXPECT_EQ(parseOne("--point-deadline-s", "0").pointDeadlineS,
+    EXPECT_EQ(parseOne("--point-deadline-s", "0")
+                  .resilience.pointDeadlineS,
               0.0);
     const SweepOptions ci = parseOne("--sample-target-ci", "0.02");
-    EXPECT_TRUE(ci.sampleMode);
-    EXPECT_EQ(ci.sampleTargetCi, 0.02);
+    EXPECT_TRUE(ci.sampling.enabled);
+    EXPECT_EQ(ci.sampling.targetCi, 0.02);
     EXPECT_EQ(parseOne("--sample-interval-records", "4000")
-                  .sampleIntervalRecords,
+                  .sampling.intervalRecords,
               4000u);
+}
+
+/** One SweepOptions field, rendered for comparison. */
+struct OptionField
+{
+    const char *name;
+    std::string (*render)(const SweepOptions &);
+};
+
+template <typename T>
+std::string
+show(const T &value)
+{
+    std::ostringstream os;
+    os << std::setprecision(17) << value;
+    return os.str();
+}
+
+#define OPTION_FIELD(path)                                         \
+    OptionField                                                    \
+    {                                                              \
+        #path, [](const SweepOptions &o) { return show(o.path); }  \
+    }
+
+/** Every field of SweepOptions, subsystem structs field by field. */
+const OptionField kOptionFields[] = {
+    OPTION_FIELD(scale),
+    OPTION_FIELD(seed),
+    OPTION_FIELD(workloadFilter),
+    OPTION_FIELD(jobs),
+    OPTION_FIELD(cache.enabled),
+    OPTION_FIELD(cache.budgetBytes),
+    OPTION_FIELD(time),
+    OPTION_FIELD(timeOut),
+    OPTION_FIELD(resilience.retries),
+    OPTION_FIELD(resilience.backoffMs),
+    OPTION_FIELD(resilience.pointDeadlineS),
+    OPTION_FIELD(resilience.journalDir),
+    OPTION_FIELD(resilience.resume),
+    OPTION_FIELD(resilience.tracer),
+    OPTION_FIELD(faultPlan),
+    OPTION_FIELD(telemetry.intervalRecords),
+    OPTION_FIELD(telemetry.histograms),
+    OPTION_FIELD(telemetry.missAttributionStride),
+    OPTION_FIELD(telemetry.designProbes),
+    OPTION_FIELD(telemetry.heatmaps),
+    OPTION_FIELD(telemetry.shadowCapacityBytes),
+    OPTION_FIELD(timeseriesOut),
+    OPTION_FIELD(traceOut),
+    OPTION_FIELD(heatmapOut),
+    OPTION_FIELD(sampling.enabled),
+    OPTION_FIELD(sampling.intervals),
+    OPTION_FIELD(sampling.intervalRecords),
+    OPTION_FIELD(sampling.rampRecords),
+    OPTION_FIELD(sampling.targetCi),
+    OPTION_FIELD(sampling.minIntervals),
+};
+
+#undef OPTION_FIELD
+
+TEST(CommonFlags, EveryFlagLandsInOneField)
+{
+    // Each row: a command line and every field it must change
+    // (with the value it must hold); all other fields keep their
+    // defaults.
+    struct FlagCase
+    {
+        std::vector<const char *> args;
+        std::map<std::string, std::string> changed;
+    };
+    const FlagCase cases[] = {
+        {{"--quick"}, {{"scale", show(0.1)}}},
+        {{"--scale", "0.25"}, {{"scale", show(0.25)}}},
+        {{"--seed", "7"}, {{"seed", "7"}}},
+        {{"--base-seed", "7"}, {{"seed", "7"}}},
+        {{"--workload", "WebSearch"},
+         {{"workloadFilter", "WebSearch"}}},
+        {{"--jobs", "3"}, {{"jobs", "3"}}},
+        {{"--no-trace-cache"}, {{"cache.enabled", "0"}}},
+        {{"--trace-cache-mb", "64"},
+         {{"cache.budgetBytes", show(std::uint64_t{64} << 20)}}},
+        {{"--time"}, {{"time", "1"}}},
+        {{"--time-out", "t.json"},
+         {{"time", "1"}, {"timeOut", "t.json"}}},
+        {{"--journal", "j"}, {{"resilience.journalDir", "j"}}},
+        {{"--resume"}, {{"resilience.resume", "1"}}},
+        {{"--retries", "0"}, {{"resilience.retries", "0"}}},
+        {{"--backoff-ms", "1"}, {{"resilience.backoffMs", "1"}}},
+        {{"--point-deadline-s", "600"},
+         {{"resilience.pointDeadlineS", "600"}}},
+        {{"--fault-plan", "point@x:permanent"},
+         {{"faultPlan", "point@x:permanent"}}},
+        {{"--interval-records", "20000"},
+         {{"telemetry.intervalRecords", "20000"}}},
+        {{"--histograms"}, {{"telemetry.histograms", "1"}}},
+        {{"--timeseries-out", "ts.json"},
+         {{"timeseriesOut", "ts.json"}}},
+        {{"--trace-out", "tr.json"}, {{"traceOut", "tr.json"}}},
+        {{"--miss-attribution", "64"},
+         {{"telemetry.missAttributionStride", "64"}}},
+        {{"--design-probes"}, {{"telemetry.designProbes", "1"}}},
+        {{"--heatmap-out", "h.json"}, {{"heatmapOut", "h.json"}}},
+        {{"--sample-mode"}, {{"sampling.enabled", "1"}}},
+        {{"--sample-intervals", "6"},
+         {{"sampling.enabled", "1"}, {"sampling.intervals", "6"}}},
+        {{"--sample-interval-records", "2000"},
+         {{"sampling.enabled", "1"},
+          {"sampling.intervalRecords", "2000"}}},
+        {{"--sample-target-ci", "0.05"},
+         {{"sampling.enabled", "1"},
+          {"sampling.targetCi", show(0.05)}}},
+        // 0 selects the SamplingConfig default (10 intervals of
+        // 4000 records): the tuning flags only imply the mode.
+        {{"--sample-intervals", "0"}, {{"sampling.enabled", "1"}}},
+        {{"--sample-interval-records", "0"},
+         {{"sampling.enabled", "1"}}},
+        {{"--sample-intervals", "5", "--sample-intervals", "0"},
+         {{"sampling.enabled", "1"}}},
+    };
+
+    const SweepOptions defaults;
+    EXPECT_EQ(defaults.resilience.retries, 2u);
+    EXPECT_EQ(defaults.sampling.intervals, 10u);
+    EXPECT_EQ(defaults.sampling.intervalRecords, 4000u);
+
+    std::set<std::string> covered;
+    for (const FlagCase &c : cases) {
+        std::vector<const char *> argv = {"sweep"};
+        argv.insert(argv.end(), c.args.begin(), c.args.end());
+        const int argc = static_cast<int>(argv.size());
+        SweepOptions opts;
+        for (int i = 1; i < argc; ++i) {
+            covered.insert(argv[i]);
+            EXPECT_TRUE(parseCommonFlag(
+                opts, argc, const_cast<char **>(argv.data()), i))
+                << argv[i];
+        }
+        std::map<std::string, std::string> changed;
+        for (const OptionField &f : kOptionFields) {
+            if (f.render(opts) != f.render(defaults))
+                changed[f.name] = f.render(opts);
+        }
+        EXPECT_EQ(changed, c.changed) << c.args.front();
+    }
+
+    // Every flag of the usage string has a row.
+    std::istringstream usage(kCommonFlagsUsage);
+    std::string token;
+    std::size_t flags = 0;
+    while (usage >> token) {
+        const std::size_t start = token.find("--");
+        if (start == std::string::npos)
+            continue;
+        const std::string flag =
+            token.substr(start, token.find(']') - start);
+        EXPECT_TRUE(covered.count(flag)) << flag;
+        ++flags;
+    }
+    EXPECT_EQ(flags, 27u);
+}
+
+/** A standard point the sweep options can be applied to. */
+ExperimentPoint
+plainPoint()
+{
+    ExperimentPoint p;
+    p.experiment = "unit";
+    p.label = "plain";
+    p.scale = 0.02;
+    return p;
+}
+
+TEST(ApplySweepOptions, IntrospectionOnlyWidensWhatThePointPinned)
+{
+    SweepOptions opts;
+    opts.telemetry.missAttributionStride = 64;
+    ExperimentPoint narrow = plainPoint();
+    narrow.cfg.pod.telemetry.missAttributionStride = 8;
+    applySweepOptions(narrow, opts);
+    EXPECT_EQ(narrow.cfg.pod.telemetry.missAttributionStride, 64u);
+
+    opts.telemetry.missAttributionStride = 8;
+    ExperimentPoint wide = plainPoint();
+    wide.cfg.pod.telemetry.missAttributionStride = 64;
+    applySweepOptions(wide, opts);
+    EXPECT_EQ(wide.cfg.pod.telemetry.missAttributionStride, 64u);
+
+    // Design probes and heatmaps are OR-ed: the sweep turns them
+    // on, never off.
+    ExperimentPoint pinned = plainPoint();
+    pinned.cfg.pod.telemetry.designProbes = true;
+    pinned.cfg.pod.telemetry.heatmaps = true;
+    applySweepOptions(pinned, SweepOptions{});
+    EXPECT_TRUE(pinned.cfg.pod.telemetry.designProbes);
+    EXPECT_TRUE(pinned.cfg.pod.telemetry.heatmaps);
+
+    SweepOptions probes;
+    probes.telemetry.designProbes = true;
+    probes.heatmapOut = "heat.json";
+    ExperimentPoint plain = plainPoint();
+    applySweepOptions(plain, probes);
+    EXPECT_TRUE(plain.cfg.pod.telemetry.designProbes);
+    EXPECT_TRUE(plain.cfg.pod.telemetry.heatmaps);
+}
+
+TEST(ApplySweepOptions, IntervalsAndHistogramsFollowTheSweep)
+{
+    // --timeseries-out alone: ~32 epochs over the sweep's
+    // measured window.
+    SweepOptions opts;
+    opts.scale = 0.1;
+    opts.timeseriesOut = "ts.json";
+    ExperimentPoint p = plainPoint();
+    p.cfg.pod.telemetry.histograms = true;
+    applySweepOptions(p, opts);
+    EXPECT_EQ(p.cfg.pod.telemetry.intervalRecords,
+              measureRecords(0.1) / 32);
+    EXPECT_FALSE(p.cfg.pod.telemetry.histograms);
+
+    // An explicit --interval-records wins.
+    opts.telemetry.intervalRecords = 20000;
+    opts.telemetry.histograms = true;
+    applySweepOptions(p, opts);
+    EXPECT_EQ(p.cfg.pod.telemetry.intervalRecords, 20000u);
+    EXPECT_TRUE(p.cfg.pod.telemetry.histograms);
+}
+
+TEST(ApplySweepOptions, SamplingSkipsPinnedTenantAndTimedWarmupPoints)
+{
+    SweepOptions opts;
+    opts.sampling.enabled = true;
+    opts.sampling.intervals = 6;
+
+    ExperimentPoint plain = plainPoint();
+    applySweepOptions(plain, opts);
+    EXPECT_EQ(plain.cfg.pod.sampling, opts.sampling);
+
+    const auto exempt = [&](ExperimentPoint p, const char *why) {
+        p.cfg.pod.sampling.intervals = 3;
+        const SamplingConfig before = p.cfg.pod.sampling;
+        applySweepOptions(p, opts);
+        EXPECT_EQ(p.cfg.pod.sampling, before) << why;
+    };
+    ExperimentPoint p = plainPoint();
+    p.pinSampling = true;
+    exempt(p, "pinSampling");
+    p = plainPoint();
+    p.cfg.pod.numTenants = 2;
+    exempt(p, "numTenants");
+    p = plainPoint();
+    p.cfg.pod.allTimedWarmup = true;
+    exempt(p, "allTimedWarmup");
+    p = plainPoint();
+    p.cfg.pod.warmupMode = SimMode::Timed;
+    exempt(p, "timed warmupMode");
+
+    // With sampling off the sweep leaves a point's config alone.
+    p = plainPoint();
+    p.cfg.pod.sampling.enabled = true;
+    applySweepOptions(p, SweepOptions{});
+    EXPECT_TRUE(p.cfg.pod.sampling.enabled);
 }
 
 TEST(SweepRunner, RejectsDuplicateKeys)

@@ -452,10 +452,10 @@ TEST(TenantSweep, JobsAndCacheModesBitIdentical)
     ExperimentRun a{"colocation", "t", points, serial};
     ExperimentRun b{"colocation", "t", points, uncached};
     opts.jobs = 1;
-    opts.traceCache = true;
+    opts.cache.enabled = true;
     const std::string json_a = renderSweepJson(opts, {a});
     opts.jobs = 8;
-    opts.traceCache = false;
+    opts.cache.enabled = false;
     const std::string json_b = renderSweepJson(opts, {b});
     EXPECT_EQ(json_a, json_b);
     EXPECT_NE(json_a.find("\"tenants\": ["), std::string::npos);
