@@ -29,20 +29,16 @@ registerAblationCapacity(ExperimentRegistry &reg)
     def.title = "singleton optimization ablation";
 
     // Per workload, per capacity: singleton bypass off, then on.
-    def.build = [](const SweepOptions &opts) {
+    def.expand = [](const SweepOptions &opts) {
         std::vector<ExperimentPoint> points;
         for (WorkloadKind wk : opts.workloads()) {
             for (std::uint64_t mb : kCaps) {
                 for (bool enabled : {false, true}) {
                     ExperimentPoint p;
-                    p.experiment = "ablation_capacity";
                     p.workload = wk;
                     p.cfg.design = "footprint";
                     p.cfg.capacityMb = mb;
                     p.cfg.singletonOptimization = enabled;
-                    p.scale = opts.scale;
-                    p.baseSeed = opts.seed;
-                    p.label = standardLabel(wk, p.cfg);
                     points.push_back(std::move(p));
                 }
             }

@@ -51,12 +51,11 @@ registerAblationPredictor(ExperimentRegistry &reg)
     def.name = "ablation_predictor";
     def.title = "predictor indexing and fetch-policy ablation";
 
-    def.build = [](const SweepOptions &opts) {
+    def.expand = [](const SweepOptions &opts) {
         std::vector<ExperimentPoint> points;
         for (WorkloadKind wk : opts.workloads()) {
             for (const Variant &v : kVariants) {
                 ExperimentPoint p;
-                p.experiment = "ablation_predictor";
                 p.workload = wk;
                 p.cfg.design = "footprint";
                 p.cfg.capacityMb = 256;
@@ -64,9 +63,6 @@ registerAblationPredictor(ExperimentRegistry &reg)
                 p.cfg.predictorIndex = v.index;
                 p.cfg.fhtTrain = v.train;
                 p.cfg.singletonOptimization = false;
-                p.scale = opts.scale;
-                p.baseSeed = opts.seed;
-                p.label = standardLabel(wk, p.cfg);
                 points.push_back(std::move(p));
             }
         }

@@ -59,14 +59,13 @@ registerColocation(ExperimentRegistry &reg)
     def.title = "multi-tenant interference matrix: solo vs "
                 "paired tenants across designs and policies";
 
-    def.build = [](const SweepOptions &opts) {
+    def.expand = [](const SweepOptions &opts) {
         std::vector<ExperimentPoint> points;
         auto add = [&](const std::vector<TenantSpec> &mix,
                        const char *design,
                        const char *policy) {
-            ExperimentPoint p = makeColocationPoint(
-                mix, design, policy, opts.scale, opts.seed);
-            points.push_back(std::move(p));
+            points.push_back(makeColocationPoint(
+                mix, design, policy, opts.scale, opts.seed));
         };
         for (const char *d : kColocationDesigns) {
             // Solo baselines: one tenant on half the pod.

@@ -1,11 +1,14 @@
 /**
  * @file
  * The paper's figure/table/ablation targets as experiment-registry
- * entries. Each register function declares one experiment — a
- * builder expanding it into ExperimentPoints and a reporter that
+ * entries. Each register function declares one experiment — an
+ * expand function listing its ExperimentPoints and a reporter that
  * prints the paper-shaped table — into a registry; the `sweep` CLI
  * (`sweep --filter NAME` runs one of them) and the tests drive
- * them through the shared SweepRunner.
+ * them through the shared SweepRunner. The expand functions set
+ * only workload, config and run-path fields: ExperimentDef::build()
+ * fills in every point's experiment, scale, seed and standard
+ * label.
  */
 
 #ifndef FPC_BENCH_EXPERIMENTS_HH

@@ -24,27 +24,21 @@ registerFig01(ExperimentRegistry &reg)
     // Per workload: baseline, then High-BW (Ideal organization;
     // two stacked DDR3-3200 channels give exactly 8x the
     // 12.8GB/s 2D baseline), then High-BW & Low-Lat.
-    def.build = [](const SweepOptions &opts) {
+    def.expand = [](const SweepOptions &opts) {
         std::vector<ExperimentPoint> points;
         for (WorkloadKind wk : opts.workloads()) {
             ExperimentPoint base;
-            base.experiment = "fig01";
             base.workload = wk;
             base.cfg.design = "baseline";
-            base.scale = opts.scale;
-            base.baseSeed = opts.seed;
-            base.label = standardLabel(wk, base.cfg);
             points.push_back(base);
 
             ExperimentPoint hb = base;
             hb.cfg.design = "ideal";
             hb.cfg.stackedChannels = 2;
-            hb.label = standardLabel(wk, hb.cfg);
             points.push_back(hb);
 
             ExperimentPoint hbll = hb;
             hbll.cfg.stackedLowLatency = true;
-            hbll.label = standardLabel(wk, hbll.cfg);
             points.push_back(hbll);
         }
         return points;

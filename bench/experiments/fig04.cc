@@ -49,14 +49,11 @@ registerFig04(ExperimentRegistry &reg)
     // Density is a property of residency, measured on the
     // page-based organization (every block fetched, the demanded
     // vector tracks what cores touch).
-    def.build = [](const SweepOptions &opts) {
+    def.expand = [](const SweepOptions &opts) {
         SweepSpec spec;
-        spec.experiment = "fig04";
         spec.workloads = opts.workloads();
         spec.designs = {"page"};
         spec.capacitiesMb = kPaperCapacities;
-        spec.scale = opts.scale;
-        spec.seed = opts.seed;
         return spec.expand();
     };
 

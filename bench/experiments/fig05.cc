@@ -17,9 +17,8 @@ namespace fpcbench {
 
 namespace {
 
-const char *kDesigns[] = {"page",
-                               "footprint",
-                               "block"};
+const std::vector<std::string> kDesigns = {
+    "page", "footprint", "block"};
 
 } // namespace
 
@@ -32,26 +31,19 @@ registerFig05(ExperimentRegistry &reg)
 
     // Per workload: baseline (traffic normalization), then
     // capacity x {page, footprint, block}.
-    def.build = [](const SweepOptions &opts) {
+    def.expand = [](const SweepOptions &opts) {
         std::vector<ExperimentPoint> points;
         for (WorkloadKind wk : opts.workloads()) {
             ExperimentPoint base;
-            base.experiment = "fig05";
             base.workload = wk;
             base.cfg.design = "baseline";
-            base.scale = opts.scale;
-            base.baseSeed = opts.seed;
-            base.label = standardLabel(wk, base.cfg);
             points.push_back(base);
-            for (std::uint64_t mb : kPaperCapacities) {
-                for (const char *d : kDesigns) {
-                    ExperimentPoint p = base;
-                    p.cfg.design = d;
-                    p.cfg.capacityMb = mb;
-                    p.label = standardLabel(wk, p.cfg);
-                    points.push_back(p);
-                }
-            }
+            SweepSpec grid;
+            grid.workloads = {wk};
+            grid.designs = kDesigns;
+            grid.capacitiesMb = kPaperCapacities;
+            for (ExperimentPoint &p : grid.expand())
+                points.push_back(std::move(p));
         }
         return points;
     };

@@ -22,10 +22,8 @@ namespace fpcbench {
 
 namespace {
 
-const char *kDesigns[] = {"block",
-                               "page",
-                               "footprint",
-                               "ideal"};
+const std::vector<std::string> kDesigns = {
+    "block", "page", "footprint", "ideal"};
 
 } // namespace
 
@@ -38,26 +36,19 @@ registerFig06(ExperimentRegistry &reg)
 
     // Per workload: baseline, then capacity x {block, page,
     // footprint, ideal}.
-    def.build = [](const SweepOptions &opts) {
+    def.expand = [](const SweepOptions &opts) {
         std::vector<ExperimentPoint> points;
         for (WorkloadKind wk : opts.workloads()) {
             ExperimentPoint base;
-            base.experiment = "fig06";
             base.workload = wk;
             base.cfg.design = "baseline";
-            base.scale = opts.scale;
-            base.baseSeed = opts.seed;
-            base.label = standardLabel(wk, base.cfg);
             points.push_back(base);
-            for (std::uint64_t mb : kPaperCapacities) {
-                for (const char *d : kDesigns) {
-                    ExperimentPoint p = base;
-                    p.cfg.design = d;
-                    p.cfg.capacityMb = mb;
-                    p.label = standardLabel(wk, p.cfg);
-                    points.push_back(p);
-                }
-            }
+            SweepSpec grid;
+            grid.workloads = {wk};
+            grid.designs = kDesigns;
+            grid.capacitiesMb = kPaperCapacities;
+            for (ExperimentPoint &p : grid.expand())
+                points.push_back(std::move(p));
         }
         return points;
     };

@@ -17,10 +17,8 @@ namespace fpcbench {
 
 namespace {
 
-const char *kDesigns[] = {"block",
-                               "page",
-                               "footprint",
-                               "ideal"};
+const std::vector<std::string> kDesigns = {
+    "block", "page", "footprint", "ideal"};
 
 } // namespace
 
@@ -31,26 +29,17 @@ registerFig07(ExperimentRegistry &reg)
     def.name = "fig07";
     def.title = "Data Serving performance improvement";
 
-    def.build = [](const SweepOptions &opts) {
-        const WorkloadKind wk = WorkloadKind::DataServing;
-        std::vector<ExperimentPoint> points;
+    def.expand = [](const SweepOptions &) {
         ExperimentPoint base;
-        base.experiment = "fig07";
-        base.workload = wk;
+        base.workload = WorkloadKind::DataServing;
         base.cfg.design = "baseline";
-        base.scale = opts.scale;
-        base.baseSeed = opts.seed;
-        base.label = standardLabel(wk, base.cfg);
-        points.push_back(base);
-        for (std::uint64_t mb : kPaperCapacities) {
-            for (const char *d : kDesigns) {
-                ExperimentPoint p = base;
-                p.cfg.design = d;
-                p.cfg.capacityMb = mb;
-                p.label = standardLabel(wk, p.cfg);
-                points.push_back(p);
-            }
-        }
+        std::vector<ExperimentPoint> points = {base};
+        SweepSpec grid;
+        grid.workloads = {WorkloadKind::DataServing};
+        grid.designs = kDesigns;
+        grid.capacitiesMb = kPaperCapacities;
+        for (ExperimentPoint &p : grid.expand())
+            points.push_back(std::move(p));
         return points;
     };
 

@@ -22,15 +22,12 @@ registerFig08(ExperimentRegistry &reg)
     def.name = "fig08";
     def.title = "predictor accuracy by page size";
 
-    def.build = [](const SweepOptions &opts) {
+    def.expand = [](const SweepOptions &opts) {
         SweepSpec spec;
-        spec.experiment = "fig08";
         spec.workloads = opts.workloads();
         spec.designs = {"footprint"};
         spec.capacitiesMb = {256};
         spec.pageBytes = {1024, 2048, 4096};
-        spec.scale = opts.scale;
-        spec.seed = opts.seed;
         return spec.expand();
     };
 

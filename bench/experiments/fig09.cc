@@ -28,15 +28,12 @@ registerFig09(ExperimentRegistry &reg)
     def.name = "fig09";
     def.title = "hit ratio vs FHT entries";
 
-    def.build = [](const SweepOptions &opts) {
+    def.expand = [](const SweepOptions &opts) {
         SweepSpec spec;
-        spec.experiment = "fig09";
         spec.workloads = opts.workloads();
         spec.designs = {"footprint"};
         spec.capacitiesMb = {256};
         spec.fhtEntries = kFhtSizes;
-        spec.scale = opts.scale;
-        spec.seed = opts.seed;
         return spec.expand();
     };
 

@@ -32,14 +32,11 @@ registerFig10(ExperimentRegistry &reg)
     def.name = "fig10";
     def.title = "off-chip DRAM dynamic energy per instruction";
 
-    def.build = [](const SweepOptions &opts) {
+    def.expand = [](const SweepOptions &opts) {
         SweepSpec spec;
-        spec.experiment = "fig10";
         spec.workloads = opts.workloads();
         spec.designs = kDesigns;
         spec.capacitiesMb = {256};
-        spec.scale = opts.scale;
-        spec.seed = opts.seed;
         return spec.expand();
     };
 

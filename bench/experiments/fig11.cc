@@ -30,14 +30,11 @@ registerFig11(ExperimentRegistry &reg)
     def.name = "fig11";
     def.title = "stacked DRAM dynamic energy per instruction";
 
-    def.build = [](const SweepOptions &opts) {
+    def.expand = [](const SweepOptions &opts) {
         SweepSpec spec;
-        spec.experiment = "fig11";
         spec.workloads = opts.workloads();
         spec.designs = kDesigns;
         spec.capacitiesMb = {256};
-        spec.scale = opts.scale;
-        spec.seed = opts.seed;
         return spec.expand();
     };
 

@@ -75,14 +75,11 @@ registerFig12(ExperimentRegistry &reg)
     def.name = "fig12";
     def.title = "ideal hot-page cache size";
 
-    def.build = [](const SweepOptions &opts) {
+    def.expand = [](const SweepOptions &opts) {
         std::vector<ExperimentPoint> points;
         for (WorkloadKind wk : opts.workloads()) {
             ExperimentPoint p;
-            p.experiment = "fig12";
             p.workload = wk;
-            p.scale = opts.scale;
-            p.baseSeed = opts.seed;
             p.label = std::string(workloadName(wk)) +
                       "/hotpages/4096B";
             p.custom = runHotPages;

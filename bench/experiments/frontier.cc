@@ -66,17 +66,13 @@ registerFrontier(ExperimentRegistry &reg)
     // Per workload: all seven designs at the default 256MB and
     // page size, same trace (the seed derives from workload and
     // page size only).
-    def.build = [](const SweepOptions &opts) {
+    def.expand = [](const SweepOptions &opts) {
         std::vector<ExperimentPoint> points;
         for (WorkloadKind wk : opts.workloads()) {
             for (const char *d : kFrontierDesigns) {
                 ExperimentPoint p;
-                p.experiment = "frontier";
                 p.workload = wk;
                 p.cfg.design = d;
-                p.scale = opts.scale;
-                p.baseSeed = opts.seed;
-                p.label = standardLabel(wk, p.cfg);
                 p.custom = runFrontierPoint;
                 points.push_back(std::move(p));
             }

@@ -52,14 +52,11 @@ registerIntrospection(ExperimentRegistry &reg)
     def.title = "fill accuracy / overfetch / miss attribution "
                 "by design";
 
-    def.build = [](const SweepOptions &opts) {
+    def.expand = [](const SweepOptions &opts) {
         SweepSpec spec;
-        spec.experiment = "introspection";
         spec.workloads = opts.workloads();
         spec.designs = kDesigns;
         spec.capacitiesMb = {256};
-        spec.scale = opts.scale;
-        spec.seed = opts.seed;
         spec.base.pod.telemetry.designProbes = true;
         spec.base.pod.telemetry.missAttributionStride = 8;
         return spec.expand();

@@ -59,16 +59,13 @@ registerSamplingValidation(ExperimentRegistry &reg)
     // size, each as an exact/sampled pair replaying the same
     // trace (the identity ignores the label suffix), so any
     // disagreement is measurement scheme, not workload noise.
-    def.build = [](const SweepOptions &opts) {
+    def.expand = [](const SweepOptions &opts) {
         std::vector<ExperimentPoint> points;
         for (WorkloadKind wk : opts.workloads()) {
             for (const char *d : kValidationDesigns) {
                 ExperimentPoint exact;
-                exact.experiment = "sampling_validation";
                 exact.workload = wk;
                 exact.cfg.design = d;
-                exact.scale = opts.scale;
-                exact.baseSeed = opts.seed;
                 exact.label =
                     standardLabel(wk, exact.cfg) + "/exact";
                 exact.pinSampling = true;

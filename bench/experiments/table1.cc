@@ -21,15 +21,12 @@ registerTable1(ExperimentRegistry &reg)
     def.name = "table1";
     def.title = "design comparison at 256MB (Web Search)";
 
-    def.build = [](const SweepOptions &opts) {
+    def.expand = [](const SweepOptions &) {
         SweepSpec spec;
-        spec.experiment = "table1";
         spec.workloads = {WorkloadKind::WebSearch};
         spec.designs = {"block", "page",
                         "footprint"};
         spec.capacitiesMb = {256};
-        spec.scale = opts.scale;
-        spec.seed = opts.seed;
         return spec.expand();
     };
 

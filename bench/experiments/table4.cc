@@ -26,7 +26,7 @@ registerTable4(ExperimentRegistry &reg)
     def.name = "table4";
     def.title = "configuration tables (2, 3, 4)";
 
-    def.build = [](const SweepOptions &) {
+    def.expand = [](const SweepOptions &) {
         return std::vector<ExperimentPoint>{};
     };
 

@@ -7,10 +7,14 @@
 # Builds REV's sweep in a temporary git worktree and the working
 # tree's sweep in BUILD_DIR, then runs one --quick slice that
 # covers solo, two-tenant, sampled and introspection points with
-# every artifact flag on, plus two fig06 flag-group slices. It
-# requires:
+# every artifact flag on, two fig06 flag-group slices and one
+# whole-registry slice. It requires:
 #   - the merged report, --timeseries-out and --heatmap-out to be
 #     byte-identical between the two builds;
+#   - the merged reports of every registered experiment at
+#     --scale 0.01 --seed 7919 (non-default scale and seed, so a
+#     point that ignored either shows) to be byte-identical
+#     between the two builds;
 #   - the merged reports of two fig06 slices to be byte-identical
 #     between the two builds: one with the sampling, histogram
 #     and trace-cache-off flags, one with the trace-cache budget
@@ -77,6 +81,12 @@ run_fig06() { # SWEEP OUT_DIR [extra sweep flags...]: report only
         --out "$out/report.json" "$@" >"$out/log.txt" 2>&1
 }
 
+run_registry() { # SWEEP OUT_DIR: every experiment, report only
+    mkdir -p "$2"
+    "$1" --scale 0.01 --seed 7919 --jobs 2 --no-report \
+        --out "$2/report.json" >"$2/log.txt" 2>&1
+}
+
 journal_magic() { # JOURNAL_DIR: first line of its first entry
     local f
     for f in "$1"/*.pt; do
@@ -134,6 +144,11 @@ expect_same "$REV vs working tree, sampling flags" \
     "$TMP/ref-sampling" "$TMP/new-sampling" report.json
 expect_same "$REV vs working tree, runner flags" \
     "$TMP/ref-runner" "$TMP/new-runner" report.json
+echo "running the whole registry at --scale 0.01 --seed 7919" >&2
+run_registry "$WORKTREE/build/sweep" "$TMP/ref-registry"
+run_registry "$BUILD_DIR/sweep" "$TMP/new-registry"
+expect_same "$REV vs working tree, whole registry" \
+    "$TMP/ref-registry" "$TMP/new-registry" report.json
 expect_same "--jobs 1 vs --jobs 2" "$TMP/new-j1" "$TMP/new-j2"
 expect_same "--resume vs fresh" "$TMP/new-resume" "$TMP/new-j2"
 expect_no_execution "--resume" "$TMP/new-resume"

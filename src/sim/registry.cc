@@ -13,6 +13,20 @@ ExperimentRegistry::instance()
     return registry;
 }
 
+std::vector<ExperimentPoint>
+ExperimentDef::build(const SweepOptions &opts) const
+{
+    std::vector<ExperimentPoint> points = expand(opts);
+    for (ExperimentPoint &p : points) {
+        p.experiment = name;
+        p.scale = opts.scale;
+        p.baseSeed = opts.seed;
+        if (p.label.empty())
+            p.label = standardLabel(p.workload, p.cfg);
+    }
+    return points;
+}
+
 void
 ExperimentRegistry::add(ExperimentDef def)
 {

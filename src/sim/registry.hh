@@ -1,12 +1,12 @@
 /**
  * @file
  * Experiment registry: every figure/table/ablation target declares
- * itself as a named entry — a builder that expands the experiment
- * into ExperimentPoints and a reporter that renders the collected
- * results as the paper-shaped table. The `sweep` CLI and the tests
- * drive entries through the same SweepRunner; nothing about a
- * point's seed or result depends on registration order
- * (tests/test_sweep.cc).
+ * itself as a named entry — an expand function that lists the
+ * experiment's ExperimentPoints and a reporter that renders the
+ * collected results as the paper-shaped table. The `sweep` CLI
+ * and the tests drive entries through the same SweepRunner;
+ * nothing about a point's seed or result depends on registration
+ * order (tests/test_sweep.cc).
  */
 
 #ifndef FPC_SIM_REGISTRY_HH
@@ -20,7 +20,11 @@
 
 namespace fpc {
 
-/** One registered experiment. */
+/**
+ * One registered experiment. Its expand function lists the
+ * experiment's own points; build() is the one step that turns
+ * them into runnable points.
+ */
 struct ExperimentDef
 {
     /** Registry key ("fig06", "table1", "ablation_capacity"). */
@@ -29,10 +33,15 @@ struct ExperimentDef
     /** One-line human title, echoed in reports. */
     std::string title;
 
-    /** Expand the experiment into points for these options. */
+    /**
+     * The experiment's points for these options: workload,
+     * config and run-path fields. It leaves experiment, scale and
+     * baseSeed to build(), and label too unless the point is
+     * irregular (no standardLabel() fits it).
+     */
     std::function<std::vector<ExperimentPoint>(
         const SweepOptions &)>
-        build;
+        expand;
 
     /**
      * Print the paper-shaped table. Results are positional:
@@ -43,6 +52,14 @@ struct ExperimentDef
                        const std::vector<ExperimentPoint> &,
                        const std::vector<PointResult> &)>
         report;
+
+    /**
+     * The runnable points: expand()'s output with every point's
+     * experiment set to name, scale and baseSeed to @p opts'
+     * scale and seed, and an empty label to
+     * standardLabel(workload, cfg) of its final config.
+     */
+    std::vector<ExperimentPoint> build(const SweepOptions &opts) const;
 };
 
 /**

@@ -831,16 +831,12 @@ SweepSpec::expand() const
                 for (unsigned pb : pageBytes) {
                     for (std::uint32_t fht : fhtEntries) {
                         ExperimentPoint p;
-                        p.experiment = experiment;
                         p.workload = wk;
                         p.cfg = base;
                         p.cfg.design = d;
                         p.cfg.capacityMb = mb;
                         p.cfg.pageBytes = pb;
                         p.cfg.fhtEntries = fht;
-                        p.scale = scale;
-                        p.baseSeed = seed;
-                        p.label = standardLabel(wk, p.cfg);
                         points.push_back(std::move(p));
                     }
                 }

@@ -5,7 +5,8 @@
  * The paper's evaluation is a grid — organization × capacity ×
  * workload (× page size × FHT size) — and every figure/table is a
  * slice of it. A SweepSpec describes such a slice as axis lists and
- * expands it into independent ExperimentPoints; a SweepRunner
+ * expands it into independent ExperimentPoints (an ExperimentDef's
+ * build() then fills in their run-wide fields); a SweepRunner
  * shards points across a thread pool and collects the results into
  * pre-sized per-point slots (no locks on the result path).
  *
@@ -415,21 +416,27 @@ struct PointResult
  */
 struct ExperimentPoint
 {
-    /** Registry name of the owning experiment ("fig06", ...). */
+    /** Registry name of the owning experiment ("fig06", ...);
+     * ExperimentDef::build() sets it. */
     std::string experiment;
 
     /**
      * Axis label, unique within the experiment
-     * ("WebSearch/footprint/256MB/2048B"). standardLabel() builds
-     * it for grid points; irregular points set it directly.
+     * ("WebSearch/footprint/256MB/2048B"). ExperimentDef::build()
+     * sets standardLabel() of the final config when the builder
+     * left it empty; irregular points set it directly.
      */
     std::string label;
 
     WorkloadKind workload = WorkloadKind::WebSearch;
     Experiment::Config cfg;
+
+    /** Run-window scale; ExperimentDef::build() copies the
+     * sweep's. */
     double scale = 0.4;
 
-    /** User base seed (mixed into traceSeed()). */
+    /** User base seed (mixed into traceSeed());
+     * ExperimentDef::build() copies the sweep's. */
     std::uint64_t baseSeed = 42;
 
     /**
@@ -544,18 +551,17 @@ void applySweepOptions(ExperimentPoint &point,
  * A rectangular slice of the evaluation grid. expand() emits the
  * full cross product in a fixed nested order (workload outermost,
  * then capacity, design, page size, FHT size) so reporters can
- * index results positionally.
+ * index results positionally. Its points carry only workload and
+ * config: an ExperimentDef's build() fills in experiment, scale,
+ * seed and label.
  */
 struct SweepSpec
 {
-    std::string experiment;
     std::vector<WorkloadKind> workloads;
     std::vector<std::string> designs = {"footprint"};
     std::vector<std::uint64_t> capacitiesMb = {256};
     std::vector<unsigned> pageBytes = {2048};
     std::vector<std::uint32_t> fhtEntries = {16 * 1024};
-    double scale = 0.4;
-    std::uint64_t seed = 42;
 
     /** Base config copied into every point before axis overrides. */
     Experiment::Config base;

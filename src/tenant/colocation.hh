@@ -72,10 +72,12 @@ std::vector<TenantSpec>
 decodeTenantMix(const ExperimentPoint &point);
 
 /**
- * Build one colocation point: label, custom run function and
- * extraTraceNeeds wired; the caller sets experiment/scale/seed
- * overrides afterwards if needed. @p point_label_suffix keeps
- * labels unique across policy variants of the same mix.
+ * Build one "colocation" point: mix label (ending in @p policy,
+ * or "/solo"), custom run function and extraTraceNeeds wired.
+ * @p scale and @p base_seed are taken up front because the other
+ * tenants' extraTraceNeeds are sized and keyed from them; when the
+ * colocation experiment's ExperimentDef::build() later sets
+ * experiment, scale and baseSeed, it writes the same values.
  */
 ExperimentPoint
 makeColocationPoint(const std::vector<TenantSpec> &tenants,

@@ -20,6 +20,7 @@
 
 #include "common/fault.hh"
 #include "sim/journal.hh"
+#include "sim/registry.hh"
 #include "sim/sweep.hh"
 
 #include "run_points.hh"
@@ -74,12 +75,17 @@ resultWithExtra(double value)
 std::vector<ExperimentPoint>
 tinyRealPoints(double scale = 0.02)
 {
-    SweepSpec spec;
-    spec.experiment = "tiny";
-    spec.workloads = {WorkloadKind::WebSearch};
-    spec.capacitiesMb = {64, 128};
-    spec.scale = scale;
-    return spec.expand();
+    ExperimentDef def;
+    def.name = "tiny";
+    def.expand = [](const SweepOptions &) {
+        SweepSpec spec;
+        spec.workloads = {WorkloadKind::WebSearch};
+        spec.capacitiesMb = {64, 128};
+        return spec.expand();
+    };
+    SweepOptions opts;
+    opts.scale = scale;
+    return def.build(opts);
 }
 
 std::string

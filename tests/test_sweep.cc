@@ -19,6 +19,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/json.hh"
+#include "common/rng.hh"
 #include "experiments/experiments.hh"
 #include "sim/registry.hh"
 #include "sim/sweep.hh"
@@ -34,14 +36,19 @@ using fpcbench::registerAllExperiments;
 std::vector<ExperimentPoint>
 smallBatch()
 {
-    SweepSpec spec;
-    spec.experiment = "unit";
-    spec.workloads = {WorkloadKind::WebSearch,
-                      WorkloadKind::DataServing};
-    spec.designs = {"baseline", "footprint"};
-    spec.capacitiesMb = {64};
-    spec.scale = 0.02;
-    return spec.expand();
+    ExperimentDef def;
+    def.name = "unit";
+    def.expand = [](const SweepOptions &) {
+        SweepSpec spec;
+        spec.workloads = {WorkloadKind::WebSearch,
+                          WorkloadKind::DataServing};
+        spec.designs = {"baseline", "footprint"};
+        spec.capacitiesMb = {64};
+        return spec.expand();
+    };
+    SweepOptions opts;
+    opts.scale = 0.02;
+    return def.build(opts);
 }
 
 void
@@ -62,18 +69,20 @@ expectMetricsIdentical(const PointResult &a, const PointResult &b,
 TEST(SweepSpec, ExpandsFullCrossProduct)
 {
     SweepSpec spec;
-    spec.experiment = "x";
     spec.workloads = {WorkloadKind::WebSearch,
                       WorkloadKind::MapReduce};
     spec.designs = {"block", "footprint"};
     spec.capacitiesMb = {64, 256};
     spec.pageBytes = {1024, 2048};
-    std::vector<ExperimentPoint> points = spec.expand();
+    const std::vector<ExperimentPoint> points = spec.expand();
     EXPECT_EQ(points.size(), 2u * 2 * 2 * 2);
 
-    // Keys are unique.
+    // Keys are unique once build() has labelled the points.
+    ExperimentDef def;
+    def.name = "x";
+    def.expand = [&](const SweepOptions &) { return points; };
     std::vector<std::string> keys;
-    for (const ExperimentPoint &p : points)
+    for (const ExperimentPoint &p : def.build(SweepOptions{}))
         keys.push_back(p.key());
     std::sort(keys.begin(), keys.end());
     EXPECT_EQ(std::unique(keys.begin(), keys.end()), keys.end());
@@ -739,6 +748,156 @@ TEST(Registry, EveryBuilderExpandsUniqueKeys)
             keys.push_back(p.key());
     std::sort(keys.begin(), keys.end());
     EXPECT_EQ(std::unique(keys.begin(), keys.end()), keys.end());
+}
+
+/**
+ * One line per built point holding everything that shapes its
+ * run: identity, windows, trace needs, run-path flags and every
+ * Experiment::Config field (doubles as exact hex floats).
+ */
+std::string
+pointFingerprint(const ExperimentPoint &p)
+{
+    const Experiment::Config &c = p.cfg;
+    const PodConfig &pod = c.pod;
+    std::string s = p.key() + " " + p.traceKey() + " " +
+                    workloadName(p.workload) + " " + c.design;
+    appendFmt(s, " seed=%llx scale=%a base=%llu",
+              static_cast<unsigned long long>(p.traceSeed()),
+              p.scale,
+              static_cast<unsigned long long>(p.baseSeed));
+    appendFmt(s, " warm=%llu records=%llu",
+              static_cast<unsigned long long>(p.warmupWindow()),
+              static_cast<unsigned long long>(p.standardRecords()));
+    for (const auto &[key, records] : p.extraTraceNeeds)
+        s += " need=" + key + ":" + std::to_string(records);
+    appendFmt(s, " custom=%d inband=%d pin=%d", p.custom != nullptr,
+              p.inBandWarmup, p.pinSampling);
+    appendFmt(s, " cap=%llu page=%u fht=%u single=%d idx=%d "
+                 "train=%d fetch=%d",
+              static_cast<unsigned long long>(c.capacityMb),
+              c.pageBytes, c.fhtEntries, c.singletonOptimization,
+              static_cast<int>(c.predictorIndex),
+              static_cast<int>(c.fhtTrain),
+              static_cast<int>(c.footprintFetch));
+    for (const auto &[key, value] : c.params.entries())
+        s += " param=" + key + "=" + value;
+    appendFmt(s, " chans=%u lowlat=%d", c.stackedChannels,
+              c.stackedLowLatency);
+    appendFmt(s, " cores=%u ipc=%a l1=%llu l2=%llu mlp=%u wmode=%d "
+                 "alltimed=%d tenants=%u cancel=%d",
+              pod.numCores, pod.coreIpc,
+              static_cast<unsigned long long>(pod.l1HitLatency),
+              static_cast<unsigned long long>(pod.l2HitLatency),
+              pod.mlpPerCore, static_cast<int>(pod.warmupMode),
+              pod.allTimedWarmup, pod.numTenants,
+              pod.cancel != nullptr);
+    const TelemetryConfig &t = pod.telemetry;
+    appendFmt(s, " tel=%llu,%d,%u,%d,%d,%llu",
+              static_cast<unsigned long long>(t.intervalRecords),
+              t.histograms, t.missAttributionStride, t.designProbes,
+              t.heatmaps,
+              static_cast<unsigned long long>(t.shadowCapacityBytes));
+    const SamplingConfig &sm = pod.sampling;
+    appendFmt(s, " smp=%d,%u,%llu,%llu,%a,%u", sm.enabled,
+              sm.intervals,
+              static_cast<unsigned long long>(sm.intervalRecords),
+              static_cast<unsigned long long>(sm.rampRecords),
+              sm.targetCi, sm.minIntervals);
+    appendFmt(s, " hier=%u", pod.hierarchy.numCores);
+    for (const SetAssocCache::Config *l :
+         {&pod.hierarchy.l1, &pod.hierarchy.l2}) {
+        appendFmt(s, ",%llu/%u/%u/%d/%llu",
+                  static_cast<unsigned long long>(l->sizeBytes),
+                  l->assoc, l->blockBytes,
+                  static_cast<int>(l->repl),
+                  static_cast<unsigned long long>(l->seed));
+    }
+    return s + "\n";
+}
+
+/** FNV-1a of every registered experiment's built points. */
+std::uint64_t
+registryFingerprint(const SweepOptions &opts)
+{
+    ExperimentRegistry reg;
+    registerAllExperiments(reg);
+    std::string all;
+    for (const ExperimentDef &def : reg.all()) {
+        all += def.name + "\n";
+        for (const ExperimentPoint &p : def.build(opts))
+            all += pointFingerprint(p);
+    }
+    return fnv1a(all);
+}
+
+TEST(Registry, BuiltPointsMatchGoldenFingerprint)
+{
+    // Digests recorded from the build before ExperimentDef::build
+    // filled in experiment, scale, seed and label: a change to
+    // what any builder emits, under either option set, shows here.
+    EXPECT_EQ(registryFingerprint(SweepOptions{}),
+              0xd80180e59b2e48edULL);
+
+    SweepOptions opts;
+    opts.scale = 0.07;
+    opts.seed = 7919;
+    opts.workloadFilter = "WebSearch";
+    EXPECT_EQ(registryFingerprint(opts), 0xa6fe47d5a96ea993ULL);
+}
+
+TEST(Registry, BuildFillsEveryPoint)
+{
+    // Non-default options, so a point that kept ExperimentPoint's
+    // own scale/seed defaults (0.4/42) cannot pass.
+    SweepOptions opts;
+    opts.scale = 0.07;
+    opts.seed = 7919;
+
+    // The builders whose points no standardLabel() describes.
+    const std::set<std::string> irregular = {
+        "fig12", "colocation", "sampling_validation"};
+    ExperimentRegistry reg;
+    registerAllExperiments(reg);
+    std::size_t checked = 0;
+    for (const ExperimentDef &def : reg.all()) {
+        for (const ExperimentPoint &p : def.build(opts)) {
+            EXPECT_EQ(p.experiment, def.name) << p.label;
+            EXPECT_EQ(p.scale, 0.07) << p.key();
+            EXPECT_EQ(p.baseSeed, 7919u) << p.key();
+            const std::string standard =
+                standardLabel(p.workload, p.cfg);
+            if (irregular.count(def.name))
+                EXPECT_NE(p.label, standard) << p.key();
+            else
+                EXPECT_EQ(p.label, standard) << p.key();
+            ++checked;
+        }
+    }
+    EXPECT_GT(checked, 0u);
+
+    // A hand-written definition: what its expand function leaves
+    // unset is filled in, a label it sets is kept, and an
+    // experiment name it sets is replaced by the definition's.
+    ExperimentDef def;
+    def.name = "handmade";
+    def.expand = [](const SweepOptions &) {
+        std::vector<ExperimentPoint> points(2);
+        points[0].workload = WorkloadKind::MapReduce;
+        points[0].cfg.design = "block";
+        points[0].cfg.capacityMb = 64;
+        points[1].experiment = "elsewhere";
+        points[1].label = "kept/label";
+        return points;
+    };
+    const std::vector<ExperimentPoint> built = def.build(opts);
+    ASSERT_EQ(built.size(), 2u);
+    EXPECT_EQ(built[0].key(), "handmade/MapReduce/block/64MB/2048B");
+    EXPECT_EQ(built[1].key(), "handmade/kept/label");
+    for (const ExperimentPoint &p : built) {
+        EXPECT_EQ(p.scale, 0.07);
+        EXPECT_EQ(p.baseSeed, 7919u);
+    }
 }
 
 TEST(SweepJson, MergedReportContainsEveryExperiment)
