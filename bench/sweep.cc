@@ -297,10 +297,11 @@ main(int argc, char **argv)
     }
 
     std::printf("\nsweep: %zu point(s) in %.1fs (%u jobs): "
-                "%zu executed, %zu from journal, %zu failed\n",
+                "%zu executed, %zu reused, %zu from journal, "
+                "%zu failed\n",
                 batch.size(), seconds, runner.jobs(),
-                outcome.executed, outcome.journaled,
-                outcome.failed);
+                outcome.executed, outcome.reused,
+                outcome.journaled, outcome.failed);
 
     if (opts.time) {
         std::fputs(renderTimingReport(runs,

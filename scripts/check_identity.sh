@@ -7,10 +7,16 @@
 # Builds REV's sweep in a temporary git worktree and the working
 # tree's sweep in BUILD_DIR, then runs one --quick slice that
 # covers solo, two-tenant, sampled and introspection points with
-# every artifact flag on, two fig06 flag-group slices and one
-# whole-registry slice. It requires:
+# every artifact flag on, two fig06 flag-group slices, one
+# cross-experiment slice and one whole-registry slice. It requires:
 #   - the merged report, --timeseries-out and --heatmap-out to be
 #     byte-identical between the two builds;
+#   - the same three artifacts of fig05, fig06 and
+#     sampling_validation at --scale 0.01, whose grids repeat each
+#     other's points, to be byte-identical between the two builds,
+#     with the working tree's log reporting 108 points reused (the
+#     sweep simulates each distinct point once and copies its
+#     result to the repeats);
 #   - the merged reports of every registered experiment at
 #     --scale 0.01 --seed 7919 (non-default scale and seed, so a
 #     point that ignored either shows) to be byte-identical
@@ -81,6 +87,14 @@ run_fig06() { # SWEEP OUT_DIR [extra sweep flags...]: report only
         --out "$out/report.json" "$@" >"$out/log.txt" 2>&1
 }
 
+run_cross() { # SWEEP OUT_DIR: experiments that repeat each other
+    mkdir -p "$2"
+    "$1" --filter fig05,fig06,sampling_validation --scale 0.01 \
+        --jobs 2 --no-report \
+        --timeseries-out "$2/ts.json" --heatmap-out "$2/heat.json" \
+        --out "$2/report.json" >"$2/log.txt" 2>&1
+}
+
 run_registry() { # SWEEP OUT_DIR: every experiment, report only
     mkdir -p "$2"
     "$1" --scale 0.01 --seed 7919 --jobs 2 --no-report \
@@ -144,6 +158,18 @@ expect_same "$REV vs working tree, sampling flags" \
     "$TMP/ref-sampling" "$TMP/new-sampling" report.json
 expect_same "$REV vs working tree, runner flags" \
     "$TMP/ref-runner" "$TMP/new-runner" report.json
+echo "running the cross-experiment slice" >&2
+run_cross "$WORKTREE/build/sweep" "$TMP/ref-cross"
+run_cross "$BUILD_DIR/sweep" "$TMP/new-cross"
+expect_same "$REV vs working tree, cross-experiment" \
+    "$TMP/ref-cross" "$TMP/new-cross"
+if grep -q " 108 reused" "$TMP/new-cross/log.txt"; then
+    echo "ok   cross-experiment slice reused 108 points"
+else
+    echo "FAIL cross-experiment slice did not reuse 108 points:"
+    grep "executed" "$TMP/new-cross/log.txt" || true
+    failures=$((failures + 1))
+fi
 echo "running the whole registry at --scale 0.01 --seed 7919" >&2
 run_registry "$WORKTREE/build/sweep" "$TMP/ref-registry"
 run_registry "$BUILD_DIR/sweep" "$TMP/new-registry"

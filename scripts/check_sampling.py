@@ -23,6 +23,8 @@ Speedup
     artifact build is part of measure_s but shared across every
     run of the same (workload, warmup, hierarchy, schedule), so it
     amortizes like the trace cache and is reported separately.
+    A point whose result the sweep copied from an equal point
+    (timing "reused_from") is charged that point's timing.
 
 Schema
     Every sampled point must carry the full extras contract:
@@ -165,10 +167,15 @@ def check_speedup(report, timing_path, min_speedup):
     build_s = 0.0
     exact_n = 0
     sampled_n = 0
+    by_key = {e["key"]: e["timing"] for e in timing.get("points", [])}
     for entry in timing.get("points", []):
         if entry["key"] not in wanted:
             continue
         t = entry["timing"]
+        if "reused_from" in t:
+            # The sweep ran this simulation once, under another
+            # point's key; that point's timing is this one's cost.
+            t = by_key[t["reused_from"]]
         if entry["key"].endswith("/exact"):
             exact_s += t["measure_s"]
             exact_n += 1

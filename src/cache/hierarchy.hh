@@ -58,6 +58,8 @@ class CacheHierarchy
 
         /** Table 3 configuration: 64KB L1D, 4MB 16-way L2. */
         static Config scaleOutPod(unsigned num_cores = 16);
+
+        bool operator==(const Config &) const = default;
     };
 
     explicit CacheHierarchy(const Config &config);

@@ -80,6 +80,8 @@ class SetAssocCache
         ReplPolicy repl = ReplPolicy::Lru;
         /** Seed for random replacement. */
         std::uint64_t seed = 1;
+
+        bool operator==(const Config &) const = default;
     };
 
     SetAssocCache(const Config &config, std::string stat_name);

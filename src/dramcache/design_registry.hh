@@ -57,6 +57,8 @@ class DesignParams
 
     bool empty() const { return kv_.empty(); }
 
+    bool operator==(const DesignParams &) const = default;
+
     /** All entries, sorted by key. */
     const std::vector<std::pair<std::string, std::string>> &
     entries() const
@@ -94,6 +96,8 @@ struct DesignConfig
     DesignParams params;
 
     std::uint64_t capacityBytes() const { return capacityMb << 20; }
+
+    bool operator==(const DesignConfig &) const = default;
 };
 
 /**

@@ -40,6 +40,10 @@ class Experiment
 
         /** Halve stacked latencies (Figure 1 study). */
         bool stackedLowLatency = false;
+
+        /** Every field, base and nested structs included: the
+         * sweep runner simulates equal configs once. */
+        bool operator==(const Config &) const = default;
     };
 
     /**

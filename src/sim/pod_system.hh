@@ -132,6 +132,10 @@ struct PodConfig
 
     CacheHierarchy::Config hierarchy =
         CacheHierarchy::Config::scaleOutPod();
+
+    /** Every field, `cancel` included (the sweep runner groups
+     * points before it sets the flag on its working copies). */
+    bool operator==(const PodConfig &) const = default;
 };
 
 /**

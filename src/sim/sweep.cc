@@ -801,6 +801,14 @@ runPoint(const ExperimentPoint &point)
     return out;
 }
 
+bool
+sameSimulation(const ExperimentPoint &a, const ExperimentPoint &b)
+{
+    return !a.custom && !b.custom && a.workload == b.workload &&
+           a.scale == b.scale && a.baseSeed == b.baseSeed &&
+           a.cfg == b.cfg;
+}
+
 void
 applySweepOptions(ExperimentPoint &point, const SweepOptions &opts)
 {
@@ -960,21 +968,54 @@ SweepRunner::runResilient(
         }
     }
 
-    std::vector<std::size_t> pending;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (!fromJournal[i])
-            pending.push_back(i);
+    // Group the pending points that simulate the same thing. The
+    // first of each group in batch order is its representative;
+    // the rest copy its result. Buckets keyed by trace identity
+    // and standard label keep the grouping linear; within a
+    // bucket sameSimulation() decides. `order` lists the
+    // representatives before the duplicates, so a worker that
+    // takes a duplicate rarely waits for its representative.
+    const std::size_t n = points.size();
+    constexpr std::size_t kOwn = std::numeric_limits<std::size_t>::max();
+    std::vector<std::size_t> repOf(n, kOwn);
+    std::vector<std::size_t> order;
+    std::vector<std::size_t> duplicates;
+    std::unordered_map<std::string, std::vector<std::size_t>> buckets;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (fromJournal[i])
+            continue;
+        const ExperimentPoint &p = points[i];
+        if (!p.custom) {
+            std::vector<std::size_t> &reps =
+                buckets[p.traceKey() + " " +
+                        standardLabel(p.workload, p.cfg)];
+            const auto same = std::find_if(
+                reps.begin(), reps.end(), [&](std::size_t r) {
+                    return sameSimulation(points[r], p);
+                });
+            if (same != reps.end()) {
+                repOf[i] = *same;
+                duplicates.push_back(i);
+                continue;
+            }
+            reps.push_back(i);
+        }
+        order.push_back(i);
     }
+    const std::size_t numReps = order.size();
+    order.insert(order.end(), duplicates.begin(), duplicates.end());
 
-    // Plan the arena sizes up front: every *pending* point
+    // Plan the arena sizes up front: every representative
     // registers its demand so the first acquirer of an identity
     // generates a stream long enough for the largest window
-    // sharing it (journal-served points never touch the cache).
+    // sharing it. Journal-served points and duplicates never touch
+    // the cache, so planning them would pin entries for acquires
+    // that never come.
     std::optional<TraceCache> cache;
     if (cacheCfg_.enabled) {
         cache.emplace(cacheCfg_.budgetBytes);
-        for (const std::size_t i : pending) {
-            const ExperimentPoint &p = points[i];
+        for (std::size_t slot = 0; slot < numReps; ++slot) {
+            const ExperimentPoint &p = points[order[slot]];
             // Custom points (e.g. frontier's) usually route back
             // through runPoint; planning them like standard
             // points over-counts at worst, which only delays an
@@ -1042,14 +1083,19 @@ SweepRunner::runResilient(
                    std::chrono::steady_clock::now() - epoch)
             .count();
     };
-    const std::size_t n = points.size();
     std::unique_ptr<std::atomic<bool>[]> cancel(
         new std::atomic<bool>[n]);
     std::unique_ptr<std::atomic<std::int64_t>[]> started(
         new std::atomic<std::int64_t>[n]);
+    // Raised once a point's result is final; duplicates wait on
+    // their representative's flag. Representatives never wait,
+    // and each is taken before any duplicate, so no cycle forms.
+    std::unique_ptr<std::atomic<bool>[]> settled(
+        new std::atomic<bool>[n]);
     for (std::size_t i = 0; i < n; ++i) {
         cancel[i].store(false, std::memory_order_relaxed);
         started[i].store(-1, std::memory_order_relaxed);
+        settled[i].store(false, std::memory_order_relaxed);
     }
 
     // Lock-free collection: one pre-sized slot per point, a
@@ -1062,10 +1108,36 @@ SweepRunner::runResilient(
         while (true) {
             const std::size_t slot =
                 cursor.fetch_add(1, std::memory_order_relaxed);
-            if (slot >= pending.size())
+            if (slot >= order.size())
                 return;
-            const std::size_t i = pending[slot];
+            const std::size_t i = order[slot];
+            const std::size_t rep = repOf[i];
+            if (rep != kOwn)
+                settled[rep].wait(false, std::memory_order_acquire);
+            // A duplicate copies its representative's result; a
+            // failed representative leaves nothing to copy, so
+            // the duplicate then runs its own simulation.
+            const PointResult *copy =
+                rep != kOwn && !out.results[rep].failed
+                    ? &out.results[rep]
+                    : nullptr;
             const std::string key = points[i].key();
+            // One span per attempt; copies appear on the timeline
+            // as zero-length "reused:" spans, like journal-served
+            // points.
+            const auto spanAttempt =
+                [&](std::uint64_t begin,
+                    const std::vector<std::pair<std::string,
+                                                std::string>>
+                        &args) {
+                    const std::uint64_t end = res.tracer->nowUs();
+                    if (copy)
+                        res.tracer->span("reused", "reused:" + key,
+                                         end, end, args);
+                    else
+                        res.tracer->span("point", key, begin, end,
+                                         args);
+                };
             const auto t0 = std::chrono::steady_clock::now();
             PointResult &r = out.results[i];
             for (unsigned attempt = 1;; ++attempt) {
@@ -1076,34 +1148,38 @@ SweepRunner::runResilient(
                 const std::uint64_t span_t0 =
                     res.tracer ? res.tracer->nowUs() : 0;
                 try {
-                    ExperimentPoint p = points[i];
-                    p.traceCache = cache ? &*cache : nullptr;
-                    p.cfg.pod.cancel = &cancel[i];
-                    p.tracer = res.tracer;
-                    PointResult got = runPoint(p);
+                    PointResult got;
+                    if (copy) {
+                        faultPoint("point", key);
+                        got = *copy;
+                        got.timing = PointTiming{};
+                        got.timing.reusedFrom = points[rep].key();
+                    } else {
+                        ExperimentPoint p = points[i];
+                        p.traceCache = cache ? &*cache : nullptr;
+                        p.cfg.pod.cancel = &cancel[i];
+                        p.tracer = res.tracer;
+                        got = runPoint(p);
+                    }
                     started[i].store(-1,
                                      std::memory_order_relaxed);
                     got.attempts = attempt;
                     got.elapsedSeconds = secondsSince(t0);
                     r = std::move(got);
                     if (res.tracer)
-                        res.tracer->span(
-                            "point", key, span_t0,
-                            res.tracer->nowUs(),
-                            {{"attempt",
-                              std::to_string(attempt)}});
+                        spanAttempt(span_t0,
+                                    {{"attempt",
+                                      std::to_string(attempt)}});
                     break;
                 } catch (...) {
                     started[i].store(-1,
                                      std::memory_order_relaxed);
                     const AttemptFailure f = classifyFailure();
                     if (res.tracer)
-                        res.tracer->span(
-                            "point", key, span_t0,
-                            res.tracer->nowUs(),
-                            {{"attempt",
-                              std::to_string(attempt)},
-                             {"error", f.error}});
+                        spanAttempt(span_t0,
+                                    {{"attempt",
+                                      std::to_string(attempt)},
+                                     {"error", f.error}});
                     if (f.transient && attempt <= res.retries) {
                         const unsigned delay_ms =
                             res.backoffMs << (attempt - 1);
@@ -1138,6 +1214,8 @@ SweepRunner::runResilient(
                     break;
                 }
             }
+            settled[i].store(true, std::memory_order_release);
+            settled[i].notify_all();
             if (journal)
                 journal->append(points[i], r);
             faultPoint("point-done", key);
@@ -1175,7 +1253,7 @@ SweepRunner::runResilient(
     }
 
     const unsigned workers = std::min<std::size_t>(
-        jobs_, pending.size() ? pending.size() : 1);
+        jobs_, order.size() ? order.size() : 1);
     if (workers <= 1) {
         work();
     } else {
@@ -1194,11 +1272,10 @@ SweepRunner::runResilient(
     if (cache)
         cacheStats_ = cache->stats();
 
-    out.executed = pending.size();
-    out.failed = 0;
+    out.executed = order.size();
     for (const PointResult &r : out.results) {
-        if (r.failed)
-            ++out.failed;
+        out.failed += r.failed;
+        out.reused += !r.timing.reusedFrom.empty();
     }
     return out;
 }
@@ -1231,6 +1308,11 @@ appendTiming(std::string &out, const PointTiming &t,
                   ", \"sampled\": true, \"sample_ff_s\": %.4f, "
                   "\"sample_timed_s\": %.4f",
                   t.sampleFfSeconds, t.sampleTimedSeconds);
+    }
+    if (!t.reusedFrom.empty()) {
+        out += ", \"reused_from\": \"";
+        appendJsonEscaped(out, t.reusedFrom);
+        out += "\"";
     }
     out += "}";
 }
@@ -1404,7 +1486,7 @@ renderTimingReport(const std::vector<ExperimentRun> &runs,
     std::string out;
     out += "\nper-point wall-clock breakdown "
            "(g = generated/built here, r = replayed shared "
-           "artifact)\n";
+           "artifact, = KEY: result copied from equal point KEY)\n";
     appendFmt(out, "  %-52s %8s %9s %9s %9s\n", "point", "trace",
               "warmup", "measure", "total");
     double trace_s = 0, warm_s = 0, meas_s = 0;
@@ -1421,10 +1503,13 @@ renderTimingReport(const std::vector<ExperimentRun> &runs,
                 t.builtWarmup ? 'g'
                               : (t.replayedWarmup ? 'r' : ' ');
             appendFmt(out,
-                      "  %-52s %7.2fs%c %7.2fs%c %8.2fs %8.2fs\n",
+                      "  %-52s %7.2fs%c %7.2fs%c %8.2fs %8.2fs",
                       key.c_str(), t.traceSeconds, trace_tag,
                       t.warmupSeconds, warm_tag, t.measureSeconds,
                       t.totalSeconds());
+            if (!t.reusedFrom.empty())
+                appendFmt(out, "  = %s", t.reusedFrom.c_str());
+            out += "\n";
             if (t.sampled) {
                 // Sampled measurement: where measure went —
                 // functional fast-forward vs timed intervals.

@@ -329,6 +329,13 @@ struct PointTiming
     /** Sampled mode: timed ramp + measured intervals. */
     double sampleTimedSeconds = 0.0;
 
+    /**
+     * Key of the equal point whose result this one copied (empty
+     * when the point ran its own simulation). A reused point
+     * reports zero phase seconds; its cost is the named point's.
+     */
+    std::string reusedFrom;
+
     double
     totalSeconds() const
     {
@@ -441,7 +448,9 @@ struct ExperimentPoint
 
     /**
      * Custom run function; when set it replaces the standard
-     * warmup+measure loop (fig12's access-counting pod run).
+     * warmup+measure loop (fig12's access-counting pod run) and
+     * the runner never copies its result to an equal point
+     * (sameSimulation()).
      */
     std::function<PointResult(const ExperimentPoint &)> custom;
 
@@ -534,6 +543,15 @@ std::string standardLabel(WorkloadKind wk,
 PointResult runPoint(const ExperimentPoint &point);
 
 /**
+ * True when @p a and @p b must produce equal results: neither has
+ * a custom run function, and their workload, scale, base seed and
+ * full config (Experiment::Config's defaulted ==) are equal.
+ * Experiment, label and the runner-set fields do not count.
+ */
+bool sameSimulation(const ExperimentPoint &a,
+                    const ExperimentPoint &b);
+
+/**
  * Apply a sweep's telemetry and sampling settings to one of its
  * points. The interval length is effectiveIntervalRecords() and
  * histograms follow the sweep; the introspection settings only
@@ -574,8 +592,13 @@ struct SweepOutcome
 {
     std::vector<PointResult> results;
 
-    /** Points actually executed by this process. */
+    /** Points handled by this process (not journal-served),
+     * reused ones included. */
     std::size_t executed = 0;
+
+    /** Executed points whose result was copied from an equal
+     * point's simulation (PointTiming::reusedFrom set). */
+    std::size_t reused = 0;
 
     /** Points served from the --resume journal. */
     std::size_t journaled = 0;
@@ -596,6 +619,14 @@ struct SweepOutcome
  * a deadline watchdog with cooperative cancellation, and graceful
  * degradation — a failed point becomes a structured failure
  * record instead of poisoning the batch.
+ *
+ * Each distinct simulation runs once: pending points that are
+ * sameSimulation() form a group, whose first point in batch order
+ * (the representative) runs and whose other points copy its
+ * result. A copy still goes through its own attempt loop (the
+ * "point" fault hook, retries, journal, "point-done" hook), so
+ * fault plans act per key as before; when the representative
+ * failed, its duplicates run their own simulations.
  */
 class SweepRunner
 {

@@ -88,6 +88,23 @@ tinyRealPoints(double scale = 0.02)
     return def.build(opts);
 }
 
+/**
+ * tinyRealPoints() listed by two experiments, "tiny" then "twin":
+ * each twin point repeats the tiny point of the same config.
+ */
+std::vector<ExperimentPoint>
+twinRealPoints()
+{
+    std::vector<ExperimentPoint> points = tinyRealPoints();
+    const std::size_t n = points.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        ExperimentPoint twin = points[i];
+        twin.experiment = "twin";
+        points.push_back(twin);
+    }
+    return points;
+}
+
 std::string
 renderOne(const std::vector<ExperimentPoint> &points,
           const std::vector<PointResult> &results)
@@ -719,6 +736,77 @@ TEST_F(ResilienceTest, FaultHooksReachTraceBuildAndRetry)
     for (PointResult &r : normalized)
         r.attempts = 1;
     EXPECT_EQ(renderOne(points, normalized), golden);
+}
+
+TEST_F(ResilienceTest, FaultsStayPerKeyWhenResultsAreReused)
+{
+    const std::vector<ExperimentPoint> points = twinRealPoints();
+    ASSERT_EQ(points.size(), 4u);
+    const std::string tiny64 = points[0].key();
+    const std::string twin64 = points[2].key();
+    SweepRunner runner(2);
+    const SweepOutcome clean =
+        runner.runResilient(points, ResilienceOptions{});
+    EXPECT_EQ(clean.reused, 2u);
+    const std::string golden = renderOne(points, clean.results);
+
+    // A permanent fault on a duplicate's key fails that key only;
+    // the other duplicate still copies its representative.
+    ASSERT_TRUE(FaultInjector::instance().configure(
+        "point@" + twin64 + ":permanent"));
+    SweepOutcome out =
+        runner.runResilient(points, ResilienceOptions{});
+    EXPECT_EQ(out.failed, 1u);
+    EXPECT_TRUE(out.results[2].failed);
+    EXPECT_EQ(out.reused, 1u);
+    EXPECT_EQ(out.results[3].timing.reusedFrom, points[1].key());
+    for (std::size_t i : {0, 1, 3})
+        EXPECT_EQ(renderOne({points[i]}, {out.results[i]}),
+                  renderOne({points[i]}, {clean.results[i]}))
+            << points[i].key();
+
+    // On a representative's key it fails the representative
+    // only: its duplicate runs its own simulation and succeeds.
+    ASSERT_TRUE(FaultInjector::instance().configure(
+        "point@" + tiny64 + ":permanent"));
+    out = runner.runResilient(points, ResilienceOptions{});
+    EXPECT_EQ(out.failed, 1u);
+    EXPECT_TRUE(out.results[0].failed);
+    EXPECT_FALSE(out.results[2].failed);
+    EXPECT_EQ(out.results[2].timing.reusedFrom, "");
+    EXPECT_EQ(out.reused, 1u);
+    for (std::size_t i : {1, 2, 3})
+        EXPECT_EQ(renderOne({points[i]}, {out.results[i]}),
+                  renderOne({points[i]}, {clean.results[i]}))
+            << points[i].key();
+
+    // A transient trace build still fails once and retries, and
+    // the journaled run resumes without executing anything.
+    const std::string dir = scratchDir("reuse");
+    ASSERT_TRUE(FaultInjector::instance().configure(
+        "trace-build@WebSearch:transient:1"));
+    ResilienceOptions res;
+    res.retries = 2;
+    res.backoffMs = 1;
+    res.journalDir = dir;
+    const SweepOutcome faulted = runner.runResilient(points, res);
+    FaultInjector::instance().reset();
+    EXPECT_EQ(faulted.failed, 0u);
+    EXPECT_EQ(faulted.reused, 2u);
+    EXPECT_EQ(runner.lastCacheStats().buildFailures, 1u);
+    std::vector<PointResult> normalized = faulted.results;
+    for (PointResult &r : normalized)
+        r.attempts = 1;
+    EXPECT_EQ(renderOne(points, normalized), golden);
+
+    res.resume = true;
+    const SweepOutcome resumed = runner.runResilient(points, res);
+    EXPECT_EQ(resumed.executed, 0u);
+    EXPECT_EQ(resumed.reused, 0u);
+    EXPECT_EQ(resumed.journaled, points.size());
+    EXPECT_EQ(renderOne(points, resumed.results),
+              renderOne(points, faulted.results));
+    std::filesystem::remove_all(dir);
 }
 
 TEST_F(ResilienceTest, JsonEscapesControlCharacters)

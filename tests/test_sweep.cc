@@ -5,13 +5,15 @@
  * shard count), bit-identical metrics between --jobs 1 and
  * --jobs 8, merged-report completeness, strict validation of the
  * common flags' numeric values, the one field each common flag
- * lands in, and how a sweep's options apply to its points.
+ * lands in, how a sweep's options apply to its points, and that
+ * equal points are simulated once.
  */
 
 #include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <iomanip>
 #include <map>
 #include <set>
@@ -24,6 +26,7 @@
 #include "experiments/experiments.hh"
 #include "sim/registry.hh"
 #include "sim/sweep.hh"
+#include "telemetry/trace_events.hh"
 
 #include "run_points.hh"
 
@@ -703,6 +706,215 @@ TEST(ApplySweepOptions, SamplingSkipsPinnedTenantAndTimedWarmupPoints)
     p.cfg.pod.sampling.enabled = true;
     applySweepOptions(p, SweepOptions{});
     EXPECT_TRUE(p.cfg.pod.sampling.enabled);
+}
+
+/** The merged-report bytes of one point and its result. */
+std::string
+renderPoint(const ExperimentPoint &p, const PointResult &r)
+{
+    return renderSweepJson(SweepOptions{},
+                           {{p.experiment, "t", {p}, {r}}});
+}
+
+/** Occurrences of @p needle in @p hay. */
+std::size_t
+countOf(const std::string &hay, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (std::size_t at = hay.find(needle); at != std::string::npos;
+         at = hay.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
+
+/**
+ * Two experiments listing the same two configs, a sampled twin of
+ * the first config and a custom point whose run function simulates
+ * that config too: 6 points, 4 distinct simulations.
+ */
+std::vector<ExperimentPoint>
+batchWithRepeats()
+{
+    std::vector<ExperimentPoint> points;
+    for (const char *experiment : {"first", "second"}) {
+        ExperimentDef def;
+        def.name = experiment;
+        def.expand = [](const SweepOptions &) {
+            SweepSpec spec;
+            spec.workloads = {WorkloadKind::WebSearch};
+            spec.designs = {"baseline", "footprint"};
+            spec.capacitiesMb = {64};
+            return spec.expand();
+        };
+        SweepOptions opts;
+        opts.scale = 0.02;
+        for (ExperimentPoint &p : def.build(opts))
+            points.push_back(std::move(p));
+    }
+    ExperimentPoint sampled = points[1];
+    sampled.experiment = "twin";
+    sampled.label += "/sampled";
+    sampled.pinSampling = true;
+    sampled.cfg.pod.sampling.enabled = true;
+    points.push_back(sampled);
+    ExperimentPoint custom = points[1];
+    custom.experiment = "custom";
+    custom.custom = [](const ExperimentPoint &p) {
+        ExperimentPoint plain = p;
+        plain.custom = nullptr;
+        return runPoint(plain);
+    };
+    points.push_back(custom);
+    return points;
+}
+
+TEST(SweepRunner, EqualPointsSimulateOnce)
+{
+    const std::vector<ExperimentPoint> points = batchWithRepeats();
+    ASSERT_EQ(points.size(), 6u);
+    SpanTracer tracer;
+    ResilienceOptions res;
+    res.tracer = &tracer;
+    const SweepRunner runner(2);
+    const SweepOutcome out = runner.runResilient(points, res);
+    EXPECT_EQ(out.executed, 6u);
+    EXPECT_EQ(out.reused, 2u);
+    EXPECT_EQ(out.failed, 0u);
+
+    // One "point" span per distinct simulation; the two copies
+    // show as zero-length "reused:" spans.
+    const std::string trace = tracer.render();
+    EXPECT_EQ(countOf(trace, "\"cat\": \"point\""), 4u);
+    EXPECT_EQ(countOf(trace, "\"cat\": \"reused\""), 2u);
+    EXPECT_NE(trace.find("\"dur\": 0, \"cat\": \"reused\", "
+                         "\"name\": \"reused:second/WebSearch/"
+                         "baseline/64MB/2048B\""),
+              std::string::npos);
+
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const PointResult &r = out.results[i];
+        SCOPED_TRACE(points[i].key());
+        if (points[i].experiment != "second") {
+            EXPECT_EQ(r.timing.reusedFrom, "");
+            continue;
+        }
+        // A copy names its representative, costs no phase time,
+        // and equals what the point produces when run alone.
+        EXPECT_EQ(r.timing.reusedFrom, points[i - 2].key());
+        EXPECT_EQ(r.timing.totalSeconds(), 0.0);
+        EXPECT_FALSE(r.timing.replayedTrace);
+        EXPECT_EQ(r.attempts, 1u);
+        EXPECT_EQ(renderPoint(points[i], r),
+                  renderPoint(points[i], runPoint(points[i])));
+    }
+    // The custom point simulated the same config on its own.
+    EXPECT_EQ(renderPoint(points[1], out.results[5]),
+              renderPoint(points[1], out.results[1]));
+
+    // Only representatives are planned, so every entry the batch
+    // built was released after its last planned use: none stays
+    // pinned in the budget waiting for a duplicate's acquire.
+    const TraceCacheStats &stats = runner.lastCacheStats();
+    EXPECT_GT(stats.misses, 0u);
+    EXPECT_EQ(stats.released, stats.misses);
+
+    // --time-out names the representative; --time marks the row.
+    std::vector<ExperimentRun> runs = {
+        {"all", "t", points, out.results}};
+    SweepOptions opts;
+    EXPECT_NE(renderTimingJson(opts, runs, stats)
+                  .find("\"reused_from\": \"first/WebSearch/"
+                        "footprint/64MB/2048B\"}"),
+              std::string::npos);
+    EXPECT_NE(renderTimingReport(runs, stats)
+                  .find("  = first/WebSearch/baseline/64MB/2048B\n"),
+              std::string::npos);
+}
+
+TEST(SweepRunner, RepeatsAreJobCountAndCacheIndependent)
+{
+    const std::vector<ExperimentPoint> points = batchWithRepeats();
+    TraceCacheConfig off;
+    off.enabled = false;
+    const std::vector<PointResult> one =
+        runPoints(SweepRunner(1), points);
+    const std::vector<PointResult> four =
+        runPoints(SweepRunner(4, off), points);
+    for (std::size_t i = 0; i < points.size(); ++i)
+        EXPECT_EQ(renderPoint(points[i], one[i]),
+                  renderPoint(points[i], four[i]))
+            << points[i].key();
+}
+
+TEST(ExperimentConfig, EqualitySeesEveryNestedField)
+{
+    ExperimentPoint base;
+    base.experiment = "base";
+    base.label = "x";
+    base.workload = WorkloadKind::WebSearch;
+    base.scale = 0.01;
+    base.cfg.capacityMb = 64;
+
+    // Experiment, label and the runner-set fields do not count.
+    ExperimentPoint same = base;
+    same.experiment = "other";
+    same.label = "y";
+    same.pinSampling = true;
+    EXPECT_TRUE(sameSimulation(base, same));
+
+    // One changed field, in each nested struct and in each point
+    // field that reaches the simulation, splits the group.
+    using Tweak = std::function<void(ExperimentPoint &)>;
+    const std::vector<std::pair<const char *, Tweak>> tweaks = {
+        {"params", [](ExperimentPoint &p) {
+             p.cfg.params.set("footprint.unused", "1");
+         }},
+        {"stackedLowLatency",
+         [](ExperimentPoint &p) { p.cfg.stackedLowLatency = true; }},
+        {"pod.coreIpc",
+         [](ExperimentPoint &p) { p.cfg.pod.coreIpc = 3.0; }},
+        {"hierarchy.l2.sizeBytes",
+         [](ExperimentPoint &p) {
+             p.cfg.pod.hierarchy.l2.sizeBytes *= 2;
+         }},
+        {"telemetry.histograms",
+         [](ExperimentPoint &p) {
+             p.cfg.pod.telemetry.histograms = true;
+         }},
+        {"sampling.enabled",
+         [](ExperimentPoint &p) {
+             p.cfg.pod.sampling.enabled = true;
+         }},
+        {"scale", [](ExperimentPoint &p) { p.scale = 0.011; }},
+        {"baseSeed", [](ExperimentPoint &p) { p.baseSeed = 7; }},
+        {"workload",
+         [](ExperimentPoint &p) {
+             p.workload = WorkloadKind::DataServing;
+         }},
+    };
+    std::vector<ExperimentPoint> batch = {base, same};
+    for (const auto &[name, tweak] : tweaks) {
+        ExperimentPoint p = base;
+        p.experiment = name;
+        tweak(p);
+        EXPECT_FALSE(sameSimulation(base, p)) << name;
+        batch.push_back(p);
+    }
+    // A custom run function opts out even of an equal config.
+    ExperimentPoint custom = base;
+    custom.experiment = "custom";
+    custom.custom = [](const ExperimentPoint &) {
+        return PointResult{};
+    };
+    EXPECT_FALSE(sameSimulation(base, custom));
+    batch.push_back(custom);
+
+    // The runner agrees: only `same` copies a result.
+    const SweepOutcome out =
+        SweepRunner(2).runResilient(batch, ResilienceOptions{});
+    EXPECT_EQ(out.failed, 0u);
+    EXPECT_EQ(out.reused, 1u);
+    EXPECT_EQ(out.results[1].timing.reusedFrom, base.key());
 }
 
 TEST(SweepRunner, RejectsDuplicateKeys)
