@@ -37,9 +37,11 @@ runHotPages(const ExperimentPoint &point)
     AccessCountingMemory mem(4096);
     DramSystem off(DramSystem::Config::offchipPod());
     PodConfig pod_cfg;
-    // The bespoke pod still honors the sweep's telemetry flags:
-    // every quick-grid point must conserve interval sums.
+    // The bespoke pod still honors the sweep's telemetry flags
+    // (every quick-grid point must conserve interval sums) and
+    // the attempt's deadline.
     pod_cfg.telemetry = point.cfg.pod.telemetry;
+    pod_cfg.deadline = point.cfg.pod.deadline;
     PodSystem pod(pod_cfg, trace, mem, nullptr, off);
     PointResult out;
     // The whole bespoke run is its measured window: one phase

@@ -18,7 +18,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -176,16 +175,8 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // Fault injection: the --fault-plan flag wins; the
-    // FPC_FAULT_PLAN environment variable serves scripted CI
-    // jobs that can't thread extra flags through.
-    std::string fault_plan = opts.faultPlan;
-    if (fault_plan.empty()) {
-        if (const char *env = std::getenv("FPC_FAULT_PLAN"))
-            fault_plan = env;
-    }
-    if (!fault_plan.empty() &&
-        !fpc::FaultInjector::instance().configure(fault_plan,
+    if (!opts.faultPlan.empty() &&
+        !fpc::FaultInjector::instance().configure(opts.faultPlan,
                                                   opts.seed))
         return 2;
 
@@ -304,13 +295,11 @@ main(int argc, char **argv)
                 outcome.journaled, outcome.failed);
 
     if (opts.time) {
-        std::fputs(renderTimingReport(runs,
-                                      runner.lastCacheStats())
-                       .c_str(),
+        std::fputs(renderTimingReport(runs, outcome.cache).c_str(),
                    stdout);
         if (!opts.timeOut.empty()) {
-            const std::string timing_json = renderTimingJson(
-                opts, runs, runner.lastCacheStats());
+            const std::string timing_json =
+                renderTimingJson(opts, runs, outcome.cache);
             if (!writeTextFile(opts.timeOut, timing_json))
                 return 1;
             std::printf("wrote %s\n", opts.timeOut.c_str());

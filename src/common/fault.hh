@@ -28,6 +28,7 @@
 #define FPC_COMMON_FAULT_HH
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <stdexcept>
@@ -51,9 +52,9 @@ class TransientError : public std::runtime_error
 };
 
 /**
- * Thrown at a cooperative cancellation check when the point's
- * watchdog marked it over-deadline. Terminal: retrying a point
- * that already burned its deadline would just burn another.
+ * Thrown at a cooperative cancellation check once the point's
+ * attempt deadline has passed. Terminal: retrying a point that
+ * already burned its deadline would just burn another.
  */
 class PointCancelledError : public std::runtime_error
 {
@@ -151,14 +152,23 @@ faultPoint(const char *site, const std::string &key)
 }
 
 /**
+ * Wall-clock limit of one attempt at a point. kNoDeadline (the
+ * clock's maximum) means the attempt may run forever.
+ */
+using Deadline = std::chrono::steady_clock::time_point;
+inline constexpr Deadline kNoDeadline = Deadline::max();
+
+/**
  * Cooperative cancellation check for the simulation loops: cheap
- * enough for batch boundaries (one predicted-null pointer test),
- * throws once the point's watchdog raises the flag.
+ * enough for batch boundaries (one predicted compare when no
+ * deadline is set, one clock read when one is), throws once
+ * @p deadline has passed.
  */
 inline void
-throwIfCancelled(const std::atomic<bool> *flag)
+throwIfCancelled(Deadline deadline)
 {
-    if (flag && flag->load(std::memory_order_relaxed))
+    if (deadline != kNoDeadline &&
+        std::chrono::steady_clock::now() >= deadline)
         throw PointCancelledError("point deadline exceeded");
 }
 

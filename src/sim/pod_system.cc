@@ -168,14 +168,8 @@ PodSystem::PodSystem(const PodConfig &config, TraceSource &trace,
     // shadow directory would see a punctured stream.
     if (config_.telemetry.introspectionOn() &&
         !config_.sampling.enabled) {
-        CacheIntrospection::Config ic;
-        ic.missAttributionStride =
-            config_.telemetry.missAttributionStride;
-        ic.designProbes = config_.telemetry.designProbes;
-        ic.heatmaps = config_.telemetry.heatmaps;
-        ic.shadowCapacityBytes =
-            config_.telemetry.shadowCapacityBytes;
-        intro_ = std::make_unique<CacheIntrospection>(ic);
+        intro_ = std::make_unique<CacheIntrospection>(
+            config_.telemetry);
     }
 }
 
@@ -395,11 +389,14 @@ PodSystem::runWarmup(std::uint64_t warmup_refs)
     };
 
     TraceRecord rec;
+    std::uint64_t iterations = 0;
     while (pulled < warmup_refs && num_alive > 0) {
-        // Deadline watchdog: one predicted-null pointer test per
-        // dispatch burst (~kDispatchBurst records), so a wedged
-        // point unwinds within a burst of the flag going up.
-        throwIfCancelled(config_.cancel);
+        // Deadline check every 64 iterations: an iteration is a
+        // dispatch burst (~kDispatchBurst records), or one record
+        // for sources without batch access, so an armed deadline
+        // keeps its clock read off the per-record path.
+        if ((iterations++ & 63) == 0)
+            throwIfCancelled(config_.deadline);
         if (!alive[core]) {
             core = (core + 1 == cores) ? 0 : core + 1;
             continue;
@@ -506,7 +503,7 @@ PodSystem::replayOps(const PostL2Ops &ops, std::size_t begin,
     MemRequest req;
     for (std::size_t i = begin; i < end; ++i) {
         if ((i & 0xfff) == 0)
-            throwIfCancelled(config_.cancel);
+            throwIfCancelled(config_.deadline);
         // Same effective two-stage tag/payload prefetch
         // distances the deferred FIFO gives the in-band warmup
         // loop (stage 1 a full queue ahead, stage 2 half plus
@@ -637,11 +634,10 @@ PodSystem::runMeasure(std::uint64_t measure_refs, bool measured,
     Cycle now = start_now;
     while (!ready.empty() && total_records_ < stop) {
         // Cooperative cancellation at batch boundaries: one
-        // predicted-null pointer test every 4096 records keeps
-        // the hot loop unmeasurably close to free when no
-        // deadline is armed.
+        // predicted compare every 4096 records keeps the hot loop
+        // unmeasurably close to free when no deadline is armed.
         if ((total_records_ & 0xfff) == 0)
-            throwIfCancelled(config_.cancel);
+            throwIfCancelled(config_.deadline);
         auto [when, core] = ready.pop();
         now = std::max(now, when);
 

@@ -34,12 +34,12 @@
 #define FPC_SIM_POD_SYSTEM_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "cache/hierarchy.hh"
+#include "common/fault.hh"
 #include "core/event_queue.hh"
 #include "dram/system.hh"
 #include "dramcache/interface.hh"
@@ -104,15 +104,16 @@ struct PodConfig
     unsigned numTenants = 0;
 
     /**
-     * Cooperative cancellation flag (non-owning; null = never
-     * cancelled). The warmup, warmup-replay and measurement
-     * loops poll it at batch boundaries and unwind with
-     * PointCancelledError when it goes true — how the sweep's
-     * per-point deadline watchdog stops a wedged point without
-     * killing its thread. Deliberately excluded from warmup-
-     * artifact cache keys: it never affects simulated state.
+     * When the current attempt at this point must stop
+     * (kNoDeadline = never). The warmup, warmup-replay and
+     * measurement loops compare the clock against it at batch
+     * boundaries and unwind with PointCancelledError once it has
+     * passed — how the sweep's per-point deadline stops a wedged
+     * point without killing its thread. Deliberately excluded
+     * from warmup-artifact cache keys: it never affects
+     * simulated state.
      */
-    const std::atomic<bool> *cancel = nullptr;
+    Deadline deadline = kNoDeadline;
 
     /**
      * Telemetry knobs (interval streaming, hot-path histograms).
@@ -133,8 +134,9 @@ struct PodConfig
     CacheHierarchy::Config hierarchy =
         CacheHierarchy::Config::scaleOutPod();
 
-    /** Every field, `cancel` included (the sweep runner groups
-     * points before it sets the flag on its working copies). */
+    /** Every field, `deadline` included (the sweep runner
+     * groups points before it stamps the deadline on its working
+     * copies). */
     bool operator==(const PodConfig &) const = default;
 };
 

@@ -866,6 +866,9 @@ struct AttemptFailure
 {
     std::string error;
     bool transient = false;
+
+    /** The attempt outlived its deadline. */
+    bool cancelled = false;
 };
 
 /**
@@ -881,6 +884,7 @@ classifyFailure()
         throw;
     } catch (const PointCancelledError &e) {
         f.error = e.what();
+        f.cancelled = true;
     } catch (const TransientError &e) {
         f.error = e.what();
         f.transient = true;
@@ -896,6 +900,21 @@ classifyFailure()
         f.error = "unknown error (non-standard exception)";
     }
     return f;
+}
+
+/**
+ * The deadline of an attempt that starts now and may run
+ * @p seconds (<= 0, or beyond the clock's range, = none).
+ */
+Deadline
+deadlineAfter(double seconds)
+{
+    const Deadline now = std::chrono::steady_clock::now();
+    const std::chrono::duration<double> left = kNoDeadline - now;
+    if (seconds <= 0 || seconds >= left.count())
+        return kNoDeadline;
+    return now + std::chrono::duration_cast<Deadline::duration>(
+                     std::chrono::duration<double>(seconds));
 }
 
 } // namespace
@@ -970,15 +989,13 @@ SweepRunner::runResilient(
 
     // Group the pending points that simulate the same thing. The
     // first of each group in batch order is its representative;
-    // the rest copy its result. Buckets keyed by trace identity
-    // and standard label keep the grouping linear; within a
-    // bucket sameSimulation() decides. `order` lists the
-    // representatives before the duplicates, so a worker that
-    // takes a duplicate rarely waits for its representative.
+    // the rest are duplicates that copy its result. Buckets keyed
+    // by trace identity and standard label keep the grouping
+    // linear; within a bucket sameSimulation() decides.
     const std::size_t n = points.size();
     constexpr std::size_t kOwn = std::numeric_limits<std::size_t>::max();
     std::vector<std::size_t> repOf(n, kOwn);
-    std::vector<std::size_t> order;
+    std::vector<std::size_t> reps;
     std::vector<std::size_t> duplicates;
     std::unordered_map<std::string, std::vector<std::size_t>> buckets;
     for (std::size_t i = 0; i < n; ++i) {
@@ -986,24 +1003,22 @@ SweepRunner::runResilient(
             continue;
         const ExperimentPoint &p = points[i];
         if (!p.custom) {
-            std::vector<std::size_t> &reps =
+            std::vector<std::size_t> &group =
                 buckets[p.traceKey() + " " +
                         standardLabel(p.workload, p.cfg)];
             const auto same = std::find_if(
-                reps.begin(), reps.end(), [&](std::size_t r) {
+                group.begin(), group.end(), [&](std::size_t r) {
                     return sameSimulation(points[r], p);
                 });
-            if (same != reps.end()) {
+            if (same != group.end()) {
                 repOf[i] = *same;
                 duplicates.push_back(i);
                 continue;
             }
-            reps.push_back(i);
+            group.push_back(i);
         }
-        order.push_back(i);
+        reps.push_back(i);
     }
-    const std::size_t numReps = order.size();
-    order.insert(order.end(), duplicates.begin(), duplicates.end());
 
     // Plan the arena sizes up front: every representative
     // registers its demand so the first acquirer of an identity
@@ -1014,8 +1029,8 @@ SweepRunner::runResilient(
     std::optional<TraceCache> cache;
     if (cacheCfg_.enabled) {
         cache.emplace(cacheCfg_.budgetBytes);
-        for (std::size_t slot = 0; slot < numReps; ++slot) {
-            const ExperimentPoint &p = points[order[slot]];
+        for (const std::size_t i : reps) {
+            const ExperimentPoint &p = points[i];
             // Custom points (e.g. frontier's) usually route back
             // through runPoint; planning them like standard
             // points over-counts at worst, which only delays an
@@ -1068,211 +1083,146 @@ SweepRunner::runResilient(
                 });
         }
     }
-    cacheStats_ = TraceCacheStats{};
 
-    // Watchdog state: one cancellation flag and one attempt
-    // start-stamp (ms since `epoch`, -1 = idle) per point. The
-    // monitor thread only ever reads stamps and raises flags;
-    // the simulation loops observe flags cooperatively at batch
-    // boundaries, so cancellation is a clean exception unwind,
-    // never a killed thread.
-    const auto epoch = std::chrono::steady_clock::now();
-    const auto nowMs = [epoch]() -> std::int64_t {
-        return std::chrono::duration_cast<
-                   std::chrono::milliseconds>(
-                   std::chrono::steady_clock::now() - epoch)
-            .count();
+    // Every attempt at point i, until one succeeds or the point
+    // fails for good. Workers share the cache, the journal and
+    // the tracer, and each writes only its point's result slot;
+    // an attempt carries its deadline on its own working copy of
+    // the point.
+    const auto runOne = [&](std::size_t i) {
+        const std::size_t rep = repOf[i];
+        // A duplicate copies its representative's result; a
+        // failed representative leaves nothing to copy, so the
+        // duplicate then runs its own simulation.
+        const PointResult *copy =
+            rep != kOwn && !out.results[rep].failed
+                ? &out.results[rep]
+                : nullptr;
+        const std::string key = points[i].key();
+        // One span per attempt; copies appear on the timeline as
+        // zero-length "reused:" spans, like journal-served points.
+        const auto spanAttempt =
+            [&](std::uint64_t begin,
+                const std::vector<std::pair<std::string,
+                                            std::string>> &args) {
+                const std::uint64_t end = res.tracer->nowUs();
+                if (copy)
+                    res.tracer->span("reused", "reused:" + key, end,
+                                     end, args);
+                else
+                    res.tracer->span("point", key, begin, end, args);
+            };
+        const auto t0 = std::chrono::steady_clock::now();
+        PointResult &r = out.results[i];
+        for (unsigned attempt = 1;; ++attempt) {
+            const std::uint64_t span_t0 =
+                res.tracer ? res.tracer->nowUs() : 0;
+            try {
+                PointResult got;
+                if (copy) {
+                    faultPoint("point", key);
+                    got = *copy;
+                    got.timing = PointTiming{};
+                    got.timing.reusedFrom = points[rep].key();
+                } else {
+                    ExperimentPoint p = points[i];
+                    p.traceCache = cache ? &*cache : nullptr;
+                    p.cfg.pod.deadline =
+                        deadlineAfter(res.pointDeadlineS);
+                    p.tracer = res.tracer;
+                    got = runPoint(p);
+                }
+                got.attempts = attempt;
+                got.elapsedSeconds = secondsSince(t0);
+                r = std::move(got);
+                if (res.tracer)
+                    spanAttempt(span_t0,
+                                {{"attempt", std::to_string(attempt)}});
+                break;
+            } catch (...) {
+                const AttemptFailure f = classifyFailure();
+                if (res.tracer) {
+                    if (f.cancelled)
+                        res.tracer->instant("runner",
+                                            "deadline-cancel",
+                                            {{"point", key}});
+                    spanAttempt(span_t0,
+                                {{"attempt", std::to_string(attempt)},
+                                 {"error", f.error}});
+                }
+                if (f.transient && attempt <= res.retries) {
+                    const unsigned delay_ms =
+                        res.backoffMs << (attempt - 1);
+                    if (res.tracer)
+                        res.tracer->instant(
+                            "runner", "retry",
+                            {{"point", key},
+                             {"attempt", std::to_string(attempt)},
+                             {"error", f.error}});
+                    std::fprintf(stderr,
+                                 "sweep point %s: transient failure "
+                                 "(attempt %u): %s; retrying in "
+                                 "%u ms\n",
+                                 key.c_str(), attempt,
+                                 f.error.c_str(), delay_ms);
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(delay_ms));
+                    continue;
+                }
+                if (res.tracer)
+                    res.tracer->instant(
+                        "runner", "failed",
+                        {{"point", key}, {"error", f.error}});
+                r = PointResult{};
+                r.failed = true;
+                r.error = f.error;
+                r.attempts = attempt;
+                r.elapsedSeconds = secondsSince(t0);
+                break;
+            }
+        }
+        if (journal)
+            journal->append(points[i], r);
+        faultPoint("point-done", key);
     };
-    std::unique_ptr<std::atomic<bool>[]> cancel(
-        new std::atomic<bool>[n]);
-    std::unique_ptr<std::atomic<std::int64_t>[]> started(
-        new std::atomic<std::int64_t>[n]);
-    // Raised once a point's result is final; duplicates wait on
-    // their representative's flag. Representatives never wait,
-    // and each is taken before any duplicate, so no cycle forms.
-    std::unique_ptr<std::atomic<bool>[]> settled(
-        new std::atomic<bool>[n]);
-    for (std::size_t i = 0; i < n; ++i) {
-        cancel[i].store(false, std::memory_order_relaxed);
-        started[i].store(-1, std::memory_order_relaxed);
-        settled[i].store(false, std::memory_order_relaxed);
-    }
 
     // Lock-free collection: one pre-sized slot per point, a
     // single atomic cursor for distribution. Point seeds never
     // depend on which worker claims them, so the merged report
     // is byte-identical across --jobs counts — and across an
     // interrupt/resume boundary.
-    std::atomic<std::size_t> cursor{0};
-    auto work = [&]() {
-        while (true) {
-            const std::size_t slot =
-                cursor.fetch_add(1, std::memory_order_relaxed);
-            if (slot >= order.size())
-                return;
-            const std::size_t i = order[slot];
-            const std::size_t rep = repOf[i];
-            if (rep != kOwn)
-                settled[rep].wait(false, std::memory_order_acquire);
-            // A duplicate copies its representative's result; a
-            // failed representative leaves nothing to copy, so
-            // the duplicate then runs its own simulation.
-            const PointResult *copy =
-                rep != kOwn && !out.results[rep].failed
-                    ? &out.results[rep]
-                    : nullptr;
-            const std::string key = points[i].key();
-            // One span per attempt; copies appear on the timeline
-            // as zero-length "reused:" spans, like journal-served
-            // points.
-            const auto spanAttempt =
-                [&](std::uint64_t begin,
-                    const std::vector<std::pair<std::string,
-                                                std::string>>
-                        &args) {
-                    const std::uint64_t end = res.tracer->nowUs();
-                    if (copy)
-                        res.tracer->span("reused", "reused:" + key,
-                                         end, end, args);
-                    else
-                        res.tracer->span("point", key, begin, end,
-                                         args);
-                };
-            const auto t0 = std::chrono::steady_clock::now();
-            PointResult &r = out.results[i];
-            for (unsigned attempt = 1;; ++attempt) {
-                cancel[i].store(false,
-                                std::memory_order_relaxed);
-                started[i].store(nowMs(),
-                                 std::memory_order_release);
-                const std::uint64_t span_t0 =
-                    res.tracer ? res.tracer->nowUs() : 0;
-                try {
-                    PointResult got;
-                    if (copy) {
-                        faultPoint("point", key);
-                        got = *copy;
-                        got.timing = PointTiming{};
-                        got.timing.reusedFrom = points[rep].key();
-                    } else {
-                        ExperimentPoint p = points[i];
-                        p.traceCache = cache ? &*cache : nullptr;
-                        p.cfg.pod.cancel = &cancel[i];
-                        p.tracer = res.tracer;
-                        got = runPoint(p);
-                    }
-                    started[i].store(-1,
-                                     std::memory_order_relaxed);
-                    got.attempts = attempt;
-                    got.elapsedSeconds = secondsSince(t0);
-                    r = std::move(got);
-                    if (res.tracer)
-                        spanAttempt(span_t0,
-                                    {{"attempt",
-                                      std::to_string(attempt)}});
-                    break;
-                } catch (...) {
-                    started[i].store(-1,
-                                     std::memory_order_relaxed);
-                    const AttemptFailure f = classifyFailure();
-                    if (res.tracer)
-                        spanAttempt(span_t0,
-                                    {{"attempt",
-                                      std::to_string(attempt)},
-                                     {"error", f.error}});
-                    if (f.transient && attempt <= res.retries) {
-                        const unsigned delay_ms =
-                            res.backoffMs << (attempt - 1);
-                        if (res.tracer)
-                            res.tracer->instant(
-                                "runner", "retry",
-                                {{"point", key},
-                                 {"attempt",
-                                  std::to_string(attempt)},
-                                 {"error", f.error}});
-                        std::fprintf(
-                            stderr,
-                            "sweep point %s: transient failure "
-                            "(attempt %u): %s; retrying in "
-                            "%u ms\n",
-                            key.c_str(), attempt,
-                            f.error.c_str(), delay_ms);
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(delay_ms));
-                        continue;
-                    }
-                    if (res.tracer)
-                        res.tracer->instant(
-                            "runner", "failed",
-                            {{"point", key},
-                             {"error", f.error}});
-                    r = PointResult{};
-                    r.failed = true;
-                    r.error = f.error;
-                    r.attempts = attempt;
-                    r.elapsedSeconds = secondsSince(t0);
-                    break;
-                }
+    const auto runAll = [&](const std::vector<std::size_t> &items) {
+        std::atomic<std::size_t> cursor{0};
+        const auto work = [&]() {
+            while (true) {
+                const std::size_t slot =
+                    cursor.fetch_add(1, std::memory_order_relaxed);
+                if (slot >= items.size())
+                    return;
+                runOne(items[slot]);
             }
-            settled[i].store(true, std::memory_order_release);
-            settled[i].notify_all();
-            if (journal)
-                journal->append(points[i], r);
-            faultPoint("point-done", key);
+        };
+        const unsigned workers =
+            std::min<std::size_t>(jobs_, items.size());
+        if (workers <= 1) {
+            work();
+            return;
         }
-    };
-
-    std::atomic<bool> stopWatchdog{false};
-    std::thread watchdog;
-    if (res.pointDeadlineS > 0) {
-        watchdog = std::thread([&]() {
-            const auto deadline_ms = static_cast<std::int64_t>(
-                res.pointDeadlineS * 1000.0);
-            while (!stopWatchdog.load(
-                std::memory_order_acquire)) {
-                const std::int64_t t = nowMs();
-                for (std::size_t i = 0; i < n; ++i) {
-                    const std::int64_t s = started[i].load(
-                        std::memory_order_acquire);
-                    if (s >= 0 && t - s > deadline_ms) {
-                        // exchange: one instant per raise, not
-                        // one per 20ms poll.
-                        if (!cancel[i].exchange(
-                                true,
-                                std::memory_order_relaxed) &&
-                            res.tracer)
-                            res.tracer->instant(
-                                "runner", "deadline-cancel",
-                                {{"point", points[i].key()}});
-                    }
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(20));
-            }
-        });
-    }
-
-    const unsigned workers = std::min<std::size_t>(
-        jobs_, order.size() ? order.size() : 1);
-    if (workers <= 1) {
-        work();
-    } else {
         std::vector<std::thread> pool;
         pool.reserve(workers);
         for (unsigned w = 0; w < workers; ++w)
             pool.emplace_back(work);
         for (std::thread &t : pool)
             t.join();
-    }
-    if (watchdog.joinable()) {
-        stopWatchdog.store(true, std::memory_order_release);
-        watchdog.join();
-    }
+    };
+    // Duplicates run after every representative has settled, so
+    // each reads a final result and none waits on another.
+    runAll(reps);
+    runAll(duplicates);
 
     if (cache)
-        cacheStats_ = cache->stats();
-
-    out.executed = order.size();
+        out.cache = cache->stats();
+    out.executed = reps.size() + duplicates.size();
     for (const PointResult &r : out.results) {
         out.failed += r.failed;
         out.reused += !r.timing.reusedFrom.empty();

@@ -76,11 +76,11 @@ struct ResilienceOptions
     unsigned backoffMs = 250;
 
     /**
-     * Per-point deadline in seconds (0 = none). A watchdog
-     * thread raises the point's cooperative cancellation flag
-     * once an attempt exceeds it; the simulation loops observe
-     * the flag at batch boundaries, the point fails with a
-     * deadline error, and the pool drains normally.
+     * Per-point deadline in seconds (0 = none). Each attempt
+     * carries the time it must end by in PodConfig::deadline;
+     * the simulation loops compare the clock against it at batch
+     * boundaries, the point fails with a deadline error, and the
+     * pool drains normally.
      */
     double pointDeadlineS = 0.0;
 
@@ -605,6 +605,10 @@ struct SweepOutcome
 
     /** Terminal failures (results[i].failed). */
     std::size_t failed = 0;
+
+    /** Trace-cache counters of this run (all zero when the
+     * cache was disabled). */
+    TraceCacheStats cache;
 };
 
 /**
@@ -616,14 +620,17 @@ struct SweepOutcome
  * runResilient() is the one entry point, with the fault-tolerance
  * layer built in: per-point checkpoint journaling with resume,
  * bounded retry with exponential backoff for transient failures,
- * a deadline watchdog with cooperative cancellation, and graceful
- * degradation — a failed point becomes a structured failure
- * record instead of poisoning the batch.
+ * a per-attempt deadline the simulation loops check themselves,
+ * and graceful degradation — a failed point becomes a structured
+ * failure record instead of poisoning the batch. The worker pool
+ * is the only concurrency: no other thread runs, and nothing
+ * survives from one call to the next.
  *
  * Each distinct simulation runs once: pending points that are
  * sameSimulation() form a group, whose first point in batch order
  * (the representative) runs and whose other points copy its
- * result. A copy still goes through its own attempt loop (the
+ * result. The pool runs every representative first, then the
+ * copies. A copy still goes through its own attempt loop (the
  * "point" fault hook, retries, journal, "point-done" hook), so
  * fault plans act per key as before; when the representative
  * failed, its duplicates run their own simulations.
@@ -653,17 +660,9 @@ class SweepRunner
 
     unsigned jobs() const { return jobs_; }
 
-    /** Cache counters of the most recent runResilient() (empty
-     * when the cache was disabled). */
-    const TraceCacheStats &lastCacheStats() const
-    {
-        return cacheStats_;
-    }
-
   private:
     unsigned jobs_;
     TraceCacheConfig cacheCfg_;
-    mutable TraceCacheStats cacheStats_;
 };
 
 /** One experiment's expanded points and collected results. */

@@ -209,7 +209,7 @@ CacheIntrospection::AddrSet::insert(Addr key)
     return true;
 }
 
-CacheIntrospection::CacheIntrospection(const Config &config)
+CacheIntrospection::CacheIntrospection(const TelemetryConfig &config)
     : config_(config)
 {
     // The page-seen set backs noteTriggeringMiss, which fires

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "telemetry/telemetry.hh"
 
 namespace fpc {
 
@@ -46,35 +47,22 @@ namespace fpc {
 class CacheIntrospection
 {
   public:
-    struct Config
-    {
-        /** 1-in-K set sampling for miss attribution (0 = off;
-         * rounded up to a power of two). */
-        unsigned missAttributionStride = 0;
-
-        /** Stream design structure counters per interval. */
-        bool designProbes = false;
-
-        /** Accumulate per-set / per-bank spatial heatmaps. */
-        bool heatmaps = false;
-
-        /** Capacity the shadow directory models (0 = 256MB). */
-        std::uint64_t shadowCapacityBytes = 0;
-    };
-
     /** Modeled shadow associativity (sets x ways x 64B). */
     static constexpr unsigned kShadowWays = 16;
 
     /** Maximum per-set heatmap bins (sets decimate into these). */
     static constexpr unsigned kMaxSetBins = 64;
 
-    explicit CacheIntrospection(const Config &config);
+    /** Reads the introspection fields of @p config:
+     * missAttributionStride (stored rounded up to a power of
+     * two), designProbes, heatmaps and shadowCapacityBytes. */
+    explicit CacheIntrospection(const TelemetryConfig &config);
 
     CacheIntrospection(const CacheIntrospection &) = delete;
     CacheIntrospection &operator=(const CacheIntrospection &) =
         delete;
 
-    const Config &config() const { return config_; }
+    const TelemetryConfig &config() const { return config_; }
 
     /**
      * Observe one demand access on the pod's measured path.
@@ -296,7 +284,7 @@ class CacheIntrospection
      * filter. Classifies against the shadow directory. */
     void observeSampledBlock(Addr block, bool hit);
 
-    Config config_;
+    TelemetryConfig config_;
 
     /* Shadow directory (miss attribution). */
     std::uint64_t shadow_sets_ = 0;

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "common/fault.hh"
 #include "common/logging.hh"
 #include "mem/materialized_trace.hh"
 #include "telemetry/trace_events.hh"
@@ -160,6 +161,11 @@ runColocationPoint(const ExperimentPoint &point)
                 point.traceCache->acquire(
                     tenantTraceKey(point, spec), per_tenant,
                     [&](std::uint64_t records) {
+                        faultPoint("trace-build",
+                                   traceIdentityKey(
+                                       spec.workload,
+                                       point.cfg.pageBytes,
+                                       point.baseSeed));
                         generated = true;
                         auto built = std::make_shared<
                             MaterializedTrace>();

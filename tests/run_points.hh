@@ -18,13 +18,17 @@
 
 namespace fpc {
 
-/** Result i corresponds to points[i]. */
+/** Result i corresponds to points[i]; @p cache, when given,
+ * receives the run's trace-cache counters. */
 inline std::vector<PointResult>
 runPoints(const SweepRunner &runner,
-          const std::vector<ExperimentPoint> &points)
+          const std::vector<ExperimentPoint> &points,
+          TraceCacheStats *cache = nullptr)
 {
     SweepOutcome out =
         runner.runResilient(points, ResilienceOptions{});
+    if (cache)
+        *cache = out.cache;
     for (std::size_t i = 0; i < points.size(); ++i) {
         EXPECT_FALSE(out.results[i].failed)
             << "sweep point " << points[i].key()

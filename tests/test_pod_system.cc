@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "dramcache/simple_memories.hh"
+#include "mem/materialized_trace.hh"
 #include "sim/pod_system.hh"
+#include "workload/generator.hh"
 
 namespace fpc {
 namespace {
@@ -147,6 +152,45 @@ TEST(PodSystem, DeterministicAcrossRuns)
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.offchipBytes, b.offchipBytes);
+}
+
+TEST(PodSystem, ChecksItsOwnDeadline)
+{
+    // The in-band warmup, the warmup-artifact replay and the
+    // measured window each compare the clock against the pod's
+    // deadline, so a point past it unwinds without outside help.
+    constexpr std::uint64_t kRecords = 20000;
+    auto arena = std::make_shared<MaterializedTrace>();
+    materializeTrace(makeWorkload(WorkloadKind::WebSearch, 2048, 11),
+                     kRecords, *arena);
+    const auto artifact = PodSystem::buildWarmupArtifact(
+        *arena, PodConfig{}.hierarchy, kRecords);
+    ASSERT_GT(artifact->paddr.size(), 0u);
+
+    const auto onFreshPod =
+        [&](const PodConfig &cfg,
+            const std::function<void(PodSystem &)> &phase) {
+            ReplayTraceSource trace(arena);
+            DramSystem off(DramSystem::Config::offchipPod());
+            NoCacheMemory mem(off);
+            PodSystem pod(cfg, trace, mem, nullptr, off);
+            phase(pod);
+        };
+    const std::vector<
+        std::pair<const char *, std::function<void(PodSystem &)>>>
+        phases = {
+            {"runWarmup", [](PodSystem &pod) { pod.run(kRecords, 0); }},
+            {"applyWarmup",
+             [&](PodSystem &pod) { pod.applyWarmup(*artifact); }},
+            {"runMeasure", [](PodSystem &pod) { pod.run(0, kRecords); }},
+        };
+    PodConfig expired;
+    expired.deadline = std::chrono::steady_clock::now();
+    for (const auto &[name, phase] : phases) {
+        SCOPED_TRACE(name);
+        EXPECT_THROW(onFreshPod(expired, phase), PointCancelledError);
+        EXPECT_NO_THROW(onFreshPod(PodConfig{}, phase));
+    }
 }
 
 TEST(PodSystem, MetricsDerivations)

@@ -22,6 +22,7 @@
 #include "sim/journal.hh"
 #include "sim/registry.hh"
 #include "sim/sweep.hh"
+#include "tenant/colocation.hh"
 
 #include "run_points.hh"
 
@@ -667,7 +668,7 @@ TEST_F(ResilienceTest, DeadlineCancelsCooperativeCustomPoint)
             // A wedged point that still hits cancellation
             // checks, as the simulation loops do.
             for (;;) {
-                throwIfCancelled(p.cfg.pod.cancel);
+                throwIfCancelled(p.cfg.pod.deadline);
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(1));
             }
@@ -692,8 +693,9 @@ TEST_F(ResilienceTest, DeadlineCancelsCooperativeCustomPoint)
 
 TEST_F(ResilienceTest, DeadlineCancelsRealSimulationPoint)
 {
-    // End-to-end: the watchdog flag must reach the PodSystem
-    // warmup/measure loops and unwind a real point mid-flight.
+    // End-to-end: the attempt's deadline must reach the
+    // PodSystem warmup/measure loops and unwind a real point
+    // mid-flight.
     std::vector<ExperimentPoint> points = tinyRealPoints(0.4);
     points.resize(1);
 
@@ -726,7 +728,7 @@ TEST_F(ResilienceTest, FaultHooksReachTraceBuildAndRetry)
     FaultInjector::instance().reset();
 
     EXPECT_EQ(out.failed, 0u);
-    EXPECT_EQ(faulted.lastCacheStats().buildFailures, 1u);
+    EXPECT_EQ(out.cache.buildFailures, 1u);
     EXPECT_GT(out.results[0].attempts + out.results[1].attempts,
               2u);
     // Metrics (not attempt counts) must match the clean run:
@@ -736,6 +738,28 @@ TEST_F(ResilienceTest, FaultHooksReachTraceBuildAndRetry)
     for (PointResult &r : normalized)
         r.attempts = 1;
     EXPECT_EQ(renderOne(points, normalized), golden);
+}
+
+TEST_F(ResilienceTest, FaultHooksReachColocationTenantArenas)
+{
+    // The WebSearch arena of a mix is built for its second
+    // tenant, so only the tenant builder can hit this rule, keyed
+    // like a solo point's by the tenant's trace identity.
+    const std::vector<ExperimentPoint> points = {
+        makeColocationPoint({{WorkloadKind::DataServing, 8, 0.0},
+                             {WorkloadKind::WebSearch, 8, 0.0}},
+                            "footprint", "shared", 0.01, 42)};
+    const std::string identity =
+        traceIdentityKey(WorkloadKind::WebSearch, 2048, 42);
+    ASSERT_TRUE(FaultInjector::instance().configure(
+        "trace-build@" + identity + ":permanent"));
+    const SweepOutcome out =
+        SweepRunner(1).runResilient(points, ResilienceOptions{});
+    EXPECT_EQ(out.failed, 1u);
+    EXPECT_NE(out.results[0].error.find("site=trace-build, key=" +
+                                        identity + ")"),
+              std::string::npos)
+        << out.results[0].error;
 }
 
 TEST_F(ResilienceTest, FaultsStayPerKeyWhenResultsAreReused)
@@ -793,7 +817,7 @@ TEST_F(ResilienceTest, FaultsStayPerKeyWhenResultsAreReused)
     FaultInjector::instance().reset();
     EXPECT_EQ(faulted.failed, 0u);
     EXPECT_EQ(faulted.reused, 2u);
-    EXPECT_EQ(runner.lastCacheStats().buildFailures, 1u);
+    EXPECT_EQ(faulted.cache.buildFailures, 1u);
     std::vector<PointResult> normalized = faulted.results;
     for (PointResult &r : normalized)
         r.attempts = 1;

@@ -207,17 +207,17 @@ TEST(SweepRunner, CacheOnAndOffBitIdentical)
     off.enabled = false;
     SweepRunner cached(2);
     SweepRunner uncached(2, off);
-    const std::vector<PointResult> a = runPoints(cached, points);
+    TraceCacheStats cached_stats, uncached_stats;
+    const std::vector<PointResult> a =
+        runPoints(cached, points, &cached_stats);
     const std::vector<PointResult> b =
-        runPoints(uncached, points);
+        runPoints(uncached, points, &uncached_stats);
     for (std::size_t i = 0; i < points.size(); ++i)
         expectMetricsIdentical(a[i], b[i], points[i].key());
 
     // The cache actually engaged on the cached run...
-    EXPECT_GT(cached.lastCacheStats().hits +
-                  cached.lastCacheStats().misses,
-              0u);
-    EXPECT_EQ(uncached.lastCacheStats().hits, 0u);
+    EXPECT_GT(cached_stats.hits + cached_stats.misses, 0u);
+    EXPECT_EQ(uncached_stats.hits, 0u);
 
     // ...and the artifact replay kicked in for standard points.
     for (const PointResult &r : a)
@@ -814,7 +814,7 @@ TEST(SweepRunner, EqualPointsSimulateOnce)
     // Only representatives are planned, so every entry the batch
     // built was released after its last planned use: none stays
     // pinned in the budget waiting for a duplicate's acquire.
-    const TraceCacheStats &stats = runner.lastCacheStats();
+    const TraceCacheStats &stats = out.cache;
     EXPECT_GT(stats.misses, 0u);
     EXPECT_EQ(stats.released, stats.misses);
 
@@ -962,6 +962,37 @@ TEST(Registry, EveryBuilderExpandsUniqueKeys)
     EXPECT_EQ(std::unique(keys.begin(), keys.end()), keys.end());
 }
 
+TEST(Registry, EveryExperimentHonorsThePointDeadline)
+{
+    // Bespoke run functions (fig12's access-counting pod, the
+    // colocation mixes) build their own pods and must carry the
+    // attempt's deadline into them: a deadline that has passed
+    // before any simulation loop starts fails every point.
+    ExperimentRegistry reg;
+    registerAllExperiments(reg);
+    SweepOptions opts;
+    opts.scale = 0.01;
+    opts.workloadFilter = "WebSearch";
+    std::vector<ExperimentPoint> batch;
+    for (const ExperimentDef &def : reg.all())
+        for (ExperimentPoint &p : def.build(opts))
+            batch.push_back(std::move(p));
+    SpanTracer tracer;
+    ResilienceOptions res;
+    res.pointDeadlineS = 1e-9;
+    res.tracer = &tracer;
+    const SweepOutcome out =
+        SweepRunner(2).runResilient(batch, res);
+    EXPECT_EQ(out.failed, batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i)
+        EXPECT_NE(out.results[i].error.find("deadline"),
+                  std::string::npos)
+            << batch[i].key();
+    // Every cancelled attempt shows on the timeline.
+    EXPECT_EQ(countOf(tracer.render(), "\"name\": \"deadline-cancel\""),
+              batch.size());
+}
+
 /**
  * One line per built point holding everything that shapes its
  * run: identity, windows, trace needs, run-path flags and every
@@ -1003,7 +1034,7 @@ pointFingerprint(const ExperimentPoint &p)
               static_cast<unsigned long long>(pod.l2HitLatency),
               pod.mlpPerCore, static_cast<int>(pod.warmupMode),
               pod.allTimedWarmup, pod.numTenants,
-              pod.cancel != nullptr);
+              pod.deadline != kNoDeadline);
     const TelemetryConfig &t = pod.telemetry;
     appendFmt(s, " tel=%llu,%d,%u,%d,%d,%llu",
               static_cast<unsigned long long>(t.intervalRecords),
