@@ -50,34 +50,33 @@ AlloyCache::fill(Cycle when, Addr block_addr, bool dirty)
 {
     const std::uint64_t set = setOf(block_addr);
     Tad &tad = tads_[set];
+    const bool victim_valid = tad & kValid;
+    const Addr victim_addr = blockOf(tad) * kBlockBytes;
     if (quota_.enabled()) {
         const std::uint32_t tenant = tenantOfAddr(block_addr);
         const std::uint32_t victim_tenant =
-            tad.valid ? tenantOfAddr(tad.blockId * kBlockBytes)
-                      : 0;
-        if (!quota_.mayFill(tenant, tad.valid, victim_tenant)) {
+            victim_valid ? tenantOfAddr(victim_addr) : 0;
+        if (!quota_.mayFill(tenant, victim_valid, victim_tenant)) {
             quota_bypass_.inc();
             return false;
         }
     }
-    if (tad.valid) {
+    if (victim_valid) {
         if (intro_)
             intro_->noteSetConflict(set);
-        quota_.release(tenantOfAddr(tad.blockId * kBlockBytes));
-        if (tad.dirty) {
+        quota_.release(tenantOfAddr(victim_addr));
+        if (tad & kDirty) {
             // The victim leaves through the same TAD stream: read
             // it from the row, write it off chip.
             dirty_evictions_.inc();
             DramAccessResult rd =
                 stacked_.access(when, tadAddr(set), false, 1);
-            offchip_.access(rd.done, tad.blockId * kBlockBytes,
-                            true, 1);
+            offchip_.access(rd.done, victim_addr, true, 1);
         }
     }
     quota_.charge(tenantOfAddr(block_addr));
-    tad.blockId = blockNumber(block_addr);
-    tad.valid = true;
-    tad.dirty = dirty;
+    tad = blockNumber(block_addr) << 2 | (dirty ? kDirty : 0) |
+          kValid;
     // One TAD write installs tag and data together — no separate
     // tag-update access, the point of alloying.
     stacked_.access(when, tadAddr(set), true, 1);
@@ -92,9 +91,7 @@ AlloyCache::access(Cycle now, const MemRequest &req)
     const std::uint64_t set = setOf(block_addr);
     if (intro_)
         intro_->noteSetAccess(set);
-    const Tad &tad = tads_[set];
-    const bool hit = tad.valid &&
-                     tad.blockId == blockNumber(block_addr);
+    const bool hit = holds(tads_[set], block_addr);
 
     std::uint8_t &ctr = mapCounter(req.pc);
     const bool predict_hit =
@@ -149,9 +146,9 @@ AlloyCache::writeback(Cycle now, Addr block_addr)
     block_addr = blockAlign(block_addr);
     const std::uint64_t set = setOf(block_addr);
     Tad &tad = tads_[set];
-    if (tad.valid && tad.blockId == blockNumber(block_addr)) {
+    if (holds(tad, block_addr)) {
         wb_hits_.inc();
-        tad.dirty = true;
+        tad |= kDirty;
         stacked_.access(now, tadAddr(set), true, 1);
         return;
     }
@@ -183,7 +180,7 @@ AlloyCache::finalizeIntrospection()
     // sets per bin would need binOf; one call per TAD is fine at
     // finalize time (runs once per measured run).
     for (std::uint64_t set = 0; set < num_sets_; ++set) {
-        if (tads_[set].valid)
+        if (tads_[set] & kValid)
             intro_->noteSetOccupied(set, 1);
     }
 }

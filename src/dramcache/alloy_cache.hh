@@ -19,11 +19,15 @@
  * Being direct-mapped and block-granular, the design trades hit
  * ratio (conflict misses, no footprint prefetching) for the
  * lowest hit latency of the evaluated organizations.
+ *
+ * Each TAD's tag state is one 8B word: block id, dirty bit and
+ * valid bit.
  */
 
 #ifndef FPC_DRAMCACHE_ALLOY_CACHE_HH
 #define FPC_DRAMCACHE_ALLOY_CACHE_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -133,12 +137,24 @@ class AlloyCache : public MemorySystem
     const StatGroup &stats() const { return stats_; }
 
   private:
-    struct Tad
+    /**
+     * One TAD's tag state, `blockId << 2 | dirty << 1 | valid`.
+     * Block ids are addresses over 64B, so below 2^58 and the
+     * shift is lossless (tenant-shifted addresses included).
+     */
+    using Tad = std::uint64_t;
+    static constexpr Tad kValid = 1;
+    static constexpr Tad kDirty = 2;
+
+    static Addr blockOf(Tad tad) { return tad >> 2; }
+
+    /** Does @p tad hold @p block_addr (valid, any dirty bit)? */
+    static bool
+    holds(Tad tad, Addr block_addr)
     {
-        Addr blockId = 0;
-        bool valid = false;
-        bool dirty = false;
-    };
+        return (tad | kDirty) ==
+               (blockNumber(block_addr) << 2 | kDirty | kValid);
+    }
 
     std::uint64_t
     setOf(Addr block_addr) const

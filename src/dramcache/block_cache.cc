@@ -1,5 +1,7 @@
 #include "dramcache/block_cache.hh"
 
+#include <bit>
+
 #include "common/logging.hh"
 #include "telemetry/introspection.hh"
 
@@ -13,12 +15,14 @@ BlockCache::BlockCache(const Config &config, DramSystem &stacked,
     FPC_ASSERT(isPowerOf2(config_.capacityBytes));
     FPC_ASSERT(isPowerOf2(config_.rowBytes));
     FPC_ASSERT(config_.dataBlocksPerRow > 0);
+    FPC_ASSERT(config_.dataBlocksPerRow <= kMaxWays);
     FPC_ASSERT(config_.dataBlocksPerRow <=
                config_.rowBytes / kBlockBytes);
     num_sets_ = config_.capacityBytes / config_.rowBytes;
     set_mask_ = num_sets_ - 1;
     row_shift_ = floorLog2(config_.rowBytes);
-    ways_.resize(num_sets_ * config_.dataBlocksPerRow);
+    full_mask_ = (std::uint32_t{1} << config_.dataBlocksPerRow) - 1;
+    sets_.resize(num_sets_);
     partition_ =
         config_.tenants.setPartition(num_sets_, kBlockShift);
     quota_ = config_.tenants.quota(
@@ -42,45 +46,66 @@ BlockCache::BlockCache(const Config &config, DramSystem &stacked,
                       "LLC writebacks not absorbed");
 }
 
-BlockCache::Way *
-BlockCache::findWay(Addr block_addr, bool touch)
+int
+BlockCache::findWay(std::uint64_t set, Addr block_id) const
 {
-    const Addr block_id = blockNumber(block_addr);
-    const std::size_t base =
-        setOf(block_addr) * config_.dataBlocksPerRow;
-    for (unsigned w = 0; w < config_.dataBlocksPerRow; ++w) {
-        Way &way = ways_[base + w];
-        if (way.valid && way.blockId == block_id) {
-            if (touch)
-                way.lastUse = ++tick_;
-            return &way;
-        }
+    const SetState &s = sets_[set];
+    for (std::uint32_t m = s.valid; m != 0; m &= m - 1) {
+        const unsigned w = std::countr_zero(m);
+        if ((s.ways[w] & kIdMask) == block_id)
+            return static_cast<int>(w);
     }
-    return nullptr;
+    return -1;
 }
 
 void
-BlockCache::evictWay(Cycle when, std::uint64_t set, Way &way)
+BlockCache::touch(SetState &s, unsigned way)
 {
-    FPC_ASSERT(way.valid);
-    if (intro_)
-        intro_->noteSetConflict(set);
-    const Addr block_addr = way.blockId * kBlockBytes;
+    const std::uint32_t bit = std::uint32_t{1} << way;
+    const unsigned rank = (s.valid & bit) ? rankOf(s.ways[way])
+                                          : std::popcount(s.valid);
+    for (std::uint32_t m = s.valid & ~bit; m; m &= m - 1) {
+        std::uint64_t &word = s.ways[std::countr_zero(m)];
+        if (rankOf(word) < rank)
+            word += kRankOne;
+    }
+    s.ways[way] &= kIdMask;
+}
+
+void
+BlockCache::dropWay(Cycle when, std::uint64_t set, unsigned way)
+{
+    SetState &s = sets_[set];
+    const std::uint32_t bit = std::uint32_t{1} << way;
+    FPC_ASSERT(s.valid & bit);
+    const Addr block_addr = (s.ways[way] & kIdMask) * kBlockBytes;
     quota_.release(tenantOfAddr(block_addr));
-    if (way.dirty) {
+    if (s.dirty & bit) {
         dirty_evictions_.inc();
         // Read the victim from the cache row, write it off chip.
-        const std::size_t way_idx = static_cast<std::size_t>(
-            &way - &ways_[set * config_.dataBlocksPerRow]);
         DramAccessResult rd = stacked_.access(
-            when,
-            rowAddr(set) + static_cast<Addr>(way_idx) * kBlockBytes,
+            when, rowAddr(set) + static_cast<Addr>(way) * kBlockBytes,
             false, 1);
         offchip_.access(rd.done, block_addr, true, 1);
     }
-    way.valid = false;
-    way.dirty = false;
-    missmap_.clearBit(block_addr);
+    s.valid &= ~bit;
+    s.dirty &= ~bit;
+    // Close the gap: the ways ranked below this one move up.
+    const unsigned rank = rankOf(s.ways[way]);
+    for (std::uint32_t m = s.valid; m != 0; m &= m - 1) {
+        std::uint64_t &word = s.ways[std::countr_zero(m)];
+        if (rankOf(word) > rank)
+            word -= kRankOne;
+    }
+}
+
+void
+BlockCache::evictWay(Cycle when, std::uint64_t set, unsigned way)
+{
+    if (intro_)
+        intro_->noteSetConflict(set);
+    dropWay(when, set, way);
+    missmap_.clearBit((sets_[set].ways[way] & kIdMask) * kBlockBytes);
 }
 
 void
@@ -100,26 +125,11 @@ BlockCache::flushSegment(Cycle when, const MissMap::Victim &victim)
             victim.segmentId * config_.missMap.segmentBytes +
             static_cast<Addr>(b) * kBlockBytes;
         const std::uint64_t set = setOf(block_addr);
-        const Addr block_id = blockNumber(block_addr);
-        const std::size_t base = set * config_.dataBlocksPerRow;
-        for (unsigned w = 0; w < config_.dataBlocksPerRow; ++w) {
-            Way &way = ways_[base + w];
-            if (!way.valid || way.blockId != block_id)
-                continue;
-            mm_flushed_.inc();
-            quota_.release(tenantOfAddr(block_addr));
-            if (way.dirty) {
-                dirty_evictions_.inc();
-                DramAccessResult rd = stacked_.access(
-                    when,
-                    rowAddr(set) + static_cast<Addr>(w) * kBlockBytes,
-                    false, 1);
-                offchip_.access(rd.done, block_addr, true, 1);
-            }
-            way.valid = false;
-            way.dirty = false;
-            break;
-        }
+        const int way = findWay(set, blockNumber(block_addr));
+        if (way < 0)
+            continue;
+        mm_flushed_.inc();
+        dropWay(when, set, static_cast<unsigned>(way));
         // The MissMap entry itself is already gone; no clearBit.
     }
 }
@@ -128,30 +138,25 @@ bool
 BlockCache::fillBlock(Cycle when, Addr block_addr, bool dirty)
 {
     const std::uint64_t set = setOf(block_addr);
-    const std::size_t base = set * config_.dataBlocksPerRow;
-
+    SetState &s = sets_[set];
+    const std::uint32_t free_ways = ~s.valid & full_mask_;
+    const bool found_invalid = free_ways != 0;
+    // The first invalid way, else the least recently used one.
     unsigned victim_way = 0;
-    bool found_invalid = false;
-    std::uint64_t oldest = ~std::uint64_t{0};
-    for (unsigned w = 0; w < config_.dataBlocksPerRow; ++w) {
-        Way &way = ways_[base + w];
-        if (!way.valid) {
-            victim_way = w;
-            found_invalid = true;
-            break;
-        }
-        if (way.lastUse < oldest) {
-            oldest = way.lastUse;
-            victim_way = w;
-        }
+    if (found_invalid) {
+        victim_way = std::countr_zero(free_ways);
+    } else {
+        while (rankOf(s.ways[victim_way]) !=
+               config_.dataBlocksPerRow - 1)
+            ++victim_way;
     }
-    Way &way = ways_[base + victim_way];
     if (quota_.enabled()) {
         const std::uint32_t tenant = tenantOfAddr(block_addr);
         const std::uint32_t victim_tenant =
             found_invalid
                 ? 0
-                : tenantOfAddr(way.blockId * kBlockBytes);
+                : tenantOfAddr((s.ways[victim_way] & kIdMask) *
+                               kBlockBytes);
         if (!quota_.mayFill(tenant, !found_invalid,
                             victim_tenant)) {
             quota_bypass_.inc();
@@ -159,13 +164,15 @@ BlockCache::fillBlock(Cycle when, Addr block_addr, bool dirty)
         }
     }
     if (!found_invalid)
-        evictWay(when, set, way);
+        evictWay(when, set, victim_way);
     quota_.charge(tenantOfAddr(block_addr));
 
-    way.blockId = blockNumber(block_addr);
-    way.valid = true;
-    way.dirty = dirty;
-    way.lastUse = ++tick_;
+    const std::uint32_t bit = std::uint32_t{1} << victim_way;
+    s.ways[victim_way] = blockNumber(block_addr);
+    touch(s, victim_way);
+    s.valid |= bit;
+    if (dirty)
+        s.dirty |= bit;
 
     // Data write into the row plus the off-critical-path tag
     // update write (one extra burst of bandwidth and energy).
@@ -196,11 +203,13 @@ BlockCache::access(Cycle now, const MemRequest &req)
 
     if (missmap_.present(block_addr)) {
         // MissMap guarantees presence: compound access serves it.
-        Way *way = findWay(block_addr, true);
-        FPC_ASSERT(way != nullptr);
+        const std::uint64_t set = setOf(block_addr);
+        const int way = findWay(set, blockNumber(block_addr));
+        FPC_ASSERT(way >= 0);
+        touch(sets_[set], way);
         hits_.inc();
-        DramAccessResult res = stacked_.compoundAccess(
-            t, rowAddr(setOf(block_addr)), false);
+        DramAccessResult res =
+            stacked_.compoundAccess(t, rowAddr(set), false);
         return {res.firstBlockReady, true};
     }
 
@@ -218,11 +227,13 @@ BlockCache::writeback(Cycle now, Addr block_addr)
     const Cycle t = now + config_.missMapLatencyCycles;
 
     if (missmap_.present(block_addr)) {
-        Way *way = findWay(block_addr, true);
-        FPC_ASSERT(way != nullptr);
+        const std::uint64_t set = setOf(block_addr);
+        const int way = findWay(set, blockNumber(block_addr));
+        FPC_ASSERT(way >= 0);
+        touch(sets_[set], way);
+        sets_[set].dirty |= std::uint32_t{1} << way;
         wb_hits_.inc();
-        way->dirty = true;
-        stacked_.compoundAccess(t, rowAddr(setOf(block_addr)), true);
+        stacked_.compoundAccess(t, rowAddr(set), true);
         return;
     }
     wb_misses_.inc();
@@ -250,13 +261,7 @@ BlockCache::finalizeIntrospection()
     if (!intro_)
         return;
     for (std::uint64_t set = 0; set < num_sets_; ++set) {
-        const std::size_t base = set * config_.dataBlocksPerRow;
-        std::uint64_t n = 0;
-        for (unsigned w = 0; w < config_.dataBlocksPerRow; ++w) {
-            if (ways_[base + w].valid)
-                ++n;
-        }
-        if (n)
+        if (const int n = std::popcount(sets_[set].valid))
             intro_->noteSetOccupied(set, n);
     }
 }

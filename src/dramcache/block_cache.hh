@@ -10,11 +10,16 @@
  * tag check and a data CAS (the tag-update CAS is taken off the
  * critical path). Both DRAMs run close-page policy with 64B
  * channel interleaving (§5.2).
+ *
+ * Tag state is what the in-row tags hold: per way a block id, a
+ * valid and a dirty bit, and its exact LRU rank — one 256B record
+ * per 30-way set (SetState).
  */
 
 #ifndef FPC_DRAMCACHE_BLOCK_CACHE_HH
 #define FPC_DRAMCACHE_BLOCK_CACHE_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -72,8 +77,7 @@ class BlockCache : public MemorySystem
     prefetchFor(Addr paddr) const override
     {
         missmap_.prefetchSet(blockAlign(paddr));
-        __builtin_prefetch(
-            &ways_[setOf(paddr) * config_.dataBlocksPerRow]);
+        __builtin_prefetch(&sets_[setOf(paddr)]);
     }
 
     std::string designName() const override { return config_.name; }
@@ -115,18 +119,56 @@ class BlockCache : public MemorySystem
         return num_sets_ * config_.dataBlocksPerRow * kBlockBytes;
     }
 
+    /** Way holding @p block_addr, or -1 when it is not cached
+     * (no recency update). */
+    int
+    wayOf(Addr block_addr) const
+    {
+        return findWay(setOf(blockAlign(block_addr)),
+                       blockNumber(block_addr));
+    }
+
     MissMap &missMap() { return missmap_; }
     const Config &config() const { return config_; }
     const StatGroup &stats() const { return stats_; }
 
   private:
-    struct Way
+    /** Ways a set may have: a 2KB row keeps at least one block
+     * for its tags. */
+    static constexpr unsigned kMaxWays = 31;
+
+    /**
+     * Tag state of one set: a 256B record on cache-line
+     * boundaries, so a sparse set's masks and its first ways'
+     * tags share one line. Each way's word holds its block id
+     * (an address over 64B, so below 2^58) and, in the spare top
+     * bits, its recency rank: ranks 0..k-1 order the k valid
+     * ways, 0 the most recently filled or touched. The victim is
+     * the first invalid way by index, else the way ranked last —
+     * the rule per-way timestamps gave, since only their relative
+     * order ever mattered.
+     */
+    struct alignas(64) SetState
     {
-        Addr blockId = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-        bool dirty = false;
+        /** Bit w set: way w holds a block. */
+        std::uint32_t valid = 0;
+        /** Bit w set: way w's block is dirty. */
+        std::uint32_t dirty = 0;
+        /** Way w's block id | its rank << kRankShift. */
+        std::uint64_t ways[kMaxWays] = {};
     };
+    static_assert(sizeof(SetState) == 256);
+
+    static constexpr unsigned kRankShift = 58;
+    static constexpr std::uint64_t kRankOne = std::uint64_t{1}
+                                              << kRankShift;
+    static constexpr std::uint64_t kIdMask = kRankOne - 1;
+
+    static unsigned
+    rankOf(std::uint64_t way_word)
+    {
+        return static_cast<unsigned>(way_word >> kRankShift);
+    }
 
     std::uint64_t
     setOf(Addr block_addr) const
@@ -143,7 +185,15 @@ class BlockCache : public MemorySystem
         return set << row_shift_;
     }
 
-    Way *findWay(Addr block_addr, bool touch);
+    /** Way of @p set holding @p block_id, or -1 if absent. */
+    int findWay(std::uint64_t set, Addr block_id) const;
+
+    /**
+     * Rank way @p way of @p s first (a valid way being hit, or an
+     * invalid one being filled); the valid ways it passes move
+     * down one rank.
+     */
+    static void touch(SetState &s, unsigned way);
 
     /**
      * Install @p block_addr into its set; evicts LRU if needed.
@@ -151,8 +201,13 @@ class BlockCache : public MemorySystem
      */
     bool fillBlock(Cycle when, Addr block_addr, bool dirty);
 
+    /** Drop a valid way: quota release, dirty victim written off
+     * chip, valid and dirty bits cleared, the ways ranked below
+     * it moved up one rank. */
+    void dropWay(Cycle when, std::uint64_t set, unsigned way);
+
     /** Evict one way (victim handling + MissMap bit clear). */
-    void evictWay(Cycle when, std::uint64_t set, Way &way);
+    void evictWay(Cycle when, std::uint64_t set, unsigned way);
 
     /** Flush every cached block of a displaced MissMap segment. */
     void flushSegment(Cycle when, const MissMap::Victim &victim);
@@ -166,8 +221,9 @@ class BlockCache : public MemorySystem
     std::uint64_t set_mask_;
     /** floorLog2(rowBytes). */
     unsigned row_shift_;
-    std::uint64_t tick_ = 0;
-    std::vector<Way> ways_;
+    /** Valid mask of a full set. */
+    std::uint32_t full_mask_;
+    std::vector<SetState> sets_;
     /** Per-tenant set ranges (disabled outside setpart). */
     SetPartitionSpec partition_;
     /** Per-tenant block quota (tenant.policy=quota). */

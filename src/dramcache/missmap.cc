@@ -29,7 +29,7 @@ MissMap::find(Addr segment_id, bool touch)
         static_cast<std::size_t>(setOf(segment_id)) * config_.assoc;
     for (unsigned w = 0; w < config_.assoc; ++w) {
         Entry &e = entries_[base + w];
-        if (e.valid && e.segmentId == segment_id) {
+        if (e.valid() && e.segmentId == segment_id) {
             if (touch)
                 e.lastUse = ++tick_;
             return &e;
@@ -46,7 +46,7 @@ MissMap::present(Addr block_addr) const
         static_cast<std::size_t>(setOf(seg)) * config_.assoc;
     for (unsigned w = 0; w < config_.assoc; ++w) {
         const Entry &e = entries_[base + w];
-        if (e.valid && e.segmentId == seg)
+        if (e.valid() && e.segmentId == seg)
             return e.bits.test(bitOf(block_addr));
     }
     return false;
@@ -68,7 +68,7 @@ MissMap::setBit(Addr block_addr, Victim &victim)
     std::uint64_t oldest = ~std::uint64_t{0};
     for (unsigned w = 0; w < config_.assoc; ++w) {
         Entry &e = entries_[base + w];
-        if (!e.valid) {
+        if (!e.valid()) {
             way = w;
             found_invalid = true;
             break;
@@ -86,7 +86,6 @@ MissMap::setBit(Addr block_addr, Victim &victim)
         victim.presentBlocks = e.bits;
     }
     e.segmentId = seg;
-    e.valid = true;
     e.lastUse = ++tick_;
     e.bits = BlockBitmap::single(bitOf(block_addr));
 }
@@ -94,11 +93,8 @@ MissMap::setBit(Addr block_addr, Victim &victim)
 void
 MissMap::clearBit(Addr block_addr)
 {
-    if (Entry *e = find(segmentOf(block_addr), false)) {
+    if (Entry *e = find(segmentOf(block_addr), false))
         e->bits.clear(bitOf(block_addr));
-        if (e->bits.empty())
-            e->valid = false;
-    }
 }
 
 std::uint64_t

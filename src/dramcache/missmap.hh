@@ -84,12 +84,15 @@ class MissMap
     }
 
   private:
+    /** One tracked segment; valid while any of its bits is set
+     * (clearBit frees an entry whose last bit it clears). */
     struct Entry
     {
         Addr segmentId = 0;
         BlockBitmap bits;
         std::uint64_t lastUse = 0;
-        bool valid = false;
+
+        bool valid() const { return !bits.empty(); }
     };
 
     Addr

@@ -49,7 +49,8 @@ TraceCache::takeLocked(
 
 TraceCache::EntryPtr
 TraceCache::acquire(const std::string &key,
-                    std::uint64_t min_units, const Builder &build)
+                    std::uint64_t min_units, const Builder &build,
+                    Deadline deadline)
 {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
@@ -61,11 +62,15 @@ TraceCache::acquire(const std::string &key,
             // Another thread is building this key: block until
             // it publishes (or fails and removes the slot).
             ++stats_.waits;
-            cv_.wait(lock, [&] {
+            const auto published = [&] {
                 auto cur = slots_.find(key);
                 return cur == slots_.end() ||
                        !cur->second.building;
-            });
+            };
+            if (deadline == kNoDeadline)
+                cv_.wait(lock, published);
+            else if (!cv_.wait_until(lock, deadline, published))
+                throw PointCancelledError("point deadline exceeded");
             continue; // re-evaluate from scratch
         }
         if (slot.units >= min_units) {

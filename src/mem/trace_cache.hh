@@ -32,6 +32,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/fault.hh"
+
 namespace fpc {
 
 /** Anything the TraceCache can hold; reports its footprint. */
@@ -135,10 +137,16 @@ class TraceCache
      *
      * The returned shared_ptr pins the entry: it cannot be
      * evicted until every consumer drops its reference.
+     *
+     * A wait on another thread's build ends in PointCancelledError
+     * once @p deadline passes; the build itself goes on. A
+     * builder that throws (a cancelled build included) leaves no
+     * slot, and the next acquirer of the key rebuilds it.
      */
     EntryPtr acquire(const std::string &key,
                      std::uint64_t min_units,
-                     const Builder &build);
+                     const Builder &build,
+                     Deadline deadline = kNoDeadline);
 
     /** Resident bytes right now. */
     std::uint64_t currentBytes() const;

@@ -84,11 +84,15 @@ struct HierarchyPass
     const MaterializedTrace &trace;
     CacheHierarchy hierarchy;
     std::uint64_t pulled;
+    /** Checked every 4096 records, like the replay loops. */
+    Deadline deadline;
+    std::uint64_t nextCheck;
 
     HierarchyPass(const MaterializedTrace &t,
                   const CacheHierarchy::Config &cfg,
-                  std::uint64_t first)
-        : trace(t), hierarchy(cfg), pulled(first)
+                  std::uint64_t first, Deadline dl)
+        : trace(t), hierarchy(cfg), pulled(first), deadline(dl),
+          nextCheck(first)
     {
     }
 
@@ -104,6 +108,10 @@ struct HierarchyPass
         std::uint64_t instructions = 0;
         MemRequest req;
         while (pulled < stop) {
+            if (pulled >= nextCheck) {
+                throwIfCancelled(deadline);
+                nextCheck = pulled + 4096;
+            }
             const MaterializedTrace::ChunkView c = trace.chunk(
                 static_cast<std::size_t>(pulled / kChunk));
             const std::size_t off =
@@ -453,11 +461,12 @@ PodSystem::runWarmup(std::uint64_t warmup_refs)
 std::shared_ptr<const WarmupArtifact>
 PodSystem::buildWarmupArtifact(const MaterializedTrace &trace,
                                const CacheHierarchy::Config &hier_cfg,
-                               std::uint64_t warm_records)
+                               std::uint64_t warm_records,
+                               Deadline deadline)
 {
     FPC_ASSERT(trace.size() >= warm_records);
     auto art = std::make_shared<WarmupArtifact>();
-    HierarchyPass pass(trace, hier_cfg, 0);
+    HierarchyPass pass(trace, hier_cfg, 0, deadline);
     art->instructions = pass.advance(warm_records, *art);
     pass.hierarchy.saveState(art->hierarchy);
     art->records = warm_records;
@@ -470,7 +479,7 @@ PodSystem::buildSampleSpanArtifact(
     const MaterializedTrace &trace,
     const CacheHierarchy::Config &hier_cfg,
     const WarmupArtifact &warm_art, std::uint64_t warm_records,
-    const SampleSchedule &sched)
+    const SampleSchedule &sched, Deadline deadline)
 {
     FPC_ASSERT(warm_art.records == warm_records);
     FPC_ASSERT(trace.size() >=
@@ -478,7 +487,7 @@ PodSystem::buildSampleSpanArtifact(
     auto art = std::make_shared<SampleSpanArtifact>();
     art->schedule = sched;
     // Continues buildWarmupArtifact's pass as if the two were one.
-    HierarchyPass pass(trace, hier_cfg, warm_records);
+    HierarchyPass pass(trace, hier_cfg, warm_records, deadline);
     pass.hierarchy.restoreState(warm_art.hierarchy);
     for (unsigned p = 0; p < sched.intervals; ++p) {
         art->gapInstructions.push_back(

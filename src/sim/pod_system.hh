@@ -399,12 +399,14 @@ class PodSystem
      * One hierarchy-only pass over records [0, warm_records) of
      * @p trace: the design-independent half of a functional
      * warmup. The returned artifact warms any same-config pod via
-     * applyWarmup().
+     * applyWarmup(). Throws PointCancelledError once @p deadline
+     * has passed (checked every 4096 records).
      */
     static std::shared_ptr<const WarmupArtifact>
     buildWarmupArtifact(const MaterializedTrace &trace,
                         const CacheHierarchy::Config &hier_cfg,
-                        std::uint64_t warm_records);
+                        std::uint64_t warm_records,
+                        Deadline deadline = kNoDeadline);
 
     /**
      * One hierarchy-only pass over records [warm_records,
@@ -412,14 +414,16 @@ class PodSystem
      * from @p warm_art's hierarchy snapshot: the
      * design-independent half of a sampled span. The returned
      * artifact keeps any same-config pod stream-accurate across
-     * the schedule's gaps (see SampleSpanArtifact).
+     * the schedule's gaps (see SampleSpanArtifact). Honors
+     * @p deadline like buildWarmupArtifact.
      */
     static std::shared_ptr<const SampleSpanArtifact>
     buildSampleSpanArtifact(const MaterializedTrace &trace,
                             const CacheHierarchy::Config &hier_cfg,
                             const WarmupArtifact &warm_art,
                             std::uint64_t warm_records,
-                            const SampleSchedule &sched);
+                            const SampleSchedule &sched,
+                            Deadline deadline = kNoDeadline);
 
     /**
      * Warm this pod from @p artifact instead of running the trace:

@@ -607,6 +607,7 @@ runPoint(const ExperimentPoint &point)
     const std::uint64_t warm = point.warmupWindow();
     const std::uint64_t measure = measureRecords(point.scale);
     SpanTracer *tracer = point.tracer;
+    const Deadline deadline = point.cfg.pod.deadline;
 
     // Trace acquisition: replay the shared arena when a cache is
     // wired in, otherwise generate a fresh stream (the two are
@@ -631,9 +632,10 @@ runPoint(const ExperimentPoint &point)
                         makeWorkload(point.workload,
                                      point.cfg.pageBytes,
                                      point.traceSeed()),
-                        records, *built);
+                        records, *built, deadline);
                     return built;
-                }));
+                },
+                deadline));
         FPC_ASSERT(arena->size() >= warm + measure);
         out.timing.replayedTrace = true;
         out.timing.generatedTrace = generated;
@@ -650,7 +652,13 @@ runPoint(const ExperimentPoint &point)
         tracer->span("phase", "trace:" + point.key(), span_t0,
                      tracer->nowUs());
 
+    // Design construction sits between the trace and warmup
+    // timers; only the --trace-out span shows it.
+    span_t0 = tracer ? tracer->nowUs() : 0;
     Experiment exp(point.cfg, *trace);
+    if (tracer)
+        tracer->span("phase", "construct:" + point.key(), span_t0,
+                     tracer->nowUs());
 
     // Warmup: the default functional warmup is design-independent
     // given the trace, so replay points share one WarmupArtifact
@@ -669,9 +677,10 @@ runPoint(const ExperimentPoint &point)
                                    point.traceKey());
                         built = true;
                         return PodSystem::buildWarmupArtifact(
-                            *arena, point.cfg.pod.hierarchy,
-                            warm);
-                    }));
+                            *arena, point.cfg.pod.hierarchy, warm,
+                            deadline);
+                    },
+                    deadline));
         out.timing.replayedWarmup = true;
         out.timing.builtWarmup = built;
         faultPoint("warmup-restore", point.key());
@@ -712,8 +721,9 @@ runPoint(const ExperimentPoint &point)
                                    point.traceKey());
                         return PodSystem::buildSampleSpanArtifact(
                             *arena, point.cfg.pod.hierarchy,
-                            *warm_artifact, warm, sched);
-                    }));
+                            *warm_artifact, warm, sched, deadline);
+                    },
+                    deadline));
         } else {
             // No shared arena (trace cache off) or no warmup
             // artifact: build the span privately from an
@@ -727,17 +737,17 @@ runPoint(const ExperimentPoint &point)
                     makeWorkload(point.workload,
                                  point.cfg.pageBytes,
                                  point.traceSeed()),
-                    warm + measure, *built);
+                    warm + measure, *built, deadline);
                 local = built;
             }
             std::shared_ptr<const WarmupArtifact> wa =
                 warm_artifact;
             if (wa == nullptr)
                 wa = PodSystem::buildWarmupArtifact(
-                    *local, point.cfg.pod.hierarchy, warm);
+                    *local, point.cfg.pod.hierarchy, warm, deadline);
             span_art = PodSystem::buildSampleSpanArtifact(
-                *local, point.cfg.pod.hierarchy, *wa, warm,
-                sched);
+                *local, point.cfg.pod.hierarchy, *wa, warm, sched,
+                deadline);
         }
         const SampledRun sr =
             exp.pod().runSampled(measure, *span_art);

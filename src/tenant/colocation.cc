@@ -173,9 +173,11 @@ runColocationPoint(const ExperimentPoint &point)
                             makeWorkload(spec.workload,
                                          point.cfg.pageBytes,
                                          seed),
-                            records, *built);
+                            records, *built,
+                            point.cfg.pod.deadline);
                         return built;
-                    }));
+                    },
+                    point.cfg.pod.deadline));
             FPC_ASSERT(arena->size() >= per_tenant);
             sources.push_back(
                 std::make_unique<ReplayTraceSource>(arena));
@@ -197,7 +199,11 @@ runColocationPoint(const ExperimentPoint &point)
 
     Experiment::Config cfg = point.cfg;
     cfg.pod.numTenants = static_cast<unsigned>(tenants.size());
+    span_t0 = tracer ? tracer->nowUs() : 0;
     Experiment exp(cfg, mix);
+    if (tracer)
+        tracer->span("phase", "construct:" + point.key(), span_t0,
+                     tracer->nowUs());
 
     // In-band warmup: the mixed post-L2 stream is not design-
     // independent, so no shared warmup artifact applies.

@@ -323,11 +323,16 @@ SyntheticTraceSource::reset()
 
 void
 materializeTrace(const WorkloadSpec &spec, std::uint64_t records,
-                 MaterializedTrace &out)
+                 MaterializedTrace &out, Deadline deadline)
 {
     SyntheticTraceSource src(spec);
     std::uint64_t pulled = 0;
+    std::uint64_t next_check = 0;
     while (pulled < records) {
+        if (pulled >= next_check) {
+            throwIfCancelled(deadline);
+            next_check = pulled + 4096;
+        }
         TraceRecord *span = nullptr;
         const std::size_t avail = src.acquire(0, span);
         FPC_ASSERT(avail > 0);

@@ -21,6 +21,7 @@
 #include <queue>
 #include <vector>
 
+#include "common/fault.hh"
 #include "common/rng.hh"
 #include "mem/materialized_trace.hh"
 #include "mem/trace.hh"
@@ -155,11 +156,14 @@ class SyntheticTraceSource : public TraceSource
 /**
  * Generate the first @p records of @p spec's stream into @p out
  * exactly as a fresh SyntheticTraceSource would emit them (the
- * bit-identity tests/test_trace_cache.cc relies on).
+ * bit-identity tests/test_trace_cache.cc relies on). Throws
+ * PointCancelledError once @p deadline has passed (checked every
+ * 4096 records; the source's constructor is not interruptible).
  */
 void materializeTrace(const WorkloadSpec &spec,
                       std::uint64_t records,
-                      MaterializedTrace &out);
+                      MaterializedTrace &out,
+                      Deadline deadline = kNoDeadline);
 
 } // namespace fpc
 

@@ -193,6 +193,39 @@ TEST(PodSystem, ChecksItsOwnDeadline)
     }
 }
 
+TEST(PodSystem, BuildsCheckTheDeadline)
+{
+    // The trace arena and both artifact builds are part of a
+    // point's attempt: a passed deadline stops each of them.
+    constexpr std::uint64_t kRecords = 20000;
+    const Deadline past = std::chrono::steady_clock::now();
+    const WorkloadSpec spec =
+        makeWorkload(WorkloadKind::WebSearch, 2048, 11);
+    MaterializedTrace cancelled;
+    EXPECT_THROW(materializeTrace(spec, kRecords, cancelled, past),
+                 PointCancelledError);
+
+    auto arena = std::make_shared<MaterializedTrace>();
+    materializeTrace(spec, kRecords, *arena);
+    const CacheHierarchy::Config hier = PodConfig{}.hierarchy;
+    EXPECT_THROW(PodSystem::buildWarmupArtifact(*arena, hier,
+                                                kRecords / 2, past),
+                 PointCancelledError);
+    const auto warm =
+        PodSystem::buildWarmupArtifact(*arena, hier, kRecords / 2);
+    SampleSchedule sched;
+    sched.intervals = 2;
+    sched.period = kRecords / 4;
+    sched.ramp = 1000;
+    sched.measure = 1000;
+    sched.gap = sched.period - sched.ramp - sched.measure;
+    EXPECT_THROW(PodSystem::buildSampleSpanArtifact(
+                     *arena, hier, *warm, kRecords / 2, sched, past),
+                 PointCancelledError);
+    EXPECT_NO_THROW(PodSystem::buildSampleSpanArtifact(
+        *arena, hier, *warm, kRecords / 2, sched));
+}
+
 TEST(PodSystem, MetricsDerivations)
 {
     RunMetrics m;

@@ -790,6 +790,18 @@ TEST(SweepRunner, EqualPointsSimulateOnce)
                          "\"name\": \"reused:second/WebSearch/"
                          "baseline/64MB/2048B\""),
               std::string::npos);
+    // Each simulated point's lane shows its design construction
+    // between the trace and warmup phases.
+    EXPECT_EQ(countOf(trace, "\"name\": \"construct:"), 4u);
+    const std::size_t trace_at =
+        trace.find("\"name\": \"trace:first/WebSearch/baseline/");
+    const std::size_t construct_at =
+        trace.find("\"name\": \"construct:first/WebSearch/baseline/");
+    const std::size_t warm_at = trace.find(
+        "\"name\": \"warmup-restore:first/WebSearch/baseline/");
+    ASSERT_NE(construct_at, std::string::npos);
+    EXPECT_LT(trace_at, construct_at);
+    EXPECT_LT(construct_at, warm_at);
 
     for (std::size_t i = 0; i < points.size(); ++i) {
         const PointResult &r = out.results[i];

@@ -425,6 +425,68 @@ TEST(TraceCache, BuilderFailurePropagatesAndRetries)
     EXPECT_NE(ok, nullptr);
 }
 
+TEST(TraceCache, WaitEndsAtTheWaitersDeadline)
+{
+    TraceCache cache(std::uint64_t{1} << 30);
+    std::atomic<bool> started{false}, release{false};
+    std::atomic<int> builds{0};
+    auto build = [&](std::uint64_t) -> TraceCache::EntryPtr {
+        builds.fetch_add(1);
+        started = true;
+        while (!release)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return std::make_shared<FakeEntry>(100);
+    };
+    std::thread builder([&] { cache.acquire("k", 0, build); });
+    while (!started)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    // The waiter gives up at its deadline; the build goes on.
+    EXPECT_THROW(cache.acquire("k", 0, build,
+                               std::chrono::steady_clock::now() +
+                                   std::chrono::milliseconds(20)),
+                 PointCancelledError);
+    release = true;
+    builder.join();
+    EXPECT_NE(cache.acquire("k", 0, build), nullptr);
+    EXPECT_EQ(builds.load(), 1);
+    EXPECT_EQ(cache.stats().waits, 1u);
+    EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST(TraceCache, CancelledBuildIsRebuiltByTheNextWaiter)
+{
+    // A build cancelled by its own point's deadline fails like
+    // any builder: the slot goes, and a waiter with time left
+    // builds the key itself.
+    TraceCache cache(std::uint64_t{1} << 30);
+    std::atomic<int> builds{0};
+    std::thread first([&] {
+        EXPECT_THROW(
+            cache.acquire("k", 0,
+                          [&](std::uint64_t) -> TraceCache::EntryPtr {
+                              builds.fetch_add(1);
+                              while (cache.stats().waits == 0)
+                                  std::this_thread::sleep_for(
+                                      std::chrono::milliseconds(1));
+                              throwIfCancelled(
+                                  std::chrono::steady_clock::now());
+                              return nullptr;
+                          }),
+            PointCancelledError);
+    });
+    while (builds.load() == 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const TraceCache::EntryPtr got = cache.acquire(
+        "k", 0, [&](std::uint64_t) -> TraceCache::EntryPtr {
+            builds.fetch_add(1);
+            return std::make_shared<FakeEntry>(100);
+        });
+    first.join();
+    EXPECT_NE(got, nullptr);
+    EXPECT_EQ(builds.load(), 2);
+    EXPECT_EQ(cache.stats().buildFailures, 1u);
+}
+
 TEST(WarmupArtifact, ApplyMatchesInBandWarmup)
 {
     // The artifact path (hierarchy snapshot + op-stream replay)
