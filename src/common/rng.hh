@@ -5,12 +5,13 @@
  * All simulations must be reproducible bit-for-bit across runs, so we
  * avoid std::mt19937's unspecified distribution implementations and
  * provide our own xoshiro256** generator plus the distributions the
- * workload models need (uniform, bernoulli, geometric, Zipf).
+ * workload models need (uniform, bernoulli, Zipf).
  */
 
 #ifndef FPC_COMMON_RNG_HH
 #define FPC_COMMON_RNG_HH
 
+#include <bit>
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/huge_pages.hh"
 #include "common/logging.hh"
 
 namespace fpc {
@@ -119,18 +121,6 @@ class Rng
         return uniform() < p;
     }
 
-    /** Geometric number of failures before success, P(success)=p. */
-    std::uint64_t
-    geometric(double p)
-    {
-        FPC_ASSERT(p > 0.0 && p <= 1.0);
-        if (p >= 1.0)
-            return 0;
-        double u = uniform();
-        return static_cast<std::uint64_t>(
-            std::floor(std::log1p(-u) / std::log1p(-p)));
-    }
-
   private:
     static constexpr std::uint64_t
     rotl(std::uint64_t x, int k)
@@ -142,103 +132,31 @@ class Rng
 };
 
 /**
- * Zipf-distributed sampler over {0, .., n-1} with exponent s, using
- * Hörmann's rejection-inversion method: O(1) per sample, no tables,
- * so it scales to the multi-million-page datasets our workloads use.
- */
-class ZipfSampler
-{
-  public:
-    ZipfSampler(std::uint64_t n, double s)
-        : n_(n), s_(s)
-    {
-        FPC_ASSERT(n >= 1);
-        FPC_ASSERT(s >= 0.0);
-        hIntegralX1_ = hIntegral(1.5) - 1.0;
-        hIntegralN_ = hIntegral(static_cast<double>(n_) + 0.5);
-        t_ = 2.0 - hIntegralInv(hIntegral(2.5) - hFn(2.0));
-    }
-
-    /** Draw one rank in [0, n). Rank 0 is the most popular item. */
-    std::uint64_t
-    operator()(Rng &rng) const
-    {
-        if (n_ == 1)
-            return 0;
-        if (s_ == 0.0)
-            return rng.below(n_);
-        while (true) {
-            double u = hIntegralN_ +
-                rng.uniform() * (hIntegralX1_ - hIntegralN_);
-            double x = hIntegralInv(u);
-            double kd = std::floor(x + 0.5);
-            if (kd < 1.0)
-                kd = 1.0;
-            if (kd > static_cast<double>(n_))
-                kd = static_cast<double>(n_);
-            if (kd - x <= t_ ||
-                u >= hIntegral(kd + 0.5) - hFn(kd)) {
-                return static_cast<std::uint64_t>(kd) - 1;
-            }
-        }
-    }
-
-    std::uint64_t n() const { return n_; }
-    double exponent() const { return s_; }
-
-  private:
-    /** Integral of the unnormalized density x^-s. */
-    double
-    hIntegral(double x) const
-    {
-        if (s_ == 1.0)
-            return std::log(x);
-        return (std::pow(x, 1.0 - s_) - 1.0) / (1.0 - s_);
-    }
-
-    /** Inverse of hIntegral. */
-    double
-    hIntegralInv(double x) const
-    {
-        if (s_ == 1.0)
-            return std::exp(x);
-        return std::pow(1.0 + x * (1.0 - s_), 1.0 / (1.0 - s_));
-    }
-
-    /** Unnormalized density x^-s. */
-    double
-    hFn(double x) const
-    {
-        return std::exp(-s_ * std::log(x));
-    }
-
-    std::uint64_t n_;
-    double s_;
-    double hIntegralX1_;
-    double hIntegralN_;
-    double t_;
-};
-
-/**
  * Alias-method Zipf sampler (Walker/Vose) over {0, .., n-1} with
  * exponent s. Table construction is O(n) with one pow() per item;
  * every draw afterwards is O(1) from a single 64-bit random value,
- * with no transcendental math and no rejection loop — unlike
- * ZipfSampler's rejection inversion, whose pow/log calls dominate
- * the trace-generation hot path. Costs 12 bytes per item, which is
- * acceptable for the multi-million-page workload datasets and paid
- * once per trace source.
+ * with no transcendental math and no rejection loop. The tables
+ * keep 12 bytes per item (an 8-byte threshold and a 4-byte alias);
+ * building them takes an n-bit class mask on top, so 12.125 bytes
+ * per item at peak. Tables are shared process-wide per (n, s).
  */
 class AliasZipfSampler
 {
   public:
+    /** Immutable alias tables for one (n, s) distribution. */
+    struct Tables
+    {
+        std::vector<std::uint64_t> thresh;
+        std::vector<std::uint32_t> alias;
+    };
+
     AliasZipfSampler(std::uint64_t n, double s) : n_(n), s_(s)
     {
         FPC_ASSERT(n >= 1);
         FPC_ASSERT(n < (1ULL << 32));
         FPC_ASSERT(s >= 0.0);
         if (s_ > 0.0 && n_ > 1)
-            tables_ = sharedTables(n_, s_);
+            tables_ = sharedTables(n_, s_, buildTables);
     }
 
     /** Draw one rank in [0, n). Rank 0 is the most popular item. */
@@ -264,22 +182,18 @@ class AliasZipfSampler
     std::uint64_t n() const { return n_; }
     double exponent() const { return s_; }
 
-  private:
-    /** Immutable alias tables for one (n, s) distribution. */
-    struct Tables
-    {
-        std::vector<std::uint64_t> thresh;
-        std::vector<std::uint32_t> alias;
-    };
-
     /**
-     * Table construction is O(n) with a pow() per item — ~10^8
-     * ns-scale operations for the multi-million-page datasets —
-     * and the same (n, s) pair recurs across every design × mode
-     * run of a sweep, so built tables are shared process-wide.
+     * The tables of (@p n, @p s), built by @p build(n, s) unless a
+     * live copy exists. Table construction is O(n) with a pow()
+     * per item — ~10^8 ns-scale operations for the multi-million-
+     * page datasets — and the same (n, s) pair recurs across every
+     * design × mode run of a sweep, so built tables are shared
+     * process-wide. Samplers pass buildTables; tests pass a
+     * builder that observes the calls.
      */
+    template <class Build>
     static std::shared_ptr<const Tables>
-    sharedTables(std::uint64_t n, double s)
+    sharedTables(std::uint64_t n, double s, Build &&build)
     {
         // The mutex only guards the cache bookkeeping; the O(n)
         // build runs outside it so sweep workers touching
@@ -305,7 +219,7 @@ class AliasZipfSampler
         building.insert(key);
         lock.unlock();
 
-        auto built = buildTables(n, s);
+        std::shared_ptr<const Tables> built = build(n, s);
 
         lock.lock();
         cache[key] = built;
@@ -314,57 +228,107 @@ class AliasZipfSampler
         return built;
     }
 
+    /**
+     * Vose's alias construction, in place. It yields exactly the
+     * tables of the textbook two-stack form: weights scaled to mean
+     * 1; indices pushed in ascending order onto a `small` (< 1) or
+     * `large` stack; each round pops one of each, gives the small
+     * bucket the large one as its alias, and pushes the large one
+     * back by its reduced weight; whatever remains gets probability
+     * one. The large index is the only one ever pushed back, so
+     * each stack is its initial contents, read top down by a
+     * descending cursor over a class bitmask, plus at most the one
+     * index the last round carried. Weights are parked as doubles
+     * in `thresh` until a bucket's threshold replaces its weight.
+     */
     static std::shared_ptr<const Tables>
     buildTables(std::uint64_t n, double s)
     {
         auto tables = std::make_shared<Tables>();
+        std::vector<std::uint64_t> &thresh = tables->thresh;
+        std::vector<std::uint32_t> &alias = tables->alias;
+        reserveHugePages(thresh, n);
+        reserveHugePages(alias, n);
+        alias.resize(n);
+        const auto weight = [&](std::uint64_t i) {
+            return std::bit_cast<double>(thresh[i]);
+        };
+
         // Unnormalized Zipf weights, rescaled so the mean is 1.
-        std::vector<double> scaled(n);
         double total = 0.0;
         for (std::uint64_t i = 0; i < n; ++i) {
-            scaled[i] = std::pow(static_cast<double>(i + 1), -s);
-            total += scaled[i];
+            const double w = std::pow(static_cast<double>(i + 1), -s);
+            thresh.push_back(std::bit_cast<std::uint64_t>(w));
+            total += w;
         }
         const double scale = static_cast<double>(n) / total;
-        for (double &p : scaled)
-            p *= scale;
-
-        tables->thresh.resize(n);
-        tables->alias.resize(n);
-        std::vector<std::uint32_t> small, large;
-        small.reserve(n);
-        large.reserve(n);
+        // Bit i: index i starts on the small stack.
+        std::vector<std::uint64_t> small_mask((n + 63) / 64);
         for (std::uint64_t i = 0; i < n; ++i) {
-            (scaled[i] < 1.0 ? small : large)
-                .push_back(static_cast<std::uint32_t>(i));
+            const double w = weight(i) * scale;
+            thresh[i] = std::bit_cast<std::uint64_t>(w);
+            if (w < 1.0)
+                small_mask[i / 64] |= std::uint64_t{1} << (i % 64);
         }
 
-        // Vose pairing: each under-full bucket borrows the excess
-        // of one over-full bucket.
-        while (!small.empty() && !large.empty()) {
-            const std::uint32_t s_idx = small.back();
-            small.pop_back();
-            const std::uint32_t l_idx = large.back();
-            large.pop_back();
-            tables->thresh[s_idx] = toThreshold(scaled[s_idx]);
-            tables->alias[s_idx] = l_idx;
-            scaled[l_idx] =
-                (scaled[l_idx] + scaled[s_idx]) - 1.0;
-            (scaled[l_idx] < 1.0 ? small : large)
-                .push_back(l_idx);
+        // Highest index below @p pos whose initial class is
+        // @p small, or n when there is none.
+        const auto below = [&](std::uint64_t pos, bool small) {
+            while (pos > 0) {
+                const std::uint64_t word = (pos - 1) / 64;
+                const unsigned top = (pos - 1) % 64;
+                std::uint64_t bits =
+                    small ? small_mask[word] : ~small_mask[word];
+                if (top < 63)
+                    bits &= (std::uint64_t{2} << top) - 1;
+                if (bits)
+                    return word * 64 + 63 - std::countl_zero(bits);
+                pos = word * 64;
+            }
+            return n;
+        };
+
+        std::uint64_t small_next = below(n, true);
+        std::uint64_t large_next = below(n, false);
+        std::uint64_t carried = n;
+        bool carried_small = false;
+        for (;;) {
+            const bool small_carried = carried != n && carried_small;
+            const bool large_carried = carried != n && !carried_small;
+            const std::uint64_t s_idx =
+                small_carried ? carried : small_next;
+            const std::uint64_t l_idx =
+                large_carried ? carried : large_next;
+            if (s_idx == n || l_idx == n)
+                break;
+            if (!small_carried)
+                small_next = below(small_next, true);
+            if (!large_carried)
+                large_next = below(large_next, false);
+            const double s_w = weight(s_idx);
+            const double l_w = (weight(l_idx) + s_w) - 1.0;
+            thresh[s_idx] = toThreshold(s_w);
+            alias[s_idx] = static_cast<std::uint32_t>(l_idx);
+            thresh[l_idx] = std::bit_cast<std::uint64_t>(l_w);
+            carried = l_idx;
+            carried_small = l_w < 1.0;
         }
+
         // Leftovers (numerical residue): probability one.
-        for (std::uint32_t i : large) {
-            tables->thresh[i] = ~std::uint64_t{0};
-            tables->alias[i] = i;
-        }
-        for (std::uint32_t i : small) {
-            tables->thresh[i] = ~std::uint64_t{0};
-            tables->alias[i] = i;
-        }
+        const auto keep = [&](std::uint64_t i) {
+            thresh[i] = ~std::uint64_t{0};
+            alias[i] = static_cast<std::uint32_t>(i);
+        };
+        if (carried != n)
+            keep(carried);
+        for (; small_next != n; small_next = below(small_next, true))
+            keep(small_next);
+        for (; large_next != n; large_next = below(large_next, false))
+            keep(large_next);
         return tables;
     }
 
+  private:
     /** Map a bucket probability in [0, 1] to a u64 coin bound. */
     static std::uint64_t
     toThreshold(double p)

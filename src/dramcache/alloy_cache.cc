@@ -1,5 +1,6 @@
 #include "dramcache/alloy_cache.hh"
 
+#include "common/huge_pages.hh"
 #include "common/logging.hh"
 #include "dramcache/design_registry.hh"
 #include "telemetry/introspection.hh"
@@ -17,6 +18,7 @@ AlloyCache::AlloyCache(const Config &config, DramSystem &stacked,
     num_sets_ = config_.capacityBytes / config_.tadBytes;
     FPC_ASSERT(num_sets_ > 0);
     map_mask_ = config_.mapEntries - 1;
+    reserveHugePages(tads_, num_sets_);
     tads_.resize(num_sets_);
     partition_ =
         config_.tenants.setPartition(num_sets_, kBlockShift);

@@ -1,5 +1,6 @@
 #include "dramcache/banshee_cache.hh"
 
+#include "common/huge_pages.hh"
 #include "common/logging.hh"
 #include "dramcache/design_registry.hh"
 #include "telemetry/introspection.hh"
@@ -30,6 +31,7 @@ BansheeCache::BansheeCache(const Config &config,
         config_.tagBufferEntries / config_.tagBufferAssoc - 1;
     partition_ = config_.tenants.setPartition(sets_, page_shift_);
     quota_ = config_.tenants.quota(frames_);
+    reserveHugePages(ways_, frames_);
     ways_.resize(frames_);
     cand_.resize(sets_);
     tagbuf_.resize(config_.tagBufferEntries);

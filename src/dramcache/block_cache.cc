@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "common/huge_pages.hh"
 #include "common/logging.hh"
 #include "telemetry/introspection.hh"
 
@@ -22,6 +23,7 @@ BlockCache::BlockCache(const Config &config, DramSystem &stacked,
     set_mask_ = num_sets_ - 1;
     row_shift_ = floorLog2(config_.rowBytes);
     full_mask_ = (std::uint32_t{1} << config_.dataBlocksPerRow) - 1;
+    reserveHugePages(sets_, num_sets_);
     sets_.resize(num_sets_);
     partition_ =
         config_.tenants.setPartition(num_sets_, kBlockShift);

@@ -1,5 +1,6 @@
 #include "dramcache/missmap.hh"
 
+#include "common/huge_pages.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -12,6 +13,7 @@ MissMap::MissMap(const Config &config) : config_(config)
     FPC_ASSERT(config_.segmentBytes / kBlockBytes <= 64);
     sets_ = config_.entries / config_.assoc;
     FPC_ASSERT(isPowerOf2(sets_));
+    reserveHugePages(entries_, config_.entries);
     entries_.resize(config_.entries);
 }
 

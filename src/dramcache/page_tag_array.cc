@@ -1,5 +1,6 @@
 #include "dramcache/page_tag_array.hh"
 
+#include "common/huge_pages.hh"
 #include "common/logging.hh"
 
 namespace fpc {
@@ -19,7 +20,9 @@ PageTagArray::PageTagArray(const Config &config) : config_(config)
     blocks_per_page_ = config_.pageBytes / kBlockBytes;
     page_shift_ = floorLog2(config_.pageBytes);
     partition_ = config_.tenants.setPartition(sets_, page_shift_);
+    reserveHugePages(entries_, frames_);
     entries_.resize(frames_);
+    reserveHugePages(keys_, frames_);
     keys_.assign(frames_, kNoPage);
 }
 

@@ -13,23 +13,26 @@ MaterializedTrace::append(const TraceRecord *recs, std::size_t n)
         const std::size_t fill = static_cast<std::size_t>(
             size_ % kChunkRecords);
         if (fill == 0 && size_ == numChunks() * kChunkRecords) {
-            // Chunks are pre-sized once; the fill cursor (derived
+            // Chunks are allocated once at full size and left
+            // unzeroed, so the pages past the tail chunk's last
+            // record are never touched; the fill cursor (derived
             // from size_) tracks how much of the tail chunk is
             // valid, so appends are raw pointer stores.
-            chunks_.emplace_back();
-            Chunk &fresh = chunks_.back();
-            fresh.paddr.resize(kChunkRecords);
-            fresh.pc.resize(kChunkRecords);
-            fresh.gap.resize(kChunkRecords);
-            fresh.op.resize(kChunkRecords);
+            chunks_.push_back(Chunk{
+                std::make_unique_for_overwrite<Addr[]>(kChunkRecords),
+                std::make_unique_for_overwrite<Pc[]>(kChunkRecords),
+                std::make_unique_for_overwrite<std::uint32_t[]>(
+                    kChunkRecords),
+                std::make_unique_for_overwrite<std::uint8_t[]>(
+                    kChunkRecords)});
         }
         Chunk &c = chunks_.back();
         const std::size_t take =
             std::min(kChunkRecords - fill, n);
-        Addr *pa = c.paddr.data() + fill;
-        Pc *pp = c.pc.data() + fill;
-        std::uint32_t *pg = c.gap.data() + fill;
-        std::uint8_t *po = c.op.data() + fill;
+        Addr *pa = c.paddr.get() + fill;
+        Pc *pp = c.pc.get() + fill;
+        std::uint32_t *pg = c.gap.get() + fill;
+        std::uint8_t *po = c.op.get() + fill;
         for (std::size_t i = 0; i < take; ++i) {
             pa[i] = recs[i].req.paddr;
             pp[i] = recs[i].req.pc;
@@ -79,14 +82,14 @@ MaterializedTrace::chunk(std::size_t i) const
 {
     FPC_ASSERT(i < chunks_.size());
     const Chunk &c = chunks_[i];
-    // The tail chunk is pre-sized; only the filled prefix is
-    // valid data.
+    // The tail chunk is allocated at full size; only the filled
+    // prefix holds records.
     const std::uint64_t prior =
         static_cast<std::uint64_t>(i) * kChunkRecords;
     const std::size_t valid = static_cast<std::size_t>(
         std::min<std::uint64_t>(kChunkRecords, size_ - prior));
-    return ChunkView{c.paddr.data(), c.pc.data(), c.gap.data(),
-                     c.op.data(), valid};
+    return ChunkView{c.paddr.get(), c.pc.get(), c.gap.get(),
+                     c.op.get(), valid};
 }
 
 ReplayTraceSource::ReplayTraceSource(

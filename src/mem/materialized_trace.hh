@@ -37,7 +37,7 @@ class MaterializedTrace : public TraceCacheEntry
 {
   public:
     /**
-     * Records per chunk (1M records ~ 21MB of columns). Large
+     * Records per chunk (2^20 records, 21 MiB of columns). Large
      * chunks keep the allocator in large-mapping territory: a
      * sweep builds and drops gigabytes of arena data, and many
      * small column vectors would churn mmap/munmap (and their
@@ -85,12 +85,14 @@ class MaterializedTrace : public TraceCacheEntry
     ChunkView chunk(std::size_t i) const;
 
   private:
+    /** kChunkRecords slots per column; uninitialized past the
+     * records appended. */
     struct Chunk
     {
-        std::vector<Addr> paddr;
-        std::vector<Pc> pc;
-        std::vector<std::uint32_t> gap;
-        std::vector<std::uint8_t> op;
+        std::unique_ptr<Addr[]> paddr;
+        std::unique_ptr<Pc[]> pc;
+        std::unique_ptr<std::uint32_t[]> gap;
+        std::unique_ptr<std::uint8_t[]> op;
     };
 
     std::vector<Chunk> chunks_;

@@ -66,8 +66,10 @@ struct FakeEntry : TraceCacheEntry
 
 TEST(MaterializedTrace, AppendFillRoundTrip)
 {
-    // Odd-sized appends and reads crossing chunk boundaries.
-    const std::size_t n = 3 * 4096 + 117;
+    // Odd-sized appends and reads crossing two chunk boundaries,
+    // ending inside a third chunk whose tail is never written.
+    constexpr std::size_t kChunk = MaterializedTrace::kChunkRecords;
+    const std::size_t n = 2 * kChunk + 3 * 4096 + 117;
     const std::vector<TraceRecord> ref = syntheticRecords(n);
     MaterializedTrace arena;
     std::size_t pos = 0;
@@ -95,6 +97,17 @@ TEST(MaterializedTrace, AppendFillRoundTrip)
     }
     for (std::size_t i = 0; i < n; ++i)
         ASSERT_TRUE(recordsEqual(ref[i], got[i])) << i;
+    ASSERT_EQ(arena.numChunks(), 3u);
+
+    // One read straddling each boundary.
+    for (std::size_t boundary : {kChunk, 2 * kChunk}) {
+        std::vector<TraceRecord> span(40);
+        arena.fill(boundary - 20, span.data(), span.size());
+        for (std::size_t i = 0; i < span.size(); ++i) {
+            ASSERT_TRUE(recordsEqual(ref[boundary - 20 + i], span[i]))
+                << boundary - 20 + i;
+        }
+    }
 }
 
 TEST(ReplayTraceSource, NextMatchesFreshSource)
