@@ -10,13 +10,14 @@
  */
 
 #include <cstdio>
+#include <optional>
 
 #include "dram/system.hh"
 #include "experiments/experiments.hh"
+#include "mem/materialized_trace.hh"
 #include "sim/pod_system.hh"
 #include "telemetry/trace_events.hh"
 #include "workload/analysis.hh"
-#include "workload/generator.hh"
 
 namespace fpcbench {
 
@@ -27,13 +28,22 @@ const double kFractions[] = {0.2, 0.4, 0.6, 0.8};
 /**
  * LLC-filtered access counting: the pod runs with a counting
  * "memory system" below the L2 instead of a DRAM organization.
+ * Its window is a prefix of the standard records the runner plans
+ * for the point's trace identity, so it replays the arena the
+ * identity's standard points share.
  */
 PointResult
 runHotPages(const ExperimentPoint &point)
 {
-    WorkloadSpec spec =
-        makeWorkload(point.workload, 2048, point.traceSeed());
-    SyntheticTraceSource trace(spec);
+    const auto records =
+        static_cast<std::uint64_t>(12e6 * point.scale);
+    std::optional<TraceCache> own_cache;
+    PointResult out;
+    ReplayTraceSource trace(acquireTraceArena(
+        pointCache(point, own_cache), point.workload,
+        point.cfg.pageBytes, point.baseSeed, records,
+        point.cfg.pod.deadline, &out.timing.generatedTrace));
+    out.timing.replayedTrace = true;
     AccessCountingMemory mem(4096);
     DramSystem off(DramSystem::Config::offchipPod());
     PodConfig pod_cfg;
@@ -43,13 +53,11 @@ runHotPages(const ExperimentPoint &point)
     pod_cfg.telemetry = point.cfg.pod.telemetry;
     pod_cfg.deadline = point.cfg.pod.deadline;
     PodSystem pod(pod_cfg, trace, mem, nullptr, off);
-    PointResult out;
     // The whole bespoke run is its measured window: one phase
     // span keeps the fig12 lane consistent with standard points.
     SpanTracer *tracer = point.tracer;
     const std::uint64_t span_t0 = tracer ? tracer->nowUs() : 0;
-    out.metrics = pod.run(
-        0, static_cast<std::uint64_t>(12e6 * point.scale));
+    out.metrics = pod.run(0, records);
     if (tracer)
         tracer->span("phase", "measure:" + point.key(), span_t0,
                      tracer->nowUs());
@@ -85,6 +93,8 @@ registerFig12(ExperimentRegistry &reg)
             p.label = std::string(workloadName(wk)) +
                       "/hotpages/4096B";
             p.custom = runHotPages;
+            // No warmup: only the trace arena is planned.
+            p.inBandWarmup = true;
             points.push_back(std::move(p));
         }
         return points;

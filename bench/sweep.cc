@@ -215,17 +215,14 @@ main(int argc, char **argv)
     }
 
     SweepRunner runner(opts.jobs, opts.cache);
-    const std::string cache_desc =
-        opts.cache.enabled
-            ? std::to_string(opts.cache.budgetBytes >> 20) + "MB"
-            : "off";
     std::printf("sweep: %zu experiment(s), %zu point(s), "
                 "%u job(s), scale %.2f, seed %llu, "
-                "trace cache %s\n",
+                "trace cache %lluMB\n",
                 runs.size(), batch.size(), runner.jobs(),
                 opts.scale,
                 static_cast<unsigned long long>(opts.seed),
-                cache_desc.c_str());
+                static_cast<unsigned long long>(
+                    opts.cache.budgetBytes >> 20));
 
     std::unique_ptr<fpc::SpanTracer> tracer;
     if (!opts.traceOut.empty())

@@ -61,13 +61,14 @@ python3 scripts/check_bench_regression.py \
 python3 scripts/check_bench_regression.py \
     --telemetry-json BENCH_engine.json --telemetry-budget-pct 2.0
 # A cheap sweep slice; CI's sweep-smoke job runs the full grid.
-# Run it twice — trace/warmup cache on (default) and off — and
-# require byte-identical reports: the cache is a pure execution
+# Run it twice — at the default trace-cache budget and at 0, where
+# points regenerate what they would share — and require
+# byte-identical reports: the cache is a pure execution
 # optimization.
 "$BUILD_DIR"/sweep --quick --jobs "$JOBS" --filter fig12,table1,table4 \
     --out "$BUILD_DIR"/BENCH_sweep_quick.json
 "$BUILD_DIR"/sweep --quick --jobs "$JOBS" --filter fig12,table1,table4 \
-    --no-trace-cache --out "$BUILD_DIR"/BENCH_sweep_quick_nocache.json
+    --trace-cache-mb 0 --out "$BUILD_DIR"/BENCH_sweep_quick_nocache.json
 cmp "$BUILD_DIR"/BENCH_sweep_quick.json \
     "$BUILD_DIR"/BENCH_sweep_quick_nocache.json
 # Colocation interference matrix: shard-count invariance (byte

@@ -22,9 +22,10 @@
 #     point that ignored either shows) to be byte-identical
 #     between the two builds;
 #   - the merged reports of two fig06 slices to be byte-identical
-#     between the two builds: one with the sampling, histogram
-#     and trace-cache-off flags, one with the trace-cache budget
-#     and retry/deadline flags;
+#     between the two builds: one with the sampling and histogram
+#     flags at a zero trace-cache budget (points regenerate what
+#     they would share), one with a 64 MB trace-cache budget and
+#     the retry/deadline flags;
 #   - --jobs 1 to reproduce the --jobs 2 artifacts byte for byte;
 #   - a --resume from the --jobs 2 journal to execute nothing and
 #     reproduce the artifacts byte for byte;
@@ -75,7 +76,7 @@ run_slice() { # SWEEP OUT_DIR JOBS [extra sweep flags...]
 # The flag groups the artifact slice leaves at their defaults.
 SAMPLING_FLAGS=(--sample-mode --sample-intervals 6
     --sample-interval-records 2000 --sample-target-ci 0.05
-    --histograms --no-trace-cache)
+    --histograms --trace-cache-mb 0)
 RUNNER_FLAGS=(--trace-cache-mb 64 --retries 0 --backoff-ms 1
     --point-deadline-s 600)
 

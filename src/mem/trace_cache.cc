@@ -53,6 +53,9 @@ TraceCache::acquire(const std::string &key,
                     Deadline deadline)
 {
     std::unique_lock<std::mutex> lock(mutex_);
+    // Entries over budget were pinned at the last build; the ones
+    // released since go now, before they can serve this call.
+    evictLocked();
     for (;;) {
         auto it = slots_.find(key);
         if (it == slots_.end())

@@ -13,11 +13,14 @@
  *
  * Memory stays bounded by a byte budget: entries not referenced by
  * any consumer (shared_ptr refcount) are evicted least-recently-
- * used first whenever the total exceeds the budget. Pinned entries
- * are never evicted, so the cache can transiently exceed its
- * budget rather than break sharing — correctness and determinism
- * first, footprint second. An evicted key is simply rebuilt on the
- * next acquire (counted as a regeneration).
+ * used first whenever the total exceeds the budget, checked on
+ * every acquire() and after every build. Pinned entries are never
+ * evicted, so the cache can transiently exceed its budget rather
+ * than break sharing — correctness and determinism first,
+ * footprint second. An evicted key is simply rebuilt on the next
+ * acquire (counted as a regeneration); at a budget of 0 nothing
+ * outlives its last holder, so every acquire of a key nobody
+ * holds rebuilds it.
  */
 
 #ifndef FPC_MEM_TRACE_CACHE_HH

@@ -14,7 +14,7 @@
  * replay than either engine phase. The schedule is derived
  * purely from record counts, so sampled runs inherit every
  * determinism guarantee of the exact engine (`--jobs 1` ≡
- * `--jobs N` bit-exactly, trace cache on ≡ off).
+ * `--jobs N` bit-exactly, at any trace-cache budget).
  */
 
 #ifndef FPC_SIM_SAMPLING_HH

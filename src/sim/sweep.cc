@@ -154,8 +154,6 @@ parseCommonFlag(SweepOptions &opts, int argc, char **argv, int &i)
         opts.workloadFilter = text();
     } else if (withValue("--jobs")) {
         count(opts.jobs);
-    } else if (is("--no-trace-cache")) {
-        opts.cache.enabled = false;
     } else if (withValue("--trace-cache-mb")) {
         // Bounded so the MB-to-bytes shift cannot overflow.
         opts.cache.budgetBytes =
@@ -215,7 +213,7 @@ parseCommonFlag(SweepOptions &opts, int argc, char **argv, int &i)
 const char *kCommonFlagsUsage =
     "[--quick] [--scale F] [--seed N | --base-seed N] "
     "[--workload NAME] "
-    "[--jobs N] [--no-trace-cache] [--trace-cache-mb N] "
+    "[--jobs N] [--trace-cache-mb N] "
     "[--time] [--time-out FILE] "
     "[--journal DIR] [--resume] [--retries N] [--backoff-ms N] "
     "[--point-deadline-s F] [--fault-plan PLAN] "
@@ -320,6 +318,41 @@ traceIdentityKey(WorkloadKind workload, unsigned page_bytes,
     return key;
 }
 
+std::string
+traceArenaKey(WorkloadKind workload, unsigned page_bytes,
+              std::uint64_t base_seed)
+{
+    return "trace/" + traceIdentityKey(workload, page_bytes, base_seed);
+}
+
+std::shared_ptr<const MaterializedTrace>
+acquireTraceArena(TraceCache &cache, WorkloadKind workload,
+                  unsigned page_bytes, std::uint64_t base_seed,
+                  std::uint64_t records, Deadline deadline,
+                  bool *generated)
+{
+    auto arena = std::static_pointer_cast<const MaterializedTrace>(
+        cache.acquire(
+            traceArenaKey(workload, page_bytes, base_seed), records,
+            [&](std::uint64_t units) {
+                faultPoint("trace-build",
+                           traceIdentityKey(workload, page_bytes,
+                                            base_seed));
+                if (generated)
+                    *generated = true;
+                auto built = std::make_shared<MaterializedTrace>();
+                materializeTrace(
+                    makeWorkload(workload, page_bytes,
+                                 traceIdentitySeed(workload, page_bytes,
+                                                   base_seed)),
+                    units, *built, deadline);
+                return built;
+            },
+            deadline));
+    FPC_ASSERT(arena->size() >= records);
+    return arena;
+}
+
 std::uint64_t
 ExperimentPoint::traceSeed() const
 {
@@ -419,17 +452,23 @@ hierarchySignature(const PodConfig &pod)
 }
 
 /**
- * The warmup-artifact fast path only replicates the default
- * functional warmup; timed/all-timed warmups keep the in-band
- * loop (their evolution is not design-independent).
+ * True when the pod warms functionally (the default): no timed or
+ * all-timed warmup, so the warmup's evolution depends only on the
+ * trace and the hierarchy, not on the design.
  */
+bool
+functionalWarmup(const PodConfig &pod)
+{
+    return pod.warmupMode == SimMode::Functional && !pod.allTimedWarmup;
+}
+
+/** The warmup-artifact fast path replicates only a nonempty
+ * functional warmup; timed warmups keep the in-band loop. */
 bool
 warmupArtifactEligible(const ExperimentPoint &point,
                        std::uint64_t warm)
 {
-    return warm > 0 &&
-           point.cfg.pod.warmupMode == SimMode::Functional &&
-           !point.cfg.pod.allTimedWarmup;
+    return warm > 0 && functionalWarmup(point.cfg.pod);
 }
 
 std::string
@@ -595,6 +634,15 @@ harvestDramGrid(const DramSystem &sys, HeatmapData &hm)
 
 } // namespace
 
+TraceCache &
+pointCache(const ExperimentPoint &point,
+           std::optional<TraceCache> &own)
+{
+    if (point.traceCache)
+        return *point.traceCache;
+    return own.emplace(TraceCacheConfig{}.budgetBytes);
+}
+
 PointResult
 runPoint(const ExperimentPoint &point)
 {
@@ -609,44 +657,17 @@ runPoint(const ExperimentPoint &point)
     SpanTracer *tracer = point.tracer;
     const Deadline deadline = point.cfg.pod.deadline;
 
-    // Trace acquisition: replay the shared arena when a cache is
-    // wired in, otherwise generate a fresh stream (the two are
-    // bit-identical; tests/test_trace_cache.cc).
+    // Trace acquisition: replay the identity's shared arena.
+    std::optional<TraceCache> own_cache;
+    TraceCache &cache = pointCache(point, own_cache);
     std::uint64_t span_t0 = tracer ? tracer->nowUs() : 0;
     auto t0 = std::chrono::steady_clock::now();
-    std::unique_ptr<ReplayTraceSource> replay;
-    std::unique_ptr<SyntheticTraceSource> fresh;
-    std::shared_ptr<const MaterializedTrace> arena;
-    TraceSource *trace = nullptr;
-    if (point.traceCache) {
-        bool generated = false;
-        arena = std::static_pointer_cast<const MaterializedTrace>(
-            point.traceCache->acquire(
-                "trace/" + point.traceKey(), warm + measure,
-                [&](std::uint64_t records) {
-                    faultPoint("trace-build", point.traceKey());
-                    generated = true;
-                    auto built =
-                        std::make_shared<MaterializedTrace>();
-                    materializeTrace(
-                        makeWorkload(point.workload,
-                                     point.cfg.pageBytes,
-                                     point.traceSeed()),
-                        records, *built, deadline);
-                    return built;
-                },
-                deadline));
-        FPC_ASSERT(arena->size() >= warm + measure);
-        out.timing.replayedTrace = true;
-        out.timing.generatedTrace = generated;
-        replay = std::make_unique<ReplayTraceSource>(arena);
-        trace = replay.get();
-    } else {
-        fresh = std::make_unique<SyntheticTraceSource>(
-            makeWorkload(point.workload, point.cfg.pageBytes,
-                         point.traceSeed()));
-        trace = fresh.get();
-    }
+    const std::shared_ptr<const MaterializedTrace> arena =
+        acquireTraceArena(cache, point.workload, point.cfg.pageBytes,
+                          point.baseSeed, warm + measure, deadline,
+                          &out.timing.generatedTrace);
+    out.timing.replayedTrace = true;
+    ReplayTraceSource trace(arena);
     out.timing.traceSeconds = secondsSince(t0);
     if (tracer)
         tracer->span("phase", "trace:" + point.key(), span_t0,
@@ -655,7 +676,7 @@ runPoint(const ExperimentPoint &point)
     // Design construction sits between the trace and warmup
     // timers; only the --trace-out span shows it.
     span_t0 = tracer ? tracer->nowUs() : 0;
-    Experiment exp(point.cfg, *trace);
+    Experiment exp(point.cfg, trace);
     if (tracer)
         tracer->span("phase", "construct:" + point.key(), span_t0,
                      tracer->nowUs());
@@ -666,11 +687,11 @@ runPoint(const ExperimentPoint &point)
     span_t0 = tracer ? tracer->nowUs() : 0;
     t0 = std::chrono::steady_clock::now();
     std::shared_ptr<const WarmupArtifact> warm_artifact;
-    if (arena != nullptr && warmupArtifactEligible(point, warm)) {
+    if (warmupArtifactEligible(point, warm)) {
         bool built = false;
         warm_artifact =
             std::static_pointer_cast<const WarmupArtifact>(
-                point.traceCache->acquire(
+                cache.acquire(
                     warmupArtifactKey(point, warm), warm,
                     [&](std::uint64_t) -> TraceCache::EntryPtr {
                         faultPoint("warmup-build",
@@ -685,7 +706,7 @@ runPoint(const ExperimentPoint &point)
         out.timing.builtWarmup = built;
         faultPoint("warmup-restore", point.key());
         exp.pod().applyWarmup(*warm_artifact);
-        replay->seekTo(warm);
+        trace.seekTo(warm);
     } else if (warm > 0) {
         exp.run(warm, 0);
     }
@@ -709,46 +730,24 @@ runPoint(const ExperimentPoint &point)
         // mean/CI extras carry the statistics.
         const SampleSchedule sched = computeSampleSchedule(
             point.cfg.pod.sampling, measure);
-        std::shared_ptr<const SampleSpanArtifact> span_art;
-        if (arena != nullptr && warm_artifact != nullptr) {
-            span_art = std::static_pointer_cast<
-                const SampleSpanArtifact>(
-                point.traceCache->acquire(
+        // A point that warmed without the shared artifact (a zero
+        // warm window, or a timed warmup) starts its span from a
+        // functional warm of the same window.
+        if (warm_artifact == nullptr)
+            warm_artifact = PodSystem::buildWarmupArtifact(
+                *arena, point.cfg.pod.hierarchy, warm, deadline);
+        const auto span_art =
+            std::static_pointer_cast<const SampleSpanArtifact>(
+                cache.acquire(
                     sampleArtifactKey(point, warm, sched),
                     sched.spanRecords(),
                     [&](std::uint64_t) -> TraceCache::EntryPtr {
-                        faultPoint("span-build",
-                                   point.traceKey());
+                        faultPoint("span-build", point.traceKey());
                         return PodSystem::buildSampleSpanArtifact(
                             *arena, point.cfg.pod.hierarchy,
                             *warm_artifact, warm, sched, deadline);
                     },
                     deadline));
-        } else {
-            // No shared arena (trace cache off) or no warmup
-            // artifact: build the span privately from an
-            // identical materialization so sampled results stay
-            // bit-identical to the cached path.
-            std::shared_ptr<const MaterializedTrace> local =
-                arena;
-            if (local == nullptr) {
-                auto built = std::make_shared<MaterializedTrace>();
-                materializeTrace(
-                    makeWorkload(point.workload,
-                                 point.cfg.pageBytes,
-                                 point.traceSeed()),
-                    warm + measure, *built, deadline);
-                local = built;
-            }
-            std::shared_ptr<const WarmupArtifact> wa =
-                warm_artifact;
-            if (wa == nullptr)
-                wa = PodSystem::buildWarmupArtifact(
-                    *local, point.cfg.pod.hierarchy, warm, deadline);
-            span_art = PodSystem::buildSampleSpanArtifact(
-                *local, point.cfg.pod.hierarchy, *wa, warm, sched,
-                deadline);
-        }
         const SampledRun sr =
             exp.pod().runSampled(measure, *span_art);
         out.metrics = sr.metrics;
@@ -834,8 +833,7 @@ applySweepOptions(ExperimentPoint &point, const SweepOptions &opts)
 
     const PodConfig &pod = point.cfg.pod;
     if (opts.sampling.enabled && !point.pinSampling &&
-        pod.numTenants == 0 && !pod.allTimedWarmup &&
-        pod.warmupMode == SimMode::Functional)
+        pod.numTenants == 0 && functionalWarmup(pod))
         point.cfg.pod.sampling = opts.sampling;
 }
 
@@ -1036,62 +1034,56 @@ SweepRunner::runResilient(
     // sharing it. Journal-served points and duplicates never touch
     // the cache, so planning them would pin entries for acquires
     // that never come.
-    std::optional<TraceCache> cache;
-    if (cacheCfg_.enabled) {
-        cache.emplace(cacheCfg_.budgetBytes);
-        for (const std::size_t i : reps) {
-            const ExperimentPoint &p = points[i];
-            // Custom points (e.g. frontier's) usually route back
-            // through runPoint; planning them like standard
-            // points over-counts at worst, which only delays an
-            // entry's eager release until the LRU budget acts.
-            //
-            // Acquires are counted per point, not per identity:
-            // a point that acquires the same arena several times
-            // (a mix colocating a workload with itself, or a
-            // custom runner re-acquiring per sub-run) must plan
-            // all of them, or the eager release after its first
-            // release would drop the slot while the point still
-            // holds — and will re-acquire — the entry. Each key
-            // is planned once, at its largest window.
-            std::map<std::string,
-                     std::pair<std::uint64_t, std::uint64_t>>
-                needs; // key -> {max units, acquires}
-            const auto need = [&needs](const std::string &key,
-                                       std::uint64_t units) {
-                auto &[max_units, acquires] = needs[key];
-                max_units = std::max(max_units, units);
-                ++acquires;
-            };
-            need("trace/" + p.traceKey(), p.standardRecords());
-            // Identities a custom run function acquires beyond
-            // its own (a colocation mix's other tenants).
-            for (const auto &[key, units] : p.extraTraceNeeds)
-                need(key, units);
-            for (const auto &[key, plan] : needs)
-                cache->plan(key, plan.first, plan.second);
-            const std::uint64_t warm = p.warmupWindow();
-            if (!p.inBandWarmup &&
-                warmupArtifactEligible(p, warm)) {
-                cache->plan(warmupArtifactKey(p, warm), warm);
-                if (p.cfg.pod.sampling.enabled) {
-                    const SampleSchedule sched =
-                        computeSampleSchedule(
-                            p.cfg.pod.sampling,
-                            measureRecords(p.scale));
-                    cache->plan(
-                        sampleArtifactKey(p, warm, sched),
-                        sched.spanRecords());
-                }
-            }
+    TraceCache cache(cacheCfg_.budgetBytes);
+    for (const std::size_t i : reps) {
+        const ExperimentPoint &p = points[i];
+        // Custom points (e.g. frontier's) usually route back
+        // through runPoint; planning them like standard points
+        // over-counts at worst, which only delays an entry's
+        // eager release until the LRU budget acts.
+        //
+        // Acquires are counted per point, not per identity: a
+        // point that acquires the same arena several times (a mix
+        // colocating a workload with itself, or a custom runner
+        // re-acquiring per sub-run) must plan all of them, or the
+        // eager release after its first release would drop the
+        // slot while the point still holds — and will re-acquire
+        // — the entry. Each key is planned once, at its largest
+        // window.
+        std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
+            needs; // key -> {max units, acquires}
+        const auto need = [&needs](const std::string &key,
+                                   std::uint64_t units) {
+            auto &[max_units, acquires] = needs[key];
+            max_units = std::max(max_units, units);
+            ++acquires;
+        };
+        need(traceArenaKey(p.workload, p.cfg.pageBytes, p.baseSeed),
+             p.standardRecords());
+        // Identities a custom run function acquires beyond its
+        // own (a colocation mix's other tenants).
+        for (const auto &[key, units] : p.extraTraceNeeds)
+            need(key, units);
+        for (const auto &[key, plan] : needs)
+            cache.plan(key, plan.first, plan.second);
+        if (p.inBandWarmup)
+            continue;
+        const std::uint64_t warm = p.warmupWindow();
+        if (warmupArtifactEligible(p, warm))
+            cache.plan(warmupArtifactKey(p, warm), warm);
+        if (p.cfg.pod.sampling.enabled) {
+            const SampleSchedule sched = computeSampleSchedule(
+                p.cfg.pod.sampling, measureRecords(p.scale));
+            cache.plan(sampleArtifactKey(p, warm, sched),
+                       sched.spanRecords());
         }
-        if (res.tracer) {
-            SpanTracer *tr = res.tracer;
-            cache->setEventHook(
-                [tr](const char *kind, const std::string &key) {
-                    tr->instant("cache", kind, {{"key", key}});
-                });
-        }
+    }
+    if (res.tracer) {
+        SpanTracer *tr = res.tracer;
+        cache.setEventHook(
+            [tr](const char *kind, const std::string &key) {
+                tr->instant("cache", kind, {{"key", key}});
+            });
     }
 
     // Every attempt at point i, until one succeeds or the point
@@ -1136,7 +1128,7 @@ SweepRunner::runResilient(
                     got.timing.reusedFrom = points[rep].key();
                 } else {
                     ExperimentPoint p = points[i];
-                    p.traceCache = cache ? &*cache : nullptr;
+                    p.traceCache = &cache;
                     p.cfg.pod.deadline =
                         deadlineAfter(res.pointDeadlineS);
                     p.tracer = res.tracer;
@@ -1230,8 +1222,7 @@ SweepRunner::runResilient(
     runAll(reps);
     runAll(duplicates);
 
-    if (cache)
-        out.cache = cache->stats();
+    out.cache = cache.stats();
     out.executed = reps.size() + duplicates.size();
     for (const PointResult &r : out.results) {
         out.failed += r.failed;
@@ -1407,7 +1398,7 @@ renderSweepJson(const SweepOptions &options,
     // byte-identical across shard counts (tests/test_sweep.cc).
     // Per-point timings go in only for --time without --time-out:
     // wall-clock is execution detail, and embedding it would break
-    // the byte-identity across job counts and cache on/off.
+    // the byte-identity across job counts and cache budgets.
     const bool emit_timing =
         options.time && options.timeOut.empty();
     out += "  \"experiments\": {\n";
@@ -1521,8 +1512,6 @@ renderTimingJson(const SweepOptions &options,
     appendFmt(out, "  \"scale\": %.4f,\n", options.scale);
     appendFmt(out, "  \"seed\": %" PRIu64 ",\n", options.seed);
     appendFmt(out, "  \"jobs\": %u,\n", options.effectiveJobs());
-    appendFmt(out, "  \"trace_cache\": %s,\n",
-              options.cache.enabled ? "true" : "false");
     appendFmt(out,
               "  \"cache\": {\"hits\": %" PRIu64
               ", \"misses\": %" PRIu64

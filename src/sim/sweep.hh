@@ -28,6 +28,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,24 +41,23 @@
 
 namespace fpc {
 
+class MaterializedTrace;
 class SpanTracer;
 
 /**
  * Trace/warmup-artifact cache configuration of one sweep run.
  *
- * When enabled, each unique trace identity is generated once into
- * a MaterializedTrace and replayed by every point sharing it, and
+ * Each unique trace identity is generated once into a
+ * MaterializedTrace and replayed by every point sharing it, and
  * each (trace, hierarchy, warm window) functional-warmup image is
  * built once and applied to every design point sharing it. The
  * byte budget bounds resident arena+artifact memory (default
- * sized for CI runners; entries in use are never evicted, so a
+ * sized for CI runners). Entries in use are never evicted, so a
  * too-small budget degrades to regeneration, never to wrong
- * results). Results are bit-identical with the cache on or off.
+ * results; at 0 an entry goes as soon as no point holds it.
  */
 struct TraceCacheConfig
 {
-    bool enabled = true;
-
     /** Resident byte budget (default 1024 MB). */
     std::uint64_t budgetBytes = std::uint64_t{1024} << 20;
 };
@@ -135,9 +136,8 @@ struct SweepOptions
     /** Worker threads (0 = hardware concurrency). */
     unsigned jobs = 0;
 
-    /** Trace/warmup sharing across points: --no-trace-cache
-     * clears `enabled`, --trace-cache-mb N sets `budgetBytes` to
-     * N MB. */
+    /** Trace/warmup sharing across points: --trace-cache-mb N
+     * sets `budgetBytes` to N MB. */
     TraceCacheConfig cache;
 
     /** Per-point wall-clock breakdown reporting (--time). */
@@ -147,7 +147,7 @@ struct SweepOptions
      * Write the --time breakdown to this file as JSON instead of
      * embedding it in the merged report (--time-out; implies
      * --time). Keeping the merged JSON timing-free preserves its
-     * byte-identity across cache on/off and job counts.
+     * byte-identity across cache budgets and job counts.
      */
     std::string timeOut;
 
@@ -280,6 +280,26 @@ std::uint64_t traceIdentitySeed(WorkloadKind workload,
 std::string traceIdentityKey(WorkloadKind workload,
                              unsigned page_bytes,
                              std::uint64_t base_seed);
+
+/** TraceCache key of one trace identity's arena
+ * ("trace/" + traceIdentityKey()). */
+std::string traceArenaKey(WorkloadKind workload, unsigned page_bytes,
+                          std::uint64_t base_seed);
+
+/**
+ * The shared arena of one trace identity, holding at least
+ * @p records records: acquired from @p cache under
+ * traceArenaKey(), and generated there (the "trace-build" fault
+ * hook, makeWorkload, materializeTrace) when absent. Every trace
+ * a sweep point replays comes from here. @p generated, when
+ * given, is set if this call built the arena.
+ */
+std::shared_ptr<const MaterializedTrace>
+acquireTraceArena(TraceCache &cache, WorkloadKind workload,
+                  unsigned page_bytes, std::uint64_t base_seed,
+                  std::uint64_t records,
+                  Deadline deadline = kNoDeadline,
+                  bool *generated = nullptr);
 
 /** Paper capacities (MB), the default capacity axis. */
 extern const std::vector<std::uint64_t> kPaperCapacities;
@@ -458,8 +478,8 @@ struct ExperimentPoint
      * Shared artifact cache, set (non-owning) by the SweepRunner
      * on its working copy of the point. runPoint() replays the
      * point's trace — and, for the default functional warmup, its
-     * warmup artifact — from here instead of regenerating them.
-     * Null (external callers) preserves per-point generation.
+     * warmup artifact — from here, or from pointCache()'s own
+     * cache when null.
      */
     TraceCache *traceCache = nullptr;
 
@@ -474,11 +494,12 @@ struct ExperimentPoint
         extraTraceNeeds;
 
     /**
-     * This point warms in-band and never acquires a shared
-     * WarmupArtifact (colocation mixes: the post-L2 stream is
-     * not design-independent). Stops the runner from planning a
-     * warmup use that would never be drained — an undrained plan
-     * pins the shared artifact in the cache budget for the whole
+     * This point never acquires a shared WarmupArtifact: a
+     * colocation mix warms in-band (its post-L2 stream is not
+     * design-independent), and fig12's access-counting run has
+     * no warmup at all. Stops the runner from planning a warmup
+     * use that would never be drained — an undrained plan pins
+     * the shared artifact in the cache budget for the whole
      * sweep.
      */
     bool inBandWarmup = false;
@@ -537,8 +558,18 @@ std::string standardLabel(WorkloadKind wk,
                           const Experiment::Config &cfg);
 
 /**
- * Run one point: fresh workload + experiment, capacity-scaled
- * warmup, measured window, footprint detail snapshot.
+ * The cache a run function draws from: the point's TraceCache,
+ * or, for a caller outside a SweepRunner (no cache set), @p own
+ * emplaced at the default budget, which lives as long as the
+ * caller keeps @p own.
+ */
+TraceCache &pointCache(const ExperimentPoint &point,
+                       std::optional<TraceCache> &own);
+
+/**
+ * Run one point: trace arena and warmup artifact from
+ * pointCache(), experiment, capacity-scaled warmup, measured
+ * window, footprint detail snapshot.
  */
 PointResult runPoint(const ExperimentPoint &point);
 
@@ -606,8 +637,7 @@ struct SweepOutcome
     /** Terminal failures (results[i].failed). */
     std::size_t failed = 0;
 
-    /** Trace-cache counters of this run (all zero when the
-     * cache was disabled). */
+    /** Trace-cache counters of this run. */
     TraceCacheStats cache;
 };
 
@@ -640,8 +670,9 @@ class SweepRunner
   public:
     /**
      * @param jobs worker threads (0 = hardware concurrency).
-     * @param cache trace/warmup sharing across points (enabled
-     *        by default; results are identical either way).
+     * @param cache budget of the trace/warmup cache every
+     *        point draws from (results are identical at any
+     *        budget).
      */
     explicit SweepRunner(unsigned jobs = 0,
                          TraceCacheConfig cache = {});

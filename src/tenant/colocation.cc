@@ -3,14 +3,13 @@
 #include "tenant/colocation.hh"
 
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 
-#include "common/fault.hh"
 #include "common/logging.hh"
 #include "mem/materialized_trace.hh"
 #include "telemetry/trace_events.hh"
 #include "tenant/mix_source.hh"
-#include "workload/generator.hh"
 
 namespace fpc {
 
@@ -22,16 +21,6 @@ secondsSince(std::chrono::steady_clock::time_point t0)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - t0)
         .count();
-}
-
-/** Shared-arena cache key of one tenant's solo identity. */
-std::string
-tenantTraceKey(const ExperimentPoint &point,
-               const TenantSpec &spec)
-{
-    return "trace/" + traceIdentityKey(spec.workload,
-                                       point.cfg.pageBytes,
-                                       point.baseSeed);
 }
 
 } // namespace
@@ -127,7 +116,9 @@ makeColocationPoint(const std::vector<TenantSpec> &tenants,
     const std::uint64_t per_tenant = p.standardRecords();
     for (std::size_t t = 1; t < tenants.size(); ++t) {
         p.extraTraceNeeds.emplace_back(
-            tenantTraceKey(p, tenants[t]), per_tenant);
+            traceArenaKey(tenants[t].workload, p.cfg.pageBytes,
+                          p.baseSeed),
+            per_tenant);
     }
     return p;
 }
@@ -147,50 +138,21 @@ runColocationPoint(const ExperimentPoint &point)
     // the whole window alone, so each stream must hold it all.
     const std::uint64_t per_tenant = warm + measure;
 
+    std::optional<TraceCache> own_cache;
+    TraceCache &cache = pointCache(point, own_cache);
     std::uint64_t span_t0 = tracer ? tracer->nowUs() : 0;
     auto t0 = std::chrono::steady_clock::now();
     std::vector<std::unique_ptr<TraceSource>> sources;
     std::vector<unsigned> cores;
-    bool generated = false;
     for (const TenantSpec &spec : tenants) {
-        const std::uint64_t seed = traceIdentitySeed(
-            spec.workload, point.cfg.pageBytes, point.baseSeed);
-        if (point.traceCache) {
-            auto arena = std::static_pointer_cast<
-                const MaterializedTrace>(
-                point.traceCache->acquire(
-                    tenantTraceKey(point, spec), per_tenant,
-                    [&](std::uint64_t records) {
-                        faultPoint("trace-build",
-                                   traceIdentityKey(
-                                       spec.workload,
-                                       point.cfg.pageBytes,
-                                       point.baseSeed));
-                        generated = true;
-                        auto built = std::make_shared<
-                            MaterializedTrace>();
-                        materializeTrace(
-                            makeWorkload(spec.workload,
-                                         point.cfg.pageBytes,
-                                         seed),
-                            records, *built,
-                            point.cfg.pod.deadline);
-                        return built;
-                    },
-                    point.cfg.pod.deadline));
-            FPC_ASSERT(arena->size() >= per_tenant);
-            sources.push_back(
-                std::make_unique<ReplayTraceSource>(arena));
-        } else {
-            sources.push_back(
-                std::make_unique<SyntheticTraceSource>(
-                    makeWorkload(spec.workload,
-                                 point.cfg.pageBytes, seed)));
-        }
+        sources.push_back(std::make_unique<ReplayTraceSource>(
+            acquireTraceArena(cache, spec.workload,
+                              point.cfg.pageBytes, point.baseSeed,
+                              per_tenant, point.cfg.pod.deadline,
+                              &out.timing.generatedTrace)));
         cores.push_back(spec.cores);
     }
-    out.timing.replayedTrace = point.traceCache != nullptr;
-    out.timing.generatedTrace = generated;
+    out.timing.replayedTrace = true;
     TenantMixSource mix(std::move(sources), cores);
     out.timing.traceSeconds = secondsSince(t0);
     if (tracer)

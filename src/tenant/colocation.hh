@@ -21,7 +21,7 @@
  * Determinism: record-to-core dispatch is decided by the pod's
  * loops, per-tenant streams are identity-seeded, and the point
  * runs single-threaded — results are bit-identical across
- * --jobs counts and trace-cache on/off.
+ * --jobs counts and trace-cache budgets.
  */
 
 #ifndef FPC_TENANT_COLOCATION_HH
@@ -86,8 +86,9 @@ makeColocationPoint(const std::vector<TenantSpec> &tenants,
                     std::uint64_t base_seed);
 
 /**
- * Run a colocation point: acquire each tenant's arena (or
- * generate fresh streams when no cache is wired), mix them onto
+ * Run a colocation point: acquire each tenant's arena from the
+ * point's TraceCache (a cache of this call's own when it has
+ * none), mix them onto
  * the pod via TenantMixSource, run in-band warmup + measurement,
  * and return aggregate metrics with RunMetrics::tenants filled.
  */

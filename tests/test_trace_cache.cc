@@ -364,6 +364,30 @@ TEST(TraceCache, EvictsLruWithinBudgetAndRegenerates)
     EXPECT_EQ(cache.stats().regenerations, 1u);
 }
 
+TEST(TraceCache, ZeroBudgetKeepsNothingPastItsLastHolder)
+{
+    // At budget 0 an entry lives only while someone holds it: a
+    // second holder shares it, and the next acquire after the
+    // last holder let go rebuilds it, even with no other build in
+    // between.
+    TraceCache cache(0);
+    int builds = 0;
+    auto build = [&](std::uint64_t) -> TraceCache::EntryPtr {
+        ++builds;
+        return std::make_shared<FakeEntry>(100);
+    };
+    {
+        auto a = cache.acquire("k", 0, build);
+        auto b = cache.acquire("k", 0, build);
+        EXPECT_EQ(a.get(), b.get());
+    }
+    EXPECT_EQ(builds, 1);
+    auto c = cache.acquire("k", 0, build);
+    EXPECT_EQ(builds, 2);
+    EXPECT_EQ(cache.stats().regenerations, 1u);
+    EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
 TEST(TraceCache, PinnedEntriesAreNeverEvicted)
 {
     TraceCache cache(150);
@@ -536,9 +560,10 @@ TEST(WarmupArtifact, ApplyMatchesInBandWarmup)
 TEST(WarmupArtifact, SharedAcrossDesignsViaRunPoint)
 {
     // Two designs sharing a trace and a warm window must produce
-    // identical results through the cache (artifact shared) and
-    // without it (everything regenerated per point).
-    TraceCache cache(std::uint64_t{4} << 30);
+    // identical results whether the second replays the first's
+    // arena and warmup artifact (one shared cache) or each point
+    // regenerates both (a runner at a one-byte budget).
+    std::vector<ExperimentPoint> points;
     for (const char *design : {"footprint", "page"}) {
         ExperimentPoint p;
         p.experiment = "unit";
@@ -547,11 +572,23 @@ TEST(WarmupArtifact, SharedAcrossDesignsViaRunPoint)
         p.cfg.capacityMb = 64;
         p.scale = 0.02;
         p.label = standardLabel(p.workload, p.cfg);
+        points.push_back(p);
+    }
+    const SweepOutcome regenerated =
+        SweepRunner(1, {.budgetBytes = 1})
+            .runResilient(points, ResilienceOptions{});
+    EXPECT_EQ(regenerated.cache.hits, 0u);
+    EXPECT_EQ(regenerated.cache.regenerations, 2u);
 
-        PointResult plain = runPoint(p);
+    TraceCache cache(std::uint64_t{4} << 30);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        ExperimentPoint p = points[i];
+        const char *design = p.cfg.design.c_str();
+        const PointResult &plain = regenerated.results[i];
         p.traceCache = &cache;
         PointResult cached = runPoint(p);
 
+        ASSERT_FALSE(plain.failed) << plain.error;
         EXPECT_EQ(plain.metrics.cycles, cached.metrics.cycles)
             << design;
         EXPECT_EQ(plain.metrics.instructions,
@@ -563,7 +600,8 @@ TEST(WarmupArtifact, SharedAcrossDesignsViaRunPoint)
         EXPECT_EQ(plain.covered, cached.covered) << design;
         EXPECT_TRUE(cached.timing.replayedTrace) << design;
         EXPECT_TRUE(cached.timing.replayedWarmup) << design;
-        EXPECT_FALSE(plain.timing.replayedTrace) << design;
+        EXPECT_TRUE(plain.timing.generatedTrace) << design;
+        EXPECT_TRUE(plain.timing.builtWarmup) << design;
     }
     // One arena, one artifact: the second design hit both.
     EXPECT_EQ(cache.stats().misses, 2u);
