@@ -16,7 +16,6 @@
 #include "experiments/experiments.hh"
 #include "mem/materialized_trace.hh"
 #include "sim/pod_system.hh"
-#include "telemetry/trace_events.hh"
 #include "workload/analysis.hh"
 
 namespace fpcbench {
@@ -39,11 +38,13 @@ runHotPages(const ExperimentPoint &point)
         static_cast<std::uint64_t>(12e6 * point.scale);
     std::optional<TraceCache> own_cache;
     PointResult out;
+    PhaseTimer phase(point);
     ReplayTraceSource trace(acquireTraceArena(
         pointCache(point, own_cache), point.workload,
         point.cfg.pageBytes, point.baseSeed, records,
         point.cfg.pod.deadline, &out.timing.generatedTrace));
     out.timing.replayedTrace = true;
+    out.timing.traceSeconds = phase.lap("trace");
     AccessCountingMemory mem(4096);
     DramSystem off(DramSystem::Config::offchipPod());
     PodConfig pod_cfg;
@@ -53,14 +54,10 @@ runHotPages(const ExperimentPoint &point)
     pod_cfg.telemetry = point.cfg.pod.telemetry;
     pod_cfg.deadline = point.cfg.pod.deadline;
     PodSystem pod(pod_cfg, trace, mem, nullptr, off);
-    // The whole bespoke run is its measured window: one phase
-    // span keeps the fig12 lane consistent with standard points.
-    SpanTracer *tracer = point.tracer;
-    const std::uint64_t span_t0 = tracer ? tracer->nowUs() : 0;
+    phase.lap("construct");
+    // The whole bespoke run is its measured window.
     out.metrics = pod.run(0, records);
-    if (tracer)
-        tracer->span("phase", "measure:" + point.key(), span_t0,
-                     tracer->nowUs());
+    out.timing.measureSeconds = phase.lap("measure");
     out.intervals = pod.intervals();
     if (const TelemetryProbe *probe = pod.probe())
         appendProbeExtras(*probe, out.extra);

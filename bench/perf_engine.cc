@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "common/wall_clock.hh"
 #include "sim/sweep.hh"
 #include "workload/generator.hh"
 
@@ -81,14 +82,6 @@ struct PhaseTimes
         return warmupSeconds + measureSeconds;
     }
 };
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
 
 /** Warmup configuration of one run. */
 enum class EngineMode

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <numeric>
 
 #include "common/fault.hh"
 #include "common/logging.hh"
+#include "common/wall_clock.hh"
 
 namespace fpc {
 
@@ -66,89 +66,114 @@ intervalOf(RunMetrics &&d)
 }
 
 /**
- * The hierarchy-only half of runWarmup's functional path, over a
- * MaterializedTrace: the same round-robin burst dispatch, with
- * every post-L2 op appended in enqueue order — exactly the order
- * the deferred FIFO hands them to the memory system (FIFOs
- * preserve order, and in functional mode the cycle argument is
- * always 0, so *when* an op drains is irrelevant).
+ * The one way records reach the hierarchy during warmup: records
+ * of @p trace dispatched round-robin in bursts of
+ * PodSystem::kDispatchBurst, every post-L2 op appended in the
+ * order the memory system must see it. The hierarchy takes no
+ * input from the memory system below, so the ops can be replayed
+ * later, in batches or by another pod, with the same effect.
  *
- * The whole cursor is `pulled`, the records dispatched counted
- * from record 0: the core rotates once per burst, and every chunk
- * but the last holds exactly kChunkRecords. So consecutive
- * advance() calls continue as if they were one, and a pass can
- * start mid-trace where an earlier one stopped.
+ * The cursor is `pulled`, the records dispatched counted from
+ * record 0 of the stream; the starting core follows from it, so a
+ * pass can resume mid-trace where an earlier one stopped. A core
+ * whose stream runs dry is retired and the burst moves on to the
+ * next live core.
  */
 struct HierarchyPass
 {
-    const MaterializedTrace &trace;
-    CacheHierarchy hierarchy;
+    TraceSource &trace;
+    CacheHierarchy &hierarchy;
     std::uint64_t pulled;
+    std::vector<bool> alive;
+    unsigned numAlive;
+    unsigned core;
     /** Checked every 4096 records, like the replay loops. */
     Deadline deadline;
     std::uint64_t nextCheck;
 
-    HierarchyPass(const MaterializedTrace &t,
-                  const CacheHierarchy::Config &cfg,
+    HierarchyPass(TraceSource &t, CacheHierarchy &h,
                   std::uint64_t first, Deadline dl)
-        : trace(t), hierarchy(cfg), pulled(first), deadline(dl),
-          nextCheck(first)
+        : trace(t), hierarchy(h), pulled(first),
+          alive(h.numCores(), true), numAlive(h.numCores()),
+          core(static_cast<unsigned>(
+              (first / PodSystem::kDispatchBurst) % h.numCores())),
+          deadline(dl), nextCheck(first)
     {
     }
 
-    /** Dispatch the next @p count records, appending their ops
-     * to @p ops; returns the instructions they carried. */
+    /** Dispatch the next @p count records (fewer once every
+     * core's stream is dry), appending their ops to @p ops;
+     * returns the instructions they carried. */
     std::uint64_t
     advance(std::uint64_t count, PostL2Ops &ops)
     {
         constexpr unsigned kBurst = PodSystem::kDispatchBurst;
-        constexpr std::size_t kChunk =
-            MaterializedTrace::kChunkRecords;
         const std::uint64_t stop = pulled + count;
         std::uint64_t instructions = 0;
-        MemRequest req;
-        while (pulled < stop) {
+        TraceRecord rec;
+        while (pulled < stop && numAlive > 0) {
             if (pulled >= nextCheck) {
                 throwIfCancelled(deadline);
                 nextCheck = pulled + 4096;
             }
-            const MaterializedTrace::ChunkView c = trace.chunk(
-                static_cast<std::size_t>(pulled / kChunk));
-            const std::size_t off =
-                static_cast<std::size_t>(pulled % kChunk);
-            const std::size_t end = off + static_cast<std::size_t>(
-                std::min<std::uint64_t>({c.records - off,
-                                         kBurst - pulled % kBurst,
-                                         stop - pulled}));
-            req.coreId = static_cast<std::uint16_t>(
-                (pulled / kBurst) % hierarchy.numCores());
-            for (std::size_t i = off; i < end; ++i) {
-                req.paddr = c.paddr[i];
-                req.pc = c.pc[i];
-                req.op = static_cast<MemOp>(c.op[i]);
-                instructions += c.gap[i] + 1;
-
-                HierarchyOutcome out = hierarchy.access(req);
-                if (!out.l1Hit && !out.l2Hit) {
-                    ops.paddr.push_back(req.paddr);
-                    ops.pc.push_back(req.pc);
-                    ops.coreId.push_back(req.coreId);
-                    ops.kind.push_back(req.op == MemOp::Write
-                                           ? PostL2Ops::kWrite
-                                           : PostL2Ops::kRead);
-                }
-                for (unsigned w = 0; w < out.numWritebacks; ++w) {
-                    ops.paddr.push_back(out.writebackAddr[w]);
-                    ops.pc.push_back(0);
-                    ops.coreId.push_back(req.coreId);
-                    ops.kind.push_back(PostL2Ops::kWriteback);
-                }
+            if (!alive[core]) {
+                rotate();
+                continue;
             }
-            pulled += end - off;
+            TraceRecord *span = nullptr;
+            std::size_t n = trace.acquire(core, span);
+            if (n > 0) {
+                n = static_cast<std::size_t>(std::min<std::uint64_t>(
+                    {n, kBurst - pulled % kBurst, stop - pulled}));
+                for (std::size_t i = 0; i < n; ++i)
+                    instructions += dispatch(span[i], ops);
+                trace.skip(n);
+            } else if (trace.next(core, rec)) {
+                n = 1;
+                instructions += dispatch(rec, ops);
+            } else {
+                alive[core] = false;
+                --numAlive;
+                rotate();
+                continue;
+            }
+            pulled += n;
+            if (pulled % kBurst == 0)
+                rotate();
         }
         return instructions;
     }
+
+  private:
+    void rotate() { core = core + 1 == alive.size() ? 0 : core + 1; }
+
+    /** One record through the hierarchy on the current core. */
+    std::uint64_t
+    dispatch(TraceRecord &rec, PostL2Ops &ops)
+    {
+        rec.req.coreId = static_cast<std::uint16_t>(core);
+        const HierarchyOutcome out = hierarchy.access(rec.req);
+        if (out.llcMiss()) {
+            ops.push(rec.req.paddr, rec.req.pc, rec.req.coreId,
+                     rec.req.op == MemOp::Write ? PostL2Ops::kWrite
+                                                : PostL2Ops::kRead);
+        }
+        for (unsigned w = 0; w < out.numWritebacks; ++w) {
+            ops.push(out.writebackAddr[w], 0, rec.req.coreId,
+                     PostL2Ops::kWriteback);
+        }
+        return rec.computeGap + 1;
+    }
 };
+
+/** A ReplayTraceSource over @p trace, which the caller keeps
+ * alive for the source's lifetime. */
+ReplayTraceSource
+replayOf(const MaterializedTrace &trace)
+{
+    return ReplayTraceSource(std::shared_ptr<const MaterializedTrace>(
+        std::shared_ptr<const MaterializedTrace>(), &trace));
+}
 
 } // namespace
 
@@ -283,176 +308,25 @@ PodSystem::capture(Cycle now) const
 void
 PodSystem::runWarmup(std::uint64_t warmup_refs)
 {
-    setDramMode(config_.warmupMode);
-    const bool timed = config_.warmupMode == SimMode::Timed;
-    const unsigned cores = config_.numCores;
-    const Cycle l1l2 =
-        config_.l1HitLatency + config_.l2HitLatency;
-
-    // Per-core clocks approximate issue times for the Timed
-    // baseline (blocking in-order issue); Functional mode never
-    // reads them. Dispatch is round-robin and therefore identical
-    // in both modes, which is what makes the post-warmup state
-    // bit-identical.
-    std::vector<Cycle> clock(cores, 0);
-    std::vector<bool> alive(cores, true);
-    unsigned num_alive = cores;
-    unsigned core = 0;
-
-    // Dispatch hands each core a burst of kDispatchBurst
-    // consecutive records rather than rotating every record: the
-    // event-queue loop lets a core ride its L1 hits through the
-    // consecutive same-block repeats of the stream, and per-record
-    // rotation would scatter those repeats across cores and feed
-    // the L2 nearly every record. The L2-miss stream the DRAM
-    // cache trains on is essentially dispatch-invariant, so this
-    // only restores the L1 locality the timing loop exhibits.
-    std::uint64_t pulled = 0;
-
-    // Deferred memory-operation FIFO. Records that hit in the
-    // hierarchy never touch the memory system, so its demand
-    // accesses and writebacks can be postponed across them as long
-    // as their mutual order is preserved — the memory system then
-    // observes exactly the sequence immediate processing would
-    // produce, but each operation has had kMemQueue slots of
-    // prefetch distance for its tag/tracking state.
-    struct PendingMemOp
-    {
-        MemRequest req;
-        std::uint32_t computeGap;
-        bool isWriteback;
-    };
-    constexpr unsigned kMemQueue = 8; // power of two
-    PendingMemOp memq[kMemQueue];
-    unsigned mem_head = 0;
-    unsigned mem_count = 0;
-
-    auto noteDemand = [&](const MemRequest &req,
-                          const MemSystemResult &res) {
-        if (tenant_totals_.empty())
-            return;
-        TenantMetrics &tm = tenant_totals_[req.tenantId];
-        ++tm.demandAccesses;
-        tm.demandHits += res.cacheHit ? 1 : 0;
-    };
-    auto drainOne = [&]() {
-        const PendingMemOp &op = memq[mem_head];
-        mem_head = (mem_head + 1) & (kMemQueue - 1);
-        --mem_count;
-        const unsigned op_core = op.req.coreId;
-        if (op.isWriteback) {
-            memory_.writeback(clock[op_core], op.req.paddr);
-        } else if (timed) {
-            const Cycle compute = static_cast<Cycle>(
-                static_cast<double>(op.computeGap) /
-                config_.coreIpc);
-            const Cycle issue = clock[op_core] + compute + l1l2;
-            MemSystemResult res = memory_.access(issue, op.req);
-            noteDemand(op.req, res);
-            clock[op_core] =
-                op.req.op == MemOp::Read ? res.doneAt : issue;
-        } else {
-            noteDemand(op.req, memory_.access(0, op.req));
-        }
-    };
-    auto enqueue = [&](const PendingMemOp &op) {
-        if (mem_count == kMemQueue)
-            drainOne();
-        memq[(mem_head + mem_count) & (kMemQueue - 1)] = op;
-        ++mem_count;
-        memory_.prefetchFor(op.req.paddr);
-        if (mem_count > kMemQueue / 2) {
-            memory_.prefetchFor2(
-                memq[(mem_head + kMemQueue / 2) & (kMemQueue - 1)]
-                    .req.paddr);
-        }
-    };
-
-    auto process = [&](const TraceRecord &rec) {
-        ++total_records_;
-        total_instructions_ += rec.computeGap + 1;
-
-        HierarchyOutcome out = hierarchy_.access(rec.req);
-        if (!tenant_totals_.empty()) {
-            TenantMetrics &tm = tenant_totals_[rec.req.tenantId];
-            ++tm.traceRecords;
-            tm.instructions += rec.computeGap + 1;
-            tm.llcMisses += out.llcMiss() ? 1 : 0;
-        }
-        if (!out.l1Hit && !out.l2Hit) {
-            PendingMemOp op;
-            op.req = rec.req;
-            op.computeGap = rec.computeGap;
-            op.isWriteback = false;
-            enqueue(op);
-        }
-        for (unsigned i = 0; i < out.numWritebacks; ++i) {
-            PendingMemOp op;
-            op.req.paddr = out.writebackAddr[i];
-            op.req.coreId = rec.req.coreId;
-            op.computeGap = 0;
-            op.isWriteback = true;
-            enqueue(op);
-        }
-    };
-
-    TraceRecord rec;
-    std::uint64_t iterations = 0;
-    while (pulled < warmup_refs && num_alive > 0) {
-        // Deadline check every 64 iterations: an iteration is a
-        // dispatch burst (~kDispatchBurst records), or one record
-        // for sources without batch access, so an armed deadline
-        // keeps its clock read off the per-record path.
-        if ((iterations++ & 63) == 0)
-            throwIfCancelled(config_.deadline);
-        if (!alive[core]) {
-            core = (core + 1 == cores) ? 0 : core + 1;
-            continue;
-        }
-
-        // Zero-copy fast path: consume the source's ready batch in
-        // place. Only the lightweight loop can do this — the
-        // timing loop's record-to-core dispatch is decided one
-        // record at a time by the event queue.
-        TraceRecord *span = nullptr;
-        std::size_t avail = trace_.acquire(core, span);
-        if (avail > 0) {
-            const std::uint64_t burst_left =
-                kDispatchBurst - (pulled & (kDispatchBurst - 1));
-            const std::uint64_t take = std::min<std::uint64_t>(
-                {avail, burst_left, warmup_refs - pulled});
-            for (std::uint64_t i = 0; i < take; ++i) {
-                span[i].req.coreId =
-                    static_cast<std::uint16_t>(core);
-                process(span[i]);
-            }
-            trace_.skip(take);
-            pulled += take;
-            if ((pulled & (kDispatchBurst - 1)) == 0)
-                core = (core + 1 == cores) ? 0 : core + 1;
-            continue;
-        }
-
-        // Per-record fallback for sources without batch access.
-        if (!trace_.next(core, rec)) {
-            alive[core] = false;
-            --num_alive;
-            core = (core + 1 == cores) ? 0 : core + 1;
-            continue;
-        }
-        rec.req.coreId = static_cast<std::uint16_t>(core);
-        ++pulled;
-        if ((pulled & (kDispatchBurst - 1)) == 0)
-            core = (core + 1 == cores) ? 0 : core + 1;
-        process(rec);
+    // Bounded batches keep the op buffer small; the pass carries
+    // its dispatch state across them, so batching is invisible to
+    // the memory system.
+    constexpr std::uint64_t kBatch = 4096;
+    HierarchyPass pass(trace_, hierarchy_, 0, config_.deadline);
+    std::vector<Cycle> clock(config_.numCores, 0);
+    PostL2Ops ops;
+    while (pass.pulled < warmup_refs && pass.numAlive > 0) {
+        ops.clear();
+        total_instructions_ += pass.advance(
+            std::min(kBatch, warmup_refs - pass.pulled), ops);
+        replayOps(ops, 0, ops.paddr.size(), config_.warmupMode,
+                  clock.data());
     }
-    while (mem_count > 0)
-        drainOne();
+    total_records_ += pass.pulled;
 
     // Phase boundary: the measurement loop restarts time at zero
     // from a drained memory system, so the measured window is
     // independent of how warmup was simulated.
-    setDramMode(SimMode::Timed);
     if (stacked_)
         stacked_->resetTiming();
     offchip_.resetTiming();
@@ -466,11 +340,13 @@ PodSystem::buildWarmupArtifact(const MaterializedTrace &trace,
 {
     FPC_ASSERT(trace.size() >= warm_records);
     auto art = std::make_shared<WarmupArtifact>();
-    HierarchyPass pass(trace, hier_cfg, 0, deadline);
+    ReplayTraceSource source = replayOf(trace);
+    CacheHierarchy hierarchy(hier_cfg);
+    HierarchyPass pass(source, hierarchy, 0, deadline);
     art->instructions = pass.advance(warm_records, *art);
-    pass.hierarchy.saveState(art->hierarchy);
+    hierarchy.saveState(art->hierarchy);
     art->records = warm_records;
-    art->hierarchyBytes = pass.hierarchy.stateBytes();
+    art->hierarchyBytes = hierarchy.stateBytes();
     return art;
 }
 
@@ -487,49 +363,65 @@ PodSystem::buildSampleSpanArtifact(
     auto art = std::make_shared<SampleSpanArtifact>();
     art->schedule = sched;
     // Continues buildWarmupArtifact's pass as if the two were one.
-    HierarchyPass pass(trace, hier_cfg, warm_records, deadline);
-    pass.hierarchy.restoreState(warm_art.hierarchy);
+    ReplayTraceSource source = replayOf(trace);
+    source.seekTo(warm_records);
+    CacheHierarchy hierarchy(hier_cfg);
+    hierarchy.restoreState(warm_art.hierarchy);
+    HierarchyPass pass(source, hierarchy, warm_records, deadline);
     for (unsigned p = 0; p < sched.intervals; ++p) {
         art->gapInstructions.push_back(
             pass.advance(sched.gap, *art));
         art->opGapEnd.push_back(art->paddr.size());
         art->hierarchyAtTimedStart.emplace_back();
-        pass.hierarchy.saveState(art->hierarchyAtTimedStart.back());
+        hierarchy.saveState(art->hierarchyAtTimedStart.back());
         pass.advance(sched.ramp + sched.measure, *art);
         art->opPeriodEnd.push_back(art->paddr.size());
     }
     art->hierarchyBytes =
         static_cast<std::uint64_t>(sched.intervals) *
-        pass.hierarchy.stateBytes();
+        hierarchy.stateBytes();
     return art;
 }
 
 void
 PodSystem::replayOps(const PostL2Ops &ops, std::size_t begin,
-                     std::size_t end)
+                     std::size_t end, SimMode mode, Cycle *clock)
 {
-    setDramMode(SimMode::Functional);
+    const bool timed = mode == SimMode::Timed;
+    FPC_ASSERT(!timed || clock != nullptr);
+    const Cycle l1l2 =
+        config_.l1HitLatency + config_.l2HitLatency;
+    setDramMode(mode);
     MemRequest req;
     for (std::size_t i = begin; i < end; ++i) {
         if ((i & 0xfff) == 0)
             throwIfCancelled(config_.deadline);
-        // Same effective two-stage tag/payload prefetch
-        // distances the deferred FIFO gives the in-band warmup
-        // loop (stage 1 a full queue ahead, stage 2 half plus
-        // the in-flight drain slot).
+        // Two-stage tag/payload prefetch: stage 1 eight ops
+        // ahead, stage 2 five ahead, once stage 1 has landed.
         if (i + 8 < end)
             memory_.prefetchFor(ops.paddr[i + 8]);
         if (i + 5 < end)
             memory_.prefetchFor2(ops.paddr[i + 5]);
         const std::uint8_t kind = ops.kind[i];
+        const unsigned core = ops.coreId[i];
         if (kind == PostL2Ops::kWriteback) {
-            memory_.writeback(0, ops.paddr[i]);
+            memory_.writeback(timed ? clock[core] : 0, ops.paddr[i]);
+            continue;
+        }
+        req.paddr = ops.paddr[i];
+        req.pc = ops.pc[i];
+        req.op = kind == PostL2Ops::kWrite ? MemOp::Write
+                                           : MemOp::Read;
+        req.coreId = static_cast<std::uint16_t>(core);
+        req.tenantId =
+            static_cast<std::uint16_t>(tenantOfAddr(req.paddr));
+        if (timed) {
+            // Blocking in-order issue: a read holds its core
+            // until the block returns.
+            const Cycle issue = clock[core] + l1l2;
+            const MemSystemResult res = memory_.access(issue, req);
+            clock[core] = req.op == MemOp::Read ? res.doneAt : issue;
         } else {
-            req.paddr = ops.paddr[i];
-            req.pc = ops.pc[i];
-            req.op = kind == PostL2Ops::kWrite ? MemOp::Write
-                                               : MemOp::Read;
-            req.coreId = ops.coreId[i];
             memory_.access(0, req);
         }
     }
@@ -550,7 +442,8 @@ PodSystem::applyWarmup(const WarmupArtifact &artifact)
     FPC_ASSERT(config_.warmupMode == SimMode::Functional &&
                !config_.allTimedWarmup);
     hierarchy_.restoreState(artifact.hierarchy);
-    replayOps(artifact, 0, artifact.paddr.size());
+    replayOps(artifact, 0, artifact.paddr.size(),
+              SimMode::Functional);
     total_records_ += artifact.records;
     total_instructions_ += artifact.instructions;
 
@@ -815,7 +708,7 @@ PodSystem::run(std::uint64_t warmup_refs,
         if (config_.allTimedWarmup) {
             // Legacy all-timed engine: warmup pays the full
             // event-queue timing loop. Drain the channels at the
-            // boundary as the lightweight paths do. Not a
+            // boundary as runWarmup does. Not a
             // measured window: telemetry stays quiet.
             runMeasure(warmup_refs, false);
             if (stacked_)
@@ -862,13 +755,6 @@ PodSystem::runSampled(std::uint64_t span_refs,
                sched.measure == span_art.schedule.measure);
     const std::size_t ramp_epochs = sched.rampEpochs;
 
-    const auto seconds =
-        [](std::chrono::steady_clock::time_point t0) {
-            return std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                .count();
-        };
-
     SampledRun out;
     std::vector<double> interval_ipc;
     std::uint64_t op_start = 0;
@@ -882,7 +768,7 @@ PodSystem::runSampled(std::uint64_t span_refs,
         // past the records they came from, and land on the
         // artifact's hierarchy snapshot at the timed start.
         const std::uint64_t op_end = span_art.opGapEnd[i];
-        replayOps(span_art, op_start, op_end);
+        replayOps(span_art, op_start, op_end, SimMode::Functional);
         if (sched.gap > 0)
             trace_.fastForward(sched.gap);
         total_records_ += sched.gap;
@@ -902,7 +788,7 @@ PodSystem::runSampled(std::uint64_t span_refs,
         // systematically underestimate queueing latency (the span
         // as a whole still starts from the clean post-warmup
         // boundary, exactly like an exact run's measure window).
-        out.ffSeconds += seconds(t0);
+        out.ffSeconds += secondsSince(t0);
 
         t0 = std::chrono::steady_clock::now();
         const std::uint64_t saved_interval =
@@ -914,7 +800,7 @@ PodSystem::runSampled(std::uint64_t span_refs,
                            clock, &carry);
         record_epochs_ = false;
         config_.telemetry.intervalRecords = saved_interval;
-        out.timedSeconds += seconds(t0);
+        out.timedSeconds += secondsSince(t0);
 
         // The aggregate takes each measured epoch in turn (the
         // energy doubles must sum in epoch order); the interval

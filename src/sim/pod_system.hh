@@ -5,19 +5,24 @@
  * DesignRegistry organization), stacked and off-chip DRAM channel
  * models.
  *
- * The engine is two-phase. The warmup phase dispatches records to
- * cores round-robin through a lightweight loop with no event queue
- * and no OoO/MLP bookkeeping — its only job is to warm every
- * architectural structure (hierarchy, DRAM-cache tags, FHT,
- * MissMap, singleton table). Under SimMode::Functional (the
- * default) the pod puts its stacked and off-chip DramSystems in
- * Functional mode for the warmup, so every DRAM access returns at
- * its issue cycle without bank-timing or energy modeling, while
- * the memory system runs its one access path unchanged; under
- * SimMode::Timed the DRAM model runs in full, which serves as the
- * all-timed cost baseline (bench/perf_engine). Because
- * record-to-core dispatch is timing-independent and no structure's
- * state update reads the cycle argument, both warmup modes leave
+ * The engine is two-phase. The warmup phase has one engine in two
+ * halves, with no event queue and no OoO/MLP bookkeeping — its
+ * only job is to warm every architectural structure (hierarchy,
+ * DRAM-cache tags, FHT, MissMap, singleton table). A hierarchy
+ * pass dispatches records to cores round-robin in bursts and
+ * collects the post-L2 ops (LLC misses and dirty writebacks) in
+ * order; replayOps() feeds them to the memory system. The
+ * hierarchy takes no input from the memory system, so the two
+ * halves can run batch by batch in-band, or the pass can run once
+ * per trace into a WarmupArtifact that every design replays.
+ * Under SimMode::Functional (the default) the replay puts the
+ * stacked and off-chip DramSystems in Functional mode, so every
+ * DRAM access returns at its issue cycle without bank-timing or
+ * energy modeling, while the memory system runs its one access
+ * path unchanged; under SimMode::Timed the DRAM model runs in
+ * full, which serves as a timed cost baseline (bench/perf_engine).
+ * Because dispatch is timing-independent and no structure's state
+ * update reads the cycle argument, both warmup modes leave
  * bit-identical state at the phase boundary, where the DRAM
  * channels are drained (resetTiming) and time rebases to 0.
  *
@@ -84,11 +89,12 @@ struct PodConfig
 
     /**
      * Legacy all-timed engine: drive warmup through the full
-     * event-queue OoO/MLP timing loop instead of the lightweight
-     * loop (warmupMode is then ignored; everything is timed).
+     * event-queue OoO/MLP timing loop instead of the hierarchy
+     * pass and op replay (warmupMode is then ignored; everything
+     * is timed).
      * Kept as the cost baseline for bench/perf_engine — dispatch
      * order then depends on warmup timing, so measured results are
-     * NOT bit-identical with the lightweight warmup modes.
+     * NOT bit-identical with the two-phase warmup modes.
      */
     bool allTimedWarmup = false;
 
@@ -240,9 +246,10 @@ struct SampledRun
 
 /**
  * A post-L2 op stream: the memory-system operations a
- * hierarchy-only pass emits (PodSystem::buildWarmupArtifact and
- * buildSampleSpanArtifact), as columns, in the order the memory
- * system sees them. Both artifacts carry one.
+ * hierarchy-only pass emits, as columns, in the order the memory
+ * system sees them. Both artifacts carry one; the in-band warmup
+ * fills one batch at a time. An op carries no tenant id: replay
+ * reads it from the address's tenant bits.
  */
 struct PostL2Ops : TraceCacheEntry
 {
@@ -255,6 +262,25 @@ struct PostL2Ops : TraceCacheEntry
     std::vector<Pc> pc;
     std::vector<std::uint16_t> coreId;
     std::vector<std::uint8_t> kind;
+
+    void
+    push(Addr a, Pc p, std::uint16_t core, std::uint8_t k)
+    {
+        paddr.push_back(a);
+        pc.push_back(p);
+        coreId.push_back(core);
+        kind.push_back(k);
+    }
+
+    /** Drop every op, keeping the columns' capacity. */
+    void
+    clear()
+    {
+        paddr.clear();
+        pc.clear();
+        coreId.clear();
+        kind.clear();
+    }
 
     /** Hierarchy state bytes (filled by the builder). */
     std::uint64_t hierarchyBytes = 0;
@@ -274,17 +300,17 @@ struct PostL2Ops : TraceCacheEntry
 /**
  * Design-independent image of one functional warmup window.
  *
- * Under SimMode::Functional the warmup loop's record-to-core
- * dispatch is timing-independent and the hierarchy has no feedback
- * from the memory system below, so over a given trace prefix the
- * hierarchy evolves identically for *every* design, and so does
- * the sequence of memory-system operations it emits (the deferred
- * FIFO preserves enqueue order, and every cycle argument is 0).
- * One pass over the trace therefore captures everything a design
- * needs to warm up: the hierarchy snapshot at the phase boundary
- * plus the post-L2 op stream, which each point replays into its
- * own memory system (PodSystem::applyWarmup) — skipping trace
- * decoding and hierarchy simulation entirely.
+ * The warmup's record-to-core dispatch is timing-independent and
+ * the hierarchy has no feedback from the memory system below, so
+ * over a given trace prefix the hierarchy evolves identically for
+ * *every* design, and so does the sequence of memory-system
+ * operations it emits. The hierarchy pass an in-band warmup runs
+ * batch by batch therefore captures, run once over the whole
+ * window, everything a design needs to warm up: the hierarchy
+ * snapshot at the phase boundary plus the post-L2 op stream,
+ * which each point replays into its own memory system
+ * (PodSystem::applyWarmup) — skipping trace decoding and
+ * hierarchy simulation entirely.
  *
  * Artifacts are keyed by trace identity, hierarchy configuration
  * and warm length, and shared through the TraceCache.
@@ -389,9 +415,12 @@ class PodSystem
                           const SampleSpanArtifact &span_art);
 
     /**
-     * Records per dispatch burst of the lightweight warmup loop
-     * (power of two). Shared with buildWarmupArtifact, whose
-     * dispatch must be bit-compatible.
+     * Records per dispatch burst of the warmup's hierarchy pass
+     * (power of two). Handing each core a burst rather than
+     * rotating every record keeps the consecutive same-block
+     * repeats of the stream on one core's L1, as the event-queue
+     * loop does; the L2-miss stream the DRAM cache trains on is
+     * essentially dispatch-invariant.
      */
     static constexpr unsigned kDispatchBurst = 1024;
 
@@ -492,21 +521,27 @@ class PodSystem
     std::vector<std::uint64_t> captureProbeValues() const;
 
     /**
-     * Lightweight warmup loop: round-robin dispatch, no event
-     * queue, no load-miss blocking. Drains the DRAM channels and
-     * restores SimMode::Timed on them before returning.
+     * In-band warmup: the hierarchy pass over trace_ in bounded
+     * batches, each batch's ops replayed in PodConfig::warmupMode
+     * (with per-core issue clocks under SimMode::Timed). Drains
+     * the DRAM channels and leaves them in SimMode::Timed.
      */
     void runWarmup(std::uint64_t warmup_refs);
 
     /**
      * Replay ops [@p begin, @p end) of @p ops into the memory
-     * system with the DRAM in SimMode::Functional (the mode of the
-     * loop the replay stands in for), leaving it in
-     * SimMode::Timed. The one replay loop behind applyWarmup and
+     * system with the DRAM in @p mode, leaving it in
+     * SimMode::Timed; each demand carries the tenant of its
+     * address. Under SimMode::Timed a demand issues at its core's
+     * @p clock plus the L1+L2 latency and a read advances that
+     * clock to its completion; SimMode::Functional issues at cycle
+     * 0 and ignores @p clock. The one loop that feeds the memory
+     * system during warmup: in-band batches, applyWarmup and
      * runSampled's gaps.
      */
     void replayOps(const PostL2Ops &ops, std::size_t begin,
-                   std::size_t end);
+                   std::size_t end, SimMode mode,
+                   Cycle *clock = nullptr);
 
     /** Put the stacked and off-chip DRAM in @p mode. */
     void setDramMode(SimMode mode);

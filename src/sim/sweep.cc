@@ -28,6 +28,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/wall_clock.hh"
 #include "mem/materialized_trace.hh"
 #include "sim/journal.hh"
 #include "telemetry/trace_events.hh"
@@ -421,14 +422,6 @@ standardLabel(WorkloadKind wk, const Experiment::Config &cfg)
 
 namespace {
 
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
 /**
  * Everything the functional warmup's evolution depends on besides
  * the trace: core count and the hierarchy geometry. Part of the
@@ -643,6 +636,27 @@ pointCache(const ExperimentPoint &point,
     return own.emplace(TraceCacheConfig{}.budgetBytes);
 }
 
+PhaseTimer::PhaseTimer(const ExperimentPoint &point)
+    : tracer_(point.tracer),
+      key_(tracer_ ? point.key() : std::string()),
+      span_start_(tracer_ ? tracer_->nowUs() : 0),
+      start_(std::chrono::steady_clock::now())
+{
+}
+
+double
+PhaseTimer::lap(const std::string &phase)
+{
+    const double seconds = secondsSince(start_);
+    if (tracer_) {
+        const std::uint64_t now = tracer_->nowUs();
+        tracer_->span("phase", phase + ":" + key_, span_start_, now);
+        span_start_ = now;
+    }
+    start_ = std::chrono::steady_clock::now();
+    return seconds;
+}
+
 PointResult
 runPoint(const ExperimentPoint &point)
 {
@@ -654,38 +668,28 @@ runPoint(const ExperimentPoint &point)
     PointResult out;
     const std::uint64_t warm = point.warmupWindow();
     const std::uint64_t measure = measureRecords(point.scale);
-    SpanTracer *tracer = point.tracer;
     const Deadline deadline = point.cfg.pod.deadline;
 
     // Trace acquisition: replay the identity's shared arena.
     std::optional<TraceCache> own_cache;
     TraceCache &cache = pointCache(point, own_cache);
-    std::uint64_t span_t0 = tracer ? tracer->nowUs() : 0;
-    auto t0 = std::chrono::steady_clock::now();
+    PhaseTimer phase(point);
     const std::shared_ptr<const MaterializedTrace> arena =
         acquireTraceArena(cache, point.workload, point.cfg.pageBytes,
                           point.baseSeed, warm + measure, deadline,
                           &out.timing.generatedTrace);
     out.timing.replayedTrace = true;
     ReplayTraceSource trace(arena);
-    out.timing.traceSeconds = secondsSince(t0);
-    if (tracer)
-        tracer->span("phase", "trace:" + point.key(), span_t0,
-                     tracer->nowUs());
+    out.timing.traceSeconds = phase.lap("trace");
 
     // Design construction sits between the trace and warmup
     // timers; only the --trace-out span shows it.
-    span_t0 = tracer ? tracer->nowUs() : 0;
     Experiment exp(point.cfg, trace);
-    if (tracer)
-        tracer->span("phase", "construct:" + point.key(), span_t0,
-                     tracer->nowUs());
+    phase.lap("construct");
 
     // Warmup: the default functional warmup is design-independent
     // given the trace, so replay points share one WarmupArtifact
     // (hierarchy snapshot + post-L2 op stream) per warm window.
-    span_t0 = tracer ? tracer->nowUs() : 0;
-    t0 = std::chrono::steady_clock::now();
     std::shared_ptr<const WarmupArtifact> warm_artifact;
     if (warmupArtifactEligible(point, warm)) {
         bool built = false;
@@ -710,17 +714,9 @@ runPoint(const ExperimentPoint &point)
     } else if (warm > 0) {
         exp.run(warm, 0);
     }
-    out.timing.warmupSeconds = secondsSince(t0);
-    if (tracer)
-        tracer->span(
-            "phase",
-            (out.timing.replayedWarmup ? "warmup-restore:"
-                                       : "warmup:") +
-                point.key(),
-            span_t0, tracer->nowUs());
+    out.timing.warmupSeconds = phase.lap(
+        out.timing.replayedWarmup ? "warmup-restore" : "warmup");
 
-    span_t0 = tracer ? tracer->nowUs() : 0;
-    t0 = std::chrono::steady_clock::now();
     if (point.cfg.pod.sampling.enabled) {
         // Sampled measurement: per period, warm the gap from the
         // design-independent span artifact (op replay + snapshot
@@ -758,10 +754,7 @@ runPoint(const ExperimentPoint &point)
     } else {
         out.metrics = exp.run(0, measure);
     }
-    out.timing.measureSeconds = secondsSince(t0);
-    if (tracer)
-        tracer->span("phase", "measure:" + point.key(), span_t0,
-                     tracer->nowUs());
+    out.timing.measureSeconds = phase.lap("measure");
 
     // Telemetry harvest: the interval stream rides the result
     // into the --timeseries-out artifact (and the journal); the

@@ -26,6 +26,7 @@
 #ifndef FPC_SIM_SWEEP_HH
 #define FPC_SIM_SWEEP_HH
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -495,9 +496,9 @@ struct ExperimentPoint
 
     /**
      * This point never acquires a shared WarmupArtifact: a
-     * colocation mix warms in-band (its post-L2 stream is not
-     * design-independent), and fig12's access-counting run has
-     * no warmup at all. Stops the runner from planning a warmup
+     * colocation mix warms in-band (no artifact is keyed by a
+     * mix), and fig12's access-counting run has no warmup at
+     * all. Stops the runner from planning a warmup
      * use that would never be drained — an undrained plan pins
      * the shared artifact in the cache budget for the whole
      * sweep.
@@ -565,6 +566,28 @@ std::string standardLabel(WorkloadKind wk,
  */
 TraceCache &pointCache(const ExperimentPoint &point,
                        std::optional<TraceCache> &own);
+
+/**
+ * Wall clock of one point's phases, one lap per phase: lap()
+ * returns the seconds since the previous lap (or construction)
+ * and, when the point carries a tracer, records a "phase" span
+ * "<phase>:<point key>" over the same stretch. runPoint,
+ * runColocationPoint and the custom runs time their phases
+ * through it.
+ */
+class PhaseTimer
+{
+  public:
+    explicit PhaseTimer(const ExperimentPoint &point);
+
+    double lap(const std::string &phase);
+
+  private:
+    SpanTracer *tracer_;
+    std::string key_;
+    std::uint64_t span_start_ = 0;
+    std::chrono::steady_clock::time_point start_;
+};
 
 /**
  * Run one point: trace arena and warmup artifact from

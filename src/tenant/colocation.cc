@@ -2,28 +2,14 @@
 
 #include "tenant/colocation.hh"
 
-#include <chrono>
 #include <optional>
 #include <stdexcept>
 
 #include "common/logging.hh"
 #include "mem/materialized_trace.hh"
-#include "telemetry/trace_events.hh"
 #include "tenant/mix_source.hh"
 
 namespace fpc {
-
-namespace {
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-} // namespace
 
 void
 encodeTenantMix(Experiment::Config &cfg,
@@ -131,7 +117,6 @@ runColocationPoint(const ExperimentPoint &point)
         decodeTenantMix(point);
     const std::uint64_t warm = point.warmupWindow();
     const std::uint64_t measure = measureRecords(point.scale);
-    SpanTracer *tracer = point.tracer;
 
     // Upper bound on any one tenant's consumption: a tenant
     // whose cores never stall could in principle drain almost
@@ -140,8 +125,7 @@ runColocationPoint(const ExperimentPoint &point)
 
     std::optional<TraceCache> own_cache;
     TraceCache &cache = pointCache(point, own_cache);
-    std::uint64_t span_t0 = tracer ? tracer->nowUs() : 0;
-    auto t0 = std::chrono::steady_clock::now();
+    PhaseTimer phase(point);
     std::vector<std::unique_ptr<TraceSource>> sources;
     std::vector<unsigned> cores;
     for (const TenantSpec &spec : tenants) {
@@ -154,37 +138,24 @@ runColocationPoint(const ExperimentPoint &point)
     }
     out.timing.replayedTrace = true;
     TenantMixSource mix(std::move(sources), cores);
-    out.timing.traceSeconds = secondsSince(t0);
-    if (tracer)
-        tracer->span("phase", "trace:" + point.key(), span_t0,
-                     tracer->nowUs());
+    out.timing.traceSeconds = phase.lap("trace");
 
     Experiment::Config cfg = point.cfg;
     cfg.pod.numTenants = static_cast<unsigned>(tenants.size());
-    span_t0 = tracer ? tracer->nowUs() : 0;
     Experiment exp(cfg, mix);
-    if (tracer)
-        tracer->span("phase", "construct:" + point.key(), span_t0,
-                     tracer->nowUs());
+    phase.lap("construct");
 
-    // In-band warmup: the mixed post-L2 stream is not design-
-    // independent, so no shared warmup artifact applies.
-    span_t0 = tracer ? tracer->nowUs() : 0;
-    t0 = std::chrono::steady_clock::now();
+    // In-band warmup. The mix's post-L2 stream is as
+    // design-independent as a solo trace's (the hierarchy takes
+    // no input from the memory system), but no warmup artifact
+    // is keyed by a mix, so each point runs the hierarchy pass
+    // itself.
     if (warm > 0)
         exp.run(warm, 0);
-    out.timing.warmupSeconds = secondsSince(t0);
-    if (tracer)
-        tracer->span("phase", "warmup:" + point.key(), span_t0,
-                     tracer->nowUs());
+    out.timing.warmupSeconds = phase.lap("warmup");
 
-    span_t0 = tracer ? tracer->nowUs() : 0;
-    t0 = std::chrono::steady_clock::now();
     out.metrics = exp.run(0, measure);
-    out.timing.measureSeconds = secondsSince(t0);
-    if (tracer)
-        tracer->span("phase", "measure:" + point.key(), span_t0,
-                     tracer->nowUs());
+    out.timing.measureSeconds = phase.lap("measure");
 
     // Telemetry harvest, mirroring runPoint: intervals carry the
     // per-tenant deltas of every epoch, and the probe summary

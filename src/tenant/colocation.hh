@@ -14,9 +14,11 @@
  * through the shared materialized-trace arena, so one generation
  * serves the workload's solo points, every mix containing it and
  * every design — and a solo colocation run is simply a mix of
- * one tenant on its core share. Warmup is in-band (the mixed
- * post-L2 stream depends on which tenant's cores stall, so the
- * design-independent warmup artifact does not apply).
+ * one tenant on its core share. Warmup is in-band: the mix's
+ * post-L2 stream is as design-independent as a solo trace's
+ * (warmup dispatch is round-robin and the hierarchy takes no
+ * input from the memory system), but no warmup artifact is
+ * keyed by a mix.
  *
  * Determinism: record-to-core dispatch is decided by the pod's
  * loops, per-tenant streams are identity-seeded, and the point

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -11,6 +12,7 @@
 #include "dramcache/simple_memories.hh"
 #include "mem/materialized_trace.hh"
 #include "sim/pod_system.hh"
+#include "tenant/mix_source.hh"
 #include "workload/generator.hh"
 
 namespace fpc {
@@ -224,6 +226,173 @@ TEST(PodSystem, BuildsCheckTheDeadline)
                  PointCancelledError);
     EXPECT_NO_THROW(PodSystem::buildSampleSpanArtifact(
         *arena, hier, *warm, kRecords / 2, sched));
+}
+
+/**
+ * Memory system that only logs the ops a pod hands it, in
+ * arrival order. Writebacks carry no core or tenant through the
+ * MemorySystem interface, so they log those as 0.
+ */
+class RecordingMemory final : public MemorySystem
+{
+  public:
+    struct Op
+    {
+        Addr paddr = 0;
+        Pc pc = 0;
+        std::uint16_t coreId = 0;
+        std::uint16_t tenantId = 0;
+        std::uint8_t kind = PostL2Ops::kRead;
+
+        bool operator==(const Op &) const = default;
+    };
+
+    MemSystemResult
+    access(Cycle now, const MemRequest &req) override
+    {
+        log.push_back({req.paddr, req.pc, req.coreId, req.tenantId,
+                       req.op == MemOp::Write ? PostL2Ops::kWrite
+                                              : PostL2Ops::kRead});
+        ++demands_;
+        return {now + 100, false};
+    }
+
+    void
+    writeback(Cycle, Addr block_addr) override
+    {
+        log.push_back({block_addr, 0, 0, 0, PostL2Ops::kWriteback});
+    }
+
+    std::string designName() const override { return "recording"; }
+    std::uint64_t demandAccesses() const override { return demands_; }
+    std::uint64_t demandHits() const override { return 0; }
+
+    std::vector<Op> log;
+
+  private:
+    std::uint64_t demands_ = 0;
+};
+
+/** A 4-core pod with caches small enough that short traces
+ * force dirty writebacks out of the L2. */
+PodConfig
+smallCachePod()
+{
+    PodConfig cfg = tinyPod(4);
+    cfg.hierarchy.l1.sizeBytes = 8 * 1024;
+    cfg.hierarchy.l2.sizeBytes = 64 * 1024;
+    return cfg;
+}
+
+/** The op log of an in-band warmup of @p warm records. */
+std::vector<RecordingMemory::Op>
+warmupLog(const PodConfig &cfg, TraceSource &trace,
+          std::uint64_t warm)
+{
+    RecordingMemory mem;
+    DramSystem off(DramSystem::Config::offchipPod());
+    PodSystem pod(cfg, trace, mem, nullptr, off);
+    pod.run(warm, 0);
+    return std::move(mem.log);
+}
+
+/** FNV-1a over every logged field, in log order. */
+std::uint64_t
+digestOf(const std::vector<RecordingMemory::Op> &log)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const RecordingMemory::Op &op : log) {
+        mix(op.paddr);
+        mix(op.pc);
+        mix(op.coreId);
+        mix(op.tenantId);
+        mix(op.kind);
+    }
+    return h;
+}
+
+std::shared_ptr<const MaterializedTrace>
+arenaOf(WorkloadKind wk, std::uint64_t records, std::uint64_t seed)
+{
+    auto arena = std::make_shared<MaterializedTrace>();
+    materializeTrace(makeWorkload(wk, 2048, seed), records, *arena);
+    return arena;
+}
+
+TEST(PodWarmupOps, InBandStreamEqualsArtifactColumns)
+{
+    // The in-band warmup hands the memory system exactly the op
+    // stream a warmup artifact records for the same records, in
+    // both warmup modes.
+    constexpr std::uint64_t kWarm = 30000;
+    const auto arena = arenaOf(WorkloadKind::WebSearch, kWarm, 11);
+    PodConfig cfg = smallCachePod();
+    const auto art =
+        PodSystem::buildWarmupArtifact(*arena, cfg.hierarchy, kWarm);
+
+    std::vector<RecordingMemory::Op> expected;
+    for (std::size_t i = 0; i < art->paddr.size(); ++i) {
+        const bool wb = art->kind[i] == PostL2Ops::kWriteback;
+        expected.push_back({art->paddr[i], art->pc[i],
+                            wb ? std::uint16_t{0} : art->coreId[i],
+                            0, art->kind[i]});
+    }
+    ASSERT_GT(std::count_if(expected.begin(), expected.end(),
+                            [](const RecordingMemory::Op &op) {
+                                return op.kind ==
+                                       PostL2Ops::kWriteback;
+                            }),
+              0);
+
+    for (SimMode mode : {SimMode::Functional, SimMode::Timed}) {
+        SCOPED_TRACE(mode == SimMode::Timed ? "timed" : "functional");
+        cfg.warmupMode = mode;
+        ReplayTraceSource trace(arena);
+        EXPECT_TRUE(warmupLog(cfg, trace, kWarm) == expected);
+    }
+}
+
+TEST(PodWarmupOps, TenantMixStreamIsPinned)
+{
+    // Two tenants on cores {0, 1} and {2}; core 3 is idle and
+    // tenant 1's stream runs dry mid-warmup. The digest pins the
+    // tenant ids, the address stamping and the dead-core rotation.
+    std::vector<std::unique_ptr<TraceSource>> sources;
+    sources.push_back(std::make_unique<ReplayTraceSource>(
+        arenaOf(WorkloadKind::WebSearch, 24000, 11)));
+    sources.push_back(std::make_unique<ReplayTraceSource>(
+        arenaOf(WorkloadKind::DataServing, 5000, 13)));
+    TenantMixSource mix(std::move(sources), {2, 1});
+    PodConfig cfg = smallCachePod();
+    cfg.numTenants = 2;
+    const auto log = warmupLog(cfg, mix, 20000);
+    EXPECT_TRUE(std::any_of(log.begin(), log.end(),
+                            [](const RecordingMemory::Op &op) {
+                                return op.tenantId == 1;
+                            }));
+    EXPECT_EQ(mix.consumedRecords(1), 5000u);
+    EXPECT_EQ(digestOf(log), 0x69f0fd6aec0277d9ull);
+}
+
+TEST(PodWarmupOps, DryVectorStreamIsPinned)
+{
+    // A per-core vector source (no batch access) whose cores run
+    // dry one after another before the warm window ends.
+    std::vector<TraceRecord> records(3000);
+    SyntheticTraceSource gen(
+        makeWorkload(WorkloadKind::MapReduce, 2048, 5));
+    for (TraceRecord &r : records)
+        ASSERT_TRUE(gen.next(0, r));
+    VectorTraceSource trace(records, 4);
+    const auto log = warmupLog(smallCachePod(), trace, 20000);
+    EXPECT_GT(log.size(), 0u);
+    EXPECT_EQ(digestOf(log), 0x4cbe9b86417ce963ull);
 }
 
 TEST(PodSystem, MetricsDerivations)

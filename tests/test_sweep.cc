@@ -317,6 +317,48 @@ TEST(SweepRunner, Fig12ReplaysTheIdentitysPlannedArena)
               "");
 }
 
+/** Occurrences of @p needle in @p hay. */
+std::size_t
+countOf(const std::string &hay, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (std::size_t at = hay.find(needle); at != std::string::npos;
+         at = hay.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
+
+TEST(SweepRunner, Fig12ReportsItsPhaseSeconds)
+{
+    // fig12's bespoke run times its phases like a standard
+    // point: the arena acquisition as trace_s, the pod run as
+    // measure_s, each with its phase span.
+    ExperimentRegistry reg;
+    registerAllExperiments(reg);
+    const ExperimentDef *def = reg.find("fig12");
+    ASSERT_NE(def, nullptr);
+    SweepOptions opts;
+    opts.scale = 0.01;
+    opts.workloadFilter = "WebSearch";
+    std::vector<ExperimentPoint> hot = def->build(opts);
+    ASSERT_EQ(hot.size(), 1u);
+    SpanTracer tracer;
+    hot[0].tracer = &tracer;
+
+    const PointResult r = runPoint(hot[0]);
+    ASSERT_FALSE(r.failed) << r.error;
+    EXPECT_TRUE(r.timing.generatedTrace);
+    EXPECT_GT(r.timing.traceSeconds, 0.0);
+    EXPECT_GT(r.timing.measureSeconds, 0.0);
+    EXPECT_EQ(r.timing.warmupSeconds, 0.0);
+    const std::string trace = tracer.render();
+    for (const char *phase : {"trace:", "construct:", "measure:"})
+        EXPECT_EQ(countOf(trace, std::string("\"name\": \"") + phase +
+                                     hot[0].key() + "\""),
+                  1u)
+            << phase;
+}
+
 TEST(SweepJson, TimingEmittedOnlyOnExplicitRequest)
 {
     const std::vector<ExperimentPoint> points = smallBatch();
@@ -752,16 +794,6 @@ renderPoint(const ExperimentPoint &p, const PointResult &r)
                            {{p.experiment, "t", {p}, {r}}});
 }
 
-/** Occurrences of @p needle in @p hay. */
-std::size_t
-countOf(const std::string &hay, const std::string &needle)
-{
-    std::size_t n = 0;
-    for (std::size_t at = hay.find(needle); at != std::string::npos;
-         at = hay.find(needle, at + needle.size()))
-        ++n;
-    return n;
-}
 
 /**
  * Two experiments listing the same two configs, a sampled twin of
