@@ -1,33 +1,23 @@
 /**
  * @file
- * Engine performance harness for the two-phase simulation engine.
+ * Engine performance harness.
  *
  * For every memory-system design it runs the same 512MB workload
- * three ways:
- *
- *  - functional: the two-phase engine (lightweight warmup loop,
- *    SimMode::Functional — no DRAM timing/energy during warmup);
- *  - timed: the same lightweight warmup loop with the full DRAM
- *    model (SimMode::Timed) — used to verify that measured-phase
- *    metrics are bit-identical across the two warmup modes;
- *  - all-timed: the legacy engine path, warmup driven through the
- *    full event-queue OoO/MLP timing loop — the wall-clock
- *    baseline the two-phase engine replaces.
- *
- * Warmup and measurement phases are timed separately; the run is
- * deliberately warmup-dominated (full capacity-scaled warmup
- * window, quarter measurement window), as the Figure 6/9/Table 1
- * sweeps are. Results go to stdout and to BENCH_engine.json
- * (records/sec per phase per design), committed as the perf
- * trajectory across PRs.
+ * once: the functional warmup (hierarchy pass plus op replay, the
+ * only warmup the engine has), then the full timing loop over the
+ * measured window. Warmup and measurement phases are timed
+ * separately; the run is deliberately warmup-dominated (full
+ * capacity-scaled warmup window, quarter measurement window), as
+ * the Figure 6/9/Table 1 sweeps are. Further sections time trace
+ * generation against arena replay, the telemetry and
+ * introspection overhead on the measured loop, and sampled
+ * against exact measurement. Results go to stdout and to
+ * BENCH_engine.json (records/sec per phase per design), committed
+ * as the perf trajectory across PRs.
  *
  * Flags: the window subset of the common set (--quick, --scale,
  * --seed/--base-seed, --workload; every other common flag exits
- * 2) plus --out FILE for the JSON path and --reference-seconds S, an
- * externally measured wall-clock for the same footprint run on an
- * all-timed reference engine (scripts/bench_seed_baseline.sh
- * measures the pre-two-phase seed revision); when given, the
- * speedup against that reference is reported too.
+ * 2) plus --out FILE for the JSON path.
  */
 
 #include <algorithm>
@@ -54,12 +44,6 @@ struct PhaseTimes
     std::uint64_t warmupRecords = 0;
     std::uint64_t measureRecords = 0;
     RunMetrics metrics;
-    /* Footprint-cache cumulative counters (state equivalence). */
-    bool hasFootprint = false;
-    std::uint64_t covered = 0;
-    std::uint64_t underpred = 0;
-    std::uint64_t overpred = 0;
-    std::uint64_t trigMisses = 0;
 
     double
     warmupRecsPerSec() const
@@ -75,48 +59,15 @@ struct PhaseTimes
                    ? measureRecords / measureSeconds
                    : 0.0;
     }
-
-    double
-    totalSeconds() const
-    {
-        return warmupSeconds + measureSeconds;
-    }
 };
-
-/** Warmup configuration of one run. */
-enum class EngineMode
-{
-    Functional, //!< two-phase, functional warmup
-    Timed,      //!< two-phase, timed warmup (equivalence check)
-    AllTimed,   //!< legacy all-timed event-queue warmup
-};
-
-const char *
-engineModeName(EngineMode mode)
-{
-    switch (mode) {
-      case EngineMode::Functional:
-        return "functional";
-      case EngineMode::Timed:
-        return "timed";
-      case EngineMode::AllTimed:
-        return "all_timed";
-    }
-    return "?";
-}
 
 PhaseTimes
-runPhased(WorkloadKind wk, const std::string &design, EngineMode mode,
-          double scale, std::uint64_t seed,
-          std::uint64_t capacity_mb)
+runPhased(WorkloadKind wk, const std::string &design, double scale,
+          std::uint64_t seed, std::uint64_t capacity_mb)
 {
     Experiment::Config cfg;
     cfg.design = design;
     cfg.capacityMb = capacity_mb;
-    cfg.pod.warmupMode = mode == EngineMode::Functional
-                             ? SimMode::Functional
-                             : SimMode::Timed;
-    cfg.pod.allTimedWarmup = mode == EngineMode::AllTimed;
 
     WorkloadSpec spec = makeWorkload(wk, cfg.pageBytes, seed);
     SyntheticTraceSource trace(spec);
@@ -137,15 +88,6 @@ runPhased(WorkloadKind wk, const std::string &design, EngineMode mode,
     t0 = std::chrono::steady_clock::now();
     out.metrics = exp.run(0, out.measureRecords);
     out.measureSeconds = secondsSince(t0);
-
-    if (FootprintCache *fc = exp.footprintCache()) {
-        fc->finalizeResidency();
-        out.hasFootprint = true;
-        out.covered = fc->coveredBlocks();
-        out.underpred = fc->underpredictedBlocks();
-        out.overpred = fc->overpredictedBlocks();
-        out.trigMisses = fc->triggeringMisses();
-    }
     return out;
 }
 
@@ -405,16 +347,6 @@ runSamplingBench(WorkloadKind wk, double scale,
     return out;
 }
 
-bool
-measuredIdentical(const PhaseTimes &a, const PhaseTimes &b)
-{
-    return countersIdentical("functional vs timed warmup",
-                             a.metrics, b.metrics) &&
-           a.covered == b.covered && a.underpred == b.underpred &&
-           a.overpred == b.overpred &&
-           a.trigMisses == b.trigMisses;
-}
-
 /** The common flags perf_engine honours: the run window. */
 bool
 isWindowFlag(const char *flag)
@@ -433,15 +365,11 @@ int
 main(int argc, char **argv)
 {
     std::string out_path = "BENCH_engine.json";
-    double reference_seconds = 0.0;
     SweepOptions args;
     try {
         for (int i = 1; i < argc; ++i) {
             if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
                 out_path = argv[++i];
-            } else if (!std::strcmp(argv[i], "--reference-seconds") &&
-                       i + 1 < argc) {
-                reference_seconds = std::atof(argv[++i]);
             } else if (const char *flag = argv[i];
                        parseCommonFlag(args, argc, argv, i)) {
                 // perf_engine times one engine serially over a
@@ -462,8 +390,7 @@ main(int argc, char **argv)
                 std::fprintf(stderr,
                              "usage: %s [--quick] [--scale F] "
                              "[--seed N] [--workload NAME] "
-                             "[--out FILE] "
-                             "[--reference-seconds S]\n",
+                             "[--out FILE]\n",
                              argv[0]);
                 return 2;
             }
@@ -479,32 +406,18 @@ main(int argc, char **argv)
     // checkWorkloadFilter guarantees a non-empty selection.
     const WorkloadKind wk = args.workloads().front();
 
-    // The external reference (scripts/bench_seed_baseline.sh) is
-    // measured at scale 1.0 on DataServing with the default seed;
-    // refuse to compare against a differently-configured run.
-    if (reference_seconds > 0.0 &&
-        (args.scale != 1.0 || wk != WorkloadKind::DataServing ||
-         args.seed != 42)) {
-        std::fprintf(stderr,
-                     "--reference-seconds requires the reference "
-                     "configuration (--scale 1.0, DataServing, "
-                     "seed 42); ignoring the reference\n");
-        reference_seconds = 0.0;
-    }
-
     const char *designs[] = {
         "baseline", "block", "page",
         "footprint", "ideal"};
 
-    std::printf("\n=== two-phase engine performance ===\n");
+    std::printf("\n=== engine performance ===\n");
     std::printf("workload %s, %lluMB, scale %.2f, seed %llu\n",
                 workloadName(wk),
                 static_cast<unsigned long long>(capacity_mb),
                 args.scale,
                 static_cast<unsigned long long>(args.seed));
-    std::printf("  %-10s %14s %14s %14s %9s %6s\n", "design",
-                "warm func r/s", "warm timed r/s", "warm legacy r/s",
-                "speedup", "ident");
+    std::printf("  %-10s %14s %14s\n", "design", "warmup r/s",
+                "measure r/s");
 
     std::FILE *json = std::fopen(out_path.c_str(), "w");
     if (!json) {
@@ -523,79 +436,34 @@ main(int argc, char **argv)
                  static_cast<unsigned long long>(args.seed));
     std::fprintf(json, "  \"designs\": {\n");
 
-    bool all_identical = true;
-    double footprint_speedup = 0.0;
-    double footprint_seconds = 0.0;
     bool first_design = true;
-
     for (const char *d : designs) {
-        PhaseTimes res[3];
-        for (EngineMode mode :
-             {EngineMode::Functional, EngineMode::Timed,
-              EngineMode::AllTimed}) {
-            res[static_cast<int>(mode)] =
-                runPhased(wk, d, mode, args.scale, args.seed,
-                          capacity_mb);
-        }
-        const PhaseTimes &func = res[0];
-        const PhaseTimes &timed = res[1];
-        const PhaseTimes &legacy = res[2];
-
-        const bool identical = measuredIdentical(func, timed);
-        all_identical = all_identical && identical;
-        const double speedup =
-            func.totalSeconds() > 0.0
-                ? legacy.totalSeconds() / func.totalSeconds()
-                : 0.0;
-        if (!std::strcmp(d, "footprint")) {
-            footprint_speedup = speedup;
-            footprint_seconds = func.totalSeconds();
-        }
-
-        std::printf("  %-10s %14.0f %14.0f %14.0f %8.2fx %6s\n",
-                    d, func.warmupRecsPerSec(),
-                    timed.warmupRecsPerSec(),
-                    legacy.warmupRecsPerSec(), speedup,
-                    identical ? "yes" : "NO");
+        const PhaseTimes r =
+            runPhased(wk, d, args.scale, args.seed, capacity_mb);
+        std::printf("  %-10s %14.0f %14.0f\n", d,
+                    r.warmupRecsPerSec(), r.measureRecsPerSec());
 
         if (!first_design)
             std::fprintf(json, ",\n");
         first_design = false;
-        std::fprintf(json, "    \"%s\": {\n", d);
-        for (EngineMode mode :
-             {EngineMode::Functional, EngineMode::Timed,
-              EngineMode::AllTimed}) {
-            const PhaseTimes &r = res[static_cast<int>(mode)];
-            std::fprintf(
-                json,
-                "      \"%s\": {\"warmup_records\": %llu, "
-                "\"warmup_seconds\": %.4f, "
-                "\"warmup_records_per_sec\": %.0f, "
-                "\"measure_records\": %llu, "
-                "\"measure_seconds\": %.4f, "
-                "\"measure_records_per_sec\": %.0f},\n",
-                engineModeName(mode),
-                static_cast<unsigned long long>(r.warmupRecords),
-                r.warmupSeconds, r.warmupRecsPerSec(),
-                static_cast<unsigned long long>(
-                    r.measureRecords),
-                r.measureSeconds, r.measureRecsPerSec());
-        }
-        std::fprintf(json,
-                     "      \"wallclock_speedup\": %.3f,\n",
-                     speedup);
-        std::fprintf(json,
-                     "      \"measured_metrics_identical\": %s,\n",
-                     identical ? "true" : "false");
-        std::fprintf(json,
-                     "      \"measured\": {\"ipc\": %.5f, "
-                     "\"miss_ratio\": %.5f, \"mpki\": %.4f}\n",
-                     func.metrics.ipc(), func.metrics.missRatio(),
-                     func.metrics.instructions
-                         ? 1000.0 * func.metrics.llcMisses /
-                               func.metrics.instructions
-                         : 0.0);
-        std::fprintf(json, "    }");
+        std::fprintf(
+            json,
+            "    \"%s\": {\"warmup_records\": %llu, "
+            "\"warmup_seconds\": %.4f, "
+            "\"warmup_records_per_sec\": %.0f, "
+            "\"measure_records\": %llu, "
+            "\"measure_seconds\": %.4f, "
+            "\"measure_records_per_sec\": %.0f,\n"
+            "      \"measured\": {\"ipc\": %.5f, "
+            "\"miss_ratio\": %.5f, \"mpki\": %.4f}}",
+            d, static_cast<unsigned long long>(r.warmupRecords),
+            r.warmupSeconds, r.warmupRecsPerSec(),
+            static_cast<unsigned long long>(r.measureRecords),
+            r.measureSeconds, r.measureRecsPerSec(),
+            r.metrics.ipc(), r.metrics.missRatio(),
+            r.metrics.instructions
+                ? 1000.0 * r.metrics.llcMisses / r.metrics.instructions
+                : 0.0);
     }
     std::fprintf(json, "\n  },\n");
 
@@ -671,8 +539,6 @@ main(int argc, char **argv)
             ? 100.0 * (intro_min - telemetry_off_min) /
                   telemetry_off_min
             : 0.0;
-    all_identical =
-        all_identical && telemetry_identical && intro_identical;
     std::printf("\ntelemetry overhead (footprint, intervals + "
                 "histograms, min of %d): %.2f%% "
                 "(off %.3fs, on %.3fs), metrics identical: %s, "
@@ -738,46 +604,19 @@ main(int argc, char **argv)
         "\"marginal_speedup\": %.2f, "
         "\"all_in_speedup\": %.2f, "
         "\"metrics_within_ci\": %d, "
-        "\"metrics_checked\": %d},\n",
+        "\"metrics_checked\": %d}\n",
         sb.intervals, sb.exact.timing.measureSeconds,
         sb.sampled.timing.measureSeconds,
         sb.sampled.timing.sampleFfSeconds,
         sb.sampled.timing.sampleTimedSeconds,
         sb.marginalSpeedup(), sb.allInSpeedup(),
         sb.metricsWithinCi, sb.metricsChecked);
-
-    std::fprintf(json,
-                 "  \"footprint_wallclock_speedup\": %.3f,\n",
-                 footprint_speedup);
-    if (reference_seconds > 0.0 && footprint_seconds > 0.0) {
-        std::fprintf(json,
-                     "  \"reference_all_timed_seconds\": %.3f,\n",
-                     reference_seconds);
-        std::fprintf(
-            json,
-            "  \"footprint_speedup_vs_reference\": %.3f,\n",
-            reference_seconds / footprint_seconds);
-    }
-    std::fprintf(json, "  \"all_measured_identical\": %s\n",
-                 all_identical ? "true" : "false");
     std::fprintf(json, "}\n");
     std::fclose(json);
-
-    std::printf("\nfootprint 512MB wall-clock speedup "
-                "(two-phase vs all-timed, this binary): %.2fx\n",
-                footprint_speedup);
-    if (reference_seconds > 0.0 && footprint_seconds > 0.0) {
-        std::printf("footprint 512MB wall-clock speedup vs "
-                    "reference all-timed engine (%.2fs): %.2fx\n",
-                    reference_seconds,
-                    reference_seconds / footprint_seconds);
-    }
-    std::printf("measured metrics identical across warmup modes: "
-                "%s\n",
-                all_identical ? "yes" : "NO");
     std::printf("wrote %s\n", out_path.c_str());
 
-    if (!all_identical || !telemetry_conserves)
+    if (!telemetry_identical || !intro_identical ||
+        !telemetry_conserves)
         return 1;
     return 0;
 }

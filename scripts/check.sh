@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full verification: configure, build, run the unit tests, run the
 # engine perf bench in its quick configuration (which also verifies
-# warmup-mode equivalence end to end), and run a quick slice of the
+# that telemetry leaves metrics unchanged), and run a quick slice of the
 # parallel sweep (which verifies registry completeness in the
 # merged report).
 #
@@ -80,8 +80,8 @@ cmp "$BUILD_DIR"/BENCH_sweep_quick.json \
     --out "$BUILD_DIR"/BENCH_colocation_j2.json
 cmp "$BUILD_DIR"/BENCH_colocation_j1.json \
     "$BUILD_DIR"/BENCH_colocation_j2.json
-python3 scripts/check_bench_regression.py \
-    --colocation-json "$BUILD_DIR"/BENCH_colocation_j1.json
+python3 scripts/check_telemetry.py \
+    --colocation "$BUILD_DIR"/BENCH_colocation_j1.json
 # Resilience slice: a fault-injected run (transient trace-build
 # failure absorbed by retries, one permanent failure -> exit 3
 # with a structured failure record) followed by a --resume that

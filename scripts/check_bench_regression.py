@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Guard against engine performance regressions.
+"""Guard the engine's speed: two checks on perf_engine JSON files.
 
-Compares a fresh perf_engine run (typically --quick) against the
-committed BENCH_engine.json and fails when ns/record regresses
-beyond the tolerance. The metric is the two-phase (functional)
-engine's combined warmup+measure ns/record, per design.
+Engine regression (--baseline/--current): compares fresh
+perf_engine runs (typically --quick) against a committed
+BENCH_engine*.json and fails when ns/record regresses beyond the
+tolerance. The metric is each design's combined warmup+measure
+ns/record.
 
 In --relative mode each design's ns/record is first normalized to
 the 'baseline' design's ns/record *from the same file*, which
@@ -19,33 +20,22 @@ compare against the per-design *minimum* ns/record: the minimum
 is robust to scheduler noise spikes, which on shared CI vCPUs
 dwarf real regressions in any single short run.
 
-The guard also covers the colocation experiment: pass
---colocation-json with a merged sweep report containing the
-`colocation` experiment and the script validates the interference
-matrix instead of (or in addition to) the engine timings —
-per-point tenant-metric conservation (every per-tenant counter
-must sum bit-exactly to the aggregate metric of the same point)
-and matrix coverage (--min-pairs workload pairs and --min-designs
-designs with paired points).
-
-Finally, --telemetry-json validates the `telemetry` section a
-full perf_engine run emits: interval streaming + histograms, and
-separately the introspection layer (shadow-directory miss
-attribution + design probes + heatmaps), must each cost at most
---telemetry-budget-pct (default 2%) over the
-instrumentation-off run, the engine metrics must be bit-identical
-either way, and the interval and probe-column deltas must
-conserve. The overhead
-number in the committed file was measured interleaved
-min-of-reps on an idle machine; the guard reads the file rather
-than re-timing, so it is deterministic on noisy CI runners.
+Telemetry budget (--telemetry-json): validates the `telemetry`
+section a full perf_engine run emits: interval streaming +
+histograms, and separately the introspection layer
+(shadow-directory miss attribution + design probes + heatmaps),
+must each cost at most --telemetry-budget-pct (default 2%) over
+the instrumentation-off run, the engine metrics must be
+bit-identical either way, and the interval and probe-column
+deltas must conserve. The overhead number in the committed file
+was measured interleaved min-of-reps; the guard reads the file
+rather than re-timing, so it is deterministic on noisy CI
+runners.
 
 Usage:
   check_bench_regression.py --baseline BENCH_engine.json \
       --current quick1.json [quick2.json ...] \
       [--tolerance 0.15] [--relative]
-  check_bench_regression.py --colocation-json sweep.json \
-      [--min-pairs 3] [--min-designs 7]
   check_bench_regression.py --telemetry-json BENCH_engine.json \
       [--telemetry-budget-pct 2.0]
 """
@@ -56,68 +46,12 @@ import sys
 
 
 def ns_per_record(design_entry):
-    f = design_entry["functional"]
-    records = f["warmup_records"] + f["measure_records"]
-    seconds = f["warmup_seconds"] + f["measure_seconds"]
+    d = design_entry
+    records = d["warmup_records"] + d["measure_records"]
+    seconds = d["warmup_seconds"] + d["measure_seconds"]
     if records <= 0:
         return 0.0
     return 1e9 * seconds / records
-
-
-# Per-tenant counters that must sum bit-exactly to the aggregate
-# metric of the same point (tests/test_tenant.cc proves the same
-# invariant in-process; this guards the shipped artifact).
-CONSERVED_FIELDS = [
-    "trace_records", "instructions", "llc_misses",
-    "demand_accesses", "demand_hits", "mem_latency_cycles",
-    "offchip_bytes",
-]
-
-
-def check_colocation(path, min_pairs, min_designs):
-    with open(path) as f:
-        report = json.load(f)
-    exp = report.get("experiments", {}).get("colocation")
-    if exp is None:
-        print(f"{path}: no colocation experiment in the report")
-        return 1
-    points = exp["points"]
-    pairs, designs = set(), set()
-    violations = 0
-    tenant_points = 0
-    for p in points:
-        tenants = p.get("tenants", [])
-        if not tenants:
-            print(f"{p['key']}: no per-tenant metrics")
-            violations += 1
-            continue
-        tenant_points += 1
-        if len(tenants) >= 2:
-            pairs.add(p["key"].split("/")[1])
-            designs.add(p["design"])
-        m = p["metrics"]
-        for field in CONSERVED_FIELDS:
-            total = sum(t[field] for t in tenants)
-            if total != m[field]:
-                print(f"{p['key']}: tenant {field} sum {total} "
-                      f"!= aggregate {m[field]}")
-                violations += 1
-    print(f"colocation guard: {len(points)} point(s), "
-          f"{tenant_points} with tenant metrics, "
-          f"{len(pairs)} pair(s), {len(designs)} design(s) "
-          f"with paired runs")
-    if len(pairs) < min_pairs:
-        print(f"FAIL: need >= {min_pairs} workload pairs")
-        violations += 1
-    if len(designs) < min_designs:
-        print(f"FAIL: need >= {min_designs} designs with "
-              f"paired points")
-        violations += 1
-    if violations:
-        print(f"FAIL: {violations} colocation violation(s)")
-        return 1
-    print("OK: colocation matrix complete and conserved")
-    return 0
 
 
 def check_telemetry_budget(path, budget_pct):
@@ -178,9 +112,6 @@ def main():
     ap.add_argument("--current", nargs="+", default=[])
     ap.add_argument("--tolerance", type=float, default=0.15)
     ap.add_argument("--relative", action="store_true")
-    ap.add_argument("--colocation-json")
-    ap.add_argument("--min-pairs", type=int, default=3)
-    ap.add_argument("--min-designs", type=int, default=7)
     ap.add_argument("--telemetry-json")
     ap.add_argument("--telemetry-budget-pct", type=float,
                     default=2.0)
@@ -188,22 +119,14 @@ def main():
 
     if args.baseline and not args.current:
         ap.error("--baseline needs at least one --current run")
-    rc = 0
+    if not args.baseline and not args.telemetry_json:
+        ap.error("--baseline/--current or --telemetry-json is "
+                 "required")
     if args.telemetry_json:
         rc = check_telemetry_budget(args.telemetry_json,
                                     args.telemetry_budget_pct)
-        if rc or (not args.baseline and not args.colocation_json):
-            return rc
-    if args.colocation_json:
-        rc = check_colocation(args.colocation_json,
-                              args.min_pairs, args.min_designs)
         if rc or not args.baseline:
             return rc
-    elif not args.baseline:
-        if not args.telemetry_json:
-            ap.error("--baseline/--current, --colocation-json, "
-                     "or --telemetry-json is required")
-        return rc
 
     with open(args.baseline) as f:
         base = json.load(f)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate the telemetry artifacts a sweep run produced.
 
-Four independent checks, each optional:
+Five independent checks, each optional:
 
 --timeseries TS.json --report SWEEP.json
     Interval-stream conservation against the shipped merged
@@ -44,6 +44,15 @@ Four independent checks, each optional:
     must be present — the shape Perfetto and chrome://tracing
     load without complaint.
 
+--colocation SWEEP.json [--min-pairs 3] [--min-designs 7]
+    Colocation interference matrix in a merged report: every
+    point of the `colocation` experiment carries per-tenant
+    metrics whose TENANT_COLUMNS each sum bit-exactly to the
+    point's aggregate metric (tests/test_tenant.cc proves the
+    invariant in-process), and the matrix covers at least
+    --min-pairs workload pairs and --min-designs designs with
+    paired (two-tenant) points.
+
 Exit code 0 when every requested check passes, 1 otherwise.
 
 Usage:
@@ -51,6 +60,8 @@ Usage:
   check_telemetry.py --heatmap heat.json [--report sweep.json]
   check_telemetry.py --journal journal_dir/
   check_telemetry.py --trace trace.json [--min-events 10]
+  check_telemetry.py --colocation sweep.json \
+      [--min-pairs 3] [--min-designs 7]
 """
 
 import argparse
@@ -75,6 +86,9 @@ AGGREGATE_COLUMNS = {
     "stacked_acts": "stacked_acts",
 }
 
+# Per-tenant counters, each a slice of the same-named aggregate
+# metric: the tenant series of a timeseries and the tenant metrics
+# of a colocation point both sum to it bit-exactly.
 TENANT_COLUMNS = [
     "trace_records", "instructions", "llc_misses",
     "demand_accesses", "demand_hits", "mem_latency_cycles",
@@ -353,6 +367,50 @@ def check_trace(trace_path, min_events):
     return 0
 
 
+def check_colocation(path, min_pairs, min_designs):
+    exp = load(path).get("experiments", {}).get("colocation")
+    if exp is None:
+        print(f"{path}: no colocation experiment in the report")
+        return 1
+    points = exp["points"]
+    pairs, designs = set(), set()
+    violations = 0
+    tenant_points = 0
+    for p in points:
+        tenants = p.get("tenants", [])
+        if not tenants:
+            print(f"{p['key']}: no per-tenant metrics")
+            violations += 1
+            continue
+        tenant_points += 1
+        if len(tenants) >= 2:
+            pairs.add(p["key"].split("/")[1])
+            designs.add(p["design"])
+        m = p["metrics"]
+        for field in TENANT_COLUMNS:
+            total = sum(t[field] for t in tenants)
+            if total != m[field]:
+                print(f"{p['key']}: tenant {field} sum {total} "
+                      f"!= aggregate {m[field]}")
+                violations += 1
+    print(f"colocation guard: {len(points)} point(s), "
+          f"{tenant_points} with tenant metrics, "
+          f"{len(pairs)} pair(s), {len(designs)} design(s) "
+          f"with paired runs")
+    if len(pairs) < min_pairs:
+        print(f"FAIL: need >= {min_pairs} workload pairs")
+        violations += 1
+    if len(designs) < min_designs:
+        print(f"FAIL: need >= {min_designs} designs with "
+              f"paired points")
+        violations += 1
+    if violations:
+        print(f"FAIL: {violations} colocation violation(s)")
+        return 1
+    print("OK: colocation matrix complete and conserved")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--timeseries")
@@ -361,6 +419,9 @@ def main():
     ap.add_argument("--journal")
     ap.add_argument("--trace")
     ap.add_argument("--min-events", type=int, default=10)
+    ap.add_argument("--colocation")
+    ap.add_argument("--min-pairs", type=int, default=3)
+    ap.add_argument("--min-designs", type=int, default=7)
     args = ap.parse_args()
 
     if args.timeseries and not args.report:
@@ -368,9 +429,10 @@ def main():
     if args.report and not (args.timeseries or args.heatmap):
         ap.error("--report needs --timeseries and/or --heatmap")
     if not (args.timeseries or args.heatmap or args.journal
-            or args.trace):
+            or args.trace or args.colocation):
         ap.error("nothing to check: pass --timeseries/--report, "
-                 "--heatmap, --journal and/or --trace")
+                 "--heatmap, --journal, --trace and/or "
+                 "--colocation")
 
     rc = 0
     if args.timeseries:
@@ -381,6 +443,9 @@ def main():
         rc |= check_journal(args.journal)
     if args.trace:
         rc |= check_trace(args.trace, args.min_events)
+    if args.colocation:
+        rc |= check_colocation(args.colocation, args.min_pairs,
+                               args.min_designs)
     return rc
 
 

@@ -146,8 +146,8 @@ class DramChannel
      * Clear all bank/bus reservation state (open rows, activate
      * windows, bus occupancy) while keeping the statistics. Used at
      * the two-phase engine's warmup/measurement boundary so the
-     * measurement phase starts from a drained channel regardless of
-     * the warmup mode, and so cycle time may restart from zero.
+     * measurement phase starts from a drained channel however the
+     * warmup ran, and so cycle time may restart from zero.
      */
     void resetTiming();
 

@@ -313,14 +313,12 @@ PodSystem::runWarmup(std::uint64_t warmup_refs)
     // the memory system.
     constexpr std::uint64_t kBatch = 4096;
     HierarchyPass pass(trace_, hierarchy_, 0, config_.deadline);
-    std::vector<Cycle> clock(config_.numCores, 0);
     PostL2Ops ops;
     while (pass.pulled < warmup_refs && pass.numAlive > 0) {
         ops.clear();
         total_instructions_ += pass.advance(
             std::min(kBatch, warmup_refs - pass.pulled), ops);
-        replayOps(ops, 0, ops.paddr.size(), config_.warmupMode,
-                  clock.data());
+        replayOps(ops, 0, ops.paddr.size());
     }
     total_records_ += pass.pulled;
 
@@ -339,13 +337,23 @@ PodSystem::buildWarmupArtifact(const MaterializedTrace &trace,
                                Deadline deadline)
 {
     FPC_ASSERT(trace.size() >= warm_records);
-    auto art = std::make_shared<WarmupArtifact>();
     ReplayTraceSource source = replayOf(trace);
+    return buildWarmupArtifact(source, hier_cfg, warm_records,
+                               deadline);
+}
+
+std::shared_ptr<const WarmupArtifact>
+PodSystem::buildWarmupArtifact(TraceSource &source,
+                               const CacheHierarchy::Config &hier_cfg,
+                               std::uint64_t warm_records,
+                               Deadline deadline)
+{
+    auto art = std::make_shared<WarmupArtifact>();
     CacheHierarchy hierarchy(hier_cfg);
     HierarchyPass pass(source, hierarchy, 0, deadline);
     art->instructions = pass.advance(warm_records, *art);
     hierarchy.saveState(art->hierarchy);
-    art->records = warm_records;
+    art->records = pass.pulled;
     art->hierarchyBytes = hierarchy.stateBytes();
     return art;
 }
@@ -385,13 +393,9 @@ PodSystem::buildSampleSpanArtifact(
 
 void
 PodSystem::replayOps(const PostL2Ops &ops, std::size_t begin,
-                     std::size_t end, SimMode mode, Cycle *clock)
+                     std::size_t end)
 {
-    const bool timed = mode == SimMode::Timed;
-    FPC_ASSERT(!timed || clock != nullptr);
-    const Cycle l1l2 =
-        config_.l1HitLatency + config_.l2HitLatency;
-    setDramMode(mode);
+    setDramMode(SimMode::Functional);
     MemRequest req;
     for (std::size_t i = begin; i < end; ++i) {
         if ((i & 0xfff) == 0)
@@ -403,27 +407,18 @@ PodSystem::replayOps(const PostL2Ops &ops, std::size_t begin,
         if (i + 5 < end)
             memory_.prefetchFor2(ops.paddr[i + 5]);
         const std::uint8_t kind = ops.kind[i];
-        const unsigned core = ops.coreId[i];
         if (kind == PostL2Ops::kWriteback) {
-            memory_.writeback(timed ? clock[core] : 0, ops.paddr[i]);
+            memory_.writeback(0, ops.paddr[i]);
             continue;
         }
         req.paddr = ops.paddr[i];
         req.pc = ops.pc[i];
         req.op = kind == PostL2Ops::kWrite ? MemOp::Write
                                            : MemOp::Read;
-        req.coreId = static_cast<std::uint16_t>(core);
+        req.coreId = ops.coreId[i];
         req.tenantId =
             static_cast<std::uint16_t>(tenantOfAddr(req.paddr));
-        if (timed) {
-            // Blocking in-order issue: a read holds its core
-            // until the block returns.
-            const Cycle issue = clock[core] + l1l2;
-            const MemSystemResult res = memory_.access(issue, req);
-            clock[core] = req.op == MemOp::Read ? res.doneAt : issue;
-        } else {
-            memory_.access(0, req);
-        }
+        memory_.access(0, req);
     }
     setDramMode(SimMode::Timed);
 }
@@ -439,11 +434,8 @@ PodSystem::setDramMode(SimMode mode)
 void
 PodSystem::applyWarmup(const WarmupArtifact &artifact)
 {
-    FPC_ASSERT(config_.warmupMode == SimMode::Functional &&
-               !config_.allTimedWarmup);
     hierarchy_.restoreState(artifact.hierarchy);
-    replayOps(artifact, 0, artifact.paddr.size(),
-              SimMode::Functional);
+    replayOps(artifact, 0, artifact.paddr.size());
     total_records_ += artifact.records;
     total_instructions_ += artifact.instructions;
 
@@ -466,8 +458,8 @@ PodSystem::recordInterval(RunMetrics &prev, Cycle now)
 }
 
 Cycle
-PodSystem::runMeasure(std::uint64_t measure_refs, bool measured,
-                      Cycle start_now, MeasureCarry *carry)
+PodSystem::runMeasure(std::uint64_t measure_refs, Cycle start_now,
+                      MeasureCarry *carry)
 {
     const std::uint64_t stop = total_records_ + measure_refs;
 
@@ -479,8 +471,7 @@ PodSystem::runMeasure(std::uint64_t measure_refs, bool measured,
     // aggregate deltas bit-exactly because the first prev here
     // and run()'s start snapshot are the same capture(0), and
     // the final close below matches its end capture.
-    const std::uint64_t interval =
-        measured ? config_.telemetry.intervalRecords : 0;
+    const std::uint64_t interval = config_.telemetry.intervalRecords;
     std::uint64_t next_boundary =
         interval ? total_records_ + interval : 0;
     RunMetrics prev;
@@ -489,11 +480,10 @@ PodSystem::runMeasure(std::uint64_t measure_refs, bool measured,
 
     // Hot-path distribution probe: one predictable null test per
     // site when telemetry is off.
-    TelemetryProbe *probe = measured ? probe_.get() : nullptr;
+    TelemetryProbe *probe = probe_.get();
     // Miss-attribution shadow probe: same null-when-off pattern;
     // armed only once run() reached the measurement boundary.
-    CacheIntrospection *intro =
-        measured && intro_armed_ ? intro_.get() : nullptr;
+    CacheIntrospection *intro = intro_armed_ ? intro_.get() : nullptr;
     DramSystem *occupancy_dram = stacked_ ? stacked_ : &offchip_;
 
     EventQueue<unsigned> ready;
@@ -704,20 +694,8 @@ RunMetrics
 PodSystem::run(std::uint64_t warmup_refs,
                std::uint64_t measure_refs)
 {
-    if (warmup_refs > 0) {
-        if (config_.allTimedWarmup) {
-            // Legacy all-timed engine: warmup pays the full
-            // event-queue timing loop. Drain the channels at the
-            // boundary as runWarmup does. Not a
-            // measured window: telemetry stays quiet.
-            runMeasure(warmup_refs, false);
-            if (stacked_)
-                stacked_->resetTiming();
-            offchip_.resetTiming();
-        } else {
-            runWarmup(warmup_refs);
-        }
-    }
+    if (warmup_refs > 0)
+        runWarmup(warmup_refs);
 
     // Arm introspection only for a real measured window: a
     // warmup-only run() must neither attach the design hooks nor
@@ -726,7 +704,7 @@ PodSystem::run(std::uint64_t warmup_refs,
         armIntrospection();
 
     const RunMetrics start = capture(0);
-    const Cycle end_now = runMeasure(measure_refs, true);
+    const Cycle end_now = runMeasure(measure_refs);
     return capture(end_now).since(start);
 }
 
@@ -736,11 +714,7 @@ PodSystem::runSampled(std::uint64_t span_refs,
 {
     const SamplingConfig &sc = config_.sampling;
     FPC_ASSERT(sc.enabled);
-    // Sampling rides the functional fast path; the legacy
-    // all-timed engine has nothing cheap to fast-forward with,
-    // and the span artifact carries no per-tenant attribution.
-    FPC_ASSERT(!config_.allTimedWarmup &&
-               config_.warmupMode == SimMode::Functional);
+    // The span artifact carries no per-tenant attribution.
     FPC_ASSERT(tenant_totals_.empty());
 
     // The schedule is pure record arithmetic — it can't depend on
@@ -768,7 +742,7 @@ PodSystem::runSampled(std::uint64_t span_refs,
         // past the records they came from, and land on the
         // artifact's hierarchy snapshot at the timed start.
         const std::uint64_t op_end = span_art.opGapEnd[i];
-        replayOps(span_art, op_start, op_end, SimMode::Functional);
+        replayOps(span_art, op_start, op_end);
         if (sched.gap > 0)
             trace_.fastForward(sched.gap);
         total_records_ += sched.gap;
@@ -796,8 +770,8 @@ PodSystem::runSampled(std::uint64_t span_refs,
         config_.telemetry.intervalRecords = sched.epoch;
         epochs_.clear();
         record_epochs_ = true;
-        clock = runMeasure(sched.ramp + sched.measure, true,
-                           clock, &carry);
+        clock = runMeasure(sched.ramp + sched.measure, clock,
+                           &carry);
         record_epochs_ = false;
         config_.telemetry.intervalRecords = saved_interval;
         out.timedSeconds += secondsSince(t0);

@@ -15,16 +15,15 @@
  * hierarchy takes no input from the memory system, so the two
  * halves can run batch by batch in-band, or the pass can run once
  * per trace into a WarmupArtifact that every design replays.
- * Under SimMode::Functional (the default) the replay puts the
- * stacked and off-chip DramSystems in Functional mode, so every
- * DRAM access returns at its issue cycle without bank-timing or
- * energy modeling, while the memory system runs its one access
- * path unchanged; under SimMode::Timed the DRAM model runs in
- * full, which serves as a timed cost baseline (bench/perf_engine).
- * Because dispatch is timing-independent and no structure's state
- * update reads the cycle argument, both warmup modes leave
- * bit-identical state at the phase boundary, where the DRAM
- * channels are drained (resetTiming) and time rebases to 0.
+ * The replay puts the stacked and off-chip DramSystems in
+ * SimMode::Functional, so every DRAM access returns at its issue
+ * cycle without bank-timing or energy modeling, while the memory
+ * system runs its one access path unchanged. No structure's state
+ * update reads the cycle argument, so this leaves the state a
+ * timed replay of the same ops would (tests/test_two_phase.cc
+ * holds every design to a timed reference replay). At the phase
+ * boundary the DRAM channels are drained (resetTiming) and time
+ * rebases to 0.
  *
  * The measurement phase is the full timing loop: cores are
  * trace-driven agents dispatched in global time order. Loads block
@@ -80,23 +79,13 @@ struct PodConfig
     unsigned mlpPerCore = 4;
 
     /**
-     * Fidelity of the warmup phase. Functional (default) warms all
-     * state without DRAM timing/energy modeling; Timed pays the
-     * full model and exists as the perf baseline. Measured-phase
-     * results are bit-identical across the two.
+     * Every warmup is functional. These two constants exist only
+     * because perfbench/layers.cc still reads them to pick the
+     * points that share a warmup artifact (all of them); remove
+     * them together with that read.
      */
-    SimMode warmupMode = SimMode::Functional;
-
-    /**
-     * Legacy all-timed engine: drive warmup through the full
-     * event-queue OoO/MLP timing loop instead of the hierarchy
-     * pass and op replay (warmupMode is then ignored; everything
-     * is timed).
-     * Kept as the cost baseline for bench/perf_engine — dispatch
-     * order then depends on warmup timing, so measured results are
-     * NOT bit-identical with the two-phase warmup modes.
-     */
-    bool allTimedWarmup = false;
+    static constexpr SimMode warmupMode = SimMode::Functional;
+    static constexpr bool allTimedWarmup = false;
 
     /**
      * Tenants co-scheduled on this pod (multi-tenant colocation).
@@ -388,9 +377,10 @@ class PodSystem
               DramSystem &offchip);
 
     /**
-     * Run @p warmup_refs trace records to warm the hierarchy and
-     * the DRAM cache (per PodConfig::warmupMode), then measure
-     * over @p measure_refs records with the full timing loop.
+     * Run @p warmup_refs trace records through the functional
+     * warmup (runWarmup) to warm the hierarchy and the DRAM
+     * cache, then measure over @p measure_refs records with the
+     * full timing loop.
      */
     RunMetrics run(std::uint64_t warmup_refs,
                    std::uint64_t measure_refs);
@@ -438,6 +428,19 @@ class PodSystem
                         Deadline deadline = kNoDeadline);
 
     /**
+     * The same pass over the next @p warm_records records of any
+     * @p source (a tenant mix included), which is left positioned
+     * after them — where a pod warmed in-band from it would
+     * continue. `records` counts what the pass consumed, fewer
+     * than @p warm_records once every core's stream ran dry.
+     */
+    static std::shared_ptr<const WarmupArtifact>
+    buildWarmupArtifact(TraceSource &source,
+                        const CacheHierarchy::Config &hier_cfg,
+                        std::uint64_t warm_records,
+                        Deadline deadline = kNoDeadline);
+
+    /**
      * One hierarchy-only pass over records [warm_records,
      * warm_records + sched.spanRecords()) of @p trace, starting
      * from @p warm_art's hierarchy snapshot: the
@@ -457,11 +460,9 @@ class PodSystem
     /**
      * Warm this pod from @p artifact instead of running the trace:
      * restore the hierarchy snapshot and replay the op stream into
-     * the memory system (DRAM in SimMode::Functional, like the
-     * loop it replaces), leaving state bit-identical to a full
-     * warmup over the same records. Only valid for the default
-     * functional warmup configuration; the caller advances the
-     * trace source past the warm window itself.
+     * the memory system (replayOps), leaving state bit-identical
+     * to an in-band warmup over the same records. The caller
+     * advances the trace source past the warm window itself.
      */
     void applyWarmup(const WarmupArtifact &artifact);
 
@@ -522,26 +523,21 @@ class PodSystem
 
     /**
      * In-band warmup: the hierarchy pass over trace_ in bounded
-     * batches, each batch's ops replayed in PodConfig::warmupMode
-     * (with per-core issue clocks under SimMode::Timed). Drains
-     * the DRAM channels and leaves them in SimMode::Timed.
+     * batches, each batch's ops replayed by replayOps. Drains the
+     * DRAM channels at the phase boundary.
      */
     void runWarmup(std::uint64_t warmup_refs);
 
     /**
      * Replay ops [@p begin, @p end) of @p ops into the memory
-     * system with the DRAM in @p mode, leaving it in
-     * SimMode::Timed; each demand carries the tenant of its
-     * address. Under SimMode::Timed a demand issues at its core's
-     * @p clock plus the L1+L2 latency and a read advances that
-     * clock to its completion; SimMode::Functional issues at cycle
-     * 0 and ignores @p clock. The one loop that feeds the memory
-     * system during warmup: in-band batches, applyWarmup and
-     * runSampled's gaps.
+     * system with the DRAM in SimMode::Functional, every op at
+     * cycle 0, leaving the DRAM in SimMode::Timed; each demand
+     * carries the tenant of its address. The one loop that feeds
+     * the memory system during warmup: in-band batches,
+     * applyWarmup and runSampled's gaps.
      */
     void replayOps(const PostL2Ops &ops, std::size_t begin,
-                   std::size_t end, SimMode mode,
-                   Cycle *clock = nullptr);
+                   std::size_t end);
 
     /** Put the stacked and off-chip DRAM in @p mode. */
     void setDramMode(SimMode mode);
@@ -565,19 +561,15 @@ class PodSystem
 
     /**
      * Full OoO/MLP timing loop; returns the final cycle.
-     * @p measured marks a real measurement window: only then do
-     * the telemetry interval stream and histograms accumulate
-     * (the all-timed legacy warmup reuses this loop and must not
-     * pollute them). @p start_now rebases the clock: sampled
-     * runs continue each period's timed stretch from the
-     * previous one's end cycle so the DRAM channels' detailed
-     * state (queue backlog, bank busy windows) carries across
-     * the zero-simulated-time gaps instead of restarting cold.
-     * @p carry, when non-null, persists the per-core engine
-     * state between calls the same way (primed on first return).
+     * @p start_now rebases the clock: sampled runs continue each
+     * period's timed stretch from the previous one's end cycle so
+     * the DRAM channels' detailed state (queue backlog, bank busy
+     * windows) carries across the zero-simulated-time gaps
+     * instead of restarting cold. @p carry, when non-null,
+     * persists the per-core engine state between calls the same
+     * way (primed on first return).
      */
-    Cycle runMeasure(std::uint64_t measure_refs, bool measured,
-                     Cycle start_now = 0,
+    Cycle runMeasure(std::uint64_t measure_refs, Cycle start_now = 0,
                      MeasureCarry *carry = nullptr);
 
     /**

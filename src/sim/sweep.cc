@@ -444,26 +444,6 @@ hierarchySignature(const PodConfig &pod)
     return buf;
 }
 
-/**
- * True when the pod warms functionally (the default): no timed or
- * all-timed warmup, so the warmup's evolution depends only on the
- * trace and the hierarchy, not on the design.
- */
-bool
-functionalWarmup(const PodConfig &pod)
-{
-    return pod.warmupMode == SimMode::Functional && !pod.allTimedWarmup;
-}
-
-/** The warmup-artifact fast path replicates only a nonempty
- * functional warmup; timed warmups keep the in-band loop. */
-bool
-warmupArtifactEligible(const ExperimentPoint &point,
-                       std::uint64_t warm)
-{
-    return warm > 0 && functionalWarmup(point.cfg.pod);
-}
-
 std::string
 warmupArtifactKey(const ExperimentPoint &point,
                   std::uint64_t warm)
@@ -687,35 +667,26 @@ runPoint(const ExperimentPoint &point)
     Experiment exp(point.cfg, trace);
     phase.lap("construct");
 
-    // Warmup: the default functional warmup is design-independent
-    // given the trace, so replay points share one WarmupArtifact
-    // (hierarchy snapshot + post-L2 op stream) per warm window.
-    std::shared_ptr<const WarmupArtifact> warm_artifact;
-    if (warmupArtifactEligible(point, warm)) {
-        bool built = false;
-        warm_artifact =
-            std::static_pointer_cast<const WarmupArtifact>(
-                cache.acquire(
-                    warmupArtifactKey(point, warm), warm,
-                    [&](std::uint64_t) -> TraceCache::EntryPtr {
-                        faultPoint("warmup-build",
-                                   point.traceKey());
-                        built = true;
-                        return PodSystem::buildWarmupArtifact(
-                            *arena, point.cfg.pod.hierarchy, warm,
-                            deadline);
-                    },
-                    deadline));
-        out.timing.replayedWarmup = true;
-        out.timing.builtWarmup = built;
-        faultPoint("warmup-restore", point.key());
-        exp.pod().applyWarmup(*warm_artifact);
-        trace.seekTo(warm);
-    } else if (warm > 0) {
-        exp.run(warm, 0);
-    }
-    out.timing.warmupSeconds = phase.lap(
-        out.timing.replayedWarmup ? "warmup-restore" : "warmup");
+    // Warmup: design-independent given the trace, so points share
+    // one WarmupArtifact (hierarchy snapshot + post-L2 op stream)
+    // per warm window.
+    bool built = false;
+    const auto warm_artifact =
+        std::static_pointer_cast<const WarmupArtifact>(cache.acquire(
+            warmupArtifactKey(point, warm), warm,
+            [&](std::uint64_t) -> TraceCache::EntryPtr {
+                faultPoint("warmup-build", point.traceKey());
+                built = true;
+                return PodSystem::buildWarmupArtifact(
+                    *arena, point.cfg.pod.hierarchy, warm, deadline);
+            },
+            deadline));
+    out.timing.replayedWarmup = true;
+    out.timing.builtWarmup = built;
+    faultPoint("warmup-restore", point.key());
+    exp.pod().applyWarmup(*warm_artifact);
+    trace.seekTo(warm);
+    out.timing.warmupSeconds = phase.lap("warmup-restore");
 
     if (point.cfg.pod.sampling.enabled) {
         // Sampled measurement: per period, warm the gap from the
@@ -726,12 +697,6 @@ runPoint(const ExperimentPoint &point)
         // mean/CI extras carry the statistics.
         const SampleSchedule sched = computeSampleSchedule(
             point.cfg.pod.sampling, measure);
-        // A point that warmed without the shared artifact (a zero
-        // warm window, or a timed warmup) starts its span from a
-        // functional warm of the same window.
-        if (warm_artifact == nullptr)
-            warm_artifact = PodSystem::buildWarmupArtifact(
-                *arena, point.cfg.pod.hierarchy, warm, deadline);
         const auto span_art =
             std::static_pointer_cast<const SampleSpanArtifact>(
                 cache.acquire(
@@ -824,9 +789,8 @@ applySweepOptions(ExperimentPoint &point, const SweepOptions &opts)
     t.designProbes |= opts.telemetry.designProbes;
     t.heatmaps |= opts.telemetry.heatmaps || !opts.heatmapOut.empty();
 
-    const PodConfig &pod = point.cfg.pod;
     if (opts.sampling.enabled && !point.pinSampling &&
-        pod.numTenants == 0 && functionalWarmup(pod))
+        point.cfg.pod.numTenants == 0)
         point.cfg.pod.sampling = opts.sampling;
 }
 
@@ -1062,8 +1026,7 @@ SweepRunner::runResilient(
         if (p.inBandWarmup)
             continue;
         const std::uint64_t warm = p.warmupWindow();
-        if (warmupArtifactEligible(p, warm))
-            cache.plan(warmupArtifactKey(p, warm), warm);
+        cache.plan(warmupArtifactKey(p, warm), warm);
         if (p.cfg.pod.sampling.enabled) {
             const SampleSchedule sched = computeSampleSchedule(
                 p.cfg.pod.sampling, measureRecords(p.scale));

@@ -478,9 +478,8 @@ struct ExperimentPoint
     /**
      * Shared artifact cache, set (non-owning) by the SweepRunner
      * on its working copy of the point. runPoint() replays the
-     * point's trace — and, for the default functional warmup, its
-     * warmup artifact — from here, or from pointCache()'s own
-     * cache when null.
+     * point's trace and warmup artifact from here, or from
+     * pointCache()'s own cache when null.
      */
     TraceCache *traceCache = nullptr;
 
@@ -612,9 +611,8 @@ bool sameSimulation(const ExperimentPoint &a,
  * widen what the point pinned (the larger miss-attribution
  * stride, design probes OR-ed, heatmaps on with --heatmap-out).
  * Sampling replaces the point's configuration unless the point
- * pins its own (pinSampling), has tenants (the span artifact
- * carries no per-tenant attribution) or warms timed (no
- * functional fast-forward phase to interleave with).
+ * pins its own (pinSampling) or has tenants (the span artifact
+ * carries no per-tenant attribution).
  */
 void applySweepOptions(ExperimentPoint &point,
                        const SweepOptions &opts);

@@ -2,9 +2,8 @@
  * @file
  * Design-subsystem tests: registry semantics (duplicate-name
  * rejection, unknown-name error, factory round-trip), the
- * parameter bag, Alloy/Banshee functional-vs-timed state
- * bit-identity, and the frontier experiment's same-trace pairing
- * across designs.
+ * parameter bag, Alloy and Banshee behavior, and the frontier
+ * experiment's same-trace pairing across designs.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +12,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "dramcache/alloy_cache.hh"
 #include "dramcache/banshee_cache.hh"
 #include "dramcache/design_registry.hh"
 #include "experiments/experiments.hh"
@@ -147,98 +145,6 @@ TEST(Designs, Table4LatenciesByName)
     // Designs without an SRAM page tag array have none.
     EXPECT_EQ(tagLatencyCycles("alloy", 256), 0u);
     EXPECT_EQ(tagLatencyCycles("baseline", 256), 0u);
-}
-
-/* ---------------- functional/timed bit-identity ---------------- */
-
-struct DesignState
-{
-    RunMetrics metrics;
-    std::uint64_t demandAccesses = 0;
-    std::uint64_t demandHits = 0;
-    /* Alloy detail. */
-    std::uint64_t mapMispredicts = 0;
-    std::uint64_t wastedOffchip = 0;
-    std::uint64_t dirtyEvictions = 0;
-    /* Banshee detail. */
-    std::uint64_t fills = 0;
-    std::uint64_t bypassed = 0;
-    std::uint64_t fillBlocks = 0;
-    std::uint64_t tbHits = 0;
-    std::uint64_t tbFlushes = 0;
-    std::uint64_t flushedMappings = 0;
-};
-
-DesignState
-runDesign(const std::string &design, SimMode warmup_mode)
-{
-    WorkloadSpec spec = makeWorkload(WorkloadKind::WebSearch);
-    SyntheticTraceSource trace(spec);
-    Experiment::Config cfg;
-    cfg.design = design;
-    cfg.capacityMb = 16;
-    cfg.pod.warmupMode = warmup_mode;
-    Experiment exp(cfg, trace);
-    DesignState r;
-    r.metrics = exp.run(150'000, 100'000);
-    r.demandAccesses = exp.memory().demandAccesses();
-    r.demandHits = exp.memory().demandHits();
-    if (auto *alloy = dynamic_cast<AlloyCache *>(&exp.memory())) {
-        r.mapMispredicts = alloy->mapMispredicts();
-        r.wastedOffchip = alloy->wastedOffchipReads();
-        r.dirtyEvictions = alloy->dirtyEvictions();
-    }
-    if (auto *banshee =
-            dynamic_cast<BansheeCache *>(&exp.memory())) {
-        r.fills = banshee->pageFills();
-        r.bypassed = banshee->bypassedMisses();
-        r.fillBlocks = banshee->fillBlocksWritten();
-        r.tbHits = banshee->tagBufferHits();
-        r.tbFlushes = banshee->tagFlushes();
-        r.flushedMappings = banshee->flushedMappings();
-    }
-    return r;
-}
-
-void
-expectIdentical(const DesignState &a, const DesignState &b)
-{
-    EXPECT_EQ(
-        fieldDiff(PodCounters::kCounters, a.metrics, b.metrics), "");
-    EXPECT_EQ(a.demandAccesses, b.demandAccesses);
-    EXPECT_EQ(a.demandHits, b.demandHits);
-    EXPECT_EQ(a.mapMispredicts, b.mapMispredicts);
-    EXPECT_EQ(a.wastedOffchip, b.wastedOffchip);
-    EXPECT_EQ(a.dirtyEvictions, b.dirtyEvictions);
-    EXPECT_EQ(a.fills, b.fills);
-    EXPECT_EQ(a.bypassed, b.bypassed);
-    EXPECT_EQ(a.fillBlocks, b.fillBlocks);
-    EXPECT_EQ(a.tbHits, b.tbHits);
-    EXPECT_EQ(a.tbFlushes, b.tbFlushes);
-    EXPECT_EQ(a.flushedMappings, b.flushedMappings);
-}
-
-TEST(TwoPhaseDesigns, AlloyWarmupModesBitIdentical)
-{
-    DesignState func = runDesign("alloy", SimMode::Functional);
-    DesignState timed = runDesign("alloy", SimMode::Timed);
-    expectIdentical(func, timed);
-    // Sanity: the design really hit and really mispredicted.
-    EXPECT_GT(func.demandHits, 0u);
-    EXPECT_LT(func.demandHits, func.demandAccesses);
-    EXPECT_GT(func.mapMispredicts, 0u);
-}
-
-TEST(TwoPhaseDesigns, BansheeWarmupModesBitIdentical)
-{
-    DesignState func = runDesign("banshee", SimMode::Functional);
-    DesignState timed = runDesign("banshee", SimMode::Timed);
-    expectIdentical(func, timed);
-    EXPECT_GT(func.demandHits, 0u);
-    EXPECT_GT(func.fills, 0u);
-    // Bandwidth-aware replacement: some misses fill nothing.
-    EXPECT_GT(func.bypassed, 0u);
-    EXPECT_GT(func.tbHits, 0u);
 }
 
 TEST(Designs, BansheeFillsLessThanPageBased)

@@ -328,11 +328,10 @@ arenaOf(WorkloadKind wk, std::uint64_t records, std::uint64_t seed)
 TEST(PodWarmupOps, InBandStreamEqualsArtifactColumns)
 {
     // The in-band warmup hands the memory system exactly the op
-    // stream a warmup artifact records for the same records, in
-    // both warmup modes.
+    // stream a warmup artifact records for the same records.
     constexpr std::uint64_t kWarm = 30000;
     const auto arena = arenaOf(WorkloadKind::WebSearch, kWarm, 11);
-    PodConfig cfg = smallCachePod();
+    const PodConfig cfg = smallCachePod();
     const auto art =
         PodSystem::buildWarmupArtifact(*arena, cfg.hierarchy, kWarm);
 
@@ -350,12 +349,8 @@ TEST(PodWarmupOps, InBandStreamEqualsArtifactColumns)
                             }),
               0);
 
-    for (SimMode mode : {SimMode::Functional, SimMode::Timed}) {
-        SCOPED_TRACE(mode == SimMode::Timed ? "timed" : "functional");
-        cfg.warmupMode = mode;
-        ReplayTraceSource trace(arena);
-        EXPECT_TRUE(warmupLog(cfg, trace, kWarm) == expected);
-    }
+    ReplayTraceSource trace(arena);
+    EXPECT_TRUE(warmupLog(cfg, trace, kWarm) == expected);
 }
 
 TEST(PodWarmupOps, TenantMixStreamIsPinned)

@@ -4,8 +4,7 @@
  * policy parsing and mechanics, tenant-mix trace routing, metric
  * conservation (per-tenant sums must equal the aggregate metrics
  * bit-exactly for every registered design), policy effects,
- * two-phase warmup equivalence under tenant mixes, sweep-level
- * determinism of the colocation experiment, and the writeTextFile
+ * sweep-level determinism of the colocation experiment, and the writeTextFile
  * parent-directory satellite.
  */
 
@@ -379,30 +378,6 @@ TEST(TenantPolicies, SetPartitionChangesPlacementOnly)
     // Same demand stream, different placement outcome.
     EXPECT_EQ(shared.demandAccesses, part.demandAccesses);
     EXPECT_NE(shared.demandHits, part.demandHits);
-}
-
-TEST(TenantTwoPhase, WarmupModesBitIdenticalUnderMix)
-{
-    // The two-phase engine's invariant must survive tenant mixes
-    // and quota policies: Functional and Timed warmup leave
-    // bit-identical measured metrics, per tenant included.
-    auto run = [&](SimMode mode) {
-        Experiment::Config cfg;
-        cfg.design = "footprint";
-        cfg.capacityMb = 64;
-        encodeTenantMix(cfg,
-                        {{WorkloadKind::WebSearch, 8, 0.3},
-                         {WorkloadKind::DataServing, 8, 0.7}},
-                        "quota");
-        cfg.pod.numTenants = 2;
-        cfg.pod.warmupMode = mode;
-        auto mix = makePairMix(42);
-        Experiment exp(cfg, *mix);
-        return exp.run(40'000, 40'000);
-    };
-    const RunMetrics a = run(SimMode::Functional);
-    const RunMetrics b = run(SimMode::Timed);
-    expectTenantsIdentical(a, b, "warmup modes");
 }
 
 /** Colocation subset: the first pair across two designs. */

@@ -1,21 +1,30 @@
 /**
  * @file
- * Tests for the two-phase simulation engine: functional warmup
- * must leave exactly the same architectural state as timed warmup,
- * so every measured-phase metric and every state-derived counter
- * is bit-identical across the two warmup modes, for every
- * registered design; and functional warmup must never touch the
- * DRAM timing/energy model, whose Functional mode is the one place
+ * Tests for the two-phase simulation engine. The warmup replays
+ * its post-L2 ops with the DRAM in SimMode::Functional, every op
+ * at cycle 0. That is sound only because no structure's state
+ * update reads the cycle argument; the oracle here holds every
+ * design, and a two-tenant quota mix, to a timed reference replay
+ * of the same ops (full DRAM model, per-core issue clocks): every
+ * measured metric and every state-derived counter must come out
+ * bit-identical. Functional warmup must also never touch the DRAM
+ * timing/energy model, whose Functional mode is the one place
  * that skips work.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "dram/system.hh"
+#include "dramcache/alloy_cache.hh"
+#include "dramcache/banshee_cache.hh"
 #include "dramcache/design_registry.hh"
 #include "sim/experiment.hh"
+#include "sim/sweep.hh"
+#include "tenant/colocation.hh"
+#include "tenant/mix_source.hh"
 #include "workload/generator.hh"
 
 namespace fpc {
@@ -25,6 +34,9 @@ struct PhaseResult
 {
     RunMetrics metrics;
     /* Cumulative state-derived counters after the run. */
+    std::uint64_t demandAccesses = 0;
+    std::uint64_t demandHits = 0;
+    /* Footprint detail. */
     std::uint64_t fhtHits = 0;
     std::uint64_t fhtMisses = 0;
     std::uint64_t fhtEvictions = 0;
@@ -37,23 +49,83 @@ struct PhaseResult
     std::uint64_t underpred = 0;
     std::uint64_t overpred = 0;
     std::uint64_t densityPages = 0;
+    std::uint64_t quotaBypasses = 0;
+    /* Alloy detail. */
+    std::uint64_t mapMispredicts = 0;
+    std::uint64_t wastedOffchip = 0;
+    std::uint64_t dirtyEvictions = 0;
+    /* Banshee detail. */
+    std::uint64_t fills = 0;
+    std::uint64_t bypassed = 0;
+    std::uint64_t fillBlocks = 0;
+    std::uint64_t tbHits = 0;
+    std::uint64_t tbFlushes = 0;
+    std::uint64_t flushedMappings = 0;
 };
 
-PhaseResult
-runWith(const std::string &design, SimMode warmup_mode,
-        std::uint64_t capacity_mb, std::uint64_t warm,
-        std::uint64_t meas,
-        WorkloadKind wk = WorkloadKind::WebSearch)
+/**
+ * The timed reference warmup: replay @p art's ops into the memory
+ * system with both DRAMs left in SimMode::Timed. Each demand issues
+ * at its core's clock plus the L1+L2 latency, a read holds its core
+ * until the block returns, and a writeback issues at its core's
+ * clock. Then applyWarmup a copy of the artifact without its ops,
+ * so only the hierarchy snapshot and the record counters apply.
+ */
+void
+timedReferenceWarmup(Experiment &exp, const WarmupArtifact &art)
 {
-    WorkloadSpec spec = makeWorkload(wk);
-    SyntheticTraceSource trace(spec);
-    Experiment::Config cfg;
-    cfg.design = design;
-    cfg.capacityMb = capacity_mb;
-    cfg.pod.warmupMode = warmup_mode;
+    const PodConfig &pod = exp.config().pod;
+    const Cycle l1l2 = pod.l1HitLatency + pod.l2HitLatency;
+    std::vector<Cycle> clock(pod.numCores, 0);
+    MemorySystem &mem = exp.memory();
+    for (std::size_t i = 0; i < art.paddr.size(); ++i) {
+        const unsigned core = art.coreId[i];
+        if (art.kind[i] == PostL2Ops::kWriteback) {
+            mem.writeback(clock[core], art.paddr[i]);
+            continue;
+        }
+        MemRequest req;
+        req.paddr = art.paddr[i];
+        req.pc = art.pc[i];
+        req.op = art.kind[i] == PostL2Ops::kWrite ? MemOp::Write
+                                                  : MemOp::Read;
+        req.coreId = art.coreId[i];
+        req.tenantId =
+            static_cast<std::uint16_t>(tenantOfAddr(req.paddr));
+        const Cycle issue = clock[core] + l1l2;
+        const MemSystemResult res = mem.access(issue, req);
+        clock[core] = req.op == MemOp::Read ? res.doneAt : issue;
+    }
+    // The reference really paid the DRAM model.
+    const DramSystem *stacked = exp.stacked();
+    EXPECT_GT(exp.offchip().totalBytes() +
+                  (stacked ? stacked->totalBytes() : 0),
+              0u);
+
+    WarmupArtifact state = art;
+    state.clear();
+    exp.pod().applyWarmup(state);
+}
+
+/**
+ * Warm a fresh @p cfg pod from @p art (plain applyWarmup, or the
+ * timed reference), then measure @p meas records of @p trace,
+ * which the caller has positioned after the warm window.
+ */
+PhaseResult
+measureAfter(const Experiment::Config &cfg, TraceSource &trace,
+             const WarmupArtifact &art, bool timed_reference,
+             std::uint64_t meas)
+{
     Experiment exp(cfg, trace);
+    if (timed_reference)
+        timedReferenceWarmup(exp, art);
+    else
+        exp.pod().applyWarmup(art);
     PhaseResult r;
-    r.metrics = exp.run(warm, meas);
+    r.metrics = exp.run(0, meas);
+    r.demandAccesses = exp.memory().demandAccesses();
+    r.demandHits = exp.memory().demandHits();
     if (FootprintCache *fc = exp.footprintCache()) {
         fc->finalizeResidency();
         r.fhtHits = fc->fht().hits();
@@ -68,6 +140,21 @@ runWith(const std::string &design, SimMode warmup_mode,
         r.underpred = fc->underpredictedBlocks();
         r.overpred = fc->overpredictedBlocks();
         r.densityPages = fc->densityHistogram().totalSamples();
+        r.quotaBypasses = fc->quotaBypasses();
+    }
+    if (auto *alloy = dynamic_cast<AlloyCache *>(&exp.memory())) {
+        r.mapMispredicts = alloy->mapMispredicts();
+        r.wastedOffchip = alloy->wastedOffchipReads();
+        r.dirtyEvictions = alloy->dirtyEvictions();
+    }
+    if (auto *banshee =
+            dynamic_cast<BansheeCache *>(&exp.memory())) {
+        r.fills = banshee->pageFills();
+        r.bypassed = banshee->bypassedMisses();
+        r.fillBlocks = banshee->fillBlocksWritten();
+        r.tbHits = banshee->tagBufferHits();
+        r.tbFlushes = banshee->tagFlushes();
+        r.flushedMappings = banshee->flushedMappings();
     }
     return r;
 }
@@ -76,14 +163,25 @@ void
 expectIdentical(const PhaseResult &a, const PhaseResult &b)
 {
     // Measured-phase metrics: hit ratio, MPKI inputs, traffic and
-    // timing must all match bit for bit.
+    // timing must all match bit for bit, per tenant included.
     EXPECT_EQ(
         fieldDiff(PodCounters::kCounters, a.metrics, b.metrics), "");
     EXPECT_DOUBLE_EQ(a.metrics.missRatio(), b.metrics.missRatio());
     EXPECT_DOUBLE_EQ(a.metrics.ipc(), b.metrics.ipc());
+    ASSERT_EQ(a.metrics.tenants.size(), b.metrics.tenants.size());
+    for (std::size_t t = 0; t < a.metrics.tenants.size(); ++t) {
+        EXPECT_EQ(fieldDiff(TenantMetrics::kCounters,
+                            a.metrics.tenants[t],
+                            b.metrics.tenants[t]),
+                  "")
+            << "tenant " << t;
+    }
 
-    // FHT- and residency-derived counters (predictor training and
-    // footprint coverage must have evolved identically).
+    // State-derived counters: predictor training, footprint
+    // coverage and each design's own bookkeeping must have
+    // evolved identically.
+    EXPECT_EQ(a.demandAccesses, b.demandAccesses);
+    EXPECT_EQ(a.demandHits, b.demandHits);
     EXPECT_EQ(a.fhtHits, b.fhtHits);
     EXPECT_EQ(a.fhtMisses, b.fhtMisses);
     EXPECT_EQ(a.fhtEvictions, b.fhtEvictions);
@@ -96,34 +194,128 @@ expectIdentical(const PhaseResult &a, const PhaseResult &b)
     EXPECT_EQ(a.underpred, b.underpred);
     EXPECT_EQ(a.overpred, b.overpred);
     EXPECT_EQ(a.densityPages, b.densityPages);
+    EXPECT_EQ(a.quotaBypasses, b.quotaBypasses);
+    EXPECT_EQ(a.mapMispredicts, b.mapMispredicts);
+    EXPECT_EQ(a.wastedOffchip, b.wastedOffchip);
+    EXPECT_EQ(a.dirtyEvictions, b.dirtyEvictions);
+    EXPECT_EQ(a.fills, b.fills);
+    EXPECT_EQ(a.bypassed, b.bypassed);
+    EXPECT_EQ(a.fillBlocks, b.fillBlocks);
+    EXPECT_EQ(a.tbHits, b.tbHits);
+    EXPECT_EQ(a.tbFlushes, b.tbFlushes);
+    EXPECT_EQ(a.flushedMappings, b.flushedMappings);
 }
 
-TEST(TwoPhase, FootprintWarmupModesBitIdentical)
+std::shared_ptr<const MaterializedTrace>
+webSearchArena(std::uint64_t records)
 {
-    PhaseResult func = runWith("footprint",
-                               SimMode::Functional, 16, 400'000,
-                               200'000);
-    PhaseResult timed = runWith("footprint",
-                                SimMode::Timed, 16, 400'000,
-                                200'000);
-    expectIdentical(func, timed);
+    auto arena = std::make_shared<MaterializedTrace>();
+    materializeTrace(makeWorkload(WorkloadKind::WebSearch), records,
+                     *arena);
+    return arena;
+}
+
+/**
+ * Measure @p design at @p capacity_mb after a plain applyWarmup and
+ * after the timed reference warmup, both warmed from one artifact
+ * over @p arena's first @p warm records, and require identical
+ * results; returns the plain pod's.
+ */
+PhaseResult
+expectMatchesTimedReference(
+    const std::shared_ptr<const MaterializedTrace> &arena,
+    const std::string &design, std::uint64_t capacity_mb,
+    std::uint64_t warm, std::uint64_t meas)
+{
+    Experiment::Config cfg;
+    cfg.design = design;
+    cfg.capacityMb = capacity_mb;
+    const auto art =
+        PodSystem::buildWarmupArtifact(*arena, cfg.pod.hierarchy, warm);
+    const auto run = [&](bool timed_reference) {
+        ReplayTraceSource trace(arena);
+        trace.seekTo(warm);
+        return measureAfter(cfg, trace, *art, timed_reference, meas);
+    };
+    const PhaseResult plain = run(false);
+    expectIdentical(plain, run(true));
     // Sanity: the measured window did real work.
-    EXPECT_EQ(func.metrics.traceRecords, 200'000u);
-    EXPECT_GT(func.metrics.demandAccesses, 0u);
-    EXPECT_GT(func.covered, 0u);
+    EXPECT_EQ(plain.metrics.traceRecords, meas);
+    EXPECT_GT(plain.metrics.demandAccesses, 0u);
+    return plain;
 }
 
-TEST(TwoPhase, EveryDesignWarmupModesBitIdentical)
+TEST(TwoPhase, FootprintMatchesTimedReferenceWarmup)
 {
+    const PhaseResult r = expectMatchesTimedReference(
+        webSearchArena(600'000), "footprint", 16, 400'000, 200'000);
+    EXPECT_GT(r.covered, 0u);
+}
+
+TEST(TwoPhase, EveryDesignMatchesTimedReferenceWarmup)
+{
+    const auto arena = webSearchArena(250'000);
     for (const std::string &d : DesignRegistry::instance().names()) {
         SCOPED_TRACE(d);
-        PhaseResult func = runWith(d, SimMode::Functional, 16,
-                                   150'000, 100'000);
-        PhaseResult timed = runWith(d, SimMode::Timed, 16,
-                                    150'000, 100'000);
-        expectIdentical(func, timed);
-        EXPECT_EQ(func.metrics.traceRecords, 100'000u);
+        const PhaseResult r = expectMatchesTimedReference(
+            arena, d, 16, 150'000, 100'000);
+        if (d == "alloy") {
+            // The design really hit and really mispredicted.
+            EXPECT_GT(r.demandHits, 0u);
+            EXPECT_LT(r.demandHits, r.demandAccesses);
+            EXPECT_GT(r.mapMispredicts, 0u);
+        } else if (d == "banshee") {
+            EXPECT_GT(r.demandHits, 0u);
+            EXPECT_GT(r.fills, 0u);
+            // Bandwidth-aware replacement: some misses fill
+            // nothing.
+            EXPECT_GT(r.bypassed, 0u);
+            EXPECT_GT(r.tbHits, 0u);
+        }
     }
+}
+
+/** Two tenants, WebSearch and DataServing, on 8 cores each. */
+std::unique_ptr<TenantMixSource>
+pairMix()
+{
+    std::vector<std::unique_ptr<TraceSource>> inner;
+    for (WorkloadKind wk :
+         {WorkloadKind::WebSearch, WorkloadKind::DataServing}) {
+        inner.push_back(std::make_unique<SyntheticTraceSource>(
+            makeWorkload(wk, 2048, traceIdentitySeed(wk, 2048, 42))));
+    }
+    return std::make_unique<TenantMixSource>(
+        std::move(inner), std::vector<unsigned>{8, 8});
+}
+
+TEST(TwoPhase, TenantQuotaMixMatchesTimedReferenceWarmup)
+{
+    // Partition quotas see the tenant of every replayed demand;
+    // the timed reference must leave the same per-tenant state.
+    // Tenant 0's punitive quota makes bypasses engage in warmup.
+    Experiment::Config cfg;
+    cfg.design = "footprint";
+    cfg.capacityMb = 64;
+    encodeTenantMix(cfg,
+                    {{WorkloadKind::WebSearch, 8, 0.002},
+                     {WorkloadKind::DataServing, 8, 0.9}},
+                    "quota");
+    cfg.pod.numTenants = 2;
+    const auto run = [&](bool timed_reference) {
+        auto mix = pairMix();
+        const auto art = PodSystem::buildWarmupArtifact(
+            *mix, cfg.pod.hierarchy, 40'000);
+        EXPECT_EQ(art->records, 40'000u);
+        return measureAfter(cfg, *mix, *art, timed_reference,
+                            40'000);
+    };
+    const PhaseResult plain = run(false);
+    expectIdentical(plain, run(true));
+    EXPECT_GT(plain.quotaBypasses, 0u);
+    ASSERT_EQ(plain.metrics.tenants.size(), 2u);
+    EXPECT_GT(plain.metrics.tenants[0].demandAccesses, 0u);
+    EXPECT_GT(plain.metrics.tenants[1].demandAccesses, 0u);
 }
 
 TEST(TwoPhase, FunctionalWarmupSkipsDramModel)
@@ -135,7 +327,6 @@ TEST(TwoPhase, FunctionalWarmupSkipsDramModel)
         Experiment::Config cfg;
         cfg.design = d;
         cfg.capacityMb = 16;
-        cfg.pod.warmupMode = SimMode::Functional;
         Experiment exp(cfg, trace);
         exp.run(150'000, 0); // warmup only
         if (DramSystem *stacked = exp.stacked()) {
@@ -152,46 +343,20 @@ TEST(TwoPhase, FunctionalWarmupSkipsDramModel)
     }
 }
 
-TEST(TwoPhase, TimedWarmupDoesTouchDramModel)
-{
-    WorkloadSpec spec = makeWorkload(WorkloadKind::WebSearch);
-    SyntheticTraceSource trace(spec);
-    Experiment::Config cfg;
-    cfg.design = "footprint";
-    cfg.capacityMb = 16;
-    cfg.pod.warmupMode = SimMode::Timed;
-    Experiment exp(cfg, trace);
-    exp.run(200'000, 0);
-    EXPECT_GT(exp.stacked()->totalBytes(), 0u);
-    EXPECT_GT(exp.offchip().totalBytes(), 0u);
-}
-
 TEST(TwoPhase, WarmupStateCarriesIntoMeasurement)
 {
     // A warmed cache must measure a lower miss ratio than a cold
     // one over the same window.
-    PhaseResult cold = runWith("footprint",
-                               SimMode::Functional, 16, 0,
-                               200'000);
-    PhaseResult warm = runWith("footprint",
-                               SimMode::Functional, 16, 1'000'000,
-                               200'000);
-    EXPECT_LT(warm.metrics.missRatio(), cold.metrics.missRatio());
-}
-
-TEST(TwoPhase, LegacyAllTimedWarmupStillWorks)
-{
-    WorkloadSpec spec = makeWorkload(WorkloadKind::WebSearch);
-    SyntheticTraceSource trace(spec);
-    Experiment::Config cfg;
-    cfg.design = "footprint";
-    cfg.capacityMb = 16;
-    cfg.pod.allTimedWarmup = true;
-    Experiment exp(cfg, trace);
-    RunMetrics m = exp.run(150'000, 100'000);
-    EXPECT_EQ(m.traceRecords, 100'000u);
-    EXPECT_GT(m.ipc(), 0.0);
-    EXPECT_GT(m.demandAccesses, 0u);
+    const auto miss_ratio = [](std::uint64_t warm) {
+        SyntheticTraceSource trace(
+            makeWorkload(WorkloadKind::WebSearch));
+        Experiment::Config cfg;
+        cfg.design = "footprint";
+        cfg.capacityMb = 16;
+        Experiment exp(cfg, trace);
+        return exp.run(warm, 200'000).missRatio();
+    };
+    EXPECT_LT(miss_ratio(1'000'000), miss_ratio(0));
 }
 
 void
