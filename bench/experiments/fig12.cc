@@ -27,15 +27,14 @@ const double kFractions[] = {0.2, 0.4, 0.6, 0.8};
 /**
  * LLC-filtered access counting: the pod runs with a counting
  * "memory system" below the L2 instead of a DRAM organization.
- * Its window is a prefix of the standard records the runner plans
- * for the point's trace identity, so it replays the arena the
- * identity's standard points share.
+ * Its window (arenaRecords) is a prefix of the identity's
+ * standard records, so it replays the arena the identity's
+ * standard points share, and alone plans only what it reads.
  */
 PointResult
 runHotPages(const ExperimentPoint &point)
 {
-    const auto records =
-        static_cast<std::uint64_t>(12e6 * point.scale);
+    const std::uint64_t records = point.arenaRecords;
     std::optional<TraceCache> own_cache;
     PointResult out;
     PhaseTimer phase(point);
@@ -90,6 +89,8 @@ registerFig12(ExperimentRegistry &reg)
             p.label = std::string(workloadName(wk)) +
                       "/hotpages/4096B";
             p.custom = runHotPages;
+            p.arenaRecords =
+                static_cast<std::uint64_t>(12e6 * opts.scale);
             // No warmup: only the trace arena is planned.
             p.inBandWarmup = true;
             points.push_back(std::move(p));

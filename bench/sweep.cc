@@ -292,11 +292,14 @@ main(int argc, char **argv)
                 outcome.journaled, outcome.failed);
 
     if (opts.time) {
-        std::fputs(renderTimingReport(runs, outcome.cache).c_str(),
+        std::fputs(renderTimingReport(runs, outcome.cache,
+                                      outcome.scheduler)
+                       .c_str(),
                    stdout);
         if (!opts.timeOut.empty()) {
             const std::string timing_json =
-                renderTimingJson(opts, runs, outcome.cache);
+                renderTimingJson(opts, runs, outcome.cache,
+                                 outcome.scheduler);
             if (!writeTextFile(opts.timeOut, timing_json))
                 return 1;
             std::printf("wrote %s\n", opts.timeOut.c_str());

@@ -26,7 +26,9 @@
 #     flags at a zero trace-cache budget (points regenerate what
 #     they would share), one with a 64 MB trace-cache budget and
 #     the retry/deadline flags;
-#   - --jobs 1 to reproduce the --jobs 2 artifacts byte for byte;
+#   - --jobs 1 to reproduce the --jobs 2 and --jobs 4 artifacts
+#     byte for byte (the work queue pulls points forward past
+#     in-flight builds, and reorders more with more workers);
 #   - a --resume from the --jobs 2 journal to execute nothing and
 #     reproduce the artifacts byte for byte;
 #   - a --resume from REV's journal to execute nothing and
@@ -145,6 +147,7 @@ run_slice "$WORKTREE/build/sweep" "$TMP/ref-j2" 2 \
     --journal "$TMP/ref-journal"
 run_slice "$BUILD_DIR/sweep" "$TMP/new-j2" 2 --journal "$TMP/journal"
 run_slice "$BUILD_DIR/sweep" "$TMP/new-j1" 1
+run_slice "$BUILD_DIR/sweep" "$TMP/new-j4" 4
 run_slice "$BUILD_DIR/sweep" "$TMP/new-resume" 2 \
     --journal "$TMP/journal" --resume
 
@@ -177,6 +180,7 @@ run_registry "$BUILD_DIR/sweep" "$TMP/new-registry"
 expect_same "$REV vs working tree, whole registry" \
     "$TMP/ref-registry" "$TMP/new-registry" report.json
 expect_same "--jobs 1 vs --jobs 2" "$TMP/new-j1" "$TMP/new-j2"
+expect_same "--jobs 1 vs --jobs 4" "$TMP/new-j1" "$TMP/new-j4"
 expect_same "--resume vs fresh" "$TMP/new-resume" "$TMP/new-j2"
 expect_no_execution "--resume" "$TMP/new-resume"
 

@@ -3,7 +3,6 @@
 #include "sim/sweep.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cctype>
 #include <cerrno>
@@ -990,8 +989,11 @@ SweepRunner::runResilient(
     // generates a stream long enough for the largest window
     // sharing it. Journal-served points and duplicates never touch
     // the cache, so planning them would pin entries for acquires
-    // that never come.
+    // that never come. The same keys tell the work queue which
+    // builds each representative shares.
     TraceCache cache(cacheCfg_.budgetBytes);
+    std::vector<std::vector<std::string>> repKeys;
+    repKeys.reserve(reps.size());
     for (const std::size_t i : reps) {
         const ExperimentPoint &p = points[i];
         // Custom points (e.g. frontier's) usually route back
@@ -1016,22 +1018,25 @@ SweepRunner::runResilient(
             ++acquires;
         };
         need(traceArenaKey(p.workload, p.cfg.pageBytes, p.baseSeed),
-             p.standardRecords());
+             p.arenaRecords ? p.arenaRecords : p.standardRecords());
         // Identities a custom run function acquires beyond its
         // own (a colocation mix's other tenants).
         for (const auto &[key, units] : p.extraTraceNeeds)
             need(key, units);
-        for (const auto &[key, plan] : needs)
+        if (!p.inBandWarmup) {
+            const std::uint64_t warm = p.warmupWindow();
+            need(warmupArtifactKey(p, warm), warm);
+            if (p.cfg.pod.sampling.enabled) {
+                const SampleSchedule sched = computeSampleSchedule(
+                    p.cfg.pod.sampling, measureRecords(p.scale));
+                need(sampleArtifactKey(p, warm, sched),
+                     sched.spanRecords());
+            }
+        }
+        std::vector<std::string> &keys = repKeys.emplace_back();
+        for (const auto &[key, plan] : needs) {
             cache.plan(key, plan.first, plan.second);
-        if (p.inBandWarmup)
-            continue;
-        const std::uint64_t warm = p.warmupWindow();
-        cache.plan(warmupArtifactKey(p, warm), warm);
-        if (p.cfg.pod.sampling.enabled) {
-            const SampleSchedule sched = computeSampleSchedule(
-                p.cfg.pod.sampling, measureRecords(p.scale));
-            cache.plan(sampleArtifactKey(p, warm, sched),
-                       sched.spanRecords());
+            keys.push_back(key);
         }
     }
     if (res.tracer) {
@@ -1144,39 +1149,43 @@ SweepRunner::runResilient(
         faultPoint("point-done", key);
     };
 
-    // Lock-free collection: one pre-sized slot per point, a
-    // single atomic cursor for distribution. Point seeds never
-    // depend on which worker claims them, so the merged report
-    // is byte-identical across --jobs counts — and across an
-    // interrupt/resume boundary.
-    const auto runAll = [&](const std::vector<std::size_t> &items) {
-        std::atomic<std::size_t> cursor{0};
+    // One pre-sized result slot per point; a build-aware queue
+    // (PointQueue) hands each free worker the first pending point
+    // that would not wait on another worker's build. Point seeds
+    // never depend on which worker runs a point or when, so the
+    // merged report is byte-identical across --jobs counts — and
+    // across an interrupt/resume boundary.
+    const auto runAll = [&](const std::vector<std::size_t> &items,
+                            const std::vector<std::vector<std::string>>
+                                &keys) {
+        PointQueue queue(keys);
         const auto work = [&]() {
-            while (true) {
-                const std::size_t slot =
-                    cursor.fetch_add(1, std::memory_order_relaxed);
-                if (slot >= items.size())
-                    return;
-                runOne(items[slot]);
+            while (const std::optional<PointQueue::Pick> pick =
+                       queue.take()) {
+                runOne(items[pick->item]);
+                queue.finish(pick->item);
             }
         };
         const unsigned workers =
             std::min<std::size_t>(jobs_, items.size());
         if (workers <= 1) {
             work();
-            return;
+        } else {
+            std::vector<std::thread> pool;
+            pool.reserve(workers);
+            for (unsigned w = 0; w < workers; ++w)
+                pool.emplace_back(work);
+            for (std::thread &t : pool)
+                t.join();
         }
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w)
-            pool.emplace_back(work);
-        for (std::thread &t : pool)
-            t.join();
+        return queue.stats();
     };
     // Duplicates run after every representative has settled, so
-    // each reads a final result and none waits on another.
-    runAll(reps);
-    runAll(duplicates);
+    // each reads a final result and none waits on another: they
+    // share no build, and go through the queue without keys.
+    out.scheduler = runAll(reps, repKeys);
+    runAll(duplicates,
+           std::vector<std::vector<std::string>>(duplicates.size()));
 
     out.cache = cache.stats();
     out.executed = reps.size() + duplicates.size();
@@ -1388,7 +1397,8 @@ sweepJsonHasExperiment(const std::string &json,
 
 std::string
 renderTimingReport(const std::vector<ExperimentRun> &runs,
-                   const TraceCacheStats &cache)
+                   const TraceCacheStats &cache,
+                   const SchedulerStats &scheduler)
 {
     std::string out;
     out += "\nper-point wall-clock breakdown "
@@ -1454,13 +1464,18 @@ renderTimingReport(const std::vector<ExperimentRun> &runs,
               cache.buildFailures,
               static_cast<double>(cache.peakBytes) / (1 << 20),
               cache.buildSeconds);
+    appendFmt(out,
+              "scheduler: %" PRIu64 " deferred pick(s), %" PRIu64
+              " fallback(s)\n",
+              scheduler.deferred, scheduler.fallbacks);
     return out;
 }
 
 std::string
 renderTimingJson(const SweepOptions &options,
                  const std::vector<ExperimentRun> &runs,
-                 const TraceCacheStats &cache)
+                 const TraceCacheStats &cache,
+                 const SchedulerStats &scheduler)
 {
     std::string out;
     out += "{\n";
@@ -1481,6 +1496,10 @@ renderTimingJson(const SweepOptions &options,
               cache.evictions, cache.released, cache.waits,
               cache.buildFailures, cache.peakBytes,
               cache.buildSeconds);
+    appendFmt(out,
+              "  \"scheduler\": {\"deferred\": %" PRIu64
+              ", \"fallbacks\": %" PRIu64 "},\n",
+              scheduler.deferred, scheduler.fallbacks);
     out += "  \"points\": [";
     bool first = true;
     for (const ExperimentRun &run : runs) {

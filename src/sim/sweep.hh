@@ -37,6 +37,7 @@
 
 #include "mem/trace_cache.hh"
 #include "sim/experiment.hh"
+#include "sim/point_queue.hh"
 #include "telemetry/heatmap.hh"
 #include "workload/spec.hh"
 
@@ -494,6 +495,15 @@ struct ExperimentPoint
         extraTraceNeeds;
 
     /**
+     * Records a custom run function reads from the point's own
+     * arena; 0 = standardRecords(). The SweepRunner plans the
+     * arena at this window, so a point that reads less than the
+     * standard run path (fig12) does not make a sweep without
+     * other users of its identity generate records nobody reads.
+     */
+    std::uint64_t arenaRecords = 0;
+
+    /**
      * This point never acquires a shared WarmupArtifact: a
      * colocation mix warms in-band (no artifact is keyed by a
      * mix), and fig12's access-counting run has no warmup at
@@ -660,13 +670,22 @@ struct SweepOutcome
 
     /** Trace-cache counters of this run. */
     TraceCacheStats cache;
+
+    /** How the work queue ordered this run's picks. */
+    SchedulerStats scheduler;
 };
 
 /**
  * Shards a batch of points across a std::thread pool. Results go
  * into a pre-sized vector indexed by point position — workers
- * never share a slot, so collection is lock-free; work
- * distribution is a single atomic counter.
+ * never share a slot. Work goes out through a PointQueue that
+ * knows the cache keys (trace arena, other tenants' arenas,
+ * warmup and sample-span artifacts) each point shares: a free
+ * worker takes the first pending point that would not block on a
+ * build another worker has in flight, and only when every pending
+ * point would, the first one. With one worker the order is the
+ * batch order; with N, at most N first builds are in flight, so
+ * at most N − 1 more identities are resident than in batch order.
  *
  * runResilient() is the one entry point, with the fault-tolerance
  * layer built in: per-point checkpoint journaling with resume,
@@ -744,17 +763,20 @@ bool sweepJsonHasExperiment(const std::string &json,
 /**
  * Human-readable per-point wall-clock breakdown (--time): one
  * line per point (trace / warmup / measure seconds and which
- * phases replayed shared artifacts) plus the cache summary.
+ * phases replayed shared artifacts) plus the cache and scheduler
+ * summaries.
  */
 std::string
 renderTimingReport(const std::vector<ExperimentRun> &runs,
-                   const TraceCacheStats &cache);
+                   const TraceCacheStats &cache,
+                   const SchedulerStats &scheduler);
 
 /** The same breakdown as standalone JSON (--time-out FILE). */
 std::string
 renderTimingJson(const SweepOptions &options,
                  const std::vector<ExperimentRun> &runs,
-                 const TraceCacheStats &cache);
+                 const TraceCacheStats &cache,
+                 const SchedulerStats &scheduler);
 
 } // namespace fpc
 

@@ -740,6 +740,61 @@ TEST_F(ResilienceTest, FaultHooksReachTraceBuildAndRetry)
     EXPECT_EQ(renderOne(points, normalized), golden);
 }
 
+TEST_F(ResilienceTest, AFailedFirstBuildReleasesItsClaims)
+{
+    // Every WebSearch arena build fails: the identity's first
+    // taker fails, its claims go, and each later WebSearch point
+    // is taken, tries the build itself and fails the same way,
+    // while the DataServing points run. Every point gets its slot
+    // and the report is the one a single worker writes.
+    ExperimentDef def;
+    def.name = "claims";
+    def.expand = [](const SweepOptions &) {
+        SweepSpec spec;
+        spec.workloads = {WorkloadKind::WebSearch,
+                          WorkloadKind::DataServing};
+        spec.designs = {"baseline", "footprint"};
+        spec.capacitiesMb = {64, 128};
+        return spec.expand();
+    };
+    SweepOptions opts;
+    opts.scale = 0.01;
+    const std::vector<ExperimentPoint> points = def.build(opts);
+    ASSERT_EQ(points.size(), 8u);
+    const std::string identity =
+        traceIdentityKey(WorkloadKind::WebSearch, 2048, 42);
+
+    const auto faulted = [&](unsigned jobs) {
+        FaultInjector::instance().reset();
+        EXPECT_TRUE(FaultInjector::instance().configure(
+            "trace-build@" + identity + ":permanent"));
+        SweepOutcome out =
+            SweepRunner(jobs).runResilient(points, ResilienceOptions{});
+        FaultInjector::instance().reset();
+        for (PointResult &r : out.results)
+            r.elapsedSeconds = 0;
+        return out;
+    };
+    const SweepOutcome one = faulted(1);
+    const SweepOutcome four = faulted(4);
+    EXPECT_EQ(one.failed, 4u);
+    EXPECT_EQ(four.failed, 4u);
+    EXPECT_EQ(four.cache.buildFailures, 4u);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        SCOPED_TRACE(points[i].key());
+        const PointResult &r = four.results[i];
+        EXPECT_EQ(r.attempts, 1u);
+        EXPECT_EQ(r.failed, points[i].workload == WorkloadKind::WebSearch);
+        if (r.failed)
+            EXPECT_NE(r.error.find("site=trace-build"),
+                      std::string::npos);
+        else
+            EXPECT_GT(r.metrics.instructions, 0u);
+    }
+    EXPECT_EQ(renderOne(points, four.results),
+              renderOne(points, one.results));
+}
+
 TEST_F(ResilienceTest, FaultHooksReachColocationTenantArenas)
 {
     // The WebSearch arena of a mix is built for its second

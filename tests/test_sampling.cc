@@ -267,7 +267,8 @@ TEST(Sampling, ExactReportCarriesNoSamplingArtifacts)
     EXPECT_EQ(report.find("sampled"), std::string::npos);
     EXPECT_EQ(report.find("ci95"), std::string::npos);
     const std::string timing =
-        renderTimingJson(options, {run}, TraceCacheStats{});
+        renderTimingJson(options, {run}, TraceCacheStats{},
+                         SchedulerStats{});
     EXPECT_EQ(timing.find("sampled"), std::string::npos);
     EXPECT_EQ(timing.find("sample_ff_s"), std::string::npos);
 
@@ -280,8 +281,8 @@ TEST(Sampling, ExactReportCarriesNoSamplingArtifacts)
     EXPECT_NE(renderSweepJson(options, {srun})
                   .find("sampled_intervals"),
               std::string::npos);
-    EXPECT_NE(renderTimingJson(options, {srun},
-                               TraceCacheStats{})
+    EXPECT_NE(renderTimingJson(options, {srun}, TraceCacheStats{},
+                               SchedulerStats{})
                   .find("sample_ff_s"),
               std::string::npos);
 }

@@ -5,25 +5,31 @@
  * shard count), bit-identical metrics between --jobs 1 and
  * --jobs 8, merged-report completeness, strict validation of the
  * common flags' numeric values, the one field each common flag
- * lands in, how a sweep's options apply to its points, and that
- * equal points are simulated once.
+ * lands in, how a sweep's options apply to its points, that
+ * equal points are simulated once, and how the work queue picks
+ * points around builds in flight.
  */
 
 #include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <iomanip>
 #include <map>
+#include <optional>
+#include <random>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "common/json.hh"
 #include "common/rng.hh"
 #include "experiments/experiments.hh"
+#include "mem/materialized_trace.hh"
 #include "sim/registry.hh"
 #include "sim/sweep.hh"
 #include "telemetry/trace_events.hh"
@@ -276,7 +282,8 @@ TEST(SweepRunner, Fig12ReplaysTheIdentitysPlannedArena)
     // fig12's access-counting run replays a prefix of the arena
     // its identity's standard points share: next to a standard
     // point it adds one hit on that arena and no entry of its
-    // own, and every planned entry is released.
+    // own, and every planned entry is released. Alone, it plans
+    // and builds only the 12e6 x scale records it reads.
     ExperimentRegistry reg;
     registerAllExperiments(reg);
     const ExperimentDef *def = reg.find("fig12");
@@ -308,6 +315,16 @@ TEST(SweepRunner, Fig12ReplaysTheIdentitysPlannedArena)
     EXPECT_EQ(both.released, alone.released);
     EXPECT_EQ(both.peakBytes, alone.peakBytes);
 
+    const auto window = static_cast<std::uint64_t>(12e6 * opts.scale);
+    ASSERT_EQ(hot[0].arenaRecords, window);
+    ASSERT_LT(window, standard.standardRecords());
+    TraceCacheStats hot_alone;
+    runPoints(SweepRunner(1), {hot[0]}, &hot_alone);
+    EXPECT_EQ(hot_alone.misses, 1u);
+    EXPECT_EQ(hot_alone.released, 1u);
+    EXPECT_EQ(hot_alone.peakBytes,
+              window * MaterializedTrace::kBytesPerRecord);
+
     // Replaying the longer planned arena changes nothing: the
     // point alone builds an arena of exactly its own window.
     const PointResult solo = runPoint(hot[0]);
@@ -315,6 +332,171 @@ TEST(SweepRunner, Fig12ReplaysTheIdentitysPlannedArena)
     EXPECT_EQ(fieldDiff(PodCounters::kCounters, solo.metrics,
                         results[0].metrics),
               "");
+}
+
+/** Takes one item and checks what came out. */
+void
+expectTake(PointQueue &queue, std::size_t item, bool fallback)
+{
+    const std::optional<PointQueue::Pick> pick = queue.take();
+    ASSERT_TRUE(pick.has_value());
+    EXPECT_EQ(pick->item, item);
+    EXPECT_EQ(pick->fallback, fallback);
+}
+
+TEST(PointQueue, OneWorkerKeepsTheInputOrder)
+{
+    // Each item finishes before the next take, so nothing is
+    // ever claimed at pick time.
+    PointQueue queue(
+        {{"a"}, {"a", "b"}, {"b"}, {}, {"c", "a"}, {"a"}});
+    for (std::size_t i = 0; i < 6; ++i) {
+        expectTake(queue, i, false);
+        queue.finish(i);
+    }
+    EXPECT_FALSE(queue.take().has_value());
+    EXPECT_EQ(queue.stats().deferred, 0u);
+    EXPECT_EQ(queue.stats().fallbacks, 0u);
+}
+
+TEST(PointQueue, SkipsAPointWhoseKeyIsClaimed)
+{
+    PointQueue queue({{"a"}, {"a"}, {"b"}});
+    expectTake(queue, 0, false); // claims a
+    expectTake(queue, 2, false); // 1 would wait on 0's build
+    EXPECT_EQ(queue.stats().deferred, 1u);
+    EXPECT_EQ(queue.stats().fallbacks, 0u);
+}
+
+TEST(PointQueue, TakesTheFrontPointWhenEveryPointIsBlocked)
+{
+    PointQueue queue({{"a"}, {"a", "b"}, {"a"}});
+    expectTake(queue, 0, false);
+    expectTake(queue, 1, true);
+    // 1 came out as a fallback yet claims b, which no running
+    // item held; 2 still waits on a.
+    expectTake(queue, 2, true);
+    EXPECT_FALSE(queue.take().has_value());
+    EXPECT_EQ(queue.stats().deferred, 0u);
+    EXPECT_EQ(queue.stats().fallbacks, 2u);
+}
+
+TEST(PointQueue, AFinishedPointsClaimsNoLongerBlock)
+{
+    PointQueue queue({{"a"}, {"a"}, {"b"}});
+    expectTake(queue, 0, false);
+    queue.finish(0);
+    expectTake(queue, 1, false);
+    expectTake(queue, 2, false);
+    EXPECT_EQ(queue.stats().deferred, 0u);
+}
+
+TEST(PointQueue, AKeyIsClaimedOnlyByItsFirstTaker)
+{
+    PointQueue queue({{"a"}, {"a"}, {"a"}, {"b"}});
+    expectTake(queue, 0, false);
+    expectTake(queue, 3, false);
+    expectTake(queue, 1, true);
+    queue.finish(0);
+    // 1 is still running but never claimed a: 2 is free.
+    expectTake(queue, 2, false);
+    EXPECT_EQ(queue.stats().deferred, 1u);
+    EXPECT_EQ(queue.stats().fallbacks, 1u);
+}
+
+TEST(PointQueue, PointsWithoutKeysComeOutLikeACursor)
+{
+    PointQueue queue(std::vector<std::vector<std::string>>(5));
+    for (std::size_t i = 0; i < 5; ++i)
+        expectTake(queue, i, false);
+    EXPECT_FALSE(queue.take().has_value());
+    EXPECT_EQ(queue.stats().deferred, 0u);
+    EXPECT_EQ(queue.stats().fallbacks, 0u);
+}
+
+TEST(PointQueue, ConcurrentWorkersNeverStartOnAClaimedKey)
+{
+    // 4 workers drain 300 items over 96 keys. Each queue call is
+    // bracketed by tickets of one global counter, which orders the
+    // calls the tickets cannot overlap: a key's first taker is
+    // known only where its take ended before any other user's take
+    // began, and a later take ran inside that taker's claim only
+    // where it ended before the taker's finish began. Such a take
+    // must be a fallback.
+    constexpr std::size_t kItems = 300;
+    std::mt19937_64 rng(7919);
+    std::vector<std::vector<std::string>> keys(kItems);
+    for (auto &k : keys) {
+        for (std::size_t n = rng() % 4; n; --n)
+            k.push_back(std::to_string(rng() % 96));
+    }
+    PointQueue queue(keys);
+    struct Trace
+    {
+        std::uint64_t takeBegin = 0, takeEnd = 0, finishBegin = 0;
+        bool fallback = false;
+    };
+    std::vector<Trace> traces(kItems);
+    std::vector<std::atomic<unsigned>> taken(kItems);
+    std::atomic<std::uint64_t> ticket{0};
+    const auto work = [&]() {
+        while (true) {
+            const std::uint64_t begin = ticket.fetch_add(1);
+            const std::optional<PointQueue::Pick> pick = queue.take();
+            const std::uint64_t end = ticket.fetch_add(1);
+            if (!pick)
+                return;
+            Trace &t = traces[pick->item];
+            t.takeBegin = begin;
+            t.takeEnd = end;
+            t.fallback = pick->fallback;
+            taken[pick->item].fetch_add(1);
+            for (std::size_t spin = pick->item % 64; spin; --spin)
+                std::this_thread::yield();
+            t.finishBegin = ticket.fetch_add(1);
+            queue.finish(pick->item);
+        }
+    };
+    std::vector<std::thread> pool;
+    for (int w = 0; w < 4; ++w)
+        pool.emplace_back(work);
+    for (std::thread &t : pool)
+        t.join();
+
+    std::uint64_t fallbacks = 0;
+    for (std::size_t i = 0; i < kItems; ++i) {
+        EXPECT_EQ(taken[i].load(), 1u) << i;
+        fallbacks += traces[i].fallback;
+    }
+    EXPECT_EQ(queue.stats().fallbacks, fallbacks);
+
+    std::map<std::string, std::vector<std::size_t>> users;
+    for (std::size_t i = 0; i < kItems; ++i) {
+        for (const std::string &k : keys[i])
+            users[k].push_back(i);
+    }
+    for (const auto &[key, items] : users) {
+        const auto first = std::min_element(
+            items.begin(), items.end(),
+            [&](std::size_t a, std::size_t b) {
+                return traces[a].takeEnd < traces[b].takeEnd;
+            });
+        const Trace &holder = traces[*first];
+        const bool known = std::all_of(
+            items.begin(), items.end(), [&](std::size_t i) {
+                return i == *first ||
+                       traces[i].takeBegin > holder.takeEnd;
+            });
+        if (!known)
+            continue;
+        for (const std::size_t i : items) {
+            const Trace &t = traces[i];
+            EXPECT_TRUE(i == *first || t.fallback ||
+                        t.takeEnd > holder.finishBegin)
+                << "item " << i << " started on " << key
+                << " claimed by item " << *first;
+        }
+    }
 }
 
 /** Occurrences of @p needle in @p hay. */
@@ -374,22 +556,33 @@ TEST(SweepJson, TimingEmittedOnlyOnExplicitRequest)
     opts.time = true;
     EXPECT_NE(renderSweepJson(opts, {run}).find("\"timing\""),
               std::string::npos);
+    // Scheduling is execution detail: only the timing artifacts
+    // show it.
+    EXPECT_EQ(renderSweepJson(opts, {run}).find("scheduler"),
+              std::string::npos);
 
     // --time-out keeps the merged report clean; the breakdown
     // goes to the standalone artifact instead.
     opts.timeOut = "timing.json";
     EXPECT_EQ(renderSweepJson(opts, {run}).find("timing"),
               std::string::npos);
+    const SchedulerStats sched{.deferred = 3, .fallbacks = 1};
     const std::string timing_json =
-        renderTimingJson(opts, {run}, TraceCacheStats{});
+        renderTimingJson(opts, {run}, TraceCacheStats{}, sched);
     EXPECT_NE(timing_json.find("\"trace_s\": 1.2500"),
               std::string::npos);
     EXPECT_NE(timing_json.find("sweep_timing"),
               std::string::npos);
+    EXPECT_NE(timing_json.find("\"scheduler\": {\"deferred\": 3, "
+                               "\"fallbacks\": 1},\n"),
+              std::string::npos);
     const std::string report =
-        renderTimingReport({run}, TraceCacheStats{});
+        renderTimingReport({run}, TraceCacheStats{}, sched);
     EXPECT_NE(report.find("unit/"), std::string::npos);
     EXPECT_NE(report.find("trace cache:"), std::string::npos);
+    EXPECT_NE(report.find("\nscheduler: 3 deferred pick(s), "
+                          "1 fallback(s)\n"),
+              std::string::npos);
 }
 
 TEST(SweepRunner, ResultsIndependentOfBatchOrder)
@@ -896,11 +1089,11 @@ TEST(SweepRunner, EqualPointsSimulateOnce)
     std::vector<ExperimentRun> runs = {
         {"all", "t", points, out.results}};
     SweepOptions opts;
-    EXPECT_NE(renderTimingJson(opts, runs, stats)
+    EXPECT_NE(renderTimingJson(opts, runs, stats, out.scheduler)
                   .find("\"reused_from\": \"first/WebSearch/"
                         "footprint/64MB/2048B\"}"),
               std::string::npos);
-    EXPECT_NE(renderTimingReport(runs, stats)
+    EXPECT_NE(renderTimingReport(runs, stats, out.scheduler)
                   .find("  = first/WebSearch/baseline/64MB/2048B\n"),
               std::string::npos);
 }
