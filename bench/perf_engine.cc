@@ -2,18 +2,29 @@
  * @file
  * Engine performance harness.
  *
- * For every memory-system design it runs the same 512MB workload
- * once: the functional warmup (hierarchy pass plus op replay, the
- * only warmup the engine has), then the full timing loop over the
- * measured window. Warmup and measurement phases are timed
- * separately; the run is deliberately warmup-dominated (full
- * capacity-scaled warmup window, quarter measurement window), as
- * the Figure 6/9/Table 1 sweeps are. Further sections time trace
- * generation against arena replay, the telemetry and
- * introspection overhead on the measured loop, and sampled
- * against exact measurement. Results go to stdout and to
- * BENCH_engine.json (records/sec per phase per design), committed
- * as the perf trajectory across PRs.
+ * Every timed run is runPoint() over one shared TraceCache, the
+ * path the sweep runs: each point replays the identity's arena
+ * and its warm window's WarmupArtifact, then times the measured
+ * window. The cache is primed first (one untimed point per warm
+ * window), so no timed rep builds anything. Sections:
+ *
+ *  - trace: arena generation against zero-copy replay;
+ *  - designs: every DesignRegistry design at 512MB, kReps
+ *    interleaved reps in which baseline runs before and after
+ *    each other design; per-design medians of warm ns/op and
+ *    measure ns/record, and the median per-rep ratio of the
+ *    design's ns/record to baseline's around it (the regression
+ *    guard's metric);
+ *  - telemetry: the footprint point with probes and with
+ *    introspection, each bracketed the same way by the point with
+ *    telemetry off; median per-rep overhead with a
+ *    distribution-free 95% interval;
+ *  - sampling: the footprint point measured sampled against the
+ *    exact reps, with the span-artifact build and its break-even.
+ *
+ * Results go to stdout and to BENCH_engine.json, committed as the
+ * perf trajectory across PRs. Exits nonzero if telemetry changes
+ * metrics or intervals or probe columns do not conserve.
  *
  * Flags: the window subset of the common set (--quick, --scale,
  * --seed/--base-seed, --workload; every other common flag exits
@@ -22,203 +33,61 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/wall_clock.hh"
 #include "sim/sweep.hh"
-#include "workload/generator.hh"
 
 using namespace fpc;
 
 namespace {
 
-struct PhaseTimes
+/** Interleaved reps per timed point; >= 6 so a distribution-free
+ * 95% interval of the median exists. */
+constexpr int kReps = 9;
+static_assert(kReps >= 6);
+
+constexpr std::uint64_t kCapacityMb = 512;
+
+double
+median(std::vector<double> v)
 {
-    double warmupSeconds = 0.0;
-    double measureSeconds = 0.0;
-    std::uint64_t warmupRecords = 0;
-    std::uint64_t measureRecords = 0;
-    RunMetrics metrics;
-
-    double
-    warmupRecsPerSec() const
-    {
-        return warmupSeconds > 0.0 ? warmupRecords / warmupSeconds
-                                   : 0.0;
-    }
-
-    double
-    measureRecsPerSec() const
-    {
-        return measureSeconds > 0.0
-                   ? measureRecords / measureSeconds
-                   : 0.0;
-    }
-};
-
-PhaseTimes
-runPhased(WorkloadKind wk, const std::string &design, double scale,
-          std::uint64_t seed, std::uint64_t capacity_mb)
-{
-    Experiment::Config cfg;
-    cfg.design = design;
-    cfg.capacityMb = capacity_mb;
-
-    WorkloadSpec spec = makeWorkload(wk, cfg.pageBytes, seed);
-    SyntheticTraceSource trace(spec);
-    Experiment exp(cfg, trace);
-
-    PhaseTimes out;
-    out.warmupRecords = design == "baseline"
-                            ? warmupRecords(64, scale)
-                            : warmupRecords(capacity_mb, scale);
-    // Warmup-dominated by design: the measurement window only has
-    // to be large enough for stable rates.
-    out.measureRecords = measureRecords(scale) / 4;
-
-    auto t0 = std::chrono::steady_clock::now();
-    exp.run(out.warmupRecords, 0);
-    out.warmupSeconds = secondsSince(t0);
-
-    t0 = std::chrono::steady_clock::now();
-    out.metrics = exp.run(0, out.measureRecords);
-    out.measureSeconds = secondsSince(t0);
-    return out;
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
-
-/** Trace generate-vs-replay rates (the arena's raison d'être). */
-struct TraceBench
-{
-    std::uint64_t records = 0;
-    double generateSeconds = 0.0;
-    double replaySeconds = 0.0;
-
-    double
-    generateRecsPerSec() const
-    {
-        return generateSeconds > 0.0 ? records / generateSeconds
-                                     : 0.0;
-    }
-
-    double
-    replayRecsPerSec() const
-    {
-        return replaySeconds > 0.0 ? records / replaySeconds
-                                   : 0.0;
-    }
-
-    double
-    speedup() const
-    {
-        return replaySeconds > 0.0
-                   ? generateSeconds / replaySeconds
-                   : 0.0;
-    }
-};
 
 /**
- * Materialize one warm-window-sized stream (generation cost,
- * including the sampler construction every fresh source pays),
- * then drain it through a ReplayTraceSource via the batch API
- * (replay cost).
+ * Distribution-free 95% interval of the median: the order
+ * statistics x(r) and x(n+1-r), r the largest rank with
+ * P(Binomial(n, 1/2) < r) <= 2.5%.
  */
-TraceBench
-runTraceBench(WorkloadKind wk, double scale, std::uint64_t seed,
-              std::uint64_t capacity_mb)
+std::pair<double, double>
+medianInterval95(std::vector<double> v)
 {
-    TraceBench out;
-    out.records = warmupRecords(capacity_mb, scale);
-
-    auto arena = std::make_shared<MaterializedTrace>();
-    auto t0 = std::chrono::steady_clock::now();
-    materializeTrace(makeWorkload(wk, 2048, seed), out.records,
-                     *arena);
-    out.generateSeconds = secondsSince(t0);
-
-    ReplayTraceSource replay(arena);
-    std::uint64_t sink = 0;
-    t0 = std::chrono::steady_clock::now();
-    for (;;) {
-        TraceRecord *span = nullptr;
-        const std::size_t avail = replay.acquire(0, span);
-        if (avail == 0)
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    double term = std::ldexp(1.0, -static_cast<int>(n));
+    double tail = 0.0;
+    std::size_t r = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+        tail += term; // P(X <= k)
+        if (tail > 0.025)
             break;
-        for (std::size_t i = 0; i < avail; ++i)
-            sink += span[i].req.paddr;
-        replay.skip(avail);
+        r = k + 1;
+        term = term * static_cast<double>(n - k) / (k + 1);
     }
-    out.replaySeconds = secondsSince(t0);
-    // Keep the drain loop observable.
-    if (sink == 0x5eed)
-        std::fprintf(stderr, "\n");
-    return out;
-}
-
-/** Instrumentation armed during one telemetry repetition. */
-enum class TelemetryMode
-{
-    Off,           //!< no probes at all (the baseline side)
-    Probes,        //!< PR8/PR9: interval stream + histograms
-    Introspection, //!< miss attribution + design probes + heatmaps
-};
-
-/** One telemetry-overhead repetition: measured-phase wall clock
- * with the probes on or off, plus what they produced. */
-struct TelemetryRep
-{
-    double measureSeconds = 0.0;
-    RunMetrics metrics;
-    std::vector<IntervalSample> intervals;
-};
-
-TelemetryRep
-runTelemetryRep(WorkloadKind wk, double scale, std::uint64_t seed,
-                std::uint64_t capacity_mb, TelemetryMode mode)
-{
-    Experiment::Config cfg;
-    cfg.design = "footprint";
-    cfg.capacityMb = capacity_mb;
-    if (mode == TelemetryMode::Probes) {
-        // Both features on: every probe site and the epoch check
-        // are live, so this bounds the full enabled cost.
-        cfg.pod.telemetry.intervalRecords =
-            std::max<std::uint64_t>(1,
-                                    measureRecords(scale) / 32);
-        cfg.pod.telemetry.histograms = true;
-    } else if (mode == TelemetryMode::Introspection) {
-        // The full introspection surface: shadow-directory miss
-        // attribution, per-structure probe columns and spatial
-        // heatmaps, streamed per epoch — the enabled path the
-        // <=2% budget covers. 1-in-64 set sampling is the
-        // classical shadow-tag ratio; it also keeps the shadow
-        // structures inside the LLC, where the budget is won.
-        cfg.pod.telemetry.intervalRecords =
-            std::max<std::uint64_t>(1,
-                                    measureRecords(scale) / 32);
-        cfg.pod.telemetry.missAttributionStride = 64;
-        cfg.pod.telemetry.designProbes = true;
-        cfg.pod.telemetry.heatmaps = true;
-    }
-
-    WorkloadSpec spec = makeWorkload(wk, cfg.pageBytes, seed);
-    SyntheticTraceSource trace(spec);
-    Experiment exp(cfg, trace);
-
-    // A short warmup suffices: the overhead under test lives in
-    // the measured event-queue loop, not in cache fill quality.
-    exp.run(warmupRecords(64, scale), 0);
-
-    TelemetryRep out;
-    const auto t0 = std::chrono::steady_clock::now();
-    out.metrics = exp.run(0, measureRecords(scale));
-    out.measureSeconds = secondsSince(t0);
-    out.intervals = exp.pod().intervals();
-    return out;
+    return {v[r - 1], v[n - r]};
 }
 
 /** Are two counter blocks identical? A mismatch is reported on
@@ -236,71 +105,35 @@ countersIdentical(const char *what, const PodCounters &x,
 
 /** Do the probe-column deltas telescope to the aggregate? */
 bool
-probesConserve(const TelemetryRep &rep)
+probesConserve(const PointResult &r)
 {
-    if (rep.metrics.probeValues.empty() ||
-        rep.intervals.empty())
+    if (r.metrics.probeValues.empty() || r.intervals.empty())
         return false;
-    std::vector<std::uint64_t> sum(
-        rep.metrics.probeValues.size(), 0);
-    for (const IntervalSample &s : rep.intervals) {
+    std::vector<std::uint64_t> sum(r.metrics.probeValues.size(), 0);
+    for (const IntervalSample &s : r.intervals) {
         if (s.probeValues.size() != sum.size())
             return false;
         for (std::size_t c = 0; c < sum.size(); ++c)
             sum[c] += s.probeValues[c];
     }
-    return sum == rep.metrics.probeValues;
+    return sum == r.metrics.probeValues;
 }
 
 /** Do the interval deltas sum bit-exactly to the aggregate? */
 bool
-intervalsConserve(const TelemetryRep &rep)
+intervalsConserve(const PointResult &r)
 {
-    if (rep.intervals.empty())
+    if (r.intervals.empty())
         return false;
     PodCounters sum;
-    for (const IntervalSample &s : rep.intervals)
+    for (const IntervalSample &s : r.intervals)
         addFields(PodCounters::kCounters, sum, s);
     return countersIdentical("interval sum vs aggregate", sum,
-                             rep.metrics);
+                             r.metrics);
 }
 
-/** Exact-vs-sampled twins of one footprint point (runPoint). */
-struct SamplingBench
-{
-    PointResult exact;
-    PointResult sampled;
-    unsigned intervals = 0;
-    /** Derived metrics whose exact value landed inside the
-     * sampled 95% CI (of metricsChecked). */
-    int metricsWithinCi = 0;
-    int metricsChecked = 0;
-
-    /** Exact measure time over the sampled ff+timed phases; the
-     * one-off span-artifact build is excluded (it amortizes
-     * across runs like the trace cache). */
-    double
-    marginalSpeedup() const
-    {
-        const double s = sampled.timing.sampleFfSeconds +
-                         sampled.timing.sampleTimedSeconds;
-        return s > 0.0 ? exact.timing.measureSeconds / s : 0.0;
-    }
-
-    /** Same numerator over the whole sampled measure phase,
-     * artifact build included. */
-    double
-    allInSpeedup() const
-    {
-        return sampled.timing.measureSeconds > 0.0
-                   ? exact.timing.measureSeconds /
-                         sampled.timing.measureSeconds
-                   : 0.0;
-    }
-};
-
 double
-samplingExtra(const PointResult &r, const char *name)
+extraValue(const PointResult &r, const std::string &name)
 {
     for (const auto &[key, value] : r.extra) {
         if (key == name)
@@ -309,42 +142,45 @@ samplingExtra(const PointResult &r, const char *name)
     return 0.0;
 }
 
-SamplingBench
-runSamplingBench(WorkloadKind wk, double scale,
-                 std::uint64_t seed, std::uint64_t capacity_mb)
+/**
+ * kReps bracketed reps of @p points over their primed cache: per
+ * rep the reference points[0] runs first and again after each
+ * other point, whose cost is divided by the mean cost of the two
+ * reference runs around it, so a drift in host speed over the rep
+ * cancels to first order. Odd reps run the others in reverse.
+ * @p observe records a result and returns its cost. Returns each
+ * point's per-rep ratios (1 for the reference).
+ */
+std::vector<std::vector<double>>
+bracketedRatios(
+    const std::vector<ExperimentPoint> &points,
+    const std::function<double(std::size_t, const PointResult &)>
+        &observe)
 {
-    ExperimentPoint exact;
-    exact.experiment = "perf_engine";
-    exact.workload = wk;
-    exact.cfg.design = "footprint";
-    exact.cfg.capacityMb = capacity_mb;
-    exact.scale = scale;
-    exact.baseSeed = seed;
-    exact.label = standardLabel(wk, exact.cfg) + "/exact";
-    exact.pinSampling = true;
-
-    ExperimentPoint sampled = exact;
-    sampled.label = standardLabel(wk, sampled.cfg) + "/sampled";
-    sampled.cfg.pod.sampling.enabled = true;
-
-    SamplingBench out;
-    out.exact = runPoint(exact);
-    out.sampled = runPoint(sampled);
-    out.intervals = static_cast<unsigned>(
-        samplingExtra(out.sampled, "sampled_intervals"));
-
-    const RunMetrics &m = out.exact.metrics;
-    for (const SampledRatio &ratio : kSampledRatios) {
-        const std::string base = ratio.name;
-        const double mean = samplingExtra(
-            out.sampled, (base + "_mean").c_str());
-        const double ci = samplingExtra(
-            out.sampled, (base + "_ci95").c_str());
-        ++out.metricsChecked;
-        if (std::abs(ratio.of(m) - mean) <= ci + 1e-12)
-            ++out.metricsWithinCi;
+    auto run = [&](std::size_t i) {
+        const PointResult r = runPoint(points[i]);
+        if (r.timing.generatedTrace || r.timing.builtWarmup) {
+            std::fprintf(stderr,
+                         "%s: timed rep rebuilt a shared artifact\n",
+                         points[i].label.c_str());
+            std::exit(1);
+        }
+        return observe(i, r);
+    };
+    const std::size_t n = points.size();
+    std::vector<std::vector<double>> ratio(n);
+    for (int rep = 0; rep < kReps; ++rep) {
+        double before = run(0);
+        ratio[0].push_back(1.0);
+        for (std::size_t k = 1; k < n; ++k) {
+            const std::size_t i = rep % 2 ? n - k : k;
+            const double cost = run(i);
+            const double after = run(0);
+            ratio[i].push_back(cost / (0.5 * (before + after)));
+            before = after;
+        }
     }
-    return out;
+    return ratio;
 }
 
 /** The common flags perf_engine honours: the run window. */
@@ -357,6 +193,18 @@ isWindowFlag(const char *flag)
             return true;
     }
     return false;
+}
+
+const char *
+yesNo(bool b)
+{
+    return b ? "yes" : "NO";
+}
+
+const char *
+trueFalse(bool b)
+{
+    return b ? "true" : "false";
 }
 
 } // namespace
@@ -402,22 +250,104 @@ main(int argc, char **argv)
     if (!checkWorkloadFilter(args))
         return 2;
 
-    const std::uint64_t capacity_mb = 512;
     // checkWorkloadFilter guarantees a non-empty selection.
     const WorkloadKind wk = args.workloads().front();
+    const std::uint64_t measure = measureRecords(args.scale);
 
-    const char *designs[] = {
-        "baseline", "block", "page",
-        "footprint", "ideal"};
+    // Unbounded budget: nothing is evicted, so no timed rep
+    // rebuilds an arena or artifact.
+    TraceCache cache(std::numeric_limits<std::uint64_t>::max());
+
+    // Every registry design, baseline first: the reference the
+    // others are bracketed by.
+    std::vector<ExperimentPoint> points;
+    std::uint64_t arena_records = 0;
+    for (const std::string &d : DesignRegistry::instance().names()) {
+        ExperimentPoint &p = points.emplace_back();
+        p.experiment = "perf_engine";
+        p.workload = wk;
+        p.cfg.design = d;
+        p.cfg.capacityMb = kCapacityMb;
+        p.scale = args.scale;
+        p.baseSeed = args.seed;
+        p.label = standardLabel(wk, p.cfg);
+        p.traceCache = &cache;
+        arena_records = std::max(arena_records, p.standardRecords());
+    }
+    std::stable_partition(points.begin(), points.end(),
+                          [](const ExperimentPoint &p) {
+                              return p.cfg.design == "baseline";
+                          });
+    std::size_t footprint = 0;
+    while (points[footprint].cfg.design != "footprint")
+        ++footprint;
 
     std::printf("\n=== engine performance ===\n");
-    std::printf("workload %s, %lluMB, scale %.2f, seed %llu\n",
+    std::printf("workload %s, %lluMB, scale %.2f, seed %llu, "
+                "%d reps\n",
                 workloadName(wk),
-                static_cast<unsigned long long>(capacity_mb),
-                args.scale,
-                static_cast<unsigned long long>(args.seed));
-    std::printf("  %-10s %14s %14s\n", "design", "warmup r/s",
-                "measure r/s");
+                static_cast<unsigned long long>(kCapacityMb),
+                args.scale, static_cast<unsigned long long>(args.seed),
+                kReps);
+
+    // Trace arena: generation of the shared arena vs zero-copy
+    // replay of it — the per-point cost the TraceCache removes
+    // for every point after the first sharing a trace identity.
+    auto t0 = std::chrono::steady_clock::now();
+    const auto arena = acquireTraceArena(
+        cache, wk, points.front().cfg.pageBytes, args.seed,
+        arena_records);
+    const double generate_s = secondsSince(t0);
+    ReplayTraceSource replay(arena);
+    std::uint64_t sink = 0;
+    t0 = std::chrono::steady_clock::now();
+    for (;;) {
+        TraceRecord *span = nullptr;
+        const std::size_t avail = replay.acquire(0, span);
+        if (avail == 0)
+            break;
+        for (std::size_t i = 0; i < avail; ++i)
+            sink += span[i].req.paddr;
+        replay.skip(avail);
+    }
+    const double replay_s = secondsSince(t0);
+    // Keep the drain loop observable.
+    if (sink == 0x5eed)
+        std::fprintf(stderr, "\n");
+    const double records = static_cast<double>(arena->size());
+    std::printf("trace arena (%.0f records): generate %.0f rec/s, "
+                "replay %.0f rec/s (%.1fx)\n",
+                records, records / generate_s, records / replay_s,
+                generate_s / replay_s);
+
+    // Prime: per warm window, count the post-L2 ops of its
+    // hierarchy pass and let one untimed point build its
+    // WarmupArtifact into the cache.
+    std::map<std::uint64_t, double> warm_ops;
+    for (const ExperimentPoint &p : points) {
+        const std::uint64_t warm = p.warmupWindow();
+        if (warm_ops.count(warm))
+            continue;
+        warm_ops[warm] = std::max<double>(
+            1, PodSystem::buildWarmupArtifact(*arena,
+                                              p.cfg.pod.hierarchy, warm)
+                   ->paddr.size());
+        runPoint(p);
+    }
+
+    // Designs: the cost compared is ns/record over the warm
+    // restore and the measured window.
+    const std::size_t nd = points.size();
+    std::vector<std::vector<double>> warm_s(nd), measure_s(nd);
+    std::vector<RunMetrics> metrics(nd);
+    const auto ratio = bracketedRatios(
+        points, [&](std::size_t d, const PointResult &r) {
+            warm_s[d].push_back(r.timing.warmupSeconds);
+            measure_s[d].push_back(r.timing.measureSeconds);
+            metrics[d] = r.metrics;
+            return (r.timing.warmupSeconds + r.timing.measureSeconds) /
+                   points[d].standardRecords();
+        });
 
     std::FILE *json = std::fopen(out_path.c_str(), "w");
     if (!json) {
@@ -425,198 +355,204 @@ main(int argc, char **argv)
                      out_path.c_str());
         return 1;
     }
-    std::fprintf(json, "{\n");
-    std::fprintf(json, "  \"bench\": \"perf_engine\",\n");
-    std::fprintf(json, "  \"workload\": \"%s\",\n",
-                 workloadName(wk));
-    std::fprintf(json, "  \"capacity_mb\": %llu,\n",
-                 static_cast<unsigned long long>(capacity_mb));
-    std::fprintf(json, "  \"scale\": %.4f,\n", args.scale);
-    std::fprintf(json, "  \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(args.seed));
-    std::fprintf(json, "  \"designs\": {\n");
-
-    bool first_design = true;
-    for (const char *d : designs) {
-        const PhaseTimes r =
-            runPhased(wk, d, args.scale, args.seed, capacity_mb);
-        std::printf("  %-10s %14.0f %14.0f\n", d,
-                    r.warmupRecsPerSec(), r.measureRecsPerSec());
-
-        if (!first_design)
-            std::fprintf(json, ",\n");
-        first_design = false;
+    std::fprintf(json,
+                 "{\n  \"bench\": \"perf_engine\",\n"
+                 "  \"workload\": \"%s\",\n"
+                 "  \"capacity_mb\": %llu,\n"
+                 "  \"scale\": %.4f,\n"
+                 "  \"seed\": %llu,\n"
+                 "  \"reps\": %d,\n"
+                 "  \"designs\": {\n",
+                 workloadName(wk),
+                 static_cast<unsigned long long>(kCapacityMb),
+                 args.scale, static_cast<unsigned long long>(args.seed),
+                 kReps);
+    std::printf("\n  %-10s %12s %14s %10s\n", "design",
+                "warm ns/op", "measure ns/rec", "x baseline");
+    for (std::size_t d = 0; d < nd; ++d) {
+        const std::string &name = points[d].cfg.design;
+        const std::uint64_t warm = points[d].warmupWindow();
+        const double warm_ns = 1e9 * median(warm_s[d]) / warm_ops.at(warm);
+        const double measure_ns = 1e9 * median(measure_s[d]) / measure;
+        const double rel = median(ratio[d]);
+        std::printf("  %-10s %12.1f %14.1f %10.3f\n", name.c_str(),
+                    warm_ns, measure_ns, rel);
+        const RunMetrics &m = metrics[d];
         std::fprintf(
             json,
-            "    \"%s\": {\"warmup_records\": %llu, "
-            "\"warmup_seconds\": %.4f, "
-            "\"warmup_records_per_sec\": %.0f, "
-            "\"measure_records\": %llu, "
-            "\"measure_seconds\": %.4f, "
-            "\"measure_records_per_sec\": %.0f,\n"
+            "    \"%s\": {\"warm_records\": %llu, \"warm_ops\": %.0f, "
+            "\"warm_seconds\": %.4f, \"warm_ns_per_op\": %.2f, "
+            "\"measure_records\": %llu, \"measure_seconds\": %.4f, "
+            "\"measure_ns_per_record\": %.2f, "
+            "\"ratio_to_baseline\": %.4f,\n"
             "      \"measured\": {\"ipc\": %.5f, "
-            "\"miss_ratio\": %.5f, \"mpki\": %.4f}}",
-            d, static_cast<unsigned long long>(r.warmupRecords),
-            r.warmupSeconds, r.warmupRecsPerSec(),
-            static_cast<unsigned long long>(r.measureRecords),
-            r.measureSeconds, r.measureRecsPerSec(),
-            r.metrics.ipc(), r.metrics.missRatio(),
-            r.metrics.instructions
-                ? 1000.0 * r.metrics.llcMisses / r.metrics.instructions
-                : 0.0);
+            "\"miss_ratio\": %.5f, \"mpki\": %.4f}}%s\n",
+            name.c_str(), static_cast<unsigned long long>(warm),
+            warm_ops.at(warm), median(warm_s[d]), warm_ns,
+            static_cast<unsigned long long>(measure),
+            median(measure_s[d]), measure_ns, rel, m.ipc(),
+            m.missRatio(),
+            m.instructions ? 1000.0 * m.llcMisses / m.instructions
+                           : 0.0,
+            d + 1 < nd ? "," : "");
     }
-    std::fprintf(json, "\n  },\n");
-
-    // Trace arena: generation vs zero-copy replay of the same
-    // stream — the per-point cost the sweep's TraceCache removes
-    // for every point after the first sharing a trace identity.
-    const TraceBench tb =
-        runTraceBench(wk, args.scale, args.seed, capacity_mb);
-    std::printf("\ntrace arena (%llu records): generate %.0f "
-                "rec/s, replay %.0f rec/s (%.1fx)\n",
-                static_cast<unsigned long long>(tb.records),
-                tb.generateRecsPerSec(), tb.replayRecsPerSec(),
-                tb.speedup());
     std::fprintf(
         json,
-        "  \"trace\": {\"records\": %llu, "
+        "  },\n"
+        "  \"trace\": {\"records\": %.0f, "
         "\"generate_seconds\": %.4f, "
         "\"generate_records_per_sec\": %.0f, "
         "\"replay_seconds\": %.4f, "
         "\"replay_records_per_sec\": %.0f, "
         "\"replay_speedup\": %.2f},\n",
-        static_cast<unsigned long long>(tb.records),
-        tb.generateSeconds, tb.generateRecsPerSec(),
-        tb.replaySeconds, tb.replayRecsPerSec(), tb.speedup());
+        records, generate_s, records / generate_s, replay_s,
+        records / replay_s, generate_s / replay_s);
 
-    // Telemetry hot-path overhead: interleaved off/on pairs (so
-    // thermal and frequency drift hit both sides equally), min of
-    // reps (the least-disturbed sample), full measured window
-    // with every probe live on the on side. The <2% budget is
-    // enforced by scripts/check_bench_regression.py.
-    constexpr int kTelemetryReps = 4;
-    double telemetry_off_min = 0.0, telemetry_on_min = 0.0;
-    double intro_min = 0.0;
-    bool telemetry_identical = true, telemetry_conserves = true;
-    bool intro_identical = true, intro_conserves = true;
-    for (int rep = 0; rep < kTelemetryReps; ++rep) {
-        const TelemetryRep off =
-            runTelemetryRep(wk, args.scale, args.seed,
-                            capacity_mb, TelemetryMode::Off);
-        const TelemetryRep on =
-            runTelemetryRep(wk, args.scale, args.seed,
-                            capacity_mb, TelemetryMode::Probes);
-        const TelemetryRep intro = runTelemetryRep(
-            wk, args.scale, args.seed, capacity_mb,
-            TelemetryMode::Introspection);
-        if (rep == 0 || off.measureSeconds < telemetry_off_min)
-            telemetry_off_min = off.measureSeconds;
-        if (rep == 0 || on.measureSeconds < telemetry_on_min)
-            telemetry_on_min = on.measureSeconds;
-        if (rep == 0 || intro.measureSeconds < intro_min)
-            intro_min = intro.measureSeconds;
-        telemetry_identical =
-            telemetry_identical &&
-            countersIdentical("telemetry off vs on", off.metrics,
-                              on.metrics);
-        telemetry_conserves =
-            telemetry_conserves && intervalsConserve(on);
-        intro_identical =
-            intro_identical &&
-            countersIdentical("introspection off vs on",
-                              off.metrics, intro.metrics);
-        intro_conserves = intro_conserves &&
-                          intervalsConserve(intro) &&
-                          probesConserve(intro);
+    // Telemetry hot-path overhead: three points that differ only
+    // in cfg.pod.telemetry share the footprint point's arena and
+    // artifact; the instrumented ones are bracketed by the off one
+    // and each rep yields one overhead of the measured window per
+    // instrumented point. The <=2% budget is enforced on the
+    // interval by scripts/check_bench_regression.py.
+    const ExperimentPoint &off = points[footprint];
+    ExperimentPoint probes = off;
+    // Both features on: every probe site and the epoch check are
+    // live, so this bounds the full enabled cost.
+    probes.cfg.pod.telemetry.intervalRecords =
+        std::max<std::uint64_t>(1, measure / 32);
+    probes.cfg.pod.telemetry.histograms = true;
+    // The full introspection surface: shadow-directory miss
+    // attribution, per-structure probe columns and spatial
+    // heatmaps, streamed per epoch. 1-in-64 set sampling is the
+    // classical shadow-tag ratio; it also keeps the shadow
+    // structures inside the LLC, where the budget is won.
+    ExperimentPoint intro = off;
+    intro.cfg.pod.telemetry.intervalRecords =
+        probes.cfg.pod.telemetry.intervalRecords;
+    intro.cfg.pod.telemetry.missAttributionStride = 64;
+    intro.cfg.pod.telemetry.designProbes = true;
+    intro.cfg.pod.telemetry.heatmaps = true;
+
+    std::vector<std::vector<double>> tel_s(3);
+    bool probes_identical = true, probes_conserve = true;
+    bool intro_identical = true, intro_conserve = true;
+    auto tel_ratio = bracketedRatios(
+        {off, probes, intro}, [&](std::size_t i, const PointResult &r) {
+            tel_s[i].push_back(r.timing.measureSeconds);
+            if (i == 1) {
+                probes_identical =
+                    countersIdentical("telemetry off vs on",
+                                      metrics[footprint], r.metrics) &&
+                    probes_identical;
+                probes_conserve = intervalsConserve(r) && probes_conserve;
+            } else if (i == 2) {
+                intro_identical =
+                    countersIdentical("introspection off vs on",
+                                      metrics[footprint], r.metrics) &&
+                    intro_identical;
+                intro_conserve = intervalsConserve(r) &&
+                                 probesConserve(r) && intro_conserve;
+            }
+            return r.timing.measureSeconds;
+        });
+    for (std::vector<double> &ratios : tel_ratio) {
+        for (double &x : ratios)
+            x = 100.0 * (x - 1.0);
     }
-    const double telemetry_overhead_pct =
-        telemetry_off_min > 0.0
-            ? 100.0 * (telemetry_on_min - telemetry_off_min) /
-                  telemetry_off_min
-            : 0.0;
-    const double intro_overhead_pct =
-        telemetry_off_min > 0.0
-            ? 100.0 * (intro_min - telemetry_off_min) /
-                  telemetry_off_min
-            : 0.0;
+    const std::vector<double> &probes_pct = tel_ratio[1];
+    const std::vector<double> &intro_pct = tel_ratio[2];
+    const auto [probes_lo, probes_hi] = medianInterval95(probes_pct);
+    const auto [intro_lo, intro_hi] = medianInterval95(intro_pct);
     std::printf("\ntelemetry overhead (footprint, intervals + "
-                "histograms, min of %d): %.2f%% "
+                "histograms): %+.2f%% [95%%: %+.2f, %+.2f] "
                 "(off %.3fs, on %.3fs), metrics identical: %s, "
                 "intervals conserve: %s\n",
-                kTelemetryReps, telemetry_overhead_pct,
-                telemetry_off_min, telemetry_on_min,
-                telemetry_identical ? "yes" : "NO",
-                telemetry_conserves ? "yes" : "NO");
+                median(probes_pct), probes_lo, probes_hi,
+                median(tel_s[0]), median(tel_s[1]),
+                yesNo(probes_identical), yesNo(probes_conserve));
     std::printf("introspection overhead (attribution + design "
-                "probes + heatmaps, min of %d): %.2f%% "
+                "probes + heatmaps): %+.2f%% [95%%: %+.2f, %+.2f] "
                 "(on %.3fs), metrics identical: %s, "
                 "probes conserve: %s\n",
-                kTelemetryReps, intro_overhead_pct, intro_min,
-                intro_identical ? "yes" : "NO",
-                intro_conserves ? "yes" : "NO");
+                median(intro_pct), intro_lo, intro_hi,
+                median(tel_s[2]), yesNo(intro_identical),
+                yesNo(intro_conserve));
     std::fprintf(
         json,
         "  \"telemetry\": {\"reps\": %d, "
         "\"measure_seconds_off\": %.4f, "
         "\"measure_seconds_on\": %.4f, "
         "\"overhead_pct\": %.2f, "
+        "\"overhead_pct_ci95\": [%.2f, %.2f], "
         "\"metrics_identical\": %s, "
-        "\"intervals_conserve\": %s, "
-        "\"measure_seconds_introspection\": %.4f, "
+        "\"intervals_conserve\": %s,\n"
+        "    \"measure_seconds_introspection\": %.4f, "
         "\"introspection_overhead_pct\": %.2f, "
+        "\"introspection_overhead_pct_ci95\": [%.2f, %.2f], "
         "\"introspection_metrics_identical\": %s, "
         "\"introspection_probes_conserve\": %s},\n",
-        kTelemetryReps, telemetry_off_min, telemetry_on_min,
-        telemetry_overhead_pct,
-        telemetry_identical ? "true" : "false",
-        telemetry_conserves ? "true" : "false", intro_min,
-        intro_overhead_pct, intro_identical ? "true" : "false",
-        intro_conserves ? "true" : "false");
+        kReps, median(tel_s[0]), median(tel_s[1]), median(probes_pct),
+        probes_lo, probes_hi, trueFalse(probes_identical),
+        trueFalse(probes_conserve), median(tel_s[2]),
+        median(intro_pct), intro_lo, intro_hi,
+        trueFalse(intro_identical), trueFalse(intro_conserve));
 
-    // Sampled execution: the same footprint point measured exact
-    // and sampled (runPoint twins, as the sampling_validation
-    // experiment pairs them). Marginal speedup excludes the
-    // one-off span-artifact build, which amortizes across every
-    // run sharing (workload, warmup, hierarchy, schedule) — the
-    // all-in number charges it to this single run. Coverage is
-    // how many of the four derived metrics the exact run lands
-    // inside the sampled 95% CI (scripts/check_sampling.py
-    // enforces >=90% across the whole validation grid).
-    const SamplingBench sb =
-        runSamplingBench(wk, args.scale, args.seed, capacity_mb);
+    // Sampled execution: the footprint point measured sampled
+    // against the exact reps above (the sampling_validation
+    // pairing). Marginal speedup is exact measure time over the
+    // sampled ff + timed phases; the span artifact built here
+    // amortizes across every design sharing (workload, warmup,
+    // hierarchy, schedule), and break-even is how many such
+    // designs repay its build. Coverage counts the derived
+    // metrics whose exact value lands inside the sampled 95% CI.
+    ExperimentPoint sampled = off;
+    sampled.cfg.pod.sampling.enabled = true;
+    const double built_before = cache.stats().buildSeconds;
+    const PointResult sr = runPoint(sampled);
+    const double span_build_s = cache.stats().buildSeconds - built_before;
+    const double exact_s = median(measure_s[footprint]);
+    const double sampled_s =
+        sr.timing.sampleFfSeconds + sr.timing.sampleTimedSeconds;
+    const double saved_s = exact_s - sampled_s;
+    const double break_even =
+        saved_s > 0.0 ? span_build_s / saved_s : 0.0;
+    int within_ci = 0;
+    for (const SampledRatio &r : kSampledRatios) {
+        const std::string base = r.name;
+        if (std::abs(r.of(metrics[footprint]) -
+                     extraValue(sr, base + "_mean")) <=
+            extraValue(sr, base + "_ci95") + 1e-12)
+            ++within_ci;
+    }
+    const unsigned intervals = static_cast<unsigned>(
+        extraValue(sr, "sampled_intervals"));
     std::printf("\nsampled execution (footprint, %u intervals): "
-                "%.2fx marginal / %.2fx all-in "
-                "(exact %.3fs, sampled ff %.3fs + timed %.3fs), "
-                "%d/%d metrics within 95%% CI\n",
-                sb.intervals, sb.marginalSpeedup(),
-                sb.allInSpeedup(),
-                sb.exact.timing.measureSeconds,
-                sb.sampled.timing.sampleFfSeconds,
-                sb.sampled.timing.sampleTimedSeconds,
-                sb.metricsWithinCi, sb.metricsChecked);
+                "%.2fx marginal (exact %.3fs, sampled ff %.3fs + "
+                "timed %.3fs), span build %.3fs = %.2f designs to "
+                "break even, %d/%zu metrics within 95%% CI\n",
+                intervals, exact_s / sampled_s, exact_s,
+                sr.timing.sampleFfSeconds,
+                sr.timing.sampleTimedSeconds, span_build_s,
+                break_even, within_ci, kSampledRatios.size());
     std::fprintf(
         json,
         "  \"sampling\": {\"intervals\": %u, "
         "\"exact_measure_seconds\": %.4f, "
-        "\"sampled_measure_seconds\": %.4f, "
         "\"sample_ff_seconds\": %.4f, "
         "\"sample_timed_seconds\": %.4f, "
         "\"marginal_speedup\": %.2f, "
-        "\"all_in_speedup\": %.2f, "
+        "\"span_build_seconds\": %.4f, "
+        "\"break_even_designs\": %.2f, "
         "\"metrics_within_ci\": %d, "
-        "\"metrics_checked\": %d}\n",
-        sb.intervals, sb.exact.timing.measureSeconds,
-        sb.sampled.timing.measureSeconds,
-        sb.sampled.timing.sampleFfSeconds,
-        sb.sampled.timing.sampleTimedSeconds,
-        sb.marginalSpeedup(), sb.allInSpeedup(),
-        sb.metricsWithinCi, sb.metricsChecked);
-    std::fprintf(json, "}\n");
+        "\"metrics_checked\": %zu}\n}\n",
+        intervals, exact_s, sr.timing.sampleFfSeconds,
+        sr.timing.sampleTimedSeconds, exact_s / sampled_s,
+        span_build_s, break_even, within_ci, kSampledRatios.size());
     std::fclose(json);
     std::printf("wrote %s\n", out_path.c_str());
 
-    if (!telemetry_identical || !intro_identical ||
-        !telemetry_conserves)
-        return 1;
-    return 0;
+    return probes_identical && probes_conserve && intro_identical &&
+                   intro_conserve
+               ? 0
+               : 1;
 }

@@ -1,41 +1,41 @@
 #!/usr/bin/env python3
-"""Guard the engine's speed: two checks on perf_engine JSON files.
+"""Guard the engine's speed and the telemetry budget from perf_engine JSON.
 
-Engine regression (--baseline/--current): compares fresh
-perf_engine runs (typically --quick) against a committed
-BENCH_engine*.json and fails when ns/record regresses beyond the
-tolerance. The metric is each design's combined warmup+measure
-ns/record.
-
-In --relative mode each design's ns/record is first normalized to
-the 'baseline' design's ns/record *from the same file*, which
-cancels machine speed: CI runners are not the machine that
-produced the committed baseline, so only relative regressions
-(one design getting slower than the others) are meaningful there.
-Absolute mode is for same-machine comparisons (scripts/check.sh
-on the machine that committed the baseline).
-
-Pass several --current files (repeats of the same quick run) to
-compare against the per-design *minimum* ns/record: the minimum
-is robust to scheduler noise spikes, which on shared CI vCPUs
-dwarf real regressions in any single short run.
+Engine regression (--baseline/--current): compares one fresh
+perf_engine run (typically --quick) against a committed
+BENCH_engine*.json recorded at the same scale. The metric is each
+design's `ratio_to_baseline`: perf_engine's median, over its
+interleaved reps, of the design's ns/record (warm restore plus
+measured window) divided by the mean ns/record of the `baseline`
+runs just before and after it. Those runs saw the same machine
+conditions, so the ratio cancels machine speed and a file
+recorded on another host stays comparable. The check fails when a
+design's ratio exceeds the committed one by more than --tolerance,
+or when a committed design is missing from the current run.
 
 Telemetry budget (--telemetry-json): validates the `telemetry`
-section a full perf_engine run emits: interval streaming +
-histograms, and separately the introspection layer
-(shadow-directory miss attribution + design probes + heatmaps),
-must each cost at most --telemetry-budget-pct (default 2%) over
-the instrumentation-off run, the engine metrics must be
+section perf_engine emits. Interval streaming + histograms, and
+separately the introspection layer (shadow-directory miss
+attribution + design probes + heatmaps), each report a median
+per-rep overhead over the instrumentation-off runs around it and
+a distribution-free 95% interval of that median. Each gets one of three
+verdicts against --telemetry-budget-pct (default 2%):
+  pass        the interval's upper end is within the budget;
+  fail        the interval's lower end exceeds the budget;
+  unresolved  the interval straddles the budget, so the run cannot
+              tell the two apart.
+Fail and unresolved both exit 1. The engine metrics must also be
 bit-identical either way, and the interval and probe-column
-deltas must conserve. The overhead number in the committed file
-was measured interleaved min-of-reps; the guard reads the file
-rather than re-timing, so it is deterministic on noisy CI
-runners.
+deltas must conserve.
+
+scripts/check.sh and the CI release cells run the regression
+check on one --quick run against BENCH_engine_quick.json; CI's
+telemetry-smoke job and check.sh gate the committed
+BENCH_engine.json's telemetry section.
 
 Usage:
-  check_bench_regression.py --baseline BENCH_engine.json \
-      --current quick1.json [quick2.json ...] \
-      [--tolerance 0.15] [--relative]
+  check_bench_regression.py --baseline BENCH_engine_quick.json \
+      --current quick.json [--tolerance 0.15]
   check_bench_regression.py --telemetry-json BENCH_engine.json \
       [--telemetry-budget-pct 2.0]
 """
@@ -45,157 +45,121 @@ import json
 import sys
 
 
-def ns_per_record(design_entry):
-    d = design_entry
-    records = d["warmup_records"] + d["measure_records"]
-    seconds = d["warmup_seconds"] + d["measure_seconds"]
-    if records <= 0:
-        return 0.0
-    return 1e9 * seconds / records
+def budget_verdict(label, tel, prefix, budget_pct):
+    lo, hi = tel[prefix + "overhead_pct_ci95"]
+    print(f"{label} budget guard: overhead "
+          f"{tel[prefix + 'overhead_pct']:+.2f}% "
+          f"[95%: {lo:+.2f}, {hi:+.2f}] over {tel['reps']} reps, "
+          f"budget {budget_pct:.1f}%")
+    if hi <= budget_pct:
+        return 0
+    if lo > budget_pct:
+        print(f"fail: {label} costs more than the budget (the "
+              f"interval's lower end {lo:.2f}% exceeds "
+              f"{budget_pct:.1f}%)")
+    else:
+        print(f"unresolved: {label}'s interval straddles the "
+              f"{budget_pct:.1f}% budget; this run cannot tell "
+              f"pass from fail")
+    return 1
 
 
 def check_telemetry_budget(path, budget_pct):
     with open(path) as f:
-        doc = json.load(f)
-    tel = doc.get("telemetry")
-    if tel is None:
-        print(f"{path}: no telemetry section (regenerate "
-              f"BENCH_engine.json with a full perf_engine run)")
+        tel = json.load(f).get("telemetry") or {}
+    try:
+        violations = (
+            budget_verdict("telemetry", tel, "", budget_pct) +
+            budget_verdict("introspection", tel, "introspection_",
+                           budget_pct))
+    except KeyError as e:
+        print(f"{path}: telemetry section lacks {e} (regenerate it "
+              f"with a full perf_engine run)")
         return 1
-    violations = 0
-    overhead = tel.get("overhead_pct", 1e9)
-    print(f"telemetry budget guard: overhead "
-          f"{overhead:+.2f}% over {tel.get('reps', '?')} rep(s) "
-          f"(off {tel.get('measure_seconds_off', 0):.3f}s, "
-          f"on {tel.get('measure_seconds_on', 0):.3f}s)")
-    if overhead > budget_pct:
-        print(f"FAIL: telemetry overhead {overhead:.2f}% exceeds "
-              f"the {budget_pct:.1f}% budget")
-        violations += 1
-    if not tel.get("metrics_identical", False):
-        print("FAIL: metrics diverged with telemetry enabled")
-        violations += 1
-    if not tel.get("intervals_conserve", False):
-        print("FAIL: interval deltas do not sum to aggregates")
-        violations += 1
-    # Introspection (miss attribution + design probes +
-    # heatmaps) rides under the same budget; older baseline
-    # files without the fields fail until regenerated.
-    intro = tel.get("introspection_overhead_pct", 1e9)
-    print(f"introspection budget guard: overhead "
-          f"{intro:+.2f}% "
-          f"(on {tel.get('measure_seconds_introspection', 0):.3f}s)")
-    if intro > budget_pct:
-        print(f"FAIL: introspection overhead {intro:.2f}% "
-              f"exceeds the {budget_pct:.1f}% budget")
-        violations += 1
-    if not tel.get("introspection_metrics_identical", False):
-        print("FAIL: metrics diverged with introspection "
-              "enabled")
-        violations += 1
-    if not tel.get("introspection_probes_conserve", False):
-        print("FAIL: probe-column deltas do not sum to "
-              "aggregates")
-        violations += 1
+    for field, what in (
+            ("metrics_identical",
+             "metrics diverged with telemetry enabled"),
+            ("intervals_conserve",
+             "interval deltas do not sum to aggregates"),
+            ("introspection_metrics_identical",
+             "metrics diverged with introspection enabled"),
+            ("introspection_probes_conserve",
+             "probe-column deltas do not sum to aggregates")):
+        if not tel.get(field, False):
+            print(f"fail: {what}")
+            violations += 1
     if violations:
         return 1
-    print(f"OK: telemetry costs {max(overhead, 0.0):.2f}% and "
-          f"introspection {max(intro, 0.0):.2f}% "
-          f"(budget {budget_pct:.1f}%), metrics identical, "
-          f"intervals and probes conserve")
+    print("OK: telemetry and introspection within budget, metrics "
+          "identical, intervals and probes conserve")
+    return 0
+
+
+def check_regression(baseline, current, tolerance):
+    with open(baseline) as f:
+        base = json.load(f)
+    with open(current) as f:
+        cur = json.load(f)
+    # The design-vs-baseline ratios shift systematically with the
+    # window scale, which would silently miscalibrate the tolerance.
+    if cur.get("scale") != base.get("scale"):
+        print(f"scale mismatch: baseline {baseline} is scale "
+              f"{base.get('scale')}, {current} is scale "
+              f"{cur.get('scale')} — compare like with like (the "
+              f"committed quick-scale baseline is "
+              f"BENCH_engine_quick.json)")
+        return 1
+
+    print(f"engine regression guard (x baseline, tolerance "
+          f"{100 * tolerance:.0f}%)")
+    print(f"  {'design':<12} {'committed':>10} {'current':>10} "
+          f"{'ratio':>7}")
+    failed = []
+    for name, entry in base["designs"].items():
+        b = entry["ratio_to_baseline"]
+        c = cur["designs"].get(name, {}).get("ratio_to_baseline")
+        if c is None:
+            failed.append(name)
+            print(f"  {name:<12} {b:>10.3f} {'missing':>10}")
+            continue
+        ratio = c / b
+        flag = ""
+        if ratio > 1.0 + tolerance:
+            failed.append(name)
+            flag = "  << REGRESSION"
+        print(f"  {name:<12} {b:>10.3f} {c:>10.3f} "
+              f"{ratio:>6.2f}x{flag}")
+    if failed:
+        print(f"FAIL: missing, or ns/record ratio regressed >"
+              f"{100 * tolerance:.0f}%, for: {', '.join(failed)}")
+        return 1
+    print("OK: no design regressed beyond tolerance")
     return 0
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--baseline")
-    ap.add_argument("--current", nargs="+", default=[])
+    ap.add_argument("--current")
     ap.add_argument("--tolerance", type=float, default=0.15)
-    ap.add_argument("--relative", action="store_true")
     ap.add_argument("--telemetry-json")
     ap.add_argument("--telemetry-budget-pct", type=float,
                     default=2.0)
     args = ap.parse_args()
 
-    if args.baseline and not args.current:
-        ap.error("--baseline needs at least one --current run")
+    if bool(args.baseline) != bool(args.current):
+        ap.error("--baseline and --current go together")
     if not args.baseline and not args.telemetry_json:
         ap.error("--baseline/--current or --telemetry-json is "
                  "required")
+    rc = 0
     if args.telemetry_json:
         rc = check_telemetry_budget(args.telemetry_json,
                                     args.telemetry_budget_pct)
-        if rc or not args.baseline:
-            return rc
-
-    with open(args.baseline) as f:
-        base = json.load(f)
-    currents = []
-    for path in args.current:
-        with open(path) as f:
-            currents.append(json.load(f))
-
-    # Mixed scales are not comparable: the design-vs-baseline
-    # ratios shift systematically with the window scale, which
-    # would silently miscalibrate the tolerance.
-    for path, c in zip(args.current, currents):
-        if c.get("scale") != base.get("scale"):
-            print(f"scale mismatch: baseline {args.baseline} is "
-                  f"scale {base.get('scale')}, {path} is scale "
-                  f"{c.get('scale')} — compare like with like "
-                  f"(the committed quick-scale baseline is "
-                  f"BENCH_engine_quick.json)")
-            return 1
-
-    base_designs = base["designs"]
-    common = [d for d in base_designs
-              if all(d in c["designs"] for c in currents)]
-    if not common:
-        print("no common designs between baseline and current")
-        return 1
-
-    def metric(designs, name):
-        ns = ns_per_record(designs[name])
-        if args.relative:
-            # Normalize within one run: both numbers saw the same
-            # machine conditions, so the ratio is coherent.
-            ref = ns_per_record(designs["baseline"])
-            return ns / ref if ref > 0 else 0.0
-        return ns
-
-    def cur_metric(name):
-        # Minimum over the repeat runs (computed per run, so a
-        # noise spike in one run cannot skew another's ratio).
-        return min(metric(c["designs"], name) for c in currents)
-
-    if args.relative and "baseline" not in common:
-        print("--relative needs the 'baseline' design in both files")
-        return 1
-
-    unit = "x baseline" if args.relative else "ns/record"
-    print(f"engine regression guard ({unit}, "
-          f"tolerance {100 * args.tolerance:.0f}%)")
-    print(f"  {'design':<12} {'committed':>10} {'current':>10} "
-          f"{'ratio':>7}")
-    failed = []
-    for name in common:
-        b = metric(base_designs, name)
-        c = cur_metric(name)
-        ratio = c / b if b > 0 else 0.0
-        flag = ""
-        if ratio > 1.0 + args.tolerance:
-            failed.append(name)
-            flag = "  << REGRESSION"
-        print(f"  {name:<12} {b:>10.2f} {c:>10.2f} "
-              f"{ratio:>6.2f}x{flag}")
-
-    if failed:
-        print(f"FAIL: ns/record regressed >"
-              f"{100 * args.tolerance:.0f}% for: "
-              f"{', '.join(failed)}")
-        return 1
-    print("OK: no design regressed beyond tolerance")
-    return 0
+    if args.baseline:
+        rc = check_regression(args.baseline, args.current,
+                              args.tolerance) or rc
+    return rc
 
 
 if __name__ == "__main__":
