@@ -37,7 +37,8 @@ main(int argc, char **argv)
 
     // 2. Build the colocation point (the mix and the policy ride
     //    in the DesignParams bag, so any registered design can
-    //    honor them) and run it: in-band warmup + measurement.
+    //    honor them) and run it: warmup from the mix's
+    //    artifact, then measurement.
     ExperimentPoint point = makeColocationPoint(
         tenants, design, policy, scale, /*seed=*/42);
     const PointResult result = runColocationPoint(point);

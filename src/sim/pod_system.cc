@@ -71,7 +71,7 @@ intervalOf(RunMetrics &&d)
  * PodSystem::kDispatchBurst, every post-L2 op appended in the
  * order the memory system must see it. The hierarchy takes no
  * input from the memory system below, so the ops can be replayed
- * later, in batches or by another pod, with the same effect.
+ * later, by any pod of the same config, with the same effect.
  *
  * The cursor is `pulled`, the records dispatched counted from
  * record 0 of the stream; the starting core follows from it, so a
@@ -305,31 +305,6 @@ PodSystem::capture(Cycle now) const
     return s;
 }
 
-void
-PodSystem::runWarmup(std::uint64_t warmup_refs)
-{
-    // Bounded batches keep the op buffer small; the pass carries
-    // its dispatch state across them, so batching is invisible to
-    // the memory system.
-    constexpr std::uint64_t kBatch = 4096;
-    HierarchyPass pass(trace_, hierarchy_, 0, config_.deadline);
-    PostL2Ops ops;
-    while (pass.pulled < warmup_refs && pass.numAlive > 0) {
-        ops.clear();
-        total_instructions_ += pass.advance(
-            std::min(kBatch, warmup_refs - pass.pulled), ops);
-        replayOps(ops, 0, ops.paddr.size());
-    }
-    total_records_ += pass.pulled;
-
-    // Phase boundary: the measurement loop restarts time at zero
-    // from a drained memory system, so the measured window is
-    // independent of how warmup was simulated.
-    if (stacked_)
-        stacked_->resetTiming();
-    offchip_.resetTiming();
-}
-
 std::shared_ptr<const WarmupArtifact>
 PodSystem::buildWarmupArtifact(const MaterializedTrace &trace,
                                const CacheHierarchy::Config &hier_cfg,
@@ -342,7 +317,7 @@ PodSystem::buildWarmupArtifact(const MaterializedTrace &trace,
                                deadline);
 }
 
-std::shared_ptr<const WarmupArtifact>
+std::shared_ptr<WarmupArtifact>
 PodSystem::buildWarmupArtifact(TraceSource &source,
                                const CacheHierarchy::Config &hier_cfg,
                                std::uint64_t warm_records,
@@ -439,7 +414,9 @@ PodSystem::applyWarmup(const WarmupArtifact &artifact)
     total_records_ += artifact.records;
     total_instructions_ += artifact.instructions;
 
-    // Same phase boundary as runWarmup.
+    // Phase boundary: the measurement loop restarts time at zero
+    // from a drained memory system, so the measured window is
+    // independent of how warmup was simulated.
     if (stacked_)
         stacked_->resetTiming();
     offchip_.resetTiming();
@@ -694,8 +671,13 @@ RunMetrics
 PodSystem::run(std::uint64_t warmup_refs,
                std::uint64_t measure_refs)
 {
-    if (warmup_refs > 0)
-        runWarmup(warmup_refs);
+    if (warmup_refs > 0) {
+        // The pass starts from an empty hierarchy at record 0.
+        FPC_ASSERT(total_records_ == 0);
+        applyWarmup(*buildWarmupArtifact(trace_, config_.hierarchy,
+                                         warmup_refs,
+                                         config_.deadline));
+    }
 
     // Arm introspection only for a real measured window: a
     // warmup-only run() must neither attach the design hooks nor

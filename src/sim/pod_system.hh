@@ -12,9 +12,9 @@
  * pass dispatches records to cores round-robin in bursts and
  * collects the post-L2 ops (LLC misses and dirty writebacks) in
  * order; replayOps() feeds them to the memory system. The
- * hierarchy takes no input from the memory system, so the two
- * halves can run batch by batch in-band, or the pass can run once
- * per trace into a WarmupArtifact that every design replays.
+ * hierarchy takes no input from the memory system, so the pass
+ * runs once per stream and warm window into a WarmupArtifact that
+ * every design replays (applyWarmup).
  * The replay puts the stacked and off-chip DramSystems in
  * SimMode::Functional, so every DRAM access returns at its issue
  * cycle without bank-timing or energy modeling, while the memory
@@ -236,9 +236,8 @@ struct SampledRun
 /**
  * A post-L2 op stream: the memory-system operations a
  * hierarchy-only pass emits, as columns, in the order the memory
- * system sees them. Both artifacts carry one; the in-band warmup
- * fills one batch at a time. An op carries no tenant id: replay
- * reads it from the address's tenant bits.
+ * system sees them. Both artifacts carry one. An op carries no
+ * tenant id: replay reads it from the address's tenant bits.
  */
 struct PostL2Ops : TraceCacheEntry
 {
@@ -259,16 +258,6 @@ struct PostL2Ops : TraceCacheEntry
         pc.push_back(p);
         coreId.push_back(core);
         kind.push_back(k);
-    }
-
-    /** Drop every op, keeping the columns' capacity. */
-    void
-    clear()
-    {
-        paddr.clear();
-        pc.clear();
-        coreId.clear();
-        kind.clear();
     }
 
     /** Hierarchy state bytes (filled by the builder). */
@@ -293,15 +282,16 @@ struct PostL2Ops : TraceCacheEntry
  * the hierarchy has no feedback from the memory system below, so
  * over a given trace prefix the hierarchy evolves identically for
  * *every* design, and so does the sequence of memory-system
- * operations it emits. The hierarchy pass an in-band warmup runs
- * batch by batch therefore captures, run once over the whole
- * window, everything a design needs to warm up: the hierarchy
- * snapshot at the phase boundary plus the post-L2 op stream,
- * which each point replays into its own memory system
+ * operations it emits. One hierarchy pass over the window
+ * therefore captures everything a design needs to warm up: the
+ * hierarchy snapshot at the phase boundary plus the post-L2 op
+ * stream, which each point replays into its own memory system
  * (PodSystem::applyWarmup) — skipping trace decoding and
- * hierarchy simulation entirely.
+ * hierarchy simulation entirely. It is the only warmup there is:
+ * even PodSystem::run() warms through one.
  *
- * Artifacts are keyed by trace identity, hierarchy configuration
+ * Artifacts are keyed by the stream's identity (a trace, or a
+ * tenant mix's traces and core split), hierarchy configuration
  * and warm length, and shared through the TraceCache.
  */
 struct WarmupArtifact : PostL2Ops
@@ -313,6 +303,14 @@ struct WarmupArtifact : PostL2Ops
 
     /** Instructions those records carried (sum of gap + 1). */
     std::uint64_t instructions = 0;
+
+    /**
+     * Built over a tenant mix: records each tenant's stream gave
+     * the window, in tenant order (empty for a single trace). A
+     * pod continuing after the window starts tenant t's stream at
+     * tenantCursors[t].
+     */
+    std::vector<std::uint64_t> tenantCursors;
 };
 
 /**
@@ -377,10 +375,10 @@ class PodSystem
               DramSystem &offchip);
 
     /**
-     * Run @p warmup_refs trace records through the functional
-     * warmup (runWarmup) to warm the hierarchy and the DRAM
-     * cache, then measure over @p measure_refs records with the
-     * full timing loop.
+     * Warm a fresh pod over the first @p warmup_refs trace
+     * records — applyWarmup() of this pod's own
+     * buildWarmupArtifact() over its trace source — then measure
+     * over @p measure_refs records with the full timing loop.
      */
     RunMetrics run(std::uint64_t warmup_refs,
                    std::uint64_t measure_refs);
@@ -430,11 +428,12 @@ class PodSystem
     /**
      * The same pass over the next @p warm_records records of any
      * @p source (a tenant mix included), which is left positioned
-     * after them — where a pod warmed in-band from it would
-     * continue. `records` counts what the pass consumed, fewer
-     * than @p warm_records once every core's stream ran dry.
+     * after them — where the measured window continues.
+     * `records` counts what the pass consumed, fewer than
+     * @p warm_records once every core's stream ran dry. The
+     * caller may still fill the fresh artifact's tenantCursors.
      */
-    static std::shared_ptr<const WarmupArtifact>
+    static std::shared_ptr<WarmupArtifact>
     buildWarmupArtifact(TraceSource &source,
                         const CacheHierarchy::Config &hier_cfg,
                         std::uint64_t warm_records,
@@ -460,8 +459,8 @@ class PodSystem
     /**
      * Warm this pod from @p artifact instead of running the trace:
      * restore the hierarchy snapshot and replay the op stream into
-     * the memory system (replayOps), leaving state bit-identical
-     * to an in-band warmup over the same records. The caller
+     * the memory system (replayOps), then drain the DRAM channels
+     * and rebase time to 0 (the phase boundary). The caller
      * advances the trace source past the warm window itself.
      */
     void applyWarmup(const WarmupArtifact &artifact);
@@ -522,19 +521,12 @@ class PodSystem
     std::vector<std::uint64_t> captureProbeValues() const;
 
     /**
-     * In-band warmup: the hierarchy pass over trace_ in bounded
-     * batches, each batch's ops replayed by replayOps. Drains the
-     * DRAM channels at the phase boundary.
-     */
-    void runWarmup(std::uint64_t warmup_refs);
-
-    /**
      * Replay ops [@p begin, @p end) of @p ops into the memory
      * system with the DRAM in SimMode::Functional, every op at
      * cycle 0, leaving the DRAM in SimMode::Timed; each demand
      * carries the tenant of its address. The one loop that feeds
-     * the memory system during warmup: in-band batches,
-     * applyWarmup and runSampled's gaps.
+     * the memory system during warmup: applyWarmup and
+     * runSampled's gaps.
      */
     void replayOps(const PostL2Ops &ops, std::size_t begin,
                    std::size_t end);

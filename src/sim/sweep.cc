@@ -419,53 +419,43 @@ standardLabel(WorkloadKind wk, const Experiment::Config &cfg)
     return label;
 }
 
-namespace {
-
-/**
- * Everything the functional warmup's evolution depends on besides
- * the trace: core count and the hierarchy geometry. Part of the
- * WarmupArtifact cache key, so points with non-standard pods get
- * their own artifacts instead of wrong sharing.
- */
 std::string
-hierarchySignature(const PodConfig &pod)
+warmupArtifactKey(const std::string &identity, std::uint64_t warm,
+                  const PodConfig &pod)
 {
+    // Everything the pass's evolution depends on besides the
+    // stream: core count and the hierarchy geometry, so points
+    // with non-standard pods get their own artifacts instead of
+    // wrong sharing.
     const CacheHierarchy::Config &h = pod.hierarchy;
-    char buf[160];
+    char hier[160];
     std::snprintf(
-        buf, sizeof(buf),
+        hier, sizeof(hier),
         "%u/%" PRIu64 ".%u.%u.%u.%" PRIu64 "/%" PRIu64
         ".%u.%u.%u.%" PRIu64,
         pod.numCores, h.l1.sizeBytes, h.l1.assoc, h.l1.blockBytes,
         static_cast<unsigned>(h.l1.repl), h.l1.seed,
         h.l2.sizeBytes, h.l2.assoc, h.l2.blockBytes,
         static_cast<unsigned>(h.l2.repl), h.l2.seed);
-    return buf;
+    return "warmup/" + identity + "/" + std::to_string(warm) + "/" +
+           hier;
 }
 
-std::string
-warmupArtifactKey(const ExperimentPoint &point,
-                  std::uint64_t warm)
-{
-    return "warmup/" + point.traceKey() + "/" +
-           std::to_string(warm) + "/" +
-           hierarchySignature(point.cfg.pod);
-}
+namespace {
 
 /**
- * Span artifacts are additionally keyed by the schedule's cut
- * points (intervals/period/gap) plus the ramp split, so any two
- * points acquiring the same key agree on the full SampleSchedule
- * (runSampled asserts as much).
+ * Span artifacts extend their warm window's key with the
+ * schedule's cut points (intervals/period/gap) plus the ramp
+ * split, so any two points acquiring the same key agree on the
+ * full SampleSchedule (runSampled asserts as much).
  */
 std::string
 sampleArtifactKey(const ExperimentPoint &point,
                   std::uint64_t warm, const SampleSchedule &sched)
 {
-    return "sample/" + point.traceKey() + "/" +
-           std::to_string(warm) + "/" +
-           hierarchySignature(point.cfg.pod) + "/" +
-           std::to_string(sched.intervals) + "." +
+    return "sample/" +
+           warmupArtifactKey(point.traceKey(), warm, point.cfg.pod) +
+           "/" + std::to_string(sched.intervals) + "." +
            std::to_string(sched.period) + "." +
            std::to_string(sched.gap) + "." +
            std::to_string(sched.ramp);
@@ -615,6 +605,31 @@ pointCache(const ExperimentPoint &point,
     return own.emplace(TraceCacheConfig{}.budgetBytes);
 }
 
+std::shared_ptr<const WarmupArtifact>
+warmFromArtifact(
+    const ExperimentPoint &point, const std::string &identity,
+    std::uint64_t warm, TraceCache &cache, PodSystem &pod,
+    PointTiming &timing,
+    const std::function<std::shared_ptr<const WarmupArtifact>()>
+        &build)
+{
+    bool built = false;
+    const auto artifact =
+        std::static_pointer_cast<const WarmupArtifact>(cache.acquire(
+            warmupArtifactKey(identity, warm, point.cfg.pod), warm,
+            [&](std::uint64_t) -> TraceCache::EntryPtr {
+                faultPoint("warmup-build", identity);
+                built = true;
+                return build();
+            },
+            point.cfg.pod.deadline));
+    timing.replayedWarmup = true;
+    timing.builtWarmup = built;
+    faultPoint("warmup-restore", point.key());
+    pod.applyWarmup(*artifact);
+    return artifact;
+}
+
 PhaseTimer::PhaseTimer(const ExperimentPoint &point)
     : tracer_(point.tracer),
       key_(tracer_ ? point.key() : std::string()),
@@ -669,21 +684,12 @@ runPoint(const ExperimentPoint &point)
     // Warmup: design-independent given the trace, so points share
     // one WarmupArtifact (hierarchy snapshot + post-L2 op stream)
     // per warm window.
-    bool built = false;
-    const auto warm_artifact =
-        std::static_pointer_cast<const WarmupArtifact>(cache.acquire(
-            warmupArtifactKey(point, warm), warm,
-            [&](std::uint64_t) -> TraceCache::EntryPtr {
-                faultPoint("warmup-build", point.traceKey());
-                built = true;
-                return PodSystem::buildWarmupArtifact(
-                    *arena, point.cfg.pod.hierarchy, warm, deadline);
-            },
-            deadline));
-    out.timing.replayedWarmup = true;
-    out.timing.builtWarmup = built;
-    faultPoint("warmup-restore", point.key());
-    exp.pod().applyWarmup(*warm_artifact);
+    const auto warm_artifact = warmFromArtifact(
+        point, point.traceKey(), warm, cache, exp.pod(), out.timing,
+        [&] {
+            return PodSystem::buildWarmupArtifact(
+                *arena, point.cfg.pod.hierarchy, warm, deadline);
+        });
     trace.seekTo(warm);
     out.timing.warmupSeconds = phase.lap("warmup-restore");
 
@@ -1025,7 +1031,8 @@ SweepRunner::runResilient(
             need(key, units);
         if (!p.inBandWarmup) {
             const std::uint64_t warm = p.warmupWindow();
-            need(warmupArtifactKey(p, warm), warm);
+            need(warmupArtifactKey(p.traceKey(), warm, p.cfg.pod),
+                 warm);
             if (p.cfg.pod.sampling.enabled) {
                 const SampleSchedule sched = computeSampleSchedule(
                     p.cfg.pod.sampling, measureRecords(p.scale));

@@ -289,6 +289,15 @@ std::string traceArenaKey(WorkloadKind workload, unsigned page_bytes,
                           std::uint64_t base_seed);
 
 /**
+ * TraceCache key of the WarmupArtifact of a @p warm record window
+ * over the stream named @p identity — a traceIdentityKey(), or a
+ * tenant mix's (mixIdentity) — on @p pod's cores and hierarchy.
+ */
+std::string warmupArtifactKey(const std::string &identity,
+                              std::uint64_t warm,
+                              const PodConfig &pod);
+
+/**
  * The shared arena of one trace identity, holding at least
  * @p records records: acquired from @p cache under
  * traceArenaKey(), and generated there (the "trace-build" fault
@@ -504,13 +513,15 @@ struct ExperimentPoint
     std::uint64_t arenaRecords = 0;
 
     /**
-     * This point never acquires a shared WarmupArtifact: a
-     * colocation mix warms in-band (no artifact is keyed by a
-     * mix), and fig12's access-counting run has no warmup at
-     * all. Stops the runner from planning a warmup
-     * use that would never be drained — an undrained plan pins
-     * the shared artifact in the cache budget for the whole
-     * sweep.
+     * The runner plans no trace-keyed WarmupArtifact for this
+     * point: a colocation mix acquires the artifact of its mix
+     * instead (planned through extraTraceNeeds), and fig12's
+     * access-counting run has no warmup at all. Stops the runner
+     * from planning a warmup use that would never be drained — an
+     * undrained plan pins the shared artifact in the cache budget
+     * for the whole sweep. No warmup is in-band any more; the
+     * rename waits on perfbench/layers.cc, which reads this field
+     * to route colocation points (ROADMAP item 8).
      */
     bool inBandWarmup = false;
 
@@ -575,6 +586,21 @@ std::string standardLabel(WorkloadKind wk,
  */
 TraceCache &pointCache(const ExperimentPoint &point,
                        std::optional<TraceCache> &own);
+
+/**
+ * The warmup of every sweep point: warm @p pod from the
+ * WarmupArtifact of warmupArtifactKey(@p identity, @p warm,
+ * point.cfg.pod) in @p cache, which @p build makes when absent
+ * (under the "warmup-build" fault hook, keyed @p identity), and
+ * set @p timing's warmup flags. The "warmup-restore" hook runs
+ * before the replay. The caller moves its trace past the window.
+ */
+std::shared_ptr<const WarmupArtifact> warmFromArtifact(
+    const ExperimentPoint &point, const std::string &identity,
+    std::uint64_t warm, TraceCache &cache, PodSystem &pod,
+    PointTiming &timing,
+    const std::function<std::shared_ptr<const WarmupArtifact>()>
+        &build);
 
 /**
  * Wall clock of one point's phases, one lap per phase: lap()
@@ -680,12 +706,13 @@ struct SweepOutcome
  * into a pre-sized vector indexed by point position — workers
  * never share a slot. Work goes out through a PointQueue that
  * knows the cache keys (trace arena, other tenants' arenas,
- * warmup and sample-span artifacts) each point shares: a free
- * worker takes the first pending point that would not block on a
- * build another worker has in flight, and only when every pending
- * point would, the first one. With one worker the order is the
- * batch order; with N, at most N first builds are in flight, so
- * at most N − 1 more identities are resident than in batch order.
+ * warmup — a mix's too — and sample-span artifacts) each point
+ * shares: a free worker takes the first pending point that would
+ * not block on a build another worker has in flight, and only
+ * when every pending point would, the first one. With one worker
+ * the order is the batch order; with N, at most N first builds
+ * are in flight, so at most N − 1 more identities are resident
+ * than in batch order.
  *
  * runResilient() is the one entry point, with the fault-tolerance
  * layer built in: per-point checkpoint journaling with resume,

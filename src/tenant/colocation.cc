@@ -68,6 +68,18 @@ decodeTenantMix(const ExperimentPoint &point)
     return tenants;
 }
 
+std::string
+mixIdentity(const ExperimentPoint &point)
+{
+    std::string id = "mix";
+    for (const TenantSpec &t : decodeTenantMix(point)) {
+        id.append(":").append(traceIdentityKey(
+            t.workload, point.cfg.pageBytes, point.baseSeed));
+        id.append("@").append(std::to_string(t.cores));
+    }
+    return id;
+}
+
 ExperimentPoint
 makeColocationPoint(const std::vector<TenantSpec> &tenants,
                     const std::string &design,
@@ -106,6 +118,9 @@ makeColocationPoint(const std::vector<TenantSpec> &tenants,
                           p.baseSeed),
             per_tenant);
     }
+    const std::uint64_t warm = p.warmupWindow();
+    p.extraTraceNeeds.emplace_back(
+        warmupArtifactKey(mixIdentity(p), warm, p.cfg.pod), warm);
     return p;
 }
 
@@ -145,13 +160,26 @@ runColocationPoint(const ExperimentPoint &point)
     Experiment exp(cfg, mix);
     phase.lap("construct");
 
-    // In-band warmup. The mix's post-L2 stream is as
-    // design-independent as a solo trace's (the hierarchy takes
-    // no input from the memory system), but no warmup artifact
-    // is keyed by a mix, so each point runs the hierarchy pass
-    // itself.
-    if (warm > 0)
-        exp.run(warm, 0);
+    // The mix's hierarchy pass depends on neither the design nor
+    // the partition policy (policies act only inside the
+    // DRAM-cache designs; replayOps reads each op's tenant from
+    // its address), so every point of the mix and window shares
+    // one artifact. A miss builds it over this point's still
+    // unread mix, recording where each tenant's stream stopped;
+    // every point then resumes its streams there (a no-op after
+    // its own build). Dead cores need no restoring: the measured
+    // loop re-polls every core and retires the dry ones.
+    const auto warm_artifact = warmFromArtifact(
+        point, mixIdentity(point), warm, cache, exp.pod(),
+        out.timing, [&] {
+            auto art = PodSystem::buildWarmupArtifact(
+                mix, point.cfg.pod.hierarchy, warm,
+                point.cfg.pod.deadline);
+            for (unsigned t = 0; t < tenants.size(); ++t)
+                art->tenantCursors.push_back(mix.consumedRecords(t));
+            return art;
+        });
+    mix.resumeAt(warm_artifact->tenantCursors);
     out.timing.warmupSeconds = phase.lap("warmup");
 
     out.metrics = exp.run(0, measure);

@@ -14,11 +14,16 @@
  * through the shared materialized-trace arena, so one generation
  * serves the workload's solo points, every mix containing it and
  * every design — and a solo colocation run is simply a mix of
- * one tenant on its core share. Warmup is in-band: the mix's
- * post-L2 stream is as design-independent as a solo trace's
- * (warmup dispatch is round-robin and the hierarchy takes no
- * input from the memory system), but no warmup artifact is
- * keyed by a mix.
+ * one tenant on its core share.
+ *
+ * Warmup reuse: the mix's post-L2 stream is as design-independent
+ * as a solo trace's (warmup dispatch is round-robin, the
+ * hierarchy takes no input from the memory system, and partition
+ * policies act only inside the DRAM-cache designs), so a point
+ * warms like a standard one, from a WarmupArtifact shared by
+ * every design and policy of its mix and warm window
+ * (mixIdentity). The artifact also holds each tenant's stream
+ * cursor after the window, where the measured window resumes.
  *
  * Determinism: record-to-core dispatch is decided by the pod's
  * loops, per-tenant streams are identity-seeded, and the point
@@ -74,8 +79,18 @@ std::vector<TenantSpec>
 decodeTenantMix(const ExperimentPoint &point);
 
 /**
+ * The stream identity of @p point's mix ("mix", then each
+ * tenant's trace identity and core count, in tenant order): what
+ * warmupArtifactKey() keys the mix's WarmupArtifact by, with the
+ * warm window and hierarchy. Design and policy are not part of
+ * it.
+ */
+std::string mixIdentity(const ExperimentPoint &point);
+
+/**
  * Build one "colocation" point: mix label (ending in @p policy,
- * or "/solo"), custom run function and extraTraceNeeds wired.
+ * or "/solo"), custom run function and extraTraceNeeds (the
+ * other tenants' arenas and the mix warmup artifact) wired.
  * @p scale and @p base_seed are taken up front because the other
  * tenants' extraTraceNeeds are sized and keyed from them; when the
  * colocation experiment's ExperimentDef::build() later sets
@@ -90,8 +105,9 @@ makeColocationPoint(const std::vector<TenantSpec> &tenants,
 /**
  * Run a colocation point: acquire each tenant's arena from the
  * point's TraceCache (a cache of this call's own when it has
- * none), mix them onto
- * the pod via TenantMixSource, run in-band warmup + measurement,
+ * none), mix them onto the pod via TenantMixSource, warm from the
+ * mix's shared artifact (warmFromArtifact, building it on a miss),
+ * start each tenant's stream at the artifact's cursor, measure,
  * and return aggregate metrics with RunMetrics::tenants filled.
  */
 PointResult runColocationPoint(const ExperimentPoint &point);

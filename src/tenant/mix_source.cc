@@ -61,12 +61,14 @@ TenantMixSource::skip(std::size_t n)
 }
 
 void
-TenantMixSource::reset()
+TenantMixSource::resumeAt(const std::vector<std::uint64_t> &cursors)
 {
-    for (auto &src : sources_)
-        src->reset();
-    consumed_.assign(sources_.size(), 0);
-    acquired_tenant_ = kNoTenant;
+    FPC_ASSERT(cursors.size() == sources_.size());
+    for (std::size_t t = 0; t < sources_.size(); ++t) {
+        FPC_ASSERT(cursors[t] >= consumed_[t]);
+        sources_[t]->fastForward(cursors[t] - consumed_[t]);
+        consumed_[t] = cursors[t];
+    }
 }
 
 } // namespace fpc

@@ -55,12 +55,6 @@ class TenantMixSource : public TraceSource
                         TraceRecord *&span) override;
     void skip(std::size_t n) override;
     bool coreAgnostic() const override { return false; }
-    void reset() override;
-
-    unsigned numTenants() const
-    {
-        return static_cast<unsigned>(sources_.size());
-    }
 
     /** Records consumed from tenant @p tenant's stream. */
     std::uint64_t
@@ -68,6 +62,14 @@ class TenantMixSource : public TraceSource
     {
         return consumed_[tenant];
     }
+
+    /**
+     * Move tenant t's stream forward until consumedRecords(t) is
+     * @p cursors[t], discarding the records in between: where a
+     * pod warmed from a mix's WarmupArtifact resumes
+     * (WarmupArtifact::tenantCursors).
+     */
+    void resumeAt(const std::vector<std::uint64_t> &cursors);
 
   private:
     static constexpr unsigned kNoTenant = ~0u;

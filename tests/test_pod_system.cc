@@ -158,9 +158,9 @@ TEST(PodSystem, DeterministicAcrossRuns)
 
 TEST(PodSystem, ChecksItsOwnDeadline)
 {
-    // The in-band warmup, the warmup-artifact replay and the
-    // measured window each compare the clock against the pod's
-    // deadline, so a point past it unwinds without outside help.
+    // run()'s warmup, the warmup-artifact replay and the measured
+    // window each compare the clock against the pod's deadline,
+    // so a point past it unwinds without outside help.
     constexpr std::uint64_t kRecords = 20000;
     auto arena = std::make_shared<MaterializedTrace>();
     materializeTrace(makeWorkload(WorkloadKind::WebSearch, 2048, 11),
@@ -181,7 +181,7 @@ TEST(PodSystem, ChecksItsOwnDeadline)
     const std::vector<
         std::pair<const char *, std::function<void(PodSystem &)>>>
         phases = {
-            {"runWarmup", [](PodSystem &pod) { pod.run(kRecords, 0); }},
+            {"run(warm)", [](PodSystem &pod) { pod.run(kRecords, 0); }},
             {"applyWarmup",
              [&](PodSystem &pod) { pod.applyWarmup(*artifact); }},
             {"runMeasure", [](PodSystem &pod) { pod.run(0, kRecords); }},
@@ -284,7 +284,7 @@ smallCachePod()
     return cfg;
 }
 
-/** The op log of an in-band warmup of @p warm records. */
+/** The op log of run()'s warmup over @p warm records. */
 std::vector<RecordingMemory::Op>
 warmupLog(const PodConfig &cfg, TraceSource &trace,
           std::uint64_t warm)
@@ -327,7 +327,7 @@ arenaOf(WorkloadKind wk, std::uint64_t records, std::uint64_t seed)
 
 TEST(PodWarmupOps, InBandStreamEqualsArtifactColumns)
 {
-    // The in-band warmup hands the memory system exactly the op
+    // run()'s warmup hands the memory system exactly the op
     // stream a warmup artifact records for the same records.
     constexpr std::uint64_t kWarm = 30000;
     const auto arena = arenaOf(WorkloadKind::WebSearch, kWarm, 11);
@@ -373,6 +373,59 @@ TEST(PodWarmupOps, TenantMixStreamIsPinned)
                             }));
     EXPECT_EQ(mix.consumedRecords(1), 5000u);
     EXPECT_EQ(digestOf(log), 0x69f0fd6aec0277d9ull);
+}
+
+/** FNV-1a over every pod and tenant counter of @p m. */
+std::uint64_t
+metricsDigest(const RunMetrics &m)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const auto &f : PodCounters::kCounters)
+        mix(m.*f.member);
+    for (const TenantMetrics &t : m.tenants)
+        for (const auto &f : TenantMetrics::kCounters)
+            mix(t.*f.member);
+    return h;
+}
+
+TEST(PodWarmupOps, TenantMixMeasureIsPinned)
+{
+    // TenantMixStreamIsPinned's mix, warmed the way a colocation
+    // point that hits a shared artifact warms: the artifact was
+    // built over another mix, and this one resumes each tenant's
+    // stream at that mix's cursor. The digest was recorded from
+    // the in-band warmup the artifact replaced (one mix warmed
+    // and measured in place), so it pins the cursor restore.
+    const auto web = arenaOf(WorkloadKind::WebSearch, 24000, 11);
+    const auto data = arenaOf(WorkloadKind::DataServing, 5000, 13);
+    const auto mixOf = [&] {
+        std::vector<std::unique_ptr<TraceSource>> sources;
+        sources.push_back(std::make_unique<ReplayTraceSource>(web));
+        sources.push_back(std::make_unique<ReplayTraceSource>(data));
+        return TenantMixSource(std::move(sources), {2, 1});
+    };
+    PodConfig cfg = smallCachePod();
+    cfg.numTenants = 2;
+    TenantMixSource warmed = mixOf();
+    const auto art =
+        PodSystem::buildWarmupArtifact(warmed, cfg.hierarchy, 20000);
+    ASSERT_EQ(warmed.consumedRecords(1), 5000u);
+
+    TenantMixSource mix = mixOf();
+    mix.resumeAt({warmed.consumedRecords(0), warmed.consumedRecords(1)});
+    DramSystem off(DramSystem::Config::offchipPod());
+    NoCacheMemory mem(off);
+    PodSystem pod(cfg, mix, mem, nullptr, off);
+    pod.applyWarmup(*art);
+    const RunMetrics m = pod.run(0, 6000);
+    EXPECT_EQ(m.traceRecords, 6000u);
+    EXPECT_EQ(metricsDigest(m), 0xd34201e5529d0698ull);
 }
 
 TEST(PodWarmupOps, DryVectorStreamIsPinned)

@@ -4,8 +4,9 @@
  * policy parsing and mechanics, tenant-mix trace routing, metric
  * conservation (per-tenant sums must equal the aggregate metrics
  * bit-exactly for every registered design), policy effects,
- * sweep-level determinism of the colocation experiment, and the writeTextFile
- * parent-directory satellite.
+ * sweep-level determinism of the colocation experiment, the
+ * sharing, keys and cursor restore of mix warmup artifacts, and
+ * the writeTextFile parent-directory satellite.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 
 #include "experiments/experiments.hh"
@@ -380,6 +382,15 @@ TEST(TenantPolicies, SetPartitionChangesPlacementOnly)
     EXPECT_NE(shared.demandHits, part.demandHits);
 }
 
+/** The key of @p p's mix warmup artifact, as runColocationPoint
+ * acquires it. */
+std::string
+mixWarmupKey(const ExperimentPoint &p)
+{
+    return warmupArtifactKey(mixIdentity(p), p.warmupWindow(),
+                             p.cfg.pod);
+}
+
 /** Colocation subset: the first pair across two designs. */
 std::vector<ExperimentPoint>
 colocationSubset()
@@ -449,8 +460,13 @@ TEST(TenantSweep, ColocationRegistryExpansion)
     std::size_t paired = 0;
     for (const ExperimentPoint &p : points) {
         EXPECT_TRUE(p.custom != nullptr) << p.key();
-        if (!p.extraTraceNeeds.empty())
+        if (decodeTenantMix(p).size() == 2)
             ++paired;
+        // Every point plans the mix warmup artifact it acquires.
+        ASSERT_FALSE(p.extraTraceNeeds.empty()) << p.key();
+        EXPECT_EQ(p.extraTraceNeeds.back(),
+                  std::make_pair(mixWarmupKey(p), p.warmupWindow()))
+            << p.key();
     }
     EXPECT_EQ(paired, 7u * 5u);
 
@@ -458,6 +474,149 @@ TEST(TenantSweep, ColocationRegistryExpansion)
     const auto tenants = decodeTenantMix(points.back());
     EXPECT_EQ(tenants.size(), 2u);
     EXPECT_EQ(tenants[0].cores, 8u);
+}
+
+TEST(TenantSweep, MixWarmupKeyNamesCoreSplitAndOrder)
+{
+    const auto key = [](const std::vector<TenantSpec> &mix,
+                        const char *design, const char *policy) {
+        return mixWarmupKey(
+            makeColocationPoint(mix, design, policy, 0.01, 42));
+    };
+    const WorkloadKind ws = WorkloadKind::WebSearch;
+    const WorkloadKind ds = WorkloadKind::DataServing;
+    const std::string pair =
+        key({{ws, 8, 0.0}, {ds, 8, 0.0}}, "footprint", "shared");
+    // The pass never sees the design (at an equal window) or the
+    // policy, so neither splits the artifact...
+    EXPECT_EQ(pair,
+              key({{ws, 8, 0.0}, {ds, 8, 0.0}}, "banshee", "quota"));
+    EXPECT_EQ(pair, key({{ws, 8, 0.5}, {ds, 8, 0.5}}, "footprint",
+                        "setpart"));
+    // ...but a cacheless design's shorter window does, and so
+    // does every change to which core reads which stream.
+    EXPECT_NE(pair,
+              key({{ws, 8, 0.0}, {ds, 8, 0.0}}, "baseline", "shared"));
+    EXPECT_NE(pair,
+              key({{ws, 4, 0.0}, {ds, 12, 0.0}}, "footprint", "shared"));
+    EXPECT_NE(pair,
+              key({{ds, 8, 0.0}, {ws, 8, 0.0}}, "footprint", "shared"));
+    EXPECT_NE(key({{ws, 8, 0.0}}, "footprint", "shared"),
+              key({{ws, 16, 0.0}}, "footprint", "shared"));
+}
+
+TEST(TenantSweep, OneWarmupArtifactPerMixAndWindow)
+{
+    // Two designs with different warm windows (baseline is
+    // cacheless), each with a solo mix and the pair under all
+    // three policies.
+    std::vector<ExperimentPoint> points;
+    const std::vector<TenantSpec> pair = {
+        {WorkloadKind::WebSearch, 8, 0.0},
+        {WorkloadKind::DataServing, 8, 0.0}};
+    for (const char *design : {"footprint", "baseline"}) {
+        points.push_back(makeColocationPoint(
+            {pair.front()}, design, "shared", 0.01, 42));
+        for (const char *policy : {"shared", "setpart", "quota"})
+            points.push_back(makeColocationPoint(pair, design, policy,
+                                                 0.01, 42));
+    }
+    std::set<std::string> artifacts;
+    for (const ExperimentPoint &p : points)
+        artifacts.insert(mixWarmupKey(p));
+    ASSERT_EQ(artifacts.size(), 2u * 2u); // mixes x windows
+
+    TraceCacheStats stats;
+    const std::vector<PointResult> results =
+        runPoints(SweepRunner(1), points, &stats);
+    // Two arenas, then one artifact per (mix, window).
+    EXPECT_EQ(stats.misses, 2u + artifacts.size());
+    EXPECT_EQ(stats.regenerations, 0u);
+    std::size_t built = 0;
+    std::string shared_pair;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const PointTiming &t = results[i].timing;
+        const std::string key = mixWarmupKey(points[i]);
+        EXPECT_TRUE(t.replayedWarmup) << points[i].key();
+        built += t.builtWarmup;
+        const std::string policy =
+            points[i].cfg.params.getString("tenant.policy", "");
+        if (policy == "shared" && decodeTenantMix(points[i]).size() == 2)
+            shared_pair = key;
+        if (policy != "shared") {
+            // setpart and quota replay the shared pair's artifact.
+            EXPECT_EQ(key, shared_pair) << points[i].key();
+            EXPECT_FALSE(t.builtWarmup) << points[i].key();
+        }
+    }
+    EXPECT_EQ(built, artifacts.size());
+}
+
+TEST(TenantSweep, PointResumesEachStreamWhereWarmupLeftIt)
+{
+    // The second point replays the first one's mix artifact and
+    // resumes each stream at the artifact's cursor; one mix
+    // warmed in place by run() must measure the same window.
+    const std::vector<TenantSpec> tenants = {
+        {WorkloadKind::WebSearch, 8, 0.0},
+        {WorkloadKind::DataServing, 4, 0.0}};
+    const std::vector<ExperimentPoint> points = {
+        makeColocationPoint(tenants, "page", "shared", 0.01, 42),
+        makeColocationPoint(tenants, "footprint", "shared", 0.01,
+                            42)};
+    const PointResult r = runPoints(SweepRunner(1), points)[1];
+    EXPECT_FALSE(r.timing.builtWarmup);
+
+    const ExperimentPoint &p = points[1];
+    TraceCache cache(0);
+    std::vector<std::unique_ptr<TraceSource>> sources;
+    for (const TenantSpec &t : tenants) {
+        sources.push_back(
+            std::make_unique<ReplayTraceSource>(acquireTraceArena(
+                cache, t.workload, p.cfg.pageBytes, p.baseSeed,
+                p.standardRecords())));
+    }
+    TenantMixSource mix(std::move(sources), {8, 4});
+    Experiment::Config cfg = p.cfg;
+    cfg.pod.numTenants = 2;
+    Experiment exp(cfg, mix);
+    exp.run(p.warmupWindow(), 0);
+    expectTenantsIdentical(exp.run(0, measureRecords(p.scale)),
+                           r.metrics, p.key());
+}
+
+TEST(TenantSweep, ColocationTimingBuildsEachMixWarmupOnce)
+{
+    // The colocation experiment at --jobs 1: --time-out reports
+    // built_warmup on exactly one point per (mix, window) and
+    // replayed_warmup on every point.
+    ExperimentRegistry reg;
+    registerAllExperiments(reg);
+    SweepOptions opts;
+    opts.scale = 0.01;
+    opts.jobs = 1;
+    const std::vector<ExperimentPoint> points =
+        reg.find("colocation")->build(opts);
+    std::set<std::string> artifacts;
+    for (const ExperimentPoint &p : points)
+        artifacts.insert(mixWarmupKey(p));
+    EXPECT_EQ(artifacts.size(), 6u * 2u); // mixes x windows
+
+    const SweepOutcome out =
+        SweepRunner(1).runResilient(points, ResilienceOptions{});
+    ExperimentRun run{"colocation", "t", points, out.results};
+    const std::string timing =
+        renderTimingJson(opts, {run}, out.cache, out.scheduler);
+    const auto count = [&timing](const std::string &needle) {
+        std::size_t n = 0;
+        for (std::size_t at = timing.find(needle);
+             at != std::string::npos; at = timing.find(needle, at + 1))
+            ++n;
+        return n;
+    };
+    EXPECT_EQ(count("\"built_warmup\": true"), artifacts.size());
+    EXPECT_EQ(count("\"replayed_warmup\": true"), points.size());
+    EXPECT_EQ(out.failed, 0u);
 }
 
 TEST(TenantSweep, BaseSeedFlagAliasesSeed)

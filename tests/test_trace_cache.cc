@@ -4,7 +4,7 @@
  * vs fresh-generation bit-identity over full streams (batch and
  * single-record APIs, all cores), the skip contract, TraceCache
  * build-once/plan/evict/release semantics, and warmup-artifact
- * equivalence with the in-band functional warmup.
+ * equivalence with PodSystem::run()'s warmup.
  */
 
 #include <gtest/gtest.h>
@@ -526,9 +526,10 @@ TEST(TraceCache, CancelledBuildIsRebuiltByTheNextWaiter)
 
 TEST(WarmupArtifact, ApplyMatchesInBandWarmup)
 {
-    // The artifact path (hierarchy snapshot + op-stream replay)
-    // must leave a pod bit-identical to running the warmup
-    // in-band — measured metrics included.
+    // An arena's artifact replayed with the trace seekTo()'d past
+    // the window must leave a pod bit-identical to run()'s warmup,
+    // whose pass reads the live trace source and leaves it
+    // positioned — measured metrics included.
     const std::uint64_t warm = 120'000;
     const std::uint64_t measure = 40'000;
     auto arena = materialize(warm + measure, 99);

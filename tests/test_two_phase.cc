@@ -102,8 +102,10 @@ timedReferenceWarmup(Experiment &exp, const WarmupArtifact &art)
                   (stacked ? stacked->totalBytes() : 0),
               0u);
 
-    WarmupArtifact state = art;
-    state.clear();
+    WarmupArtifact state;
+    state.hierarchy = art.hierarchy;
+    state.records = art.records;
+    state.instructions = art.instructions;
     exp.pod().applyWarmup(state);
 }
 
