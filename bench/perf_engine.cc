@@ -8,7 +8,8 @@
  * window. The cache is primed first (one untimed point per warm
  * window), so no timed rep builds anything. Sections:
  *
- *  - trace: arena generation against zero-copy replay;
+ *  - trace: arena generation against zero-copy replay, and the
+ *    workload's Zipf alias-table builds by themselves;
  *  - designs: every DesignRegistry design at 512MB, kReps
  *    interleaved reps in which baseline runs before and after
  *    each other design; per-design medians of warm ns/op and
@@ -45,8 +46,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/wall_clock.hh"
 #include "sim/sweep.hh"
+#include "workload/generator.hh"
 
 using namespace fpc;
 
@@ -320,6 +323,25 @@ main(int argc, char **argv)
                 records, records / generate_s, records / replay_s,
                 generate_s / replay_s);
 
+    // The generator's Zipf alias tables, the bulk of generation at
+    // small scales: every (pages, exponent) pair its samplers use.
+    const WorkloadSpec spec = makeWorkload(wk);
+    std::vector<std::pair<std::uint64_t, double>> zipf_pairs{
+        {spec.datasetPages, spec.zipfS}};
+    if (spec.hotPages > 0)
+        zipf_pairs.emplace_back(spec.hotPages,
+                                SyntheticTraceSource::kHotZipfS);
+    double table_pages = 0;
+    t0 = std::chrono::steady_clock::now();
+    for (const auto &[n, s] : zipf_pairs) {
+        AliasZipfSampler::buildTables(n, s);
+        table_pages += static_cast<double>(n);
+    }
+    const double tables_s = secondsSince(t0);
+    std::printf("zipf alias tables (%.0f pages): %.1f ms, "
+                "%.1f ns/page\n",
+                table_pages, 1e3 * tables_s, 1e9 * tables_s / table_pages);
+
     // Prime: per warm window, count the post-L2 ops of its
     // hierarchy pass and let one untimed point build its
     // WarmupArtifact into the cache.
@@ -404,9 +426,11 @@ main(int argc, char **argv)
         "\"generate_records_per_sec\": %.0f, "
         "\"replay_seconds\": %.4f, "
         "\"replay_records_per_sec\": %.0f, "
-        "\"replay_speedup\": %.2f},\n",
+        "\"replay_speedup\": %.2f, "
+        "\"tables_pages\": %.0f, "
+        "\"tables_seconds\": %.4f},\n",
         records, generate_s, records / generate_s, replay_s,
-        records / replay_s, generate_s / replay_s);
+        records / replay_s, generate_s / replay_s, table_pages, tables_s);
 
     // Telemetry hot-path overhead: three points that differ only
     // in cfg.pod.telemetry share the footprint point's arena and

@@ -11,8 +11,6 @@
 #ifndef FPC_COMMON_RNG_HH
 #define FPC_COMMON_RNG_HH
 
-#include <bit>
-#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -22,7 +20,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/huge_pages.hh"
 #include "common/logging.hh"
 
 namespace fpc {
@@ -133,9 +130,11 @@ class Rng
 
 /**
  * Alias-method Zipf sampler (Walker/Vose) over {0, .., n-1} with
- * exponent s. Table construction is O(n) with one pow() per item;
- * every draw afterwards is O(1) from a single 64-bit random value,
- * with no transcendental math and no rejection loop. The tables
+ * exponent s. Table construction is O(n): a certified vector
+ * kernel computes the weights, each equal to its std::pow bit for
+ * bit (appendWeights), then one Vose pass places them. Every draw
+ * afterwards is O(1) from a single 64-bit random value, with no
+ * transcendental math and no rejection loop. The tables
  * keep 12 bytes per item (an 8-byte threshold and a 4-byte alias);
  * building them takes an n-bit class mask on top, so 12.125 bytes
  * per item at peak. Tables are shared process-wide per (n, s).
@@ -184,12 +183,12 @@ class AliasZipfSampler
 
     /**
      * The tables of (@p n, @p s), built by @p build(n, s) unless a
-     * live copy exists. Table construction is O(n) with a pow()
-     * per item — ~10^8 ns-scale operations for the multi-million-
-     * page datasets — and the same (n, s) pair recurs across every
-     * design × mode run of a sweep, so built tables are shared
-     * process-wide. Samplers pass buildTables; tests pass a
-     * builder that observes the calls.
+     * live copy exists. A build costs ~10^2 ms for the multi-
+     * million-page datasets, and every trace identity of a
+     * workload (each page size and seed) samples the same (n, s)
+     * pair, so every sampler alive at once shares one copy; the
+     * weak_ptr lets it go with the last of them. Samplers pass
+     * buildTables; tests pass a builder that observes the calls.
      */
     template <class Build>
     static std::shared_ptr<const Tables>
@@ -242,104 +241,21 @@ class AliasZipfSampler
      * in `thresh` until a bucket's threshold replaces its weight.
      */
     static std::shared_ptr<const Tables>
-    buildTables(std::uint64_t n, double s)
-    {
-        auto tables = std::make_shared<Tables>();
-        std::vector<std::uint64_t> &thresh = tables->thresh;
-        std::vector<std::uint32_t> &alias = tables->alias;
-        reserveHugePages(thresh, n);
-        reserveHugePages(alias, n);
-        alias.resize(n);
-        const auto weight = [&](std::uint64_t i) {
-            return std::bit_cast<double>(thresh[i]);
-        };
+    buildTables(std::uint64_t n, double s);
 
-        // Unnormalized Zipf weights, rescaled so the mean is 1.
-        double total = 0.0;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const double w = std::pow(static_cast<double>(i + 1), -s);
-            thresh.push_back(std::bit_cast<std::uint64_t>(w));
-            total += w;
-        }
-        const double scale = static_cast<double>(n) / total;
-        // Bit i: index i starts on the small stack.
-        std::vector<std::uint64_t> small_mask((n + 63) / 64);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const double w = weight(i) * scale;
-            thresh[i] = std::bit_cast<std::uint64_t>(w);
-            if (w < 1.0)
-                small_mask[i / 64] |= std::uint64_t{1} << (i % 64);
-        }
-
-        // Highest index below @p pos whose initial class is
-        // @p small, or n when there is none.
-        const auto below = [&](std::uint64_t pos, bool small) {
-            while (pos > 0) {
-                const std::uint64_t word = (pos - 1) / 64;
-                const unsigned top = (pos - 1) % 64;
-                std::uint64_t bits =
-                    small ? small_mask[word] : ~small_mask[word];
-                if (top < 63)
-                    bits &= (std::uint64_t{2} << top) - 1;
-                if (bits)
-                    return word * 64 + 63 - std::countl_zero(bits);
-                pos = word * 64;
-            }
-            return n;
-        };
-
-        std::uint64_t small_next = below(n, true);
-        std::uint64_t large_next = below(n, false);
-        std::uint64_t carried = n;
-        bool carried_small = false;
-        for (;;) {
-            const bool small_carried = carried != n && carried_small;
-            const bool large_carried = carried != n && !carried_small;
-            const std::uint64_t s_idx =
-                small_carried ? carried : small_next;
-            const std::uint64_t l_idx =
-                large_carried ? carried : large_next;
-            if (s_idx == n || l_idx == n)
-                break;
-            if (!small_carried)
-                small_next = below(small_next, true);
-            if (!large_carried)
-                large_next = below(large_next, false);
-            const double s_w = weight(s_idx);
-            const double l_w = (weight(l_idx) + s_w) - 1.0;
-            thresh[s_idx] = toThreshold(s_w);
-            alias[s_idx] = static_cast<std::uint32_t>(l_idx);
-            thresh[l_idx] = std::bit_cast<std::uint64_t>(l_w);
-            carried = l_idx;
-            carried_small = l_w < 1.0;
-        }
-
-        // Leftovers (numerical residue): probability one.
-        const auto keep = [&](std::uint64_t i) {
-            thresh[i] = ~std::uint64_t{0};
-            alias[i] = static_cast<std::uint32_t>(i);
-        };
-        if (carried != n)
-            keep(carried);
-        for (; small_next != n; small_next = below(small_next, true))
-            keep(small_next);
-        for (; large_next != n; large_next = below(large_next, false))
-            keep(large_next);
-        return tables;
-    }
+    /**
+     * Append the bit patterns of w_i = std::pow(double(i + 1), -s),
+     * i < @p n, to @p bits and return their sum in index order.
+     * Every w_i equals that std::pow call bit for bit: above
+     * i + 1 = 2^14, on CPUs with AVX2 and FMA, a vector kernel
+     * computes the weights it can certify std::pow rounds the same
+     * way (about 91% at the workload exponents) and std::pow
+     * supplies the rest; see rng.cc.
+     */
+    static double appendWeights(std::vector<std::uint64_t> &bits,
+                                std::uint64_t n, double s);
 
   private:
-    /** Map a bucket probability in [0, 1] to a u64 coin bound. */
-    static std::uint64_t
-    toThreshold(double p)
-    {
-        if (p >= 1.0)
-            return ~std::uint64_t{0};
-        if (p <= 0.0)
-            return 0;
-        return static_cast<std::uint64_t>(p * 0x1p64);
-    }
-
     std::uint64_t n_;
     double s_;
     std::shared_ptr<const Tables> tables_;

@@ -12,7 +12,7 @@ SyntheticTraceSource::SyntheticTraceSource(const WorkloadSpec &spec)
       rng_(spec.seed),
       page_zipf_(std::max<std::uint64_t>(spec.datasetPages, 1),
                  spec.zipfS),
-      hot_zipf_(std::max<std::uint64_t>(spec.hotPages, 1), 0.8)
+      hot_zipf_(std::max<std::uint64_t>(spec.hotPages, 1), kHotZipfS)
 {
     FPC_ASSERT(!spec_.classes.empty());
     FPC_ASSERT(isPowerOf2(spec_.pageBytes));

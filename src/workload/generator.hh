@@ -53,6 +53,9 @@ class SyntheticTraceSource : public TraceSource
 
     const WorkloadSpec &spec() const { return spec_; }
 
+    /** Zipf exponent of the hot subset's page sampler. */
+    static constexpr double kHotZipfS = 0.8;
+
   private:
     /** One access function: ordered offsets + a PC per position. */
     struct Pattern

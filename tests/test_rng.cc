@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -354,6 +355,57 @@ TEST(AliasZipfShared, DistinctKeysBuildConcurrently)
     ASSERT_NE(b, nullptr);
     EXPECT_EQ(a->thresh.size(), 3001u);
     EXPECT_EQ(b->thresh.size(), 3002u);
+}
+
+/** appendWeights equals the std::pow loop bit for bit, weight by
+ * weight and in its sum: below and at the kernel's first x (2^14),
+ * in partial and whole blocks, at exponents inside the certified
+ * range and beyond it (20, 60), and where the weights underflow
+ * (s = 60). On CPUs without AVX2 and FMA the kernel does not run
+ * and std::pow supplies every weight. */
+TEST(ZipfWeights, MatchStdPowBitForBit)
+{
+    const std::uint64_t sizes[] = {1 << 14, (1 << 14) + 77, 1 << 20,
+                                   (1 << 22) + 12345};
+    const std::uint64_t largest = sizes[3];
+    for (double s : {1e-6, 1e-3, 0.05, 0.3, 0.5, 0.8, 0.999, 1.0, 1.7,
+                     4.0, 20.0, 60.0}) {
+        std::vector<std::uint64_t> want;
+        std::vector<double> want_total; // sum of the first i weights
+        want.reserve(largest);
+        want_total.reserve(largest + 1);
+        want_total.push_back(0.0);
+        bool subnormal = false, zero = false;
+        for (std::uint64_t i = 0; i < largest; ++i) {
+            const double w = std::pow(static_cast<double>(i + 1), -s);
+            want.push_back(std::bit_cast<std::uint64_t>(w));
+            want_total.push_back(want_total.back() + w);
+            subnormal |= std::fpclassify(w) == FP_SUBNORMAL;
+            zero |= w == 0.0;
+        }
+        if (s == 60.0) {
+            EXPECT_TRUE(subnormal);
+            EXPECT_TRUE(zero);
+        }
+        std::vector<std::uint64_t> got;
+        for (std::uint64_t n : sizes) {
+            SCOPED_TRACE(testing::Message() << "s=" << s << " n=" << n);
+            got.clear();
+            const double total = AliasZipfSampler::appendWeights(got, n, s);
+            ASSERT_EQ(got.size(), n);
+            std::uint64_t mismatches = 0;
+            for (std::uint64_t i = 0; i < n; ++i) {
+                if (got[i] != want[i] && ++mismatches <= 3) {
+                    ADD_FAILURE() << "x=" << i + 1 << ": "
+                                  << std::bit_cast<double>(got[i]) << " vs "
+                                  << std::bit_cast<double>(want[i]);
+                }
+            }
+            EXPECT_EQ(mismatches, 0u);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(total),
+                      std::bit_cast<std::uint64_t>(want_total[n]));
+        }
+    }
 }
 
 TEST(Mix64, DifferentInputsScatter)
