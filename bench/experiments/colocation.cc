@@ -72,15 +72,15 @@ registerColocation(ExperimentRegistry &reg)
             for (WorkloadKind wk : kSolos) {
                 if (!opts.selects(wk))
                     continue;
-                add({{wk, 8, 0.0}}, d, "shared");
+                add({{wk, 8}}, d, "shared");
             }
             // Pairwise interference, fully shared cache.
             for (std::size_t pr = 0; pr < kNumPairs; ++pr) {
                 if (!opts.selects(kPairs[pr][0]) ||
                     !opts.selects(kPairs[pr][1]))
                     continue;
-                add({{kPairs[pr][0], 8, 0.0},
-                     {kPairs[pr][1], 8, 0.0}},
+                add({{kPairs[pr][0], 8},
+                     {kPairs[pr][1], 8}},
                     d, "shared");
             }
             // Isolation slice: first pair under each policy.
@@ -88,8 +88,8 @@ registerColocation(ExperimentRegistry &reg)
                 if (!opts.selects(kPairs[0][0]) ||
                     !opts.selects(kPairs[0][1]))
                     continue;
-                add({{kPairs[0][0], 8, 0.0},
-                     {kPairs[0][1], 8, 0.0}},
+                add({{kPairs[0][0], 8},
+                     {kPairs[0][1], 8}},
                     d, policy);
             }
         }

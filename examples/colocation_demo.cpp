@@ -28,11 +28,11 @@ main(int argc, char **argv)
     const std::string policy = argc > 2 ? argv[2] : "shared";
     const double scale = argc > 3 ? std::atof(argv[3]) : 0.25;
 
-    // 1. Describe the mix: two tenants, eight cores each. A
-    //    quota fraction only matters under tenant.policy=quota.
+    // 1. Describe the mix: two tenants, eight cores each. Under
+    //    setpart and quota each tenant gets half of the cache.
     const std::vector<TenantSpec> tenants = {
-        {WorkloadKind::WebSearch, 8, 0.5},
-        {WorkloadKind::DataServing, 8, 0.5},
+        {WorkloadKind::WebSearch, 8},
+        {WorkloadKind::DataServing, 8},
     };
 
     // 2. Build the colocation point (the mix and the policy ride

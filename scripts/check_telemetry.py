@@ -29,9 +29,10 @@ Five independent checks, each optional:
     split conserves.
 
 --journal DIR
-    v6 journal integrity: every *.pt entry in the directory must
-    open with the "fpcjournal 6" magic, name its point key, and
-    terminate with the "end" sentinel — the structural contract
+    Journal integrity: every *.pt entry in the directory must
+    open with the journal magic (kMagic, read from
+    src/sim/journal.cc), name its point key, and terminate with
+    the "end" sentinel — the structural contract
     `sweep --resume` relies on (the bit-exact round-trip itself is
     proven by tests/test_introspection.cc and CI's resume
     byte-diff).
@@ -67,6 +68,7 @@ Usage:
 import argparse
 import json
 import os
+import re
 import sys
 
 # timeseries column -> merged-report metrics key. The cycles of a
@@ -280,8 +282,23 @@ def check_heatmap(heatmap_path, report_path):
     return 0
 
 
+JOURNAL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              "..", "src", "sim", "journal.cc")
+
+
+def journal_magic():
+    """The kMagic line the journal writer opens every entry with."""
+    with open(JOURNAL_SOURCE, encoding="utf-8") as f:
+        m = re.search(r'constexpr const char \*kMagic = "([^"]+)";',
+                      f.read())
+    if not m:
+        raise SystemExit(f"{JOURNAL_SOURCE}: no kMagic definition")
+    return m.group(1)
+
+
 def check_journal(journal_dir):
-    magic = "fpcjournal 6"
+    magic = journal_magic()
+    version = "v" + magic.split()[-1]
     entries = 0
     violations = 0
     try:
@@ -308,7 +325,7 @@ def check_journal(journal_dir):
             print(f"{name}: missing end sentinel (truncated?)")
             violations += 1
         entries += 1
-    print(f"journal guard: {entries} v6 entrie(s) in "
+    print(f"journal guard: {entries} {version} entrie(s) in "
           f"{journal_dir}")
     if entries == 0:
         print("FAIL: no journal entries to check")
@@ -316,7 +333,7 @@ def check_journal(journal_dir):
     if violations:
         print(f"FAIL: {violations} journal violation(s)")
         return 1
-    print("OK: every journal entry is v6 and complete")
+    print(f"OK: every journal entry is {version} and complete")
     return 0
 
 

@@ -129,7 +129,6 @@ class SetAssocCache
     }
 
     const StatGroup &stats() const { return stats_; }
-    void resetStats() { stats_.resetAll(); }
 
     /**
      * Complete mutable state of the cache. Snapshots taken from

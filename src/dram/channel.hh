@@ -107,7 +107,6 @@ class DramChannel
 
     const DramTimingParams &timing() const { return timing_; }
     const StatGroup &stats() const { return stats_; }
-    void resetStats() { stats_.resetAll(); }
 
     /**
      * Allocate per-bank activate/read/write counters (heatmap

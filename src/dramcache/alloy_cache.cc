@@ -9,23 +9,15 @@ namespace fpc {
 
 AlloyCache::AlloyCache(const Config &config, DramSystem &stacked,
                        DramSystem &offchip)
-    : config_(config), stacked_(stacked), offchip_(offchip),
-      stats_(config.name)
+    : stacked_(stacked), offchip_(offchip), stats_("alloy")
 {
-    FPC_ASSERT(config_.tadBytes >= kBlockBytes);
-    FPC_ASSERT(isPowerOf2(config_.mapEntries));
-    FPC_ASSERT(config_.mapThreshold <= config_.mapCounterMax);
-    num_sets_ = config_.capacityBytes / config_.tadBytes;
+    num_sets_ = config.capacityBytes / kTadBytes;
     FPC_ASSERT(num_sets_ > 0);
-    map_mask_ = config_.mapEntries - 1;
     reserveHugePages(tads_, num_sets_);
     tads_.resize(num_sets_);
     partition_ =
-        config_.tenants.setPartition(num_sets_, kBlockShift);
-    quota_ = config_.tenants.quota(num_sets_);
-    // Counters start at zero: a cold cache predicts miss, which
-    // is both correct and the latency-optimal guess.
-    map_.assign(config_.mapEntries, 0);
+        config.tenants.setPartition(num_sets_, kBlockShift);
+    quota_ = config.tenants.quota(num_sets_);
 
     stats_.regCounter(&demand_accesses_, "demand_accesses",
                       "LLC misses served");
@@ -96,17 +88,16 @@ AlloyCache::access(Cycle now, const MemRequest &req)
     const bool hit = holds(tads_[set], block_addr);
 
     std::uint8_t &ctr = mapCounter(req.pc);
-    const bool predict_hit =
-        config_.usePredictor ? ctr >= config_.mapThreshold : true;
+    const bool predict_hit = ctr >= kMapThreshold;
     (predict_hit == hit ? map_correct_ : map_mispredicts_).inc();
     if (hit) {
-        if (ctr < config_.mapCounterMax)
+        if (ctr < kMapCounterMax)
             ++ctr;
     } else if (ctr > 0) {
         --ctr;
     }
 
-    const Cycle t = now + config_.mapLatencyCycles;
+    const Cycle t = now + kMapLatencyCycles;
     if (hit) {
         hits_.inc();
         if (!predict_hit) {
@@ -155,14 +146,10 @@ AlloyCache::writeback(Cycle now, Addr block_addr)
         return;
     }
     wb_misses_.inc();
-    if (config_.allocateOnWriteback) {
-        // Full-line write: install without an off-chip fetch. A
-        // quota-bypassed install sends the write off chip instead.
-        if (!fill(now, block_addr, true))
-            offchip_.access(now, block_addr, true, 1);
-    } else {
+    // Full-line write: install without an off-chip fetch. A
+    // quota-bypassed install sends the write off chip instead.
+    if (!fill(now, block_addr, true))
         offchip_.access(now, block_addr, true, 1);
-    }
 }
 
 void
@@ -212,10 +199,6 @@ registerAlloyDesign(DesignRegistry &reg)
                    DramSystem &offchip) {
         AlloyCache::Config ac;
         ac.capacityBytes = cfg.capacityBytes();
-        ac.mapEntries = static_cast<std::uint32_t>(
-            cfg.params.getU64("alloy.map_entries", ac.mapEntries));
-        ac.usePredictor =
-            cfg.params.getBool("alloy.predictor", ac.usePredictor);
         ac.tenants = TenantPartitionParams::fromParams(cfg.params);
         DesignInstance inst;
         inst.memory = std::make_unique<AlloyCache>(ac, *stacked,

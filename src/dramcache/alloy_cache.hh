@@ -27,6 +27,7 @@
 #ifndef FPC_DRAMCACHE_ALLOY_CACHE_HH
 #define FPC_DRAMCACHE_ALLOY_CACHE_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -42,37 +43,31 @@ namespace fpc {
 class AlloyCache : public MemorySystem
 {
   public:
+    /** One TAD: a 64B block plus its alloyed tag. */
+    static constexpr unsigned kTadBytes = 72;
+
+    /** MAP-I predictor entries (power of two). */
+    static constexpr std::uint32_t kMapEntries = 256;
+    static_assert(isPowerOf2(kMapEntries));
+
+    /** Saturating-counter ceiling (3-bit counters). */
+    static constexpr std::uint8_t kMapCounterMax = 7;
+
+    /** Counter >= threshold predicts a hit. */
+    static constexpr std::uint8_t kMapThreshold = 4;
+    static_assert(kMapThreshold <= kMapCounterMax);
+
+    /** MAP lookup latency (SRAM, off the DRAM path). */
+    static constexpr Cycle kMapLatencyCycles = 1;
+
     struct Config
     {
-        /** Nominal capacity (TADs × tadBytes, tags included). */
+        /** Nominal capacity (TADs × kTadBytes, tags included). */
         std::uint64_t capacityBytes = 256ULL << 20;
-
-        /** One TAD: a 64B block plus its alloyed tag. */
-        unsigned tadBytes = 72;
-
-        /** MAP-I predictor entries (power of two). */
-        std::uint32_t mapEntries = 256;
-
-        /** Saturating-counter ceiling (3-bit counters). */
-        std::uint8_t mapCounterMax = 7;
-
-        /** Counter >= threshold predicts a hit. */
-        std::uint8_t mapThreshold = 4;
-
-        /** MAP lookup latency (SRAM, off the DRAM path). */
-        Cycle mapLatencyCycles = 1;
-
-        /** Disable the predictor: always probe serially. */
-        bool usePredictor = true;
-
-        /** Allocate blocks on LLC writebacks. */
-        bool allocateOnWriteback = true;
 
         /** Multi-tenant partitioning (tenant.* design params);
          * units are TADs, the hash unit is the block number. */
         TenantPartitionParams tenants;
-
-        std::string name = "alloy";
     };
 
     AlloyCache(const Config &config, DramSystem &stacked,
@@ -93,7 +88,7 @@ class AlloyCache : public MemorySystem
         __builtin_prefetch(&tads_[setOf(blockAlign(paddr))]);
     }
 
-    std::string designName() const override { return config_.name; }
+    std::string designName() const override { return "alloy"; }
 
     std::uint64_t
     demandAccesses() const override
@@ -133,7 +128,6 @@ class AlloyCache : public MemorySystem
     }
 
     std::uint64_t numSets() const { return num_sets_; }
-    const Config &config() const { return config_; }
     const StatGroup &stats() const { return stats_; }
 
   private:
@@ -170,13 +164,13 @@ class AlloyCache : public MemorySystem
     Addr
     tadAddr(std::uint64_t set) const
     {
-        return set * config_.tadBytes;
+        return set * kTadBytes;
     }
 
     std::uint8_t &
     mapCounter(Pc pc)
     {
-        return map_[(pc >> 2) & map_mask_];
+        return map_[(pc >> 2) & (kMapEntries - 1)];
     }
 
     /**
@@ -185,13 +179,13 @@ class AlloyCache : public MemorySystem
      */
     bool fill(Cycle when, Addr block_addr, bool dirty);
 
-    Config config_;
     DramSystem &stacked_;
     DramSystem &offchip_;
     std::uint64_t num_sets_;
-    std::uint32_t map_mask_;
     std::vector<Tad> tads_;
-    std::vector<std::uint8_t> map_;
+    /** Counters start at zero: a cold cache predicts miss, which
+     * is both correct and the latency-optimal guess. */
+    std::array<std::uint8_t, kMapEntries> map_{};
     /** Per-tenant set ranges (disabled outside setpart). */
     SetPartitionSpec partition_;
     /** Per-tenant TAD quota (tenant.policy=quota). */

@@ -10,31 +10,23 @@ namespace fpc {
 BansheeCache::BansheeCache(const Config &config,
                            DramSystem &stacked,
                            DramSystem &offchip)
-    : config_(config), stacked_(stacked), offchip_(offchip),
-      stats_(config.name)
+    : stacked_(stacked), offchip_(offchip), stats_("banshee")
 {
-    FPC_ASSERT(isPowerOf2(config_.capacityBytes));
-    FPC_ASSERT(isPowerOf2(config_.pageBytes));
-    FPC_ASSERT(config_.pageBytes <= kMaxPageBytes);
-    FPC_ASSERT(isPowerOf2(config_.assoc));
-    FPC_ASSERT(isPowerOf2(config_.tagBufferEntries));
-    FPC_ASSERT(isPowerOf2(config_.tagBufferAssoc));
-    FPC_ASSERT(config_.tagBufferAssoc <= config_.tagBufferEntries);
-    frames_ = config_.capacityBytes / config_.pageBytes;
-    sets_ = frames_ / config_.assoc;
+    FPC_ASSERT(isPowerOf2(config.capacityBytes));
+    FPC_ASSERT(isPowerOf2(config.pageBytes));
+    FPC_ASSERT(config.pageBytes <= kMaxPageBytes);
+    frames_ = config.capacityBytes / config.pageBytes;
+    sets_ = frames_ / kAssoc;
     FPC_ASSERT(isPowerOf2(sets_));
-    blocks_per_page_ = config_.pageBytes / kBlockBytes;
+    blocks_per_page_ = config.pageBytes / kBlockBytes;
     offset_mask_ = blocks_per_page_ - 1;
-    page_shift_ = floorLog2(config_.pageBytes);
-    sample_mask_ = (std::uint64_t{1} << config_.sampleShift) - 1;
-    tb_set_mask_ =
-        config_.tagBufferEntries / config_.tagBufferAssoc - 1;
-    partition_ = config_.tenants.setPartition(sets_, page_shift_);
-    quota_ = config_.tenants.quota(frames_);
+    page_shift_ = floorLog2(config.pageBytes);
+    partition_ = config.tenants.setPartition(sets_, page_shift_);
+    quota_ = config.tenants.quota(frames_);
     reserveHugePages(ways_, frames_);
     ways_.resize(frames_);
     cand_.resize(sets_);
-    tagbuf_.resize(config_.tagBufferEntries);
+    tagbuf_.resize(kTagBufferEntries);
 
     stats_.regCounter(&demand_accesses_, "demand_accesses",
                       "LLC misses served");
@@ -73,13 +65,13 @@ BansheeCache::BansheeCache(const Config &config,
 unsigned
 BansheeCache::findWay(std::uint64_t set, Addr page_id) const
 {
-    const std::size_t base = set * config_.assoc;
-    for (unsigned w = 0; w < config_.assoc; ++w) {
+    const std::size_t base = set * kAssoc;
+    for (unsigned w = 0; w < kAssoc; ++w) {
         const Way &way = ways_[base + w];
         if (way.valid && way.pageId == page_id)
             return w;
     }
-    return config_.assoc;
+    return kAssoc;
 }
 
 void
@@ -101,9 +93,9 @@ BansheeCache::TagBufEntry &
 BansheeCache::installTagBuf(Cycle when, Addr page_id, bool dirty)
 {
     const std::size_t base =
-        tbSetOf(page_id) * config_.tagBufferAssoc;
+        tbSetOf(page_id) * kTagBufferAssoc;
     std::size_t victim = base;
-    for (unsigned w = 0; w < config_.tagBufferAssoc; ++w) {
+    for (unsigned w = 0; w < kTagBufferAssoc; ++w) {
         TagBufEntry &e = tagbuf_[base + w];
         if (!e.valid) {
             victim = base + w;
@@ -125,7 +117,7 @@ BansheeCache::installTagBuf(Cycle when, Addr page_id, bool dirty)
     e.dirty = dirty;
     e.lastUse = ++tb_tick_;
     if (dirty &&
-        ++tb_dirty_ >= config_.tagBufferFlushThreshold) {
+        ++tb_dirty_ >= kTagBufferFlushThreshold) {
         flushTagBuffer(when);
     }
     return e;
@@ -135,13 +127,13 @@ Cycle
 BansheeCache::resolveMapping(Cycle now, Addr page_id)
 {
     const std::size_t base =
-        tbSetOf(page_id) * config_.tagBufferAssoc;
-    for (unsigned w = 0; w < config_.tagBufferAssoc; ++w) {
+        tbSetOf(page_id) * kTagBufferAssoc;
+    for (unsigned w = 0; w < kTagBufferAssoc; ++w) {
         TagBufEntry &e = tagbuf_[base + w];
         if (e.valid && e.pageId == page_id) {
             tb_hits_.inc();
             e.lastUse = ++tb_tick_;
-            return now + config_.tagBufferLatencyCycles;
+            return now + kTagBufferLatencyCycles;
         }
     }
     // Buffer miss: the mapping comes from the in-DRAM tags,
@@ -149,7 +141,7 @@ BansheeCache::resolveMapping(Cycle now, Addr page_id)
     tb_misses_.inc();
     const Cycle ready =
         stacked_
-            .access(now + config_.tagBufferLatencyCycles,
+            .access(now + kTagBufferLatencyCycles,
                     tagRowAddr(setOf(page_id)), false, 1)
             .firstBlockReady;
     installTagBuf(now, page_id, false);
@@ -160,15 +152,15 @@ void
 BansheeCache::markMappingDirty(Cycle when, Addr page_id)
 {
     const std::size_t base =
-        tbSetOf(page_id) * config_.tagBufferAssoc;
-    for (unsigned w = 0; w < config_.tagBufferAssoc; ++w) {
+        tbSetOf(page_id) * kTagBufferAssoc;
+    for (unsigned w = 0; w < kTagBufferAssoc; ++w) {
         TagBufEntry &e = tagbuf_[base + w];
         if (!e.valid || e.pageId != page_id)
             continue;
         e.lastUse = ++tb_tick_;
         if (!e.dirty) {
             e.dirty = true;
-            if (++tb_dirty_ >= config_.tagBufferFlushThreshold)
+            if (++tb_dirty_ >= kTagBufferFlushThreshold)
                 flushTagBuffer(when);
         }
         return;
@@ -181,7 +173,7 @@ BansheeCache::installPage(Cycle when, Addr page_id,
                           std::uint64_t set, unsigned way,
                           std::uint32_t freq)
 {
-    Way &w = ways_[set * config_.assoc + way];
+    Way &w = ways_[set * kAssoc + way];
     if (quota_.enabled()) {
         const std::uint32_t tenant = pageTenant(page_id);
         const std::uint32_t victim_tenant =
@@ -234,10 +226,10 @@ void
 BansheeCache::considerFill(Cycle when, Addr page_id,
                            std::uint64_t set)
 {
-    const std::size_t base = set * config_.assoc;
+    const std::size_t base = set * kAssoc;
 
     // Cold sets fill unconditionally (quota permitting).
-    for (unsigned w = 0; w < config_.assoc; ++w) {
+    for (unsigned w = 0; w < kAssoc; ++w) {
         if (!ways_[base + w].valid) {
             if (!installPage(when, page_id, set, w, 1))
                 bypassed_misses_.inc();
@@ -249,7 +241,7 @@ BansheeCache::considerFill(Cycle when, Addr page_id,
     // resident and only wins — triggering the only fill path —
     // when its counter is strictly higher.
     unsigned victim = 0;
-    for (unsigned w = 1; w < config_.assoc; ++w) {
+    for (unsigned w = 1; w < kAssoc; ++w) {
         if (ways_[base + w].freq < ways_[base + victim].freq)
             victim = w;
     }
@@ -285,19 +277,17 @@ BansheeCache::access(Cycle now, const MemRequest &req)
     if (intro_)
         intro_->noteSetAccess(set);
     const Cycle tag_ready = resolveMapping(now, page_id);
-    const bool sample =
-        (demand_accesses_.value() & sample_mask_) == 0;
 
     const unsigned w = findWay(set, page_id);
-    if (w != config_.assoc) {
-        Way &way = ways_[set * config_.assoc + w];
+    if (w != kAssoc) {
+        Way &way = ways_[set * kAssoc + w];
         hits_.inc();
         if (intro_)
             way.touched.set(offsetOf(req.paddr));
-        if (sample && ++way.freq >= config_.freqMax) {
+        if (++way.freq >= kFreqMax) {
             // Local aging: halve the set so duels stay decidable.
-            const std::size_t base = set * config_.assoc;
-            for (unsigned i = 0; i < config_.assoc; ++i)
+            const std::size_t base = set * kAssoc;
+            for (unsigned i = 0; i < kAssoc; ++i)
                 ways_[base + i].freq /= 2;
             if (cand_[set].valid)
                 cand_[set].freq /= 2;
@@ -318,10 +308,7 @@ BansheeCache::access(Cycle now, const MemRequest &req)
     const Cycle done =
         offchip_.access(tag_ready, blockAlign(req.paddr), false, 1)
             .firstBlockReady;
-    if (sample)
-        considerFill(tag_ready, page_id, set);
-    else
-        bypassed_misses_.inc();
+    considerFill(tag_ready, page_id, set);
     return {done, false};
 }
 
@@ -332,8 +319,8 @@ BansheeCache::writeback(Cycle now, Addr block_addr)
     const std::uint64_t set = setOf(page_id);
     const Cycle tag_ready = resolveMapping(now, page_id);
     const unsigned w = findWay(set, page_id);
-    if (w != config_.assoc) {
-        Way &way = ways_[set * config_.assoc + w];
+    if (w != kAssoc) {
+        Way &way = ways_[set * kAssoc + w];
         wb_hits_.inc();
         way.dirty.set(offsetOf(block_addr));
         stacked_.access(tag_ready,
@@ -363,9 +350,9 @@ BansheeCache::finalizeIntrospection()
     if (!intro_)
         return;
     for (std::uint64_t set = 0; set < sets_; ++set) {
-        const std::size_t base = set * config_.assoc;
+        const std::size_t base = set * kAssoc;
         std::uint64_t n = 0;
-        for (unsigned w = 0; w < config_.assoc; ++w) {
+        for (unsigned w = 0; w < kAssoc; ++w) {
             const Way &way = ways_[base + w];
             if (!way.valid)
                 continue;
@@ -396,17 +383,6 @@ registerBansheeDesign(DesignRegistry &reg)
         BansheeCache::Config bc;
         bc.capacityBytes = cfg.capacityBytes();
         bc.pageBytes = cfg.pageBytes;
-        bc.assoc = static_cast<unsigned>(
-            cfg.params.getU64("banshee.assoc", bc.assoc));
-        bc.tagBufferEntries = static_cast<std::uint32_t>(
-            cfg.params.getU64("banshee.tag_buffer_entries",
-                              bc.tagBufferEntries));
-        bc.tagBufferFlushThreshold = static_cast<std::uint32_t>(
-            cfg.params.getU64("banshee.flush_threshold",
-                              bc.tagBufferFlushThreshold));
-        bc.sampleShift = static_cast<unsigned>(
-            cfg.params.getU64("banshee.sample_shift",
-                              bc.sampleShift));
         bc.tenants = TenantPartitionParams::fromParams(cfg.params);
         DesignInstance inst;
         inst.memory = std::make_unique<BansheeCache>(bc, *stacked,

@@ -39,6 +39,29 @@ namespace fpc {
 class BansheeCache : public MemorySystem
 {
   public:
+    /** Page-table associativity (Banshee: 4-way). */
+    static constexpr unsigned kAssoc = 4;
+
+    /** SRAM tag-buffer entries (power of two). */
+    static constexpr std::uint32_t kTagBufferEntries = 4096;
+
+    /** Tag-buffer associativity. */
+    static constexpr unsigned kTagBufferAssoc = 8;
+    static_assert(isPowerOf2(kTagBufferEntries) &&
+                  isPowerOf2(kTagBufferAssoc) &&
+                  kTagBufferAssoc <= kTagBufferEntries);
+
+    /** Dirty mappings that trigger a lazy batch flush of the
+     * in-DRAM tags. */
+    static constexpr std::uint32_t kTagBufferFlushThreshold = 3072;
+
+    /** Tag-buffer hit latency (SRAM). */
+    static constexpr Cycle kTagBufferLatencyCycles = 2;
+
+    /** Frequency-counter saturation ceiling; hitting it halves
+     * the set. */
+    static constexpr std::uint32_t kFreqMax = 15;
+
     struct Config
     {
         std::uint64_t capacityBytes = 256ULL << 20;
@@ -46,39 +69,10 @@ class BansheeCache : public MemorySystem
         /** Page (allocation unit) size in bytes. */
         unsigned pageBytes = 2048;
 
-        /** Page-table associativity (Banshee: 4-way). */
-        unsigned assoc = 4;
-
-        /** SRAM tag-buffer entries (power of two). */
-        std::uint32_t tagBufferEntries = 4096;
-
-        /** Tag-buffer associativity. */
-        unsigned tagBufferAssoc = 8;
-
-        /**
-         * Dirty mappings that trigger a lazy batch flush of the
-         * in-DRAM tags (0 = flush eagerly on every change).
-         */
-        std::uint32_t tagBufferFlushThreshold = 3072;
-
-        /** Tag-buffer hit latency (SRAM). */
-        Cycle tagBufferLatencyCycles = 2;
-
-        /**
-         * Frequency-counter sampling: counters update every
-         * 2^sampleShift-th demand access (0 = every access).
-         */
-        unsigned sampleShift = 0;
-
-        /** Saturation ceiling; hitting it halves the set. */
-        std::uint32_t freqMax = 15;
-
         /** Multi-tenant partitioning (tenant.* design params);
          * units are page frames, the hash unit is the page id.
          * The SRAM tag buffer stays shared under every policy. */
         TenantPartitionParams tenants;
-
-        std::string name = "banshee";
     };
 
     BansheeCache(const Config &config, DramSystem &stacked,
@@ -97,12 +91,12 @@ class BansheeCache : public MemorySystem
     prefetchFor(Addr paddr) const override
     {
         const Addr page_id = paddr >> page_shift_;
-        __builtin_prefetch(&ways_[setOf(page_id) * config_.assoc]);
+        __builtin_prefetch(&ways_[setOf(page_id) * kAssoc]);
         __builtin_prefetch(
-            &tagbuf_[tbSetOf(page_id) * config_.tagBufferAssoc]);
+            &tagbuf_[tbSetOf(page_id) * kTagBufferAssoc]);
     }
 
-    std::string designName() const override { return config_.name; }
+    std::string designName() const override { return "banshee"; }
 
     std::uint64_t
     demandAccesses() const override
@@ -160,7 +154,6 @@ class BansheeCache : public MemorySystem
 
     std::uint64_t numFrames() const { return frames_; }
     unsigned blocksPerPage() const { return blocks_per_page_; }
-    const Config &config() const { return config_; }
     const StatGroup &stats() const { return stats_; }
 
   private:
@@ -214,7 +207,7 @@ class BansheeCache : public MemorySystem
     std::uint64_t
     tbSetOf(Addr page_id) const
     {
-        return page_id & tb_set_mask_;
+        return page_id & (kTagBufferEntries / kTagBufferAssoc - 1);
     }
 
     unsigned
@@ -228,7 +221,7 @@ class BansheeCache : public MemorySystem
     Addr
     frameAddr(std::uint64_t set, unsigned way) const
     {
-        return (set * config_.assoc + way) << page_shift_;
+        return (set * kAssoc + way) << page_shift_;
     }
 
     /** In-DRAM tag row of @p set (co-located with its frames). */
@@ -255,7 +248,7 @@ class BansheeCache : public MemorySystem
     /** Batch-write every dirty mapping to the in-DRAM tags. */
     void flushTagBuffer(Cycle when);
 
-    /** Way caching @p page_id, or assoc when absent. */
+    /** Way caching @p page_id, or kAssoc when absent. */
     unsigned findWay(std::uint64_t set, Addr page_id) const;
 
     /** Candidate bookkeeping; installs the page on a victory. */
@@ -269,7 +262,6 @@ class BansheeCache : public MemorySystem
     bool installPage(Cycle when, Addr page_id, std::uint64_t set,
                      unsigned way, std::uint32_t freq);
 
-    Config config_;
     DramSystem &stacked_;
     DramSystem &offchip_;
     std::uint64_t frames_;
@@ -277,8 +269,6 @@ class BansheeCache : public MemorySystem
     unsigned blocks_per_page_;
     unsigned offset_mask_;
     unsigned page_shift_;
-    std::uint64_t sample_mask_;
-    std::uint64_t tb_set_mask_;
     std::vector<Way> ways_;
     std::vector<Candidate> cand_;
     std::vector<TagBufEntry> tagbuf_;

@@ -11,24 +11,16 @@ namespace fpc {
 BlockCache::BlockCache(const Config &config, DramSystem &stacked,
                        DramSystem &offchip)
     : config_(config), stacked_(stacked), offchip_(offchip),
-      missmap_(config.missMap), stats_(config.name)
+      missmap_(config.missMap), stats_("block")
 {
     FPC_ASSERT(isPowerOf2(config_.capacityBytes));
-    FPC_ASSERT(isPowerOf2(config_.rowBytes));
-    FPC_ASSERT(config_.dataBlocksPerRow > 0);
-    FPC_ASSERT(config_.dataBlocksPerRow <= kMaxWays);
-    FPC_ASSERT(config_.dataBlocksPerRow <=
-               config_.rowBytes / kBlockBytes);
-    num_sets_ = config_.capacityBytes / config_.rowBytes;
+    num_sets_ = config_.capacityBytes / kRowBytes;
     set_mask_ = num_sets_ - 1;
-    row_shift_ = floorLog2(config_.rowBytes);
-    full_mask_ = (std::uint32_t{1} << config_.dataBlocksPerRow) - 1;
     reserveHugePages(sets_, num_sets_);
     sets_.resize(num_sets_);
     partition_ =
         config_.tenants.setPartition(num_sets_, kBlockShift);
-    quota_ = config_.tenants.quota(
-        num_sets_ * config_.dataBlocksPerRow);
+    quota_ = config_.tenants.quota(num_sets_ * kDataBlocksPerRow);
 
     stats_.regCounter(&demand_accesses_, "demand_accesses",
                       "LLC misses served");
@@ -120,11 +112,11 @@ BlockCache::flushSegment(Cycle when, const MissMap::Victim &victim)
     // cache. The blocks sit in consecutive sets and therefore in
     // different DRAM rows: each dirty one costs a separate stacked
     // activation (§5.2's observed interference).
-    for (unsigned b = 0; b < missmap_.blocksPerSegment(); ++b) {
+    for (unsigned b = 0; b < MissMap::kBlocksPerSegment; ++b) {
         if (!victim.presentBlocks.test(b))
             continue;
         const Addr block_addr =
-            victim.segmentId * config_.missMap.segmentBytes +
+            victim.segmentId * MissMap::kSegmentBytes +
             static_cast<Addr>(b) * kBlockBytes;
         const std::uint64_t set = setOf(block_addr);
         const int way = findWay(set, blockNumber(block_addr));
@@ -141,15 +133,14 @@ BlockCache::fillBlock(Cycle when, Addr block_addr, bool dirty)
 {
     const std::uint64_t set = setOf(block_addr);
     SetState &s = sets_[set];
-    const std::uint32_t free_ways = ~s.valid & full_mask_;
+    const std::uint32_t free_ways = ~s.valid & kFullMask;
     const bool found_invalid = free_ways != 0;
     // The first invalid way, else the least recently used one.
     unsigned victim_way = 0;
     if (found_invalid) {
         victim_way = std::countr_zero(free_ways);
     } else {
-        while (rankOf(s.ways[victim_way]) !=
-               config_.dataBlocksPerRow - 1)
+        while (rankOf(s.ways[victim_way]) != kDataBlocksPerRow - 1)
             ++victim_way;
     }
     if (quota_.enabled()) {
@@ -185,7 +176,7 @@ BlockCache::fillBlock(Cycle when, Addr block_addr, bool dirty)
     stacked_.access(
         when,
         rowAddr(set) +
-            static_cast<Addr>(config_.dataBlocksPerRow) * kBlockBytes,
+            static_cast<Addr>(kDataBlocksPerRow) * kBlockBytes,
         true, 1);
 
     MissMap::Victim mm_victim;
@@ -239,14 +230,10 @@ BlockCache::writeback(Cycle now, Addr block_addr)
         return;
     }
     wb_misses_.inc();
-    if (config_.allocateOnWriteback) {
-        // Full-line write: install without an off-chip fetch. A
-        // quota-bypassed install sends the write off chip instead.
-        if (!fillBlock(t, block_addr, true))
-            offchip_.access(t, block_addr, true, 1);
-    } else {
+    // Full-line write: install without an off-chip fetch. A
+    // quota-bypassed install sends the write off chip instead.
+    if (!fillBlock(t, block_addr, true))
         offchip_.access(t, block_addr, true, 1);
-    }
 }
 
 void

@@ -35,30 +35,26 @@ namespace fpc {
 class BlockCache : public MemorySystem
 {
   public:
+    /** DRAM row size; one set occupies one row (§5.2). */
+    static constexpr unsigned kRowBytes = 2048;
+
+    /** Data blocks per row (paper: 30 of 32; the other two
+     * hold the set's tags). */
+    static constexpr unsigned kDataBlocksPerRow = 30;
+
     struct Config
     {
         /** Nominal capacity (rows × 2KB, tags included). */
         std::uint64_t capacityBytes = 256ULL << 20;
-
-        /** DRAM row size; one set occupies one row. */
-        unsigned rowBytes = 2048;
-
-        /** Data blocks per row (paper: 30 of 32). */
-        unsigned dataBlocksPerRow = 30;
 
         MissMap::Config missMap;
 
         /** MissMap lookup latency in cycles (Table 4). */
         Cycle missMapLatencyCycles = 9;
 
-        /** Allocate blocks on LLC writebacks. */
-        bool allocateOnWriteback = true;
-
         /** Multi-tenant partitioning (tenant.* design params);
          * units are blocks, the hash unit is the block number. */
         TenantPartitionParams tenants;
-
-        std::string name = "block";
     };
 
     BlockCache(const Config &config, DramSystem &stacked,
@@ -80,7 +76,7 @@ class BlockCache : public MemorySystem
         __builtin_prefetch(&sets_[setOf(paddr)]);
     }
 
-    std::string designName() const override { return config_.name; }
+    std::string designName() const override { return "block"; }
 
     std::uint64_t
     demandAccesses() const override
@@ -116,7 +112,7 @@ class BlockCache : public MemorySystem
     std::uint64_t
     dataCapacityBytes() const
     {
-        return num_sets_ * config_.dataBlocksPerRow * kBlockBytes;
+        return num_sets_ * kDataBlocksPerRow * kBlockBytes;
     }
 
     /** Way holding @p block_addr, or -1 when it is not cached
@@ -129,13 +125,14 @@ class BlockCache : public MemorySystem
     }
 
     MissMap &missMap() { return missmap_; }
-    const Config &config() const { return config_; }
     const StatGroup &stats() const { return stats_; }
 
   private:
     /** Ways a set may have: a 2KB row keeps at least one block
      * for its tags. */
     static constexpr unsigned kMaxWays = 31;
+    static_assert(kDataBlocksPerRow <= kMaxWays);
+    static_assert(kDataBlocksPerRow <= kRowBytes / kBlockBytes);
 
     /**
      * Tag state of one set: a 256B record on cache-line
@@ -158,6 +155,10 @@ class BlockCache : public MemorySystem
         std::uint64_t ways[kMaxWays] = {};
     };
     static_assert(sizeof(SetState) == 256);
+
+    /** Valid mask of a full set. */
+    static constexpr std::uint32_t kFullMask =
+        (std::uint32_t{1} << kDataBlocksPerRow) - 1;
 
     static constexpr unsigned kRankShift = 58;
     static constexpr std::uint64_t kRankOne = std::uint64_t{1}
@@ -182,7 +183,7 @@ class BlockCache : public MemorySystem
     Addr
     rowAddr(std::uint64_t set) const
     {
-        return set << row_shift_;
+        return set * kRowBytes;
     }
 
     /** Way of @p set holding @p block_id, or -1 if absent. */
@@ -219,10 +220,6 @@ class BlockCache : public MemorySystem
     std::uint64_t num_sets_;
     /** num_sets_ - 1; sets are a power of two. */
     std::uint64_t set_mask_;
-    /** floorLog2(rowBytes). */
-    unsigned row_shift_;
-    /** Valid mask of a full set. */
-    std::uint32_t full_mask_;
     std::vector<SetState> sets_;
     /** Per-tenant set ranges (disabled outside setpart). */
     SetPartitionSpec partition_;

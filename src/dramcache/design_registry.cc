@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "dramcache/block_cache.hh"
 #include "dramcache/simple_memories.hh"
 #include "tenant/partition.hh"
 
@@ -38,12 +39,6 @@ DesignParams::find(const std::string &key) const
     return nullptr;
 }
 
-bool
-DesignParams::has(const std::string &key) const
-{
-    return find(key) != nullptr;
-}
-
 std::string
 DesignParams::getString(const std::string &key,
                         const std::string &fallback) const
@@ -68,35 +63,6 @@ DesignParams::getU64(const std::string &key,
         throw std::runtime_error("design param '" + key +
                                  "' is not an integer: " + *v);
     return parsed;
-}
-
-double
-DesignParams::getDouble(const std::string &key,
-                        double fallback) const
-{
-    const std::string *v = find(key);
-    if (!v)
-        return fallback;
-    char *end = nullptr;
-    const double parsed = std::strtod(v->c_str(), &end);
-    if (v->empty() || end != v->c_str() + v->size())
-        throw std::runtime_error("design param '" + key +
-                                 "' is not a number: " + *v);
-    return parsed;
-}
-
-bool
-DesignParams::getBool(const std::string &key, bool fallback) const
-{
-    const std::string *v = find(key);
-    if (!v)
-        return fallback;
-    if (*v == "1" || *v == "true" || *v == "yes")
-        return true;
-    if (*v == "0" || *v == "false" || *v == "no")
-        return false;
-    throw std::runtime_error("design param '" + key +
-                             "' is not a boolean: " + *v);
 }
 
 DesignRegistry &
@@ -191,7 +157,6 @@ missMapConfig(std::uint64_t capacity_mb)
         cfg.entries = 192 * 1024;
         cfg.assoc = 24;
     }
-    cfg.segmentBytes = 4096;
     return cfg;
 }
 
@@ -274,10 +239,8 @@ registerPaperDesigns(DesignRegistry &reg)
             bc.tenants =
                 TenantPartitionParams::fromParams(cfg.params);
             DesignInstance inst;
-            auto cache = std::make_unique<BlockCache>(
+            inst.memory = std::make_unique<BlockCache>(
                 bc, *stacked, offchip);
-            inst.block = cache.get();
-            inst.memory = std::move(cache);
             return inst;
         };
         reg.add(std::move(def));

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "dram/system.hh"
-#include "dramcache/block_cache.hh"
 #include "dramcache/footprint_cache.hh"
 #include "dramcache/interface.hh"
 #include "dramcache/missmap.hh"
@@ -32,10 +31,10 @@ namespace fpc {
 
 /**
  * Per-design parameter bag: ordered string key/value pairs with
- * typed getters. Designs read their private knobs from here so
- * the shared DesignConfig stays free of per-design fields; the
- * entries also suffix the sweep point label, keeping labels
- * unique across parameter variants. Keys are kept sorted so two
+ * typed getters. The tenant mix and partition policy (tenant.*,
+ * see partition.hh) ride here so the shared DesignConfig stays
+ * free of them; the entries also suffix the sweep point label,
+ * keeping labels unique across parameter variants. Keys are kept sorted so two
  * bags with the same contents render identically.
  */
 class DesignParams
@@ -44,16 +43,10 @@ class DesignParams
     /** Set @p key to @p value (inserted sorted; overwrites). */
     void set(const std::string &key, const std::string &value);
 
-    bool has(const std::string &key) const;
-
     std::string getString(const std::string &key,
                           const std::string &fallback) const;
     std::uint64_t getU64(const std::string &key,
                          std::uint64_t fallback) const;
-    double getDouble(const std::string &key,
-                     double fallback) const;
-    /** "1"/"true"/"yes" are true; "0"/"false"/"no" are false. */
-    bool getBool(const std::string &key, bool fallback) const;
 
     bool empty() const { return kv_.empty(); }
 
@@ -76,8 +69,8 @@ class DesignParams
  * Design-facing slice of an experiment configuration: everything
  * a factory needs to size and wire one organization. The paper's
  * cross-design knobs (capacity, page size, predictor options)
- * stay typed because the figure grids sweep them; design-private
- * knobs ride in the params bag.
+ * stay typed because the figure grids sweep them; the tenant
+ * mix and partition policy ride in the params bag.
  */
 struct DesignConfig
 {
@@ -92,7 +85,7 @@ struct DesignConfig
     FhtTrain fhtTrain = FhtTrain::Replace;
     FetchPolicy footprintFetch = FetchPolicy::Predictor;
 
-    /** Per-design parameter bag ("banshee.assoc", ...). */
+    /** Per-design parameter bag ("tenant.policy", ...). */
     DesignParams params;
 
     std::uint64_t capacityBytes() const { return capacityMb << 20; }
@@ -101,9 +94,9 @@ struct DesignConfig
 };
 
 /**
- * A built organization: the owned MemorySystem plus optional
- * typed views for harness code that reads design-specific detail
- * (footprint accuracy stats, block-cache MissMap counters).
+ * A built organization: the owned MemorySystem plus an optional
+ * typed view for harness code that reads design-specific detail
+ * (footprint accuracy stats).
  */
 struct DesignInstance
 {
@@ -111,9 +104,6 @@ struct DesignInstance
 
     /** Non-owning view; set when the design is footprint/page. */
     FootprintCache *footprint = nullptr;
-
-    /** Non-owning view; set when the design is block-based. */
-    BlockCache *block = nullptr;
 };
 
 /** One registered organization. */

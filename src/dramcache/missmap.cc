@@ -10,7 +10,6 @@ MissMap::MissMap(const Config &config) : config_(config)
 {
     FPC_ASSERT(config_.entries > 0 && config_.assoc > 0);
     FPC_ASSERT(config_.entries % config_.assoc == 0);
-    FPC_ASSERT(config_.segmentBytes / kBlockBytes <= 64);
     sets_ = config_.entries / config_.assoc;
     FPC_ASSERT(isPowerOf2(sets_));
     reserveHugePages(entries_, config_.entries);
@@ -103,12 +102,12 @@ std::uint64_t
 MissMap::storageBits(unsigned phys_addr_bits) const
 {
     const unsigned seg_bits =
-        phys_addr_bits - floorLog2(config_.segmentBytes);
+        phys_addr_bits - floorLog2(kSegmentBytes);
     const unsigned set_bits = floorLog2(sets_);
     const unsigned tag_bits = seg_bits - set_bits;
     const unsigned lru_bits = floorLog2(config_.assoc) + 1;
     const std::uint64_t per_entry =
-        tag_bits + blocksPerSegment() + lru_bits + 1;
+        tag_bits + kBlocksPerSegment + lru_bits + 1;
     return per_entry * config_.entries;
 }
 

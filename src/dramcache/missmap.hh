@@ -27,11 +27,15 @@ namespace fpc {
 class MissMap
 {
   public:
+    /** Tracking granularity: one entry covers a 4KB segment
+     * (§5.2, after Loh & Hill [24]). */
+    static constexpr unsigned kSegmentBytes = 4096;
+    static_assert(kSegmentBytes / kBlockBytes <= 64);
+
     struct Config
     {
         std::uint32_t entries = 192 * 1024;
         std::uint32_t assoc = 24;
-        unsigned segmentBytes = 4096;
     };
 
     explicit MissMap(const Config &config);
@@ -77,11 +81,8 @@ class MissMap
     /** SRAM size in bits (Table 4: ~1.95MB at 192K entries). */
     std::uint64_t storageBits(unsigned phys_addr_bits) const;
 
-    unsigned
-    blocksPerSegment() const
-    {
-        return config_.segmentBytes / kBlockBytes;
-    }
+    static constexpr unsigned kBlocksPerSegment =
+        kSegmentBytes / kBlockBytes;
 
   private:
     /** One tracked segment; valid while any of its bits is set
@@ -98,14 +99,14 @@ class MissMap
     Addr
     segmentOf(Addr block_addr) const
     {
-        return block_addr / config_.segmentBytes;
+        return block_addr / kSegmentBytes;
     }
 
     unsigned
     bitOf(Addr block_addr) const
     {
         return static_cast<unsigned>(
-            (block_addr % config_.segmentBytes) / kBlockBytes);
+            (block_addr % kSegmentBytes) / kBlockBytes);
     }
 
     std::uint32_t setOf(Addr segment_id) const;

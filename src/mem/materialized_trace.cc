@@ -146,12 +146,6 @@ ReplayTraceSource::skip(std::size_t n)
 }
 
 void
-ReplayTraceSource::reset()
-{
-    seekTo(0);
-}
-
-void
 ReplayTraceSource::fastForward(std::uint64_t n)
 {
     // The arena is random access, so skipping is a cursor move —

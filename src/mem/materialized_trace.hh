@@ -119,7 +119,6 @@ class ReplayTraceSource : public TraceSource
     std::size_t acquire(unsigned core_id,
                         TraceRecord *&span) override;
     void skip(std::size_t n) override;
-    void reset() override;
     void fastForward(std::uint64_t n) override;
 
     /**
@@ -135,8 +134,6 @@ class ReplayTraceSource : public TraceSource
     {
         return base_ + pos_;
     }
-
-    const MaterializedTrace &trace() const { return *trace_; }
 
   private:
     /** Staging-buffer capacity (AoS records). */

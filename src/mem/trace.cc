@@ -51,13 +51,6 @@ VectorTraceSource::next(unsigned core_id, TraceRecord &out)
     return true;
 }
 
-void
-VectorTraceSource::reset()
-{
-    for (auto &c : cursor_)
-        c = 0;
-}
-
 TraceFileWriter::TraceFileWriter(const std::string &path)
     : file_(std::fopen(path.c_str(), "wb"))
 {
@@ -149,16 +142,6 @@ TraceFileReader::next(unsigned core_id, TraceRecord &out)
     out = pending_[core_id].front();
     pending_[core_id].erase(pending_[core_id].begin());
     return true;
-}
-
-void
-TraceFileReader::reset()
-{
-    std::clearerr(file_);
-    std::rewind(file_);
-    eof_ = false;
-    for (auto &q : pending_)
-        q.clear();
 }
 
 } // namespace fpc

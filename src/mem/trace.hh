@@ -63,9 +63,6 @@ class TraceSource
      */
     virtual bool coreAgnostic() const { return true; }
 
-    /** Restart the stream from the beginning (if supported). */
-    virtual void reset() {}
-
     /**
      * Discard the next @p n records of the shared stream without
      * handing them to any core. The default drains through
@@ -86,7 +83,6 @@ class VectorTraceSource : public TraceSource
                                unsigned num_cores = 1);
 
     bool next(unsigned core_id, TraceRecord &out) override;
-    void reset() override;
 
   private:
     std::vector<TraceRecord> records_;
@@ -139,7 +135,6 @@ class TraceFileReader : public TraceSource
     TraceFileReader &operator=(const TraceFileReader &) = delete;
 
     bool next(unsigned core_id, TraceRecord &out) override;
-    void reset() override;
 
   private:
     bool refill(unsigned core_id);

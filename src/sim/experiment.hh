@@ -13,7 +13,6 @@
 #include <string>
 
 #include "dram/system.hh"
-#include "dramcache/block_cache.hh"
 #include "dramcache/design_registry.hh"
 #include "dramcache/footprint_cache.hh"
 #include "mem/trace.hh"
@@ -61,9 +60,6 @@ class Experiment
     {
         return instance_.footprint;
     }
-
-    /** The block cache, when the design is block-based. */
-    BlockCache *blockCache() { return instance_.block; }
 
     DramSystem *stacked() { return stacked_.get(); }
     DramSystem &offchip() { return *offchip_; }

@@ -185,7 +185,6 @@ PodSystem::PodSystem(const PodConfig &config, TraceSource &trace,
       hierarchy_(config.hierarchy)
 {
     FPC_ASSERT(config_.numCores == config_.hierarchy.numCores);
-    FPC_ASSERT(config_.coreIpc > 0.0);
     if (config_.numTenants > 0) {
         tenant_totals_.resize(config_.numTenants);
         // Off-chip addresses always carry their owner (real
@@ -423,19 +422,22 @@ PodSystem::applyWarmup(const WarmupArtifact &artifact)
 }
 
 void
-PodSystem::recordInterval(RunMetrics &prev, Cycle now)
+PodSystem::recordInterval(RunMetrics &prev, Cycle now,
+                          std::vector<RunMetrics> *epochs)
 {
     RunMetrics cur = capture(now);
     RunMetrics d = cur.since(prev);
-    if (record_epochs_)
-        epochs_.push_back(std::move(d));
+    if (epochs)
+        epochs->push_back(std::move(d));
     else
         intervals_.push_back(intervalOf(std::move(d)));
     prev = std::move(cur);
 }
 
 Cycle
-PodSystem::runMeasure(std::uint64_t measure_refs, Cycle start_now,
+PodSystem::runMeasure(std::uint64_t measure_refs,
+                      std::uint64_t interval,
+                      std::vector<RunMetrics> *epochs, Cycle start_now,
                       MeasureCarry *carry)
 {
     const std::uint64_t stop = total_records_ + measure_refs;
@@ -448,7 +450,6 @@ PodSystem::runMeasure(std::uint64_t measure_refs, Cycle start_now,
     // aggregate deltas bit-exactly because the first prev here
     // and run()'s start snapshot are the same capture(0), and
     // the final close below matches its end capture.
-    const std::uint64_t interval = config_.telemetry.intervalRecords;
     std::uint64_t next_boundary =
         interval ? total_records_ + interval : 0;
     RunMetrics prev;
@@ -473,11 +474,15 @@ PodSystem::runMeasure(std::uint64_t measure_refs, Cycle start_now,
     }
 
     // Outstanding load-miss completion times per core, bounded by
-    // mlpPerCore: a fixed-size window (at most mlp + 1 entries
+    // kMlpPerCore: a fixed-size window (at most mlp + 1 entries
     // live at once) replaces the heap-allocating vector loop. A
     // full window stalls the core until the oldest miss returns.
-    const unsigned mlp = std::max(1u, config_.mlpPerCore);
-    const unsigned cap = mlp + 1;
+    constexpr unsigned mlp = PodConfig::kMlpPerCore;
+    constexpr unsigned cap = mlp + 1;
+    // Table 3 latencies: an L1 hit, and an L2 hit (or the issue
+    // of an L2 miss to memory) after the L1 lookup.
+    constexpr Cycle l1_lat = PodConfig::kL1HitLatency;
+    constexpr Cycle l2_lat = l1_lat + PodConfig::kL2HitLatency;
     std::vector<Cycle> window(
         static_cast<std::size_t>(config_.numCores) * cap);
     std::vector<unsigned> depth(config_.numCores, 0);
@@ -535,7 +540,7 @@ PodSystem::runMeasure(std::uint64_t measure_refs, Cycle start_now,
 
         // Compute phase: gap instructions at the core's base IPC.
         const Cycle compute = static_cast<Cycle>(
-            static_cast<double>(rec.computeGap) / config_.coreIpc);
+            static_cast<double>(rec.computeGap) / PodConfig::kCoreIpc);
         const Cycle issue_at = now + compute;
 
         // Memory phase.
@@ -551,14 +556,11 @@ PodSystem::runMeasure(std::uint64_t measure_refs, Cycle start_now,
         }
         const bool is_load = rec.req.op == MemOp::Read;
         if (out.l1Hit) {
-            ready_at = issue_at + config_.l1HitLatency;
+            ready_at = issue_at + l1_lat;
         } else if (out.l2Hit) {
-            ready_at = issue_at + config_.l1HitLatency +
-                       config_.l2HitLatency;
+            ready_at = issue_at + l2_lat;
         } else {
-            const Cycle mem_issue = issue_at +
-                                    config_.l1HitLatency +
-                                    config_.l2HitLatency;
+            const Cycle mem_issue = issue_at + l2_lat;
             if (probe && probe->tickBankSample())
                 probe->sampleBankOccupancy(
                     occupancy_dram->busyBanks(mem_issue));
@@ -585,14 +587,13 @@ PodSystem::runMeasure(std::uint64_t measure_refs, Cycle start_now,
         }
         // Dirty evictions forced out of the L2 go to memory.
         for (unsigned i = 0; i < out.numWritebacks; ++i) {
-            memory_.writeback(issue_at + config_.l1HitLatency +
-                                  config_.l2HitLatency,
+            memory_.writeback(issue_at + l2_lat,
                               out.writebackAddr[i]);
         }
 
         if (!is_load) {
             // Stores retire without blocking the core.
-            ready_at = issue_at + config_.l1HitLatency;
+            ready_at = issue_at + l1_lat;
         } else if (long_miss) {
             // The OoO window hides load misses until mlp are in
             // flight; then the core stalls for the oldest one.
@@ -607,16 +608,14 @@ PodSystem::runMeasure(std::uint64_t measure_refs, Cycle start_now,
             n = kept;
             win[n++] = ready_at;
             if (n <= mlp) {
-                ready_at = issue_at + config_.l1HitLatency;
+                ready_at = issue_at + l1_lat;
             } else {
                 unsigned oldest = 0;
                 for (unsigned i = 1; i < n; ++i) {
                     if (win[i] < win[oldest])
                         oldest = i;
                 }
-                ready_at = std::max(win[oldest],
-                                    issue_at +
-                                        config_.l1HitLatency);
+                ready_at = std::max(win[oldest], issue_at + l1_lat);
                 win[oldest] = win[--n];
             }
             depth[core] = n;
@@ -627,7 +626,7 @@ PodSystem::runMeasure(std::uint64_t measure_refs, Cycle start_now,
         ready.schedule(ready_at, core);
 
         if (interval && total_records_ >= next_boundary) {
-            recordInterval(prev, now);
+            recordInterval(prev, now, epochs);
             next_boundary = total_records_ + interval;
         }
     }
@@ -663,7 +662,7 @@ PodSystem::runMeasure(std::uint64_t measure_refs, Cycle start_now,
     if (interval &&
         (total_records_ != prev.traceRecords || now != prev.cycles ||
          (intro && captureProbeValues() != prev.probeValues)))
-        recordInterval(prev, now);
+        recordInterval(prev, now, epochs);
     return now;
 }
 
@@ -686,7 +685,8 @@ PodSystem::run(std::uint64_t warmup_refs,
         armIntrospection();
 
     const RunMetrics start = capture(0);
-    const Cycle end_now = runMeasure(measure_refs);
+    const Cycle end_now = runMeasure(
+        measure_refs, config_.telemetry.intervalRecords, nullptr);
     return capture(end_now).since(start);
 }
 
@@ -747,28 +747,21 @@ PodSystem::runSampled(std::uint64_t span_refs,
         out.ffSeconds += secondsSince(t0);
 
         t0 = std::chrono::steady_clock::now();
-        const std::uint64_t saved_interval =
-            config_.telemetry.intervalRecords;
-        config_.telemetry.intervalRecords = sched.epoch;
-        epochs_.clear();
-        record_epochs_ = true;
-        clock = runMeasure(sched.ramp + sched.measure, clock,
-                           &carry);
-        record_epochs_ = false;
-        config_.telemetry.intervalRecords = saved_interval;
+        std::vector<RunMetrics> epochs;
+        clock = runMeasure(sched.ramp + sched.measure, sched.epoch,
+                           &epochs, clock, &carry);
         out.timedSeconds += secondsSince(t0);
 
         // The aggregate takes each measured epoch in turn (the
         // energy doubles must sum in epoch order); the interval
         // stream of a sampled window is one merged sample per
         // period, not the raw scratch epochs.
-        FPC_ASSERT(epochs_.size() > ramp_epochs);
+        FPC_ASSERT(epochs.size() > ramp_epochs);
         RunMetrics merged;
-        for (std::size_t e = ramp_epochs; e < epochs_.size(); ++e) {
-            out.metrics += epochs_[e];
-            merged += epochs_[e];
+        for (std::size_t e = ramp_epochs; e < epochs.size(); ++e) {
+            out.metrics += epochs[e];
+            merged += epochs[e];
         }
-        epochs_.clear();
 
         interval_ipc.push_back(merged.ipc());
         IntervalSample sample = intervalOf(std::move(merged));

@@ -63,20 +63,20 @@ struct PodConfig
     unsigned numCores = 16;
 
     /** Non-memory IPC of one core. */
-    double coreIpc = 2.0;
+    static constexpr double kCoreIpc = 2.0;
 
     /** L1D load-to-use latency (Table 3: 2 cycles). */
-    Cycle l1HitLatency = 2;
+    static constexpr Cycle kL1HitLatency = 2;
 
     /** L2 hit latency (Table 3: 13 cycles). */
-    Cycle l2HitLatency = 13;
+    static constexpr Cycle kL2HitLatency = 13;
 
     /**
      * Outstanding load misses a core sustains before stalling:
      * the memory-level parallelism of the 3-way OoO core
-     * (Table 3). 1 models a blocking in-order core.
+     * (Table 3).
      */
-    unsigned mlpPerCore = 4;
+    static constexpr unsigned kMlpPerCore = 4;
 
     /**
      * Every warmup is functional. These two constants exist only
@@ -467,9 +467,6 @@ class PodSystem
 
     const CacheHierarchy &hierarchy() const { return hierarchy_; }
 
-    /** Records consumed so far (all phases, all run() calls). */
-    std::uint64_t totalRecords() const { return total_records_; }
-
     /**
      * Interval samples accumulated by measured windows (empty
      * unless TelemetryConfig::intervalRecords is set). Deltas sum
@@ -552,7 +549,11 @@ class PodSystem
     };
 
     /**
-     * Full OoO/MLP timing loop; returns the final cycle.
+     * Full OoO/MLP timing loop; returns the final cycle. An
+     * interval closes every @p interval records (0 = none) and
+     * at the end; its deltas go to @p epochs when non-null
+     * (full deltas, energy included, so runSampled can aggregate
+     * the measured epochs only), else to the interval stream.
      * @p start_now rebases the clock: sampled runs continue each
      * period's timed stretch from the previous one's end cycle so
      * the DRAM channels' detailed state (queue backlog, bank busy
@@ -561,17 +562,21 @@ class PodSystem
      * persists the per-core engine state between calls the same
      * way (primed on first return).
      */
-    Cycle runMeasure(std::uint64_t measure_refs, Cycle start_now = 0,
+    Cycle runMeasure(std::uint64_t measure_refs,
+                     std::uint64_t interval,
+                     std::vector<RunMetrics> *epochs,
+                     Cycle start_now = 0,
                      MeasureCarry *carry = nullptr);
 
     /**
      * Close the current interval at @p now: append the deltas
-     * since @p prev to intervals_ (or, while record_epochs_ is up,
-     * to epochs_) and advance prev.
+     * since @p prev to @p epochs when non-null, else to
+     * intervals_, and advance prev.
      */
-    void recordInterval(RunMetrics &prev, Cycle now);
+    void recordInterval(RunMetrics &prev, Cycle now,
+                        std::vector<RunMetrics> *epochs);
 
-    PodConfig config_;
+    const PodConfig config_;
     TraceSource &trace_;
     MemorySystem &memory_;
     DramSystem *stacked_;
@@ -592,15 +597,6 @@ class PodSystem
 
     /** Interval stream across measured windows (telemetry). */
     std::vector<IntervalSample> intervals_;
-
-    /**
-     * Sampled-mode side channel: while this flag is up,
-     * recordInterval appends each epoch's full delta, energy
-     * included, to epochs_ instead of the interval stream, so
-     * runSampled can aggregate the measured epochs only.
-     */
-    bool record_epochs_ = false;
-    std::vector<RunMetrics> epochs_;
 
     /** Allocated only when telemetry histograms are on. */
     std::unique_ptr<TelemetryProbe> probe_;

@@ -26,11 +26,6 @@ encodeTenantMix(Experiment::Config &cfg,
                        workloadName(tenants[t].workload));
         cfg.params.set("tenant.cores" + idx,
                        std::to_string(tenants[t].cores));
-        if (tenants[t].cacheQuota > 0.0) {
-            cfg.params.set("tenant.quota" + idx,
-                           std::to_string(
-                               tenants[t].cacheQuota));
-        }
     }
 }
 
@@ -61,8 +56,6 @@ decodeTenantMix(const ExperimentPoint &point)
             throw std::runtime_error("bad tenant.cores" + idx +
                                      " in point " + point.key());
         }
-        spec.cacheQuota =
-            params.getDouble("tenant.quota" + idx, 0.0);
         tenants.push_back(spec);
     }
     return tenants;

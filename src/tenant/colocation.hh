@@ -4,10 +4,11 @@
  *
  * A colocation point co-schedules N TenantSpecs on one pod. The
  * mix rides inside the point's DesignParams bag (tenant.count,
- * tenant.wl<i>, tenant.cores<i>, plus the partitioning-policy
- * keys partition.hh defines), so a point stays a plain, copyable
- * value the SweepRunner can shard like any other, and the policy
- * is visible to every design through the same bag.
+ * tenant.wl<i>, tenant.cores<i>, plus tenant.policy, the
+ * partitioning policy partition.hh defines), so a point stays a
+ * plain, copyable value the SweepRunner can shard like any
+ * other, and the policy is visible to every design through the
+ * same bag.
  *
  * Trace reuse: each tenant replays the *solo* trace identity of
  * its workload (traceIdentityKey of workload/pageBytes/baseSeed)
@@ -52,13 +53,6 @@ struct TenantSpec
 
     /** Core share: contiguous cores owned by this tenant. */
     unsigned cores = 8;
-
-    /**
-     * Optional cache quota as a capacity fraction (used when the
-     * point selects tenant.policy=quota; 0 = policy default,
-     * which splits capacity share-proportionally).
-     */
-    double cacheQuota = 0.0;
 };
 
 /**

@@ -32,29 +32,6 @@ TenantPartitionParams::fromParams(const DesignParams &params)
             "unknown tenant.policy '" + policy +
             "' (known: shared, setpart, quota)");
     }
-
-    for (unsigned t = 0; t < out.tenants; ++t) {
-        const std::string idx = std::to_string(t);
-        const double share =
-            params.getDouble("tenant.share" + idx, 1.0);
-        if (share <= 0.0)
-            throw std::runtime_error("tenant.share" + idx +
-                                     " must be positive");
-        out.shares.push_back(share);
-    }
-    double share_sum = 0.0;
-    for (double s : out.shares)
-        share_sum += s;
-    for (unsigned t = 0; t < out.tenants; ++t) {
-        const std::string key =
-            "tenant.quota" + std::to_string(t);
-        const double quota = params.getDouble(
-            key, out.shares[t] / share_sum);
-        if (quota <= 0.0 || quota > 1.0)
-            throw std::runtime_error(
-                key + " must be a fraction in (0, 1]");
-        out.quotas.push_back(quota);
-    }
     return out;
 }
 
@@ -70,26 +47,15 @@ TenantPartitionParams::setPartition(std::uint64_t total_sets,
     spec.enabled = true;
     spec.tenantShift = kTenantAddrShift - unit_byte_shift;
 
-    double share_sum = 0.0;
-    for (double s : shares)
-        share_sum += s;
-
-    // Proportional split, each range at least one set; the last
-    // tenant absorbs the rounding remainder.
+    // Equal split (the floor of the double quotient); the last
+    // tenant absorbs the remainder. total_sets >= tenants, so
+    // each range holds at least one set.
+    const auto share = static_cast<std::uint64_t>(
+        std::floor(static_cast<double>(total_sets) / tenants));
     std::uint64_t base = 0;
     for (unsigned t = 0; t < tenants; ++t) {
-        std::uint64_t count;
-        if (t + 1 == tenants) {
-            count = total_sets - base;
-        } else {
-            count = static_cast<std::uint64_t>(
-                std::floor(static_cast<double>(total_sets) *
-                           shares[t] / share_sum));
-            const std::uint64_t still_needed = tenants - 1 - t;
-            count = std::max<std::uint64_t>(count, 1);
-            count = std::min(count,
-                             total_sets - base - still_needed);
-        }
+        const std::uint64_t count =
+            t + 1 == tenants ? total_sets - base : share;
         FPC_ASSERT(count >= 1);
         spec.ranges.emplace_back(base, count);
         base += count;
@@ -103,14 +69,13 @@ TenantPartitionParams::quota(std::uint64_t total_units) const
 {
     if (!active() || policy != TenantPolicy::Quota)
         return TenantQuota{};
-    std::vector<std::uint64_t> limits;
-    for (unsigned t = 0; t < tenants; ++t) {
-        const std::uint64_t limit = static_cast<std::uint64_t>(
-            std::ceil(static_cast<double>(total_units) *
-                      quotas[t]));
-        limits.push_back(std::max<std::uint64_t>(limit, 1));
-    }
-    return TenantQuota{std::move(limits)};
+    // A limit is ceil(units x fraction), with the fraction 1/N
+    // rounded to a double first (not ceil(units / N)).
+    const double fraction = 1.0 / tenants;
+    const std::uint64_t limit = static_cast<std::uint64_t>(
+        std::ceil(static_cast<double>(total_units) * fraction));
+    return TenantQuota{std::vector<std::uint64_t>(
+        tenants, std::max<std::uint64_t>(limit, 1))};
 }
 
 } // namespace fpc

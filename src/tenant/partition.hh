@@ -10,22 +10,19 @@
  *  - shared (default): tenants contend for every set and frame,
  *    exactly like the single-tenant simulator;
  *  - setpart: a static partition of the cache *sets* — tenant t
- *    indexes only its contiguous range of sets (sized by the
- *    tenant.share<i> weights), so tenants cannot evict each
- *    other at the cost of a smaller effective capacity each;
+ *    indexes only its contiguous range of sets (an equal split),
+ *    so tenants cannot evict each other at the cost of a smaller
+ *    effective capacity each;
  *  - quota: a per-tenant *footprint quota* on allocation units
  *    (frames for page-granular designs, blocks/TADs for
- *    block-granular ones). Indexing stays fully shared; a tenant
- *    at its quota may only allocate by replacing one of its own
- *    units, otherwise the allocation bypasses the cache and is
- *    served off chip.
+ *    block-granular ones), 1/N of them each. Indexing stays fully
+ *    shared; a tenant at its quota may only allocate by replacing
+ *    one of its own units, otherwise the allocation bypasses the
+ *    cache and is served off chip.
  *
  * Bag vocabulary (DesignConfig::params):
  *   tenant.count   = N        number of tenants (default 1)
  *   tenant.policy  = shared | setpart | quota
- *   tenant.share<i> = W       setpart weight of tenant i (def. 1)
- *   tenant.quota<i> = F       quota fraction of tenant i
- *                             (default: share-proportional)
  *
  * Every decision depends only on architectural state, never on
  * cycle time, so Functional and Timed simulation stay bit-equal.
@@ -166,12 +163,6 @@ struct TenantPartitionParams
     TenantPolicy policy = TenantPolicy::Shared;
     unsigned tenants = 1;
 
-    /** Per-tenant setpart weights (empty = equal). */
-    std::vector<double> shares;
-
-    /** Per-tenant quota fractions (empty = share-proportional). */
-    std::vector<double> quotas;
-
     /** Anything to do? Shared or single-tenant means no. */
     bool
     active() const
@@ -181,15 +172,15 @@ struct TenantPartitionParams
 
     /**
      * Parse the tenant.* keys of @p params.
-     * @throws std::runtime_error on an unknown policy name or a
-     * non-positive share/quota.
+     * @throws std::runtime_error on a zero tenant count or an
+     * unknown policy name.
      */
     static TenantPartitionParams
     fromParams(const DesignParams &params);
 
     /**
-     * Split @p total_sets into per-tenant ranges proportional to
-     * the shares (each at least one set). @p unit_byte_shift is
+     * Split @p total_sets into equal per-tenant ranges, the last
+     * one taking the remainder. @p unit_byte_shift is
      * log2 of the hash unit's size in bytes (page shift for page
      * ids, kBlockShift for block numbers). Disabled spec when the
      * policy is not SetPartition.
@@ -199,7 +190,7 @@ struct TenantPartitionParams
 
     /**
      * Per-tenant unit limits over @p total_units allocation
-     * units (ceil of the fraction, at least one unit each).
+     * units (ceil of 1/N of them, at least one unit each).
      * Disabled quota when the policy is not Quota.
      */
     TenantQuota quota(std::uint64_t total_units) const;

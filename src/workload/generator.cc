@@ -27,23 +27,6 @@ SyntheticTraceSource::SyntheticTraceSource(const WorkloadSpec &spec)
             ? (std::uint64_t{1} << 32)
             : static_cast<std::uint64_t>(spec_.writeFraction *
                                          4294967296.0);
-    init();
-}
-
-void
-SyntheticTraceSource::init()
-{
-    rng_ = Rng(spec_.seed);
-    patterns_.clear();
-    class_cdf_.clear();
-    schedule_ = {};
-    pending_.clear();
-    pending_pos_ = 0;
-    acquired_ = 0;
-    emitted_ = 0;
-    sched_seq_ = 0;
-    scan_next_page_ = 0;
-    visits_started_ = 0;
 
     double total_weight = 0.0;
     for (const auto &cls : spec_.classes)
@@ -133,7 +116,6 @@ SyntheticTraceSource::maybeDrift(std::uint32_t class_idx,
 void
 SyntheticTraceSource::startVisit()
 {
-    ++visits_started_;
     // Pick the class by weight.
     const double r = rng_.uniform();
     std::uint32_t class_idx = 0;
@@ -313,12 +295,6 @@ SyntheticTraceSource::refill()
         Visit v = top.visit;
         emitBurst(v);
     }
-}
-
-void
-SyntheticTraceSource::reset()
-{
-    init();
 }
 
 void

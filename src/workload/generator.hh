@@ -39,10 +39,6 @@ class SyntheticTraceSource : public TraceSource
     std::size_t acquire(unsigned core_id,
                         TraceRecord *&span) override;
     void skip(std::size_t n) override;
-    void reset() override;
-
-    /** Distinct page visits started so far. */
-    std::uint64_t visitsStarted() const { return visits_started_; }
 
     /** Records consumed (via next or skip) so far. */
     std::uint64_t
@@ -93,7 +89,6 @@ class SyntheticTraceSource : public TraceSource
         }
     };
 
-    void init();
     void refill();
     void startVisit();
     void emitBurst(Visit &visit);
@@ -153,7 +148,6 @@ class SyntheticTraceSource : public TraceSource
     std::uint64_t emitted_ = 0;
     std::uint64_t sched_seq_ = 0;
     std::uint64_t scan_next_page_ = 0;
-    std::uint64_t visits_started_ = 0;
 };
 
 /**

@@ -87,55 +87,32 @@ TEST(DesignParams, TypedGettersAndLabelSuffix)
 {
     DesignParams p;
     EXPECT_TRUE(p.empty());
-    p.set("banshee.assoc", "8");
-    p.set("alloy.predictor", "false");
-    p.set("x.ratio", "0.5");
-    EXPECT_TRUE(p.has("banshee.assoc"));
-    EXPECT_FALSE(p.has("banshee.sample_shift"));
-    EXPECT_EQ(p.getU64("banshee.assoc", 4), 8u);
+    p.set("footprint.unused", "8");
+    p.set("footprint.name", "x");
+    EXPECT_EQ(p.getU64("footprint.unused", 4), 8u);
     EXPECT_EQ(p.getU64("absent", 4), 4u);
-    EXPECT_FALSE(p.getBool("alloy.predictor", true));
-    EXPECT_DOUBLE_EQ(p.getDouble("x.ratio", 0.0), 0.5);
-    EXPECT_THROW(p.getBool("x.ratio", true), std::runtime_error);
-    p.set("banshee.assoc", "2"); // overwrite, no duplicate entry
-    EXPECT_EQ(p.getU64("banshee.assoc", 4), 2u);
-    EXPECT_EQ(p.entries().size(), 3u);
+    EXPECT_EQ(p.getString("footprint.name", ""), "x");
+    EXPECT_EQ(p.getString("absent", "y"), "y");
+    p.set("footprint.unused", "2"); // overwrite, no duplicate entry
+    EXPECT_EQ(p.getU64("footprint.unused", 4), 2u);
+    EXPECT_EQ(p.entries().size(), 2u);
     // Unparseable and partially-numeric values are errors, not
     // silent zeros/truncations.
     p.set("bad.int", "four");
     p.set("bad.suffix", "64K");
     EXPECT_THROW(p.getU64("bad.int", 1), std::runtime_error);
     EXPECT_THROW(p.getU64("bad.suffix", 1), std::runtime_error);
-    EXPECT_THROW(p.getDouble("bad.int", 1.0),
-                 std::runtime_error);
 
     // Params suffix the sweep label, keeping variants distinct.
     Experiment::Config cfg;
     cfg.design = "banshee";
     const std::string plain =
         standardLabel(WorkloadKind::WebSearch, cfg);
-    cfg.params.set("banshee.assoc", "8");
+    cfg.params.set("footprint.unused", "8");
     const std::string tuned =
         standardLabel(WorkloadKind::WebSearch, cfg);
     EXPECT_NE(plain, tuned);
-    EXPECT_NE(tuned.find("banshee.assoc=8"), std::string::npos);
-}
-
-TEST(DesignParams, ReachTheFactories)
-{
-    WorkloadSpec spec = makeWorkload(WorkloadKind::WebSearch);
-    SyntheticTraceSource trace(spec);
-    Experiment::Config cfg;
-    cfg.design = "banshee";
-    cfg.capacityMb = 64;
-    cfg.params.set("banshee.assoc", "8");
-    cfg.params.set("banshee.sample_shift", "2");
-    Experiment exp(cfg, trace);
-    auto *banshee =
-        dynamic_cast<BansheeCache *>(&exp.memory());
-    ASSERT_NE(banshee, nullptr);
-    EXPECT_EQ(banshee->config().assoc, 8u);
-    EXPECT_EQ(banshee->config().sampleShift, 2u);
+    EXPECT_NE(tuned.find("footprint.unused=8"), std::string::npos);
 }
 
 TEST(Designs, Table4LatenciesByName)

@@ -131,7 +131,7 @@ TEST(Experiment, BlockDesignUsesClosedStacked)
               PagePolicy::Closed);
     EXPECT_EQ(exp.stacked()->config().interleaveBytes,
               kBlockBytes);
-    ASSERT_NE(exp.blockCache(), nullptr);
+    EXPECT_EQ(exp.memory().designName(), "block");
 }
 
 } // namespace

@@ -13,7 +13,6 @@ tinyConfig()
     MissMap::Config cfg;
     cfg.entries = 32;
     cfg.assoc = 4;
-    cfg.segmentBytes = 4096;
     return cfg;
 }
 

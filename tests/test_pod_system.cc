@@ -109,20 +109,6 @@ TEST(PodSystem, MoreCoresMoreThroughput)
     EXPECT_GT(run_with(4), 1.5 * run_with(1));
 }
 
-TEST(PodSystem, MlpHidesLatency)
-{
-    auto run_with = [](unsigned mlp) {
-        VectorTraceSource trace(streamingTrace(4000, 8), 1);
-        DramSystem off(DramSystem::Config::offchipPod());
-        NoCacheMemory mem(off);
-        PodConfig cfg = tinyPod(1);
-        cfg.mlpPerCore = mlp;
-        PodSystem pod(cfg, trace, mem, nullptr, off);
-        return pod.run(0, 4000).ipc();
-    };
-    EXPECT_GT(run_with(4), 1.3 * run_with(1));
-}
-
 TEST(PodSystem, StoresDoNotBlock)
 {
     auto run_ops = [](MemOp op) {
@@ -132,9 +118,7 @@ TEST(PodSystem, StoresDoNotBlock)
         VectorTraceSource trace(recs, 1);
         DramSystem off(DramSystem::Config::offchipPod());
         NoCacheMemory mem(off);
-        PodConfig cfg = tinyPod(1);
-        cfg.mlpPerCore = 1; // blocking loads
-        PodSystem pod(cfg, trace, mem, nullptr, off);
+        PodSystem pod(tinyPod(1), trace, mem, nullptr, off);
         return pod.run(0, 2000).cycles;
     };
     EXPECT_LT(run_ops(MemOp::Write), run_ops(MemOp::Read));

@@ -801,8 +801,8 @@ TEST_F(ResilienceTest, FaultHooksReachColocationTenantArenas)
     // tenant, so only the tenant builder can hit this rule, keyed
     // like a solo point's by the tenant's trace identity.
     const std::vector<ExperimentPoint> points = {
-        makeColocationPoint({{WorkloadKind::DataServing, 8, 0.0},
-                             {WorkloadKind::WebSearch, 8, 0.0}},
+        makeColocationPoint({{WorkloadKind::DataServing, 8},
+                             {WorkloadKind::WebSearch, 8}},
                             "footprint", "shared", 0.01, 42)};
     const std::string identity =
         traceIdentityKey(WorkloadKind::WebSearch, 2048, 42);

@@ -1138,8 +1138,8 @@ TEST(ExperimentConfig, EqualitySeesEveryNestedField)
          }},
         {"stackedLowLatency",
          [](ExperimentPoint &p) { p.cfg.stackedLowLatency = true; }},
-        {"pod.coreIpc",
-         [](ExperimentPoint &p) { p.cfg.pod.coreIpc = 3.0; }},
+        {"pod.numTenants",
+         [](ExperimentPoint &p) { p.cfg.pod.numTenants = 1; }},
         {"hierarchy.l2.sizeBytes",
          [](ExperimentPoint &p) {
              p.cfg.pod.hierarchy.l2.sizeBytes *= 2;
@@ -1298,10 +1298,12 @@ pointFingerprint(const ExperimentPoint &p)
     // fields were printed, so the golden digest stays put.
     appendFmt(s, " cores=%u ipc=%a l1=%llu l2=%llu mlp=%u wmode=1 "
                  "alltimed=0 tenants=%u cancel=%d",
-              pod.numCores, pod.coreIpc,
-              static_cast<unsigned long long>(pod.l1HitLatency),
-              static_cast<unsigned long long>(pod.l2HitLatency),
-              pod.mlpPerCore, pod.numTenants,
+              pod.numCores, PodConfig::kCoreIpc,
+              static_cast<unsigned long long>(
+                  PodConfig::kL1HitLatency),
+              static_cast<unsigned long long>(
+                  PodConfig::kL2HitLatency),
+              PodConfig::kMlpPerCore, pod.numTenants,
               pod.deadline != kNoDeadline);
     const TelemetryConfig &t = pod.telemetry;
     appendFmt(s, " tel=%llu,%d,%u,%d,%d,%llu",

@@ -50,7 +50,7 @@ class RefMissMap
     bool
     present(Addr block_addr) const
     {
-        const Entry *e = find(block_addr / cfg_.segmentBytes);
+        const Entry *e = find(block_addr / MissMap::kSegmentBytes);
         return e && ((e->bits >> bitOf(block_addr)) & 1);
     }
 
@@ -58,7 +58,7 @@ class RefMissMap
     setBit(Addr block_addr)
     {
         Victim victim;
-        const Addr seg = block_addr / cfg_.segmentBytes;
+        const Addr seg = block_addr / MissMap::kSegmentBytes;
         if (Entry *e = find(seg)) {
             e->lastUse = ++tick_;
             e->bits |= std::uint64_t{1} << bitOf(block_addr);
@@ -84,7 +84,7 @@ class RefMissMap
     void
     clearBit(Addr block_addr)
     {
-        if (Entry *e = find(block_addr / cfg_.segmentBytes)) {
+        if (Entry *e = find(block_addr / MissMap::kSegmentBytes)) {
             e->bits &= ~(std::uint64_t{1} << bitOf(block_addr));
             if (e->bits == 0)
                 e->valid = false;
@@ -109,7 +109,7 @@ class RefMissMap
     unsigned
     bitOf(Addr block_addr) const
     {
-        return (block_addr % cfg_.segmentBytes) / kBlockBytes;
+        return (block_addr % MissMap::kSegmentBytes) / kBlockBytes;
     }
 
     const Entry *
@@ -146,10 +146,10 @@ class TickLruBlockCache
     explicit TickLruBlockCache(const BlockCache::Config &c)
         : stacked(closedPageStacked()),
           offchip(DramSystem::Config::offchipPod()), cfg_(c),
-          missmap_(c.missMap), sets_(c.capacityBytes / c.rowBytes),
-          ways_(sets_ * c.dataBlocksPerRow),
+          missmap_(c.missMap), sets_(c.capacityBytes / BlockCache::kRowBytes),
+          ways_(sets_ * BlockCache::kDataBlocksPerRow),
           partition_(c.tenants.setPartition(sets_, kBlockShift)),
-          quota_(c.tenants.quota(sets_ * c.dataBlocksPerRow))
+          quota_(c.tenants.quota(sets_ * BlockCache::kDataBlocksPerRow))
     {
     }
 
@@ -201,8 +201,8 @@ class TickLruBlockCache
     wayOf(Addr block_addr) const
     {
         const std::uint64_t set = setOf(block_addr);
-        for (unsigned w = 0; w < cfg_.dataBlocksPerRow; ++w) {
-            const Way &way = ways_[set * cfg_.dataBlocksPerRow + w];
+        for (unsigned w = 0; w < BlockCache::kDataBlocksPerRow; ++w) {
+            const Way &way = ways_[set * BlockCache::kDataBlocksPerRow + w];
             if (way.valid && way.blockId == blockNumber(block_addr))
                 return static_cast<int>(w);
         }
@@ -241,7 +241,7 @@ class TickLruBlockCache
     Addr
     rowAddr(std::uint64_t set) const
     {
-        return set * cfg_.rowBytes;
+        return set * BlockCache::kRowBytes;
     }
 
     Way *
@@ -250,7 +250,7 @@ class TickLruBlockCache
         const int w = wayOf(block_addr);
         return w < 0 ? nullptr
                      : &ways_[setOf(block_addr) *
-                                  cfg_.dataBlocksPerRow +
+                                  BlockCache::kDataBlocksPerRow +
                               static_cast<unsigned>(w)];
     }
 
@@ -258,7 +258,7 @@ class TickLruBlockCache
     void
     drop(Cycle when, std::uint64_t set, unsigned w)
     {
-        Way &way = ways_[set * cfg_.dataBlocksPerRow + w];
+        Way &way = ways_[set * BlockCache::kDataBlocksPerRow + w];
         quota_.release(tenantOfAddr(way.blockId * kBlockBytes));
         if (way.dirty) {
             ++counters["dirty_evictions"];
@@ -275,10 +275,10 @@ class TickLruBlockCache
     fill(Cycle when, Addr block_addr, bool dirty)
     {
         const std::uint64_t set = setOf(block_addr);
-        const std::size_t base = set * cfg_.dataBlocksPerRow;
+        const std::size_t base = set * BlockCache::kDataBlocksPerRow;
         unsigned victim = 0;
         bool invalid = false;
-        for (unsigned w = 0; w < cfg_.dataBlocksPerRow; ++w) {
+        for (unsigned w = 0; w < BlockCache::kDataBlocksPerRow; ++w) {
             if (!ways_[base + w].valid) {
                 victim = w;
                 invalid = true;
@@ -305,19 +305,19 @@ class TickLruBlockCache
                        1);
         stacked.access(when,
                        rowAddr(set) +
-                           cfg_.dataBlocksPerRow * kBlockBytes,
+                           BlockCache::kDataBlocksPerRow * kBlockBytes,
                        true, 1);
 
         const RefMissMap::Victim mm = missmap_.setBit(block_addr);
         if (!mm.valid)
             return true;
         ++counters["missmap_evictions"];
-        for (unsigned b = 0; b < cfg_.missMap.segmentBytes / kBlockBytes;
+        for (unsigned b = 0; b < MissMap::kSegmentBytes / kBlockBytes;
              ++b) {
             if (!((mm.bits >> b) & 1))
                 continue;
             const Addr flushed =
-                mm.segmentId * cfg_.missMap.segmentBytes +
+                mm.segmentId * MissMap::kSegmentBytes +
                 b * kBlockBytes;
             const int w = wayOf(flushed);
             if (w < 0)
@@ -425,9 +425,6 @@ class AlloyTagState : public ::testing::Test
         offchip_.enableTenantAccounting(4);
         AlloyCache::Config cfg;
         cfg.capacityBytes = 64 * 72; // 64 TADs
-        // Serial probes: off-chip traffic is exactly misses and
-        // dirty victims, with no speculative reads.
-        cfg.usePredictor = false;
         cache_ = std::make_unique<AlloyCache>(cfg, stacked_,
                                               offchip_);
     }
@@ -467,7 +464,12 @@ TEST_F(AlloyTagState, TenantShiftedAddressesRoundTrip)
     EXPECT_FALSE(read(b));
     EXPECT_EQ(cache_->dirtyEvictions(), 1u);
     EXPECT_EQ(offchip_.totalBlocksWritten(), 1u);
-    EXPECT_EQ(offchip_.tenantBytes(3), kBlockBytes); // a written
+    // The cold MAP predicted miss on both hits of a: each issued
+    // a parallel off-chip read of a, discarded on the hit.
+    EXPECT_EQ(cache_->wastedOffchipReads(), 2u);
+    EXPECT_EQ(offchip_.tenantBytes(3),
+              (1 + cache_->wastedOffchipReads()) *
+                  kBlockBytes); // a written, a's wasted reads
     EXPECT_EQ(offchip_.tenantBytes(1), kBlockBytes); // b read
 
     // b was filled clean: evicting it writes nothing back.
@@ -481,7 +483,10 @@ TEST_F(AlloyTagState, TenantShiftedAddressesRoundTrip)
     EXPECT_FALSE(read(b));
     EXPECT_EQ(cache_->dirtyEvictions(), 2u);
     EXPECT_EQ(offchip_.totalBlocksWritten(), 2u);
-    EXPECT_EQ(offchip_.tenantBytes(3), 3 * kBlockBytes);
+    // a: written twice, read once, plus one more wasted read.
+    EXPECT_EQ(cache_->wastedOffchipReads(), 3u);
+    EXPECT_EQ(offchip_.tenantBytes(3),
+              (3 + cache_->wastedOffchipReads()) * kBlockBytes);
     EXPECT_EQ(offchip_.tenantBytes(1), 2 * kBlockBytes);
 }
 

@@ -54,30 +54,22 @@ TEST(TenantPartitionParams, ParsesPoliciesAndDefaults)
 
     bag.set("tenant.count", "2");
     bag.set("tenant.policy", "setpart");
-    bag.set("tenant.share0", "3");
     TenantPartitionParams sp =
         TenantPartitionParams::fromParams(bag);
     EXPECT_TRUE(sp.active());
+    EXPECT_EQ(sp.tenants, 2u);
     EXPECT_EQ(sp.policy, TenantPolicy::SetPartition);
-    ASSERT_EQ(sp.shares.size(), 2u);
-    EXPECT_DOUBLE_EQ(sp.shares[0], 3.0);
-    EXPECT_DOUBLE_EQ(sp.shares[1], 1.0);
-    // Quota fractions default share-proportionally.
-    EXPECT_DOUBLE_EQ(sp.quotas[0], 0.75);
-    EXPECT_DOUBLE_EQ(sp.quotas[1], 0.25);
 
     bag.set("tenant.policy", "bogus");
     EXPECT_THROW(TenantPartitionParams::fromParams(bag),
                  std::runtime_error);
     bag.set("tenant.policy", "quota");
-    bag.set("tenant.quota0", "1.5");
-    EXPECT_THROW(TenantPartitionParams::fromParams(bag),
-                 std::runtime_error);
-    bag.set("tenant.quota0", "0.25");
     TenantPartitionParams q =
         TenantPartitionParams::fromParams(bag);
     EXPECT_EQ(q.policy, TenantPolicy::Quota);
-    EXPECT_DOUBLE_EQ(q.quotas[0], 0.25);
+    bag.set("tenant.count", "0");
+    EXPECT_THROW(TenantPartitionParams::fromParams(bag),
+                 std::runtime_error);
 }
 
 TEST(TenantPartitionParams, SetPartitionRangesDisjointAndCover)
@@ -85,7 +77,6 @@ TEST(TenantPartitionParams, SetPartitionRangesDisjointAndCover)
     DesignParams bag;
     bag.set("tenant.count", "3");
     bag.set("tenant.policy", "setpart");
-    bag.set("tenant.share0", "2");
     TenantPartitionParams params =
         TenantPartitionParams::fromParams(bag);
 
@@ -102,8 +93,10 @@ TEST(TenantPartitionParams, SetPartitionRangesDisjointAndCover)
         covered += count;
     }
     EXPECT_EQ(covered, sets);
-    // Tenant 0 weighs 2 of 4: half the sets.
-    EXPECT_EQ(spec.ranges[0].second, sets / 2);
+    // Equal thirds; the last tenant takes the remainder.
+    EXPECT_EQ(spec.ranges[0].second, 341u);
+    EXPECT_EQ(spec.ranges[1].second, 341u);
+    EXPECT_EQ(spec.ranges[2].second, 342u);
 
     // Every unit maps into its owner's range.
     for (std::uint32_t t = 0; t < 3; ++t) {
@@ -127,15 +120,20 @@ TEST(TenantPartitionParams, SetPartitionRangesDisjointAndCover)
 TEST(TenantQuota, EnforcesOccupancyCap)
 {
     DesignParams bag;
-    bag.set("tenant.count", "2");
+    bag.set("tenant.count", "3");
     bag.set("tenant.policy", "quota");
-    bag.set("tenant.quota0", "0.25");
-    bag.set("tenant.quota1", "0.75");
+    // Each limit is ceil(units x 1/N): 100 units over three
+    // tenants give each 34.
+    EXPECT_EQ(TenantPartitionParams::fromParams(bag)
+                  .quota(100)
+                  .limit(2),
+              34u);
+    bag.set("tenant.count", "2");
     TenantQuota quota = TenantPartitionParams::fromParams(bag)
-                            .quota(100);
+                            .quota(50);
     ASSERT_TRUE(quota.enabled());
     EXPECT_EQ(quota.limit(0), 25u);
-    EXPECT_EQ(quota.limit(1), 75u);
+    EXPECT_EQ(quota.limit(1), 25u);
 
     for (unsigned i = 0; i < 25; ++i) {
         EXPECT_TRUE(quota.mayFill(0, false, 0));
@@ -277,8 +275,8 @@ TEST(TenantConservation, EveryDesignSumsToAggregate)
     for (const std::string &design :
          DesignRegistry::instance().names()) {
         ExperimentPoint p = makeColocationPoint(
-            {{WorkloadKind::WebSearch, 8, 0.0},
-             {WorkloadKind::DataServing, 8, 0.0}},
+            {{WorkloadKind::WebSearch, 8},
+             {WorkloadKind::DataServing, 8}},
             design, "shared", 0.02, 42);
         const PointResult r = runColocationPoint(p);
         SCOPED_TRACE(design);
@@ -295,8 +293,8 @@ TEST(TenantConservation, HoldsUnderEveryPolicy)
         for (const char *design : {"footprint", "block", "alloy",
                                    "banshee"}) {
             ExperimentPoint p = makeColocationPoint(
-                {{WorkloadKind::WebSearch, 8, 0.0},
-                 {WorkloadKind::MapReduce, 8, 0.0}},
+                {{WorkloadKind::WebSearch, 8},
+                 {WorkloadKind::MapReduce, 8}},
                 design, policy, 0.01, 42);
             const PointResult r = runColocationPoint(p);
             SCOPED_TRACE(std::string(design) + "/" + policy);
@@ -308,7 +306,7 @@ TEST(TenantConservation, HoldsUnderEveryPolicy)
 TEST(TenantConservation, SoloMixHasOneTenantSlice)
 {
     ExperimentPoint p = makeColocationPoint(
-        {{WorkloadKind::WebSearch, 8, 0.0}}, "footprint",
+        {{WorkloadKind::WebSearch, 8}}, "footprint",
         "shared", 0.01, 42);
     const PointResult r = runColocationPoint(p);
     expectConservation(r.metrics, 1);
@@ -337,14 +335,14 @@ makePairMix(std::uint64_t seed_base)
 
 TEST(TenantPolicies, QuotaBypassesEngageAndBound)
 {
-    // A punitive quota on tenant 0 must force quota bypasses in
-    // the footprint cache while tenant 1 keeps allocating.
+    // A tenant at its half of the frames must bypass the
+    // footprint cache rather than evict the other tenant's.
     Experiment::Config cfg;
     cfg.design = "footprint";
-    cfg.capacityMb = 64;
+    cfg.capacityMb = 2;
     encodeTenantMix(cfg,
-                    {{WorkloadKind::WebSearch, 8, 0.002},
-                     {WorkloadKind::DataServing, 8, 0.9}},
+                    {{WorkloadKind::WebSearch, 8},
+                     {WorkloadKind::DataServing, 8}},
                     "quota");
     cfg.pod.numTenants = 2;
     auto mix = makePairMix(42);
@@ -364,8 +362,8 @@ TEST(TenantPolicies, SetPartitionChangesPlacementOnly)
         cfg.design = "page";
         cfg.capacityMb = 64;
         encodeTenantMix(cfg,
-                        {{WorkloadKind::WebSearch, 8, 0.0},
-                         {WorkloadKind::DataServing, 8, 0.0}},
+                        {{WorkloadKind::WebSearch, 8},
+                         {WorkloadKind::DataServing, 8}},
                         policy);
         cfg.pod.numTenants = 2;
         auto mix = makePairMix(42);
@@ -399,12 +397,12 @@ colocationSubset()
     for (const char *design : {"footprint", "banshee"}) {
         for (const char *policy : {"shared", "quota"}) {
             points.push_back(makeColocationPoint(
-                {{WorkloadKind::WebSearch, 8, 0.0},
-                 {WorkloadKind::DataServing, 8, 0.0}},
+                {{WorkloadKind::WebSearch, 8},
+                 {WorkloadKind::DataServing, 8}},
                 design, policy, 0.01, 42));
         }
         points.push_back(makeColocationPoint(
-            {{WorkloadKind::WebSearch, 8, 0.0}}, design,
+            {{WorkloadKind::WebSearch, 8}}, design,
             "shared", 0.01, 42));
     }
     return points;
@@ -486,23 +484,23 @@ TEST(TenantSweep, MixWarmupKeyNamesCoreSplitAndOrder)
     const WorkloadKind ws = WorkloadKind::WebSearch;
     const WorkloadKind ds = WorkloadKind::DataServing;
     const std::string pair =
-        key({{ws, 8, 0.0}, {ds, 8, 0.0}}, "footprint", "shared");
+        key({{ws, 8}, {ds, 8}}, "footprint", "shared");
     // The pass never sees the design (at an equal window) or the
     // policy, so neither splits the artifact...
     EXPECT_EQ(pair,
-              key({{ws, 8, 0.0}, {ds, 8, 0.0}}, "banshee", "quota"));
-    EXPECT_EQ(pair, key({{ws, 8, 0.5}, {ds, 8, 0.5}}, "footprint",
+              key({{ws, 8}, {ds, 8}}, "banshee", "quota"));
+    EXPECT_EQ(pair, key({{ws, 8}, {ds, 8}}, "footprint",
                         "setpart"));
     // ...but a cacheless design's shorter window does, and so
     // does every change to which core reads which stream.
     EXPECT_NE(pair,
-              key({{ws, 8, 0.0}, {ds, 8, 0.0}}, "baseline", "shared"));
+              key({{ws, 8}, {ds, 8}}, "baseline", "shared"));
     EXPECT_NE(pair,
-              key({{ws, 4, 0.0}, {ds, 12, 0.0}}, "footprint", "shared"));
+              key({{ws, 4}, {ds, 12}}, "footprint", "shared"));
     EXPECT_NE(pair,
-              key({{ds, 8, 0.0}, {ws, 8, 0.0}}, "footprint", "shared"));
-    EXPECT_NE(key({{ws, 8, 0.0}}, "footprint", "shared"),
-              key({{ws, 16, 0.0}}, "footprint", "shared"));
+              key({{ds, 8}, {ws, 8}}, "footprint", "shared"));
+    EXPECT_NE(key({{ws, 8}}, "footprint", "shared"),
+              key({{ws, 16}}, "footprint", "shared"));
 }
 
 TEST(TenantSweep, OneWarmupArtifactPerMixAndWindow)
@@ -512,8 +510,8 @@ TEST(TenantSweep, OneWarmupArtifactPerMixAndWindow)
     // three policies.
     std::vector<ExperimentPoint> points;
     const std::vector<TenantSpec> pair = {
-        {WorkloadKind::WebSearch, 8, 0.0},
-        {WorkloadKind::DataServing, 8, 0.0}};
+        {WorkloadKind::WebSearch, 8},
+        {WorkloadKind::DataServing, 8}};
     for (const char *design : {"footprint", "baseline"}) {
         points.push_back(makeColocationPoint(
             {pair.front()}, design, "shared", 0.01, 42));
@@ -558,8 +556,8 @@ TEST(TenantSweep, PointResumesEachStreamWhereWarmupLeftIt)
     // resumes each stream at the artifact's cursor; one mix
     // warmed in place by run() must measure the same window.
     const std::vector<TenantSpec> tenants = {
-        {WorkloadKind::WebSearch, 8, 0.0},
-        {WorkloadKind::DataServing, 4, 0.0}};
+        {WorkloadKind::WebSearch, 8},
+        {WorkloadKind::DataServing, 4}};
     const std::vector<ExperimentPoint> points = {
         makeColocationPoint(tenants, "page", "shared", 0.01, 42),
         makeColocationPoint(tenants, "footprint", "shared", 0.01,

@@ -50,16 +50,6 @@ TEST(VectorTraceSource, TwoCoresPartition)
     EXPECT_EQ(r.req.coreId, 1u);
 }
 
-TEST(VectorTraceSource, ResetReplays)
-{
-    VectorTraceSource src(makeRecords(3), 1);
-    TraceRecord r;
-    ASSERT_TRUE(src.next(0, r));
-    src.reset();
-    ASSERT_TRUE(src.next(0, r));
-    EXPECT_EQ(r.computeGap, 0u);
-}
-
 TEST(TraceFile, RoundTrip)
 {
     const std::string path = ::testing::TempDir() + "trace_rt.bin";
@@ -107,23 +97,6 @@ TEST(TraceFile, MultiCoreDemux)
         ASSERT_TRUE(reader.next(0, r));
         EXPECT_EQ(r.computeGap, expect);
     }
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, ResetRewinds)
-{
-    const std::string path = ::testing::TempDir() + "trace_rw.bin";
-    {
-        TraceFileWriter w(path);
-        for (const auto &r : makeRecords(4))
-            w.append(r);
-    }
-    TraceFileReader reader(path);
-    TraceRecord r;
-    ASSERT_TRUE(reader.next(0, r));
-    reader.reset();
-    ASSERT_TRUE(reader.next(0, r));
-    EXPECT_EQ(r.computeGap, 0u);
     std::remove(path.c_str());
 }
 

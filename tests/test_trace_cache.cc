@@ -222,19 +222,6 @@ TEST(ReplayTraceSource, SeekMatchesConsumption)
     }
 }
 
-TEST(ReplayTraceSource, ResetRestartsTheStream)
-{
-    auto arena = materialize(5'000);
-    ReplayTraceSource replay(arena);
-    TraceRecord first, rec;
-    ASSERT_TRUE(replay.next(0, first));
-    for (int i = 0; i < 1000; ++i)
-        ASSERT_TRUE(replay.next(0, rec));
-    replay.reset();
-    ASSERT_TRUE(replay.next(0, rec));
-    EXPECT_TRUE(recordsEqual(first, rec));
-}
-
 TEST(TraceSkipContract, ReplayOverSkipDies)
 {
     auto arena = materialize(5'000);
@@ -281,8 +268,6 @@ TEST(TraceSkipContract, SyntheticConsumedCountsNextAndSkip)
     ASSERT_GE(src.acquire(0, span), 5u);
     src.skip(5);
     EXPECT_EQ(src.consumed(), 8u);
-    src.reset();
-    EXPECT_EQ(src.consumed(), 0u);
 }
 
 TEST(TraceSkipContract, SyntheticSkipAfterNextDies)

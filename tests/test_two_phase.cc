@@ -75,7 +75,7 @@ void
 timedReferenceWarmup(Experiment &exp, const WarmupArtifact &art)
 {
     const PodConfig &pod = exp.config().pod;
-    const Cycle l1l2 = pod.l1HitLatency + pod.l2HitLatency;
+    const Cycle l1l2 = PodConfig::kL1HitLatency + PodConfig::kL2HitLatency;
     std::vector<Cycle> clock(pod.numCores, 0);
     MemorySystem &mem = exp.memory();
     for (std::size_t i = 0; i < art.paddr.size(); ++i) {
@@ -295,13 +295,14 @@ TEST(TwoPhase, TenantQuotaMixMatchesTimedReferenceWarmup)
 {
     // Partition quotas see the tenant of every replayed demand;
     // the timed reference must leave the same per-tenant state.
-    // Tenant 0's punitive quota makes bypasses engage in warmup.
+    // A small cache makes the half-capacity quotas bind, so
+    // bypasses engage in warmup.
     Experiment::Config cfg;
     cfg.design = "footprint";
-    cfg.capacityMb = 64;
+    cfg.capacityMb = 2;
     encodeTenantMix(cfg,
-                    {{WorkloadKind::WebSearch, 8, 0.002},
-                     {WorkloadKind::DataServing, 8, 0.9}},
+                    {{WorkloadKind::WebSearch, 8},
+                     {WorkloadKind::DataServing, 8}},
                     "quota");
     cfg.pod.numTenants = 2;
     const auto run = [&](bool timed_reference) {

@@ -82,16 +82,6 @@ TEST(Workload, DifferentSeedsDiffer)
     EXPECT_TRUE(differ);
 }
 
-TEST(Workload, ResetReplays)
-{
-    SyntheticTraceSource src(tinySpec());
-    TraceRecord r1, r2;
-    src.next(0, r1);
-    src.reset();
-    src.next(0, r2);
-    EXPECT_EQ(r1.req.paddr, r2.req.paddr);
-}
-
 TEST(Workload, GapsAndOpsWithinSpec)
 {
     WorkloadSpec spec = tinySpec();
